@@ -147,7 +147,7 @@ def cmd_check_harmonic(built: BuiltMetric, ana: dict, outdir: str) -> int:
     center = _center(built, ana)
     cfg = geodesics.HarmonicityConfig(
         radii=ana.get("radii"),
-        n_directions=int(ana.get("directions", 16)),
+        n_directions=ana.get("directions", 16),
         tolerance=float(ana.get("tolerance", 1e-6)),
         shoot=geodesics.ShootConfig(steps=int(ana.get("steps", 800))))
     report = geodesics.centrally_harmonic_test(metric, center, cfg)
@@ -286,6 +286,7 @@ def main(argv=None) -> int:
             ana["directions"] = args.directions
         if args.radii is not None:
             ana["radii"] = [float(r) for r in args.radii.split(",") if r]
+        manifest_mod.validate({"metric": mf.metric_spec, "analysis": ana})
         built = manifest_mod.build_metric(mf.metric_spec)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[ana["command"]](built, ana, args.out)

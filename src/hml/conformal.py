@@ -677,8 +677,10 @@ def completeness_and_blowup(m: int, variant: str = "density-root",
     u = pi/2 - r near the cut locus.  Reports (i) int psi^-1 du with a
     finiteness verdict from local exponent detection psi ~ a u^q, and
     (ii) the log-log fit rho_{g_psi}(psi d_u, psi d_u) ~ c u^-p over the
-    u-window.  For the density-root variant, psi ~ (2/pi) u^(1/(m-1)) and
-    Theta ~ u give c = -4(m-2)/((m-1) pi^2) and p = 2(m-2)/(m-1).
+    u-window, fitted as log|rho| = log|c| - p log u + b u so that the
+    next-order factor (1 + b u) does not bias c.  For the density-root
+    variant, psi ~ (2/pi) u^(1/(m-1)) and Theta ~ u give
+    c = -4(m-2)/((m-1) pi^2) and p = 2(m-2)/(m-1).
     """
     if m not in (4, 6, 8):
         raise ValueError("blow-up diagnostics support m in {4, 6, 8}")
@@ -699,7 +701,7 @@ def completeness_and_blowup(m: int, variant: str = "density-root",
                                           einstein_const) for u in us])
     if np.any(rho >= 0):
         raise ValueError("expected negative radial Ricci in the fit window")
-    design = np.stack([np.ones_like(us), np.log(us)], axis=1)
+    design = np.stack([np.ones_like(us), np.log(us), us], axis=1)
     sol, *_ = np.linalg.lstsq(design, np.log(-rho), rcond=None)
     coefficient = -math.exp(sol[0])
     exponent = -float(sol[1])

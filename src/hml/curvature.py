@@ -1,7 +1,7 @@
 """Pointwise curvature: Christoffels, Riemann, Ricci, grad^k R, Hessians.
 
 Index conventions are documented in :mod:`hml.conventions`.  Two paths are
-provided: a batched einsum path for the quantities the geodesic integrator
+provided: a batched array path for the quantities the geodesic integrator
 needs at every step (Gamma and R), and a jet-ring path for full curvature
 bundles with iterated covariant derivatives of R.
 """
@@ -26,7 +26,8 @@ def curvature_arrays(metric: ChartMetric, x):
     """(g, ginv, Gamma, R) at x; x may be (m,) or batched (..., m).
 
     Gamma[..., i, j, k] = Gamma_ij^k and R[..., i, j, k, l] is the lowered
-    curvature tensor in the package sign convention.
+    curvature tensor in the package sign convention.  Contractions are fixed
+    two-operand matmuls; R is built from Christoffels of the first kind.
     """
     g, dg, d2g = metric.derivative_arrays(x, 2)
     try:
@@ -34,25 +35,38 @@ def curvature_arrays(metric: ChartMetric, x):
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(
             f"degenerate metric {metric.name} at {x}") from exc
-    # Gamma_ij^k = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    half_bracket = 0.5 * (np.einsum('...jli->...ijl', dg)
-                          + np.einsum('...ilj->...ijl', dg)
-                          - np.einsum('...ijl->...ijl', dg))
-    Gamma = np.einsum('...kl,...ijl->...ijk', ginv, half_bracket)
-    # d_p Gamma_ij^k, using d ginv = -ginv dg ginv
-    dhalf = 0.5 * (np.einsum('...jlip->...ijlp', d2g)
-                   + np.einsum('...iljp->...ijlp', d2g)
-                   - np.einsum('...ijlp->...ijlp', d2g))
-    dginv = -np.einsum('...ka,...abp,...bl->...klp', ginv, dg, ginv)
-    dGamma = (np.einsum('...klp,...ijl->...ijkp', dginv, half_bracket)
-              + np.einsum('...kl,...ijlp->...ijkp', ginv, dhalf))
-    # R^l_{ijk} = d_i G_jk^l - d_j G_ik^l + G_im^l G_jk^m - G_jm^l G_ik^m
-    Rup = (np.einsum('...jkli->...ijkl', dGamma)
-           - np.einsum('...iklj->...ijkl', dGamma)
-           + np.einsum('...iml,...jkm->...ijkl', Gamma, Gamma)
-           - np.einsum('...jml,...ikm->...ijkl', Gamma, Gamma))
-    R = np.einsum('...lm,...ijkm->...ijkl', g, Rup)
+    batch, m = g.shape[:-2], g.shape[-1]
+    # first kind: h[i, j, l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
+    h = 0.5 * (np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -1, -2) - dg)
+    h = h.reshape(batch + (m * m, m))
+    # Gamma_ij^k = g^{kl} h_ijl
+    Gamma = (h @ np.swapaxes(ginv, -1, -2)).reshape(batch + (m, m, m))
+    # R_ijkl = S_ijkl - S_jikl with
+    # S_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk) - Gamma_jk^n h_iln,
+    # assembled as U[j, k, i, l] = S_ijkl
+    U = (Gamma.reshape(batch + (m * m, m)) @ np.swapaxes(h, -1, -2)
+         ).reshape(batch + (m,) * 4)
+    np.subtract(0.5 * (np.swapaxes(d2g, -3, -1) - d2g), U, out=U)
+    S = np.moveaxis(U, -2, -4)
+    R = np.subtract(S, np.swapaxes(S, -4, -3), out=np.empty_like(d2g))
     return g, ginv, Gamma, R
+
+
+def jacobi_form(R, v):
+    """R(., v, v, .): contract slots j and k of R[..., i, j, k, l] with v.
+
+    Staged as Rv, then Rvv; the last axis of R may carry extra slots
+    flattened into it, which pass through (batch axes broadcast with v).
+    """
+    m = v.shape[-1]
+    vrow = v[..., None, None, :]
+    Rv = vrow @ R.reshape(R.shape[:-3] + (m, -1))
+    return (vrow @ Rv.reshape(Rv.shape[:-2] + (m, -1)))[..., 0, :]
+
+
+def reduced_jacobi(R, v, E):
+    """R(E_a, v, v, E_b): the Jacobi operator along v in the frame E[..., m, n]."""
+    return np.swapaxes(E, -1, -2) @ jacobi_form(R, v) @ E
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import CurvatureBundle, curvature
+from .curvature import CurvatureBundle, curvature, jacobi_form
 from .metric import ChartMetric
 from .series import TruncatedSeries, rational_series
 
@@ -46,8 +46,9 @@ class JacobiOperator:
 def jacobi(bundle: CurvatureBundle, xi, k: int) -> JacobiOperator:
     """Assemble J_k(xi) from grad^k R by contraction."""
     xi = np.asarray(xi, dtype=float)
-    T = bundle.nabla(k)  # shape (m,)*4 + (m,)*k
-    M = np.einsum('ijkl...,j,k->il...', T, xi, xi)
+    m = len(xi)
+    T = bundle.nabla(k).reshape((m,) * 3 + (-1,))  # slots l, p_1..p_k merged
+    M = jacobi_form(T, xi).reshape((m,) * (k + 2))
     for _ in range(k):     # contract the k derivative slots with xi
         M = M @ xi
     bil = 0.5 * (M + M.T)

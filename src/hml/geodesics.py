@@ -15,15 +15,14 @@ this linear form, so integration starts at the center exactly.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
-from .curvature import curvature, curvature_arrays, einstein_defect
+from .curvature import (curvature, curvature_arrays, einstein_defect,
+                         reduced_jacobi)
 from .metric import ChartMetric, DomainError
 
 
@@ -109,10 +108,12 @@ class ShootConfig:
 def _rhs(metric: ChartMetric, state):
     x, v, E, A, Ad = state
     _, _, Gamma, R = curvature_arrays(metric, x)
-    dv = -np.einsum('...ijk,...i,...j->...k', Gamma, v, v)
-    dE = -np.einsum('...ijk,...i,...ja->...ka', Gamma, v, E)
-    Rt = np.einsum('...ijkl,...ia,...j,...k,...lc->...ac', R, E, v, v, E)
-    return (v, dv, dE, Ad, -Rt @ A)
+    B, m = v.shape[:-1], v.shape[-1]
+    # Gv[j, k] = Gamma_ij^k v^i, shared by the geodesic and the frame
+    Gv = (v[..., None, :] @ Gamma.reshape(B + (m, m * m))).reshape(B + (m, m))
+    dv = -(v[..., None, :] @ Gv)[..., 0, :]
+    dE = -(np.swapaxes(Gv, -1, -2) @ E)
+    return (v, dv, dE, Ad, -reduced_jacobi(R, v, E) @ A)
 
 
 class _ConjugateTracker:
@@ -327,8 +328,7 @@ def density_profile(metric: ChartMetric, P, directions, radii,
     """Batch of shoot results organized for radiality analysis.
 
     ``directions`` is either a count (deterministic sampling) or an array
-    of g-unit vectors.  Directions are integrated in one vectorized batch;
-    set HML_THREADS > 1 to split the batch across worker threads instead.
+    of g-unit vectors, integrated together in one vectorized batch.
     """
     P = np.asarray(P, dtype=float)
     if isinstance(directions, (int, np.integer)):
@@ -337,54 +337,31 @@ def density_profile(metric: ChartMetric, P, directions, radii,
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
     radii = np.asarray(sorted(float(r) for r in radii))
 
-    n_threads = max(1, int(os.environ.get("HML_THREADS", "1")))
-    chunks = np.array_split(np.arange(len(directions)), n_threads) \
-        if n_threads > 1 else [np.arange(len(directions))]
-    chunks = [c for c in chunks if len(c)]
-
-    def run(idx):
-        out = []
-        for r, state, crossed in _integrate_recording(metric, P, directions[idx],
-                                                      radii, config):
-            out.append((tuple(np.copy(s) for s in state), crossed))
-        return out
-
-    if len(chunks) == 1:
-        results = [run(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(run, chunks))
-
     R, N, m = len(radii), len(directions), metric.dim
     theta = np.empty((R, N))
-    xi = np.empty((R, N))
+    xi = np.full((R, N), np.nan)
     umb = np.full((R, N), np.nan)
     conj = np.zeros((R, N), dtype=bool)
     energy = 0.0
     eye = np.eye(m - 1)
-    for chunk, states in zip(chunks, results):
-        for ir, ((x, v, E, A, Ad), crossed) in enumerate(states):
-            det = np.linalg.det(A)
-            theta[ir, chunk] = det
-            bad = (det <= 0) | crossed
-            conj[ir, chunk] = bad
-            xi_vals = np.full(len(chunk), np.nan)
-            umb_vals = np.full(len(chunk), np.nan)
-            good = ~bad
-            if np.any(good):
-                shape_op = np.linalg.solve(
-                    np.transpose(A[good], (0, 2, 1)),
-                    np.transpose(Ad[good], (0, 2, 1)))
-                shape_op = np.transpose(shape_op, (0, 2, 1))  # Ad A^{-1}
-                tr = np.trace(shape_op, axis1=1, axis2=2)
-                xi_vals[good] = tr
-                dev = shape_op - tr[:, None, None] / (m - 1) * eye
-                umb_vals[good] = np.linalg.norm(dev, axis=(1, 2))
-            xi[ir, chunk] = xi_vals
-            umb[ir, chunk] = umb_vals
-            g = metric.value(x)
-            energy = max(energy, float(np.max(np.abs(
-                np.einsum('bi,bij,bj->b', v, g, v) - 1.0))))
+    for ir, (_, (x, v, E, A, Ad), crossed) in enumerate(
+            _integrate_recording(metric, P, directions, radii, config)):
+        det = np.linalg.det(A)
+        theta[ir] = det
+        conj[ir] = bad = (det <= 0) | crossed
+        good = ~bad
+        if np.any(good):
+            shape_op = np.linalg.solve(
+                np.transpose(A[good], (0, 2, 1)),
+                np.transpose(Ad[good], (0, 2, 1)))
+            shape_op = np.transpose(shape_op, (0, 2, 1))  # Ad A^{-1}
+            tr = np.trace(shape_op, axis1=1, axis2=2)
+            xi[ir, good] = tr
+            dev = shape_op - tr[:, None, None] / (m - 1) * eye
+            umb[ir, good] = np.linalg.norm(dev, axis=(1, 2))
+        g = metric.value(x)
+        energy = max(energy, float(np.max(np.abs(
+            np.einsum('bi,bij,bj->b', v, g, v) - 1.0))))
     safe = radii[-1]
     if conj.any():
         first_bad = np.argmax(conj.any(axis=1))
@@ -559,8 +536,7 @@ def second_fundamental_form(metric: ChartMetric, P, theta, r: float,
     mdim = metric.dim
     defect = float(np.linalg.norm(L - np.trace(L) / (mdim - 1) * np.eye(mdim - 1)))
     _, _, _, R = curvature_arrays(metric, sample.endpoint)
-    Rt = np.einsum('ijkl,ia,j,k,lb->ab', R, sample.frame, sample.velocity,
-                   sample.velocity, sample.frame)
+    Rt = reduced_jacobi(R, sample.velocity, sample.frame)
     eigs = np.linalg.eigvalsh(0.5 * (Rt + Rt.T))
     return SphereShapeSample(
         center=sample.center, direction=sample.direction, radius=r, L=L,
@@ -576,7 +552,7 @@ def reduced_jacobi_at(metric: ChartMetric, P, xi_dir) -> np.ndarray:
     theta = theta / math.sqrt(theta @ g0 @ theta)
     E = parallel_frame_start(g0, theta)
     _, _, _, R = curvature_arrays(metric, P)
-    Rt = np.einsum('ijkl,ia,j,k,lb->ab', R, E, theta, theta, E)
+    Rt = reduced_jacobi(R, theta, E)
     return 0.5 * (Rt + Rt.T)
 
 

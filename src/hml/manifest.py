@@ -81,6 +81,9 @@ def validate(doc: dict, path: Optional[str] = None) -> Manifest:
     cmd = ana.get("command")
     if cmd not in _COMMANDS:
         raise ManifestError(f"analysis.command must be one of {sorted(_COMMANDS)}")
+    n = ana.get("directions", 16)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ManifestError(f"analysis.directions must be an integer >= 1, got {n!r}")
     return Manifest(metric_spec=mspec, analysis=ana, path=path)
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hml import catalog
+from hml.conformal import deform_metric
+from hml.manifest import _sphere_height_psi
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +44,9 @@ def hyperbolic3():
 @pytest.fixture(scope="session")
 def fs2():
     return catalog.fubini_study(2)
+
+
+@pytest.fixture(scope="session")
+def deformed_sphere4():
+    """sphere(4) under the poly factor [1.0, 0.25] in the squared pole height."""
+    return deform_metric(catalog.sphere(4).metric, _sphere_height_psi([1.0, 0.25]))

@@ -75,6 +75,50 @@ def fd_nabla_riemann(metric, x, riemann_fn, christoffel_fn, h=2e-4):
     return out
 
 
+def christoffel_arrays(metric, x):
+    """Gamma_ij^k and d_p Gamma_ij^k by the literal Koszul einsums (batch ok).
+
+    Uses the engine's exact metric derivatives but none of its curvature
+    code: d ginv = -ginv dg ginv is formed explicitly.
+    """
+    g, dg, d2g = metric.derivative_arrays(x, 2)
+    ginv = np.linalg.inv(g)
+    half = 0.5 * (np.einsum('...jli->...ijl', dg)
+                  + np.einsum('...ilj->...ijl', dg) - dg)
+    Gam = np.einsum('...kl,...ijl->...ijk', ginv, half)
+    dhalf = 0.5 * (np.einsum('...jlip->...ijlp', d2g)
+                   + np.einsum('...iljp->...ijlp', d2g) - d2g)
+    dginv = -np.einsum('...ka,...abp,...bl->...klp', ginv, dg, ginv)
+    dGam = (np.einsum('...klp,...ijl->...ijkp', dginv, half)
+            + np.einsum('...kl,...ijlp->...ijkp', ginv, dhalf))
+    return Gam, dGam
+
+
+def literal_riemann(metric, x):
+    """Lowered R from d Gamma and Gamma Gamma, then g: the textbook route."""
+    Gam, dGam = christoffel_arrays(metric, x)
+    Rup = (np.einsum('...jkli->...ijkl', dGam)
+           - np.einsum('...iklj->...ijkl', dGam)
+           + np.einsum('...iml,...jkm->...ijkl', Gam, Gam)
+           - np.einsum('...jml,...ikm->...ijkl', Gam, Gam))
+    return np.einsum('...lm,...ijkm->...ijkl', metric.value(x), Rup)
+
+
+def literal_reduced_jacobi(R, v, E):
+    """R(E_a, v, v, E_b) as one unstaged five-operand einsum."""
+    return np.einsum('...ijkl,...ia,...j,...k,...lc->...ac', R, E, v, v, E)
+
+
+def literal_rhs(metric, state):
+    """The geodesic / parallel-frame / Jacobi right-hand side, unstaged."""
+    x, v, E, A, Ad = state
+    Gam, _ = christoffel_arrays(metric, x)
+    dv = -np.einsum('...ijk,...i,...j->...k', Gam, v, v)
+    dE = -np.einsum('...ijk,...i,...ja->...ka', Gam, v, E)
+    Rt = literal_reduced_jacobi(literal_riemann(metric, x), v, E)
+    return (v, dv, dE, Ad, -Rt @ A)
+
+
 def coordinate_jacobi_density(metric, P, theta, radii, steps=800):
     """Volume density by the normal-coordinate route (engine-independent).
 
@@ -102,19 +146,6 @@ def coordinate_jacobi_density(metric, P, theta, radii, steps=800):
             break
     basis = np.stack(basis, axis=1)            # columns: theta, b_2, ..., b_m
 
-    def gamma_and_d(x):
-        g, dg, d2g = metric.derivative_arrays(x, 2)
-        ginv = np.linalg.inv(g)
-        half = 0.5 * (np.einsum('jli->ijl', dg) + np.einsum('ilj->ijl', dg)
-                      - dg)
-        Gam = np.einsum('kl,ijl->ijk', ginv, half)
-        dhalf = 0.5 * (np.einsum('jlip->ijlp', d2g)
-                       + np.einsum('iljp->ijlp', d2g) - d2g)
-        dginv = -np.einsum('ka,abp,bl->klp', ginv, dg, ginv)
-        dGam = (np.einsum('klp,ijl->ijkp', dginv, half)
-                + np.einsum('kl,ijlp->ijkp', ginv, dhalf))
-        return Gam, dGam
-
     # state: x, v, Y (m x m columns), Ydot
     x = P.copy()
     v = basis[:, 0].copy()
@@ -123,7 +154,7 @@ def coordinate_jacobi_density(metric, P, theta, radii, steps=800):
 
     def rhs(state):
         x, v, Y, Yd = state
-        Gam, dGam = gamma_and_d(x)
+        Gam, dGam = christoffel_arrays(metric, x)
         a = -np.einsum('ijk,i,j->k', Gam, v, v)
         Ydd = (-2 * np.einsum('ijk,i,ja->ka', Gam, v, Yd)
                - np.einsum('ijkp,pa,i,j->ka', dGam, Y, v, v))

@@ -249,3 +249,19 @@ def test_flag_overrides(tmp_path):
     rep = json.loads((out / "harmonicity.json").read_text())
     assert rep["n_directions"] == 6
     assert rep["radii"] == [0.2, 0.5]
+
+
+@pytest.mark.parametrize("directions,flag", [(0, None), (-1, None),
+                                             (2.5, None), ("8", None),
+                                             (4, "0")])
+def test_bad_directions_exit_3(tmp_path, capsys, directions, flag):
+    doc = {"metric": {"family": "euclidean", "dim": 3},
+           "analysis": {"command": "check_harmonic", "directions": directions,
+                        "steps": 20, "radii": [0.2]}}
+    args = ["--manifest", write(tmp_path, "d.json", doc), "--out", str(tmp_path)]
+    if flag is not None:
+        args += ["--directions", flag]
+    assert run_cli(args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "analysis.directions must be an integer >= 1" in err

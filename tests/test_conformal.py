@@ -373,11 +373,13 @@ def test_blowup_exponents_and_finiteness(m, p_expect):
 
 def test_blowup_density_root_coefficient_matches_true_value():
     # the honest Ricci of the density-root deformation: the leading
-    # constant is -4(m-2)/((m-1) pi^2) exactly
+    # constant is -4(m-2)/((m-1) pi^2) and the exponent 2(m-2)/(m-1)
+    # exactly; the fit's next-order term keeps both well inside these bounds
     for m in (4, 6, 8):
         rep = completeness_and_blowup(m, variant="density-root")
         true_c = -4.0 * (m - 2) / ((m - 1) * math.pi ** 2)
-        assert rep.coefficient == pytest.approx(true_c, rel=0.02)
+        assert rep.coefficient == pytest.approx(true_c, rel=1e-3)
+        assert rep.exponent == pytest.approx(2.0 * (m - 2) / (m - 1), abs=1e-3)
 
 
 @pytest.mark.parametrize("m,c_pi2,p", [(4, (-8, 3), (4, 3)),

@@ -6,26 +6,20 @@ import numpy as np
 import pytest
 
 from hml import catalog, jets
-from hml.conformal import deform_metric
-from hml.curvature import laplacian
+from hml.curvature import curvature_arrays, laplacian, reduced_jacobi
 from hml.geodesics import (ConjugatePointError, DomainExitError,
                            HarmonicityConfig, NonRadialProfileError,
-                           ShootConfig, centrally_harmonic_test,
+                           ShootConfig, _initial_state, _rhs,
+                           centrally_harmonic_test,
                            density_profile, eigen_spread, g_unit_directions,
                            parallel_frame_start, radial_harmonic,
                            reduced_jacobi_at, second_fundamental_form, shoot,
                            unit_directions)
-from hml.manifest import _sphere_height_psi
 from hml.metric import ChartMetric, ScalarField
 
 import oracles
 
 FAST = ShootConfig(steps=300)
-
-
-@pytest.fixture(scope="module")
-def deformed_sphere4():
-    return deform_metric(catalog.sphere(4).metric, _sphere_height_psi([1.0, 0.25]))
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +139,41 @@ def test_profile_deformed_sphere_off_pole_not_radial(deformed_sphere4):
     assert prof.theta_spread().max() > 1e-3
 
 
-def test_threaded_fanout_deterministic(fs2, monkeypatch):
+@pytest.mark.parametrize("name,P", [("fs2", [0.0, 0, 0, 0]),
+                                    ("deformed_sphere4", [0.0, 0.3, 0, 0])],
+                         ids=["fs2", "deformed_sphere4"])
+def test_batch_invariance_fixed_step(name, P, request):
+    # a direction shot alone and inside a batch of 40 gives bit-identical
+    # Theta and Xi on the fixed-step RK4 path
+    entry = request.getfixturevalue(name)
+    metric = getattr(entry, "metric", entry)
+    P = np.asarray(P)
     radii = [0.4, 0.8]
-    dirs = g_unit_directions(fs2.metric, np.zeros(4), 6)
-    p1 = density_profile(fs2.metric, np.zeros(4), dirs, radii, FAST)
-    monkeypatch.setenv("HML_THREADS", "3")
-    p2 = density_profile(fs2.metric, np.zeros(4), dirs, radii, FAST)
-    assert np.array_equal(p1.theta, p2.theta)
+    dirs = g_unit_directions(metric, P, 40)
+    batch = density_profile(metric, P, dirs, radii, ShootConfig(steps=60))
+    for i in (0, 7, 39):
+        alone = density_profile(metric, P, dirs[i:i + 1], radii,
+                                ShootConfig(steps=60))
+        assert np.array_equal(alone.theta[:, 0], batch.theta[:, i])
+        assert np.array_equal(alone.xi[:, 0], batch.xi[:, i])
+
+
+@pytest.mark.parametrize("B", [1, 16, 1024])
+def test_staged_rhs_matches_literal_einsum(fs2, B):
+    P = np.zeros(4)
+    x, v, E, A, Ad = _initial_state(fs2.metric, P,
+                                    g_unit_directions(fs2.metric, P, B))
+    rng = np.random.default_rng(B)
+    # off the center, with a generic A, so every term of the RHS is live
+    state = (x + rng.uniform(-0.3, 0.3, x.shape), v, E,
+             rng.standard_normal(A.shape), Ad)
+    for got, want in zip(_rhs(fs2.metric, state),
+                         oracles.literal_rhs(fs2.metric, state)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    R = curvature_arrays(fs2.metric, state[0])[3]
+    got = reduced_jacobi(R, v, E)
+    want = oracles.literal_reduced_jacobi(R, v, E)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_density_oracle_normal_coordinates(rng):

@@ -113,13 +113,18 @@ def test_curvature_matches_fd_oracle(sphere3, rng):
     assert np.max(np.abs(b.riemann - R_fd)) < 1e-6
 
 
-def test_fast_path_matches_bundle(fs2, rng):
-    pts = rng.uniform(-0.3, 0.3, size=(5, 4))
-    g, ginv, Gam, R = curvature_arrays(fs2.metric, pts)
-    for i, x in enumerate(pts):
-        b = curvature(fs2.metric, x, k_max=0)
-        assert np.max(np.abs(R[i] - b.riemann)) < 1e-11
-        assert np.max(np.abs(Gam[i] - b.christoffels)) < 1e-12
+@pytest.mark.parametrize("name", ["fs2", "deformed_sphere4"])
+def test_fast_path_matches_bundle(name, request):
+    entry = request.getfixturevalue(name)
+    metric = getattr(entry, "metric", entry)
+    pts = np.random.default_rng(5).uniform(-0.3, 0.3, size=(5, 4))
+    _, _, Gam, R = curvature_arrays(metric, pts)
+    _, _, Gam0, R0 = curvature_arrays(metric, pts[0])     # unbatched (m,)
+    cases = [(Gam[i], R[i], x) for i, x in enumerate(pts)] + [(Gam0, R0, pts[0])]
+    for G, Rx, x in cases:
+        b = curvature(metric, x, k_max=0)
+        assert np.max(np.abs(Rx - b.riemann)) < 1e-11
+        assert np.max(np.abs(G - b.christoffels)) < 1e-12
 
 
 @pytest.mark.parametrize("name", ALL_CATALOG)
