@@ -26,7 +26,6 @@ class CatalogEntry:
     metric: ChartMetric
     constant_curvature: Optional[float] = None   # None: not a space form
     einstein: bool = False
-    harmonic_at_center: bool = True
     closed_form_density: Optional[Callable] = None   # r -> Theta_P(r)
     center_in_chart: bool = True
     notes: str = ""
@@ -34,13 +33,6 @@ class CatalogEntry:
     @property
     def dim(self) -> int:
         return self.metric.dim
-
-    def reduced_density(self, r):
-        """Theta / r^(m-1) from the closed form, if available."""
-        if self.closed_form_density is None:
-            return None
-        r = np.asarray(r, dtype=float)
-        return self.closed_form_density(r) / r ** (self.dim - 1)
 
 
 def _space_form_density(kappa: float, m: int) -> Callable:
@@ -58,9 +50,7 @@ def _space_form_density(kappa: float, m: int) -> Callable:
 
 def euclidean(dim: int) -> CatalogEntry:
     def components(xj):
-        space = xj[0].space
-        one = 1.0
-        return [[one if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+        return [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
 
     metric = ChartMetric(
         dim=dim, components=components, name="euclidean", params={"dim": dim},

@@ -263,8 +263,13 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line exits 3, not 2 (a verdict)
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hml",
         description="Centrally harmonic metric analyses from JSON manifests")
     parser.add_argument("--manifest", required=True, help="path to manifest JSON")
@@ -275,9 +280,8 @@ def main(argv=None) -> int:
                         help="override analysis.directions")
     parser.add_argument("--radii", default=None,
                         help="comma-separated radii overriding analysis.radii")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         mf = manifest_mod.load(args.manifest)
         ana = dict(mf.analysis)
         if args.tol is not None:

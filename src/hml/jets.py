@@ -257,12 +257,6 @@ class MultiJet:
             derivs.append(-k * derivs[-1] / u0)
         return self.apply_analytic(derivs)
 
-    def real(self):
-        return MultiJet(self.space, np.real(self.coef))
-
-    def conj(self):
-        return MultiJet(self.space, np.conj(self.coef))
-
     def __repr__(self):
         return f"MultiJet(order={self.space.order}, value={self.value})"
 
@@ -369,13 +363,23 @@ def atan(x):
     return x.apply_analytic(derivs)
 
 
+@lru_cache(maxsize=None)
+def _taylor_table(coef_fn, order: int, n: int):
+    """Horner rows tab[j, d] = c_(d+j) (d+j)!/j!, zero-padded where d+j >= n."""
+    tab = np.zeros((n, order + 1))
+    for d in range(order + 1):
+        for k in range(d, n):
+            tab[k - d, d] = coef_fn(k) * math.factorial(k) / math.factorial(k - d)
+    tab.setflags(write=False)      # shared by every caller through the cache
+    return tab
+
+
 def _entire_apply(x, coef_fn, n_extra=40):
     """Apply an entire function of t given its Maclaurin coefficients.
 
     coef_fn(k) -> k-th Taylor coefficient at 0.  Derivatives at the jet's
-    constant term are obtained by term-wise differentiation of the series;
-    usable whenever the series converges comfortably there (all uses here
-    have |t| bounded by ~pi^2).
+    constant term come from the term-wise differentiated series (one Horner
+    loop over a cached table); all uses here have |t| bounded by ~pi^2.
     """
     if not _is_jetlike(x):
         t = np.asarray(x, dtype=float)
@@ -383,46 +387,56 @@ def _entire_apply(x, coef_fn, n_extra=40):
         return sum(coef_fn(k) * t ** k for k in range(n))
     order = _order_of(x)
     t0 = np.asarray(x.const_value(), dtype=float)
-    n = order + 1 + n_extra
-    derivs = []
-    for d in range(order + 1):
-        # Horner for sum_{k>=d} c_k k!/(k-d)! t0^(k-d), highest power first
-        acc = np.zeros_like(t0)
-        for k in range(n - 1, d - 1, -1):
-            acc = acc * t0 + coef_fn(k) * math.factorial(k) / math.factorial(k - d)
-        derivs.append(acc)
+    tab = _taylor_table(coef_fn, order, order + 1 + n_extra)
+    tab = tab.reshape(tab.shape + (1,) * t0.ndim)
+    # derivs[d] = sum_{k>=d} c_k k!/(k-d)! t0^(k-d), highest power first
+    derivs = np.zeros((order + 1,) + t0.shape)
+    for row in tab[::-1]:
+        derivs = derivs * t0 + row
     return x.apply_analytic(derivs)
+
+
+def _cos_sqrt_coef(k):
+    return (-1.0) ** k / math.factorial(2 * k)
+
+
+def _sinc_sqrt_coef(k):
+    return (-1.0) ** k / math.factorial(2 * k + 1)
+
+
+def _sin_sq_sqrt_over_t_coef(k):
+    return (-1.0) ** k * 2.0 ** (2 * k + 1) / math.factorial(2 * k + 2)
+
+
+def _t_minus_sinsq_over_t2_coef(k):
+    return (-1.0) ** k * 2.0 ** (2 * k + 3) / math.factorial(2 * k + 4)
+
+
+def _atan_sqrt_sq_coef(k):
+    """Maclaurin coefficient of atan(sqrt(t))^2, radius of convergence 1."""
+    # atan(sqrt t)/sqrt t = sum (-1)^j t^j/(2j+1); square then shift by t.
+    a = [(-1.0) ** j / (2 * j + 1) for j in range(k)]
+    return sum(a[j] * a[k - 1 - j] for j in range(k))
 
 
 def cos_sqrt(x):
     """cos(sqrt(t)) as an entire function of t."""
-    return _entire_apply(x, lambda k: (-1.0) ** k / math.factorial(2 * k))
+    return _entire_apply(x, _cos_sqrt_coef)
 
 
 def sinc_sqrt(x):
     """sin(sqrt(t))/sqrt(t) as an entire function of t."""
-    return _entire_apply(x, lambda k: (-1.0) ** k / math.factorial(2 * k + 1))
+    return _entire_apply(x, _sinc_sqrt_coef)
 
 
 def sin_sq_sqrt_over_t(x):
     """sin^2(sqrt(t))/t as an entire function of t."""
-    return _entire_apply(
-        x, lambda k: (-1.0) ** k * 2.0 ** (2 * k + 1) / math.factorial(2 * k + 2))
+    return _entire_apply(x, _sin_sq_sqrt_over_t_coef)
 
 
 def t_minus_sinsq_over_t2(x):
     """(t - sin^2 sqrt(t)) / t^2 as an entire function of t."""
-    return _entire_apply(
-        x, lambda k: (-1.0) ** k * 2.0 ** (2 * k + 3) / math.factorial(2 * k + 4))
-
-
-@lru_cache(maxsize=None)
-def _atan_sqrt_sq_coeffs(n: int):
-    """Maclaurin coefficients of atan(sqrt(t))^2 / 1, radius of convergence 1."""
-    # atan(sqrt t)/sqrt t = sum (-1)^k t^k/(2k+1); square then shift by t.
-    a = [(-1.0) ** k / (2 * k + 1) for k in range(n + 1)]
-    sq = [sum(a[j] * a[k - j] for j in range(k + 1)) for k in range(n + 1)]
-    return tuple([0.0] + sq[:n])
+    return _entire_apply(x, _t_minus_sinsq_over_t2_coef)
 
 
 def atan_sqrt_sq(x):
@@ -431,8 +445,7 @@ def atan_sqrt_sq(x):
         return np.arctan(np.sqrt(x)) ** 2
     t0 = float(np.min(np.asarray(x.const_value())))
     if t0 < 0.5:
-        coeffs = _atan_sqrt_sq_coeffs(_order_of(x) + 45)
-        return _entire_apply(x, lambda k: coeffs[k] if k < len(coeffs) else 0.0)
+        return _entire_apply(x, _atan_sqrt_sq_coef)
     return atan(sqrt(x)) ** 2
 
 

@@ -48,6 +48,13 @@ def _reject_unknown(d: dict, allowed: set, where: str):
                             f"allowed: {sorted(allowed)}")
 
 
+def _require_count(d: dict, key: str, where: str):
+    """d[key], when present, must be an int >= 1 (bools are refused)."""
+    v = d.get(key, 1)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ManifestError(f"{where}.{key} must be an integer >= 1, got {v!r}")
+
+
 def validate(doc: dict, path: Optional[str] = None) -> Manifest:
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -59,6 +66,13 @@ def validate(doc: dict, path: Optional[str] = None) -> Manifest:
     _reject_unknown(mspec, _METRIC_KEYS, "metric")
     if "family" not in mspec:
         raise ManifestError("metric needs a 'family'")
+    for key in ("dim", "cdim", "n"):
+        _require_count(mspec, key, "metric")
+    for key in ("a", "b"):
+        v = mspec.get(key, 0.0)
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not abs(v) < math.inf):     # exact for ints of any size
+            raise ManifestError(f"metric.{key} must be a finite real, got {v!r}")
     if "deform" in mspec:
         dspec = mspec["deform"]
         _reject_unknown(dspec, {"psi"}, "metric.deform")
@@ -81,9 +95,8 @@ def validate(doc: dict, path: Optional[str] = None) -> Manifest:
     cmd = ana.get("command")
     if cmd not in _COMMANDS:
         raise ManifestError(f"analysis.command must be one of {sorted(_COMMANDS)}")
-    n = ana.get("directions", 16)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ManifestError(f"analysis.directions must be an integer >= 1, got {n!r}")
+    for key in ("directions", "steps"):
+        _require_count(ana, key, "analysis")
     return Manifest(metric_spec=mspec, analysis=ana, path=path)
 
 

@@ -4,7 +4,13 @@ Everything here deliberately avoids the package's Taylor-mode machinery:
 derivatives come from O(h^4) central differences of plain metric values,
 and the volume-density oracle integrates the coordinate form of the
 variation equation rather than the parallel-frame form the engine uses.
+christoffel_arrays and the literal_* references are the exception: they
+use the engine's metric jets and keep the plain, unstaged or per-component
+forms of engine routines, so that the optimized routines can be checked
+against them (bit for bit where the arithmetic is the same).
 """
+
+import math
 
 import numpy as np
 
@@ -182,3 +188,54 @@ def coordinate_jacobi_density(metric, P, theta, radii, steps=800):
         gn = J.T @ gx @ J
         out.append(r ** (m - 1) * np.sqrt(np.linalg.det(gn)))
     return np.array(out)
+
+
+def literal_derivative_arrays(metric, x, order):
+    """[g, dg, ...] by one extraction and moveaxis per component and order."""
+    comps = metric.component_jets(x, order)
+    batch = np.shape(x)[:-1]
+    m = metric.dim
+    out = []
+    for d in range(order + 1):
+        arr = np.empty(batch + (m, m) + (m,) * d)
+        for i in range(m):
+            for j in range(m):
+                da = comps[i, j].derivative_array(d)
+                if d:
+                    da = np.moveaxis(da, range(d), range(-d, 0))
+                arr[(Ellipsis, i, j) + (slice(None),) * d] = da
+        out.append(arr)
+    return out
+
+
+def literal_entire_apply(x, coef_fn, n_extra=40):
+    """Entire function of a jet: one scalar Horner loop per derivative order."""
+    order = x.space.order if hasattr(x, "space") else x.order
+    t0 = np.asarray(x.const_value(), dtype=float)
+    n = order + 1 + n_extra
+    derivs = []
+    for d in range(order + 1):
+        acc = np.zeros_like(t0)
+        for k in range(n - 1, d - 1, -1):
+            acc = acc * t0 + coef_fn(k) * math.factorial(k) / math.factorial(k - d)
+        derivs.append(acc)
+    return x.apply_analytic(derivs)
+
+
+def _atan_sqrt_sq_coeffs(n):
+    a = [(-1.0) ** k / (2 * k + 1) for k in range(n + 1)]
+    sq = [sum(a[j] * a[k - j] for j in range(k + 1)) for k in range(n + 1)]
+    return tuple([0.0] + sq[:n])
+
+
+# Maclaurin coefficients of the series-route analytic helpers, written out
+# independently of hml.jets (atan_sqrt_sq: its series route, t < 0.5).
+LITERAL_COEFS = {
+    "cos_sqrt": lambda k: (-1.0) ** k / math.factorial(2 * k),
+    "sinc_sqrt": lambda k: (-1.0) ** k / math.factorial(2 * k + 1),
+    "sin_sq_sqrt_over_t":
+        lambda k: (-1.0) ** k * 2.0 ** (2 * k + 1) / math.factorial(2 * k + 2),
+    "t_minus_sinsq_over_t2":
+        lambda k: (-1.0) ** k * 2.0 ** (2 * k + 3) / math.factorial(2 * k + 4),
+    "atan_sqrt_sq": lambda k: _atan_sqrt_sq_coeffs(k + 1)[k],
+}

@@ -265,3 +265,47 @@ def test_bad_directions_exit_3(tmp_path, capsys, directions, flag):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "analysis.directions must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("steps", [0, -5, 2.5, "800", True])
+def test_bad_steps_exit_3(tmp_path, capsys, steps):
+    doc = {"metric": {"family": "euclidean", "dim": 3},
+           "analysis": {"command": "check_harmonic", "steps": steps,
+                        "directions": 4, "radii": [0.2]}}
+    assert run_cli(["--manifest", write(tmp_path, "s.json", doc),
+                    "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "analysis.steps must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("metric,why", [
+    ({"family": "sphere", "dim": "4"}, "metric.dim must be an integer >= 1"),
+    ({"family": "sphere", "dim": True}, "metric.dim must be an integer >= 1"),
+    ({"family": "sphere", "dim": 0}, "metric.dim must be an integer >= 1"),
+    ({"family": "fubini_study", "cdim": 2.0}, "metric.cdim must be an integer"),
+    ({"family": "two_d_family", "n": "7", "b": 0.1}, "metric.n must be an integer"),
+    ({"family": "space_form", "a": "1", "b": 0.25, "dim": 3},
+     "metric.a must be a finite real"),
+    ({"family": "space_form", "a": 1.0, "b": None, "dim": 3},
+     "metric.b must be a finite real"),
+    ({"family": "space_form", "a": 1.0, "b": math.nan, "dim": 3},
+     "metric.b must be a finite real"),
+    ({"family": "space_form", "a": math.inf, "b": 0.25, "dim": 3},
+     "metric.a must be a finite real"),
+])
+def test_bad_metric_parameters_exit_3(tmp_path, capsys, metric, why):
+    doc = {"metric": metric, "analysis": {"command": "curvature"}}
+    assert run_cli(["--manifest", write(tmp_path, "m.json", doc),
+                    "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert why in err
+
+
+@pytest.mark.parametrize("argv", [[], ["--manifest"], ["--bogus", "x"],
+                                  ["--manifest", "m.json", "--directions", "x"]])
+def test_bad_command_line_exit_3(capsys, argv):
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")

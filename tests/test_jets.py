@@ -8,6 +8,9 @@ import pytest
 from hml import jets
 from hml.conventions import MAX_JET_ORDER
 from hml.jets import jet_space, seed_point
+from hml.series import TruncatedSeries
+
+import oracles
 
 
 def test_polynomial_partials_exact():
@@ -124,6 +127,50 @@ def test_atan_sqrt_sq(t0):
         # atan(sqrt t)^2 = t - 2t^2/3 + ...
         assert f.derivative_array(1)[0] == pytest.approx(1.0, abs=1e-13)
         assert f.derivative_array(2)[0, 0] == pytest.approx(-4.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(oracles.LITERAL_COEFS))
+@pytest.mark.parametrize("order", range(7))
+def test_entire_helpers_match_literal_horner(name, order):
+    """The table-driven Horner loop is bit-identical to the per-call one."""
+    fn, coef = getattr(jets, name), oracles.LITERAL_COEFS[name]
+    rng = np.random.default_rng(order)
+    cases = [seed_point(rng.uniform(0.05, 0.3, 3), order),
+             seed_point(rng.uniform(0.05, 0.3, (1, 3)), order),
+             seed_point(rng.uniform(0.05, 0.3, (16, 3)), order)]
+    for xj in cases:
+        t = jets.norm_sq(xj) + 0.3 * xj[0]
+        got, ref = fn(t), oracles.literal_entire_apply(t, coef)
+        assert got.coef.shape == ref.coef.shape
+        assert np.array_equal(got.coef, ref.coef)
+    series = TruncatedSeries([0.2, 1.0, -0.3, 0.05, 0.0, 0.1, 0.02][:order + 1])
+    assert fn(series).coeffs == oracles.literal_entire_apply(series, coef).coeffs
+
+
+class _BareJet:
+    """Just enough of a jet for _entire_apply: order, constant, composition."""
+    order = 4
+
+    def const_value(self):
+        return np.array([0.1, 0.25])
+
+    def apply_analytic(self, derivs):
+        return derivs
+
+
+def test_entire_apply_reuses_one_table(monkeypatch):
+    jets.cos_sqrt(_BareJet())              # fill the cache for order 4
+    jets.atan_sqrt_sq(_BareJet())
+    size = jets._taylor_table.cache_info().currsize
+
+    def no_factorial(k):
+        raise AssertionError("factorial called after the table was cached")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    for _ in range(3):
+        jets.cos_sqrt(_BareJet())
+        jets.atan_sqrt_sq(_BareJet())
+    assert jets._taylor_table.cache_info().currsize == size
 
 
 def test_scalar_fallbacks():

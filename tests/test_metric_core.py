@@ -127,6 +127,22 @@ def test_fast_path_matches_bundle(name, request):
         assert np.max(np.abs(G - b.christoffels)) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["fs2", "sphere4", "deformed_sphere4"])
+@pytest.mark.parametrize("shape", [(), (1,), (16,), (1024,), (2, 150)])
+def test_derivative_arrays_match_literal_loop(name, shape, request):
+    """The one-gather derivative_arrays is bit-identical to the per-component loop."""
+    entry = request.getfixturevalue(name)
+    metric = getattr(entry, "metric", entry)
+    x = np.random.default_rng(len(shape) + sum(shape)).uniform(
+        -0.3, 0.3, size=shape + (metric.dim,))
+    got = metric.derivative_arrays(x, 2)
+    ref = oracles.literal_derivative_arrays(metric, x, 2)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.flags.c_contiguous
+        assert np.array_equal(a, b)
+    assert np.array_equal(metric.value(x), ref[0])
+
+
 @pytest.mark.parametrize("name", ALL_CATALOG)
 def test_symmetries_and_first_bianchi(name, rng, request):
     entry = request.getfixturevalue(name)
