@@ -23,7 +23,7 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from . import jets
 from .curvature import curvature, gradient_norm_sq, hessian, laplacian
-from .geodesics import DensityProfile, NonRadialProfileError
+from .geodesics import DensityProfile, NonRadialProfileError, relative_spread
 from .jets import seed_point
 from .metric import ChartMetric, ScalarField
 from .series import TruncatedSeries
@@ -230,7 +230,11 @@ def deform_metric(metric: ChartMetric, psi: RadialFunction) -> ChartMetric:
         base = base_components(xjets)
         Psi = psi.compose_jet(rsq(xjets))
         w = Psi.reciprocal() ** 2
-        return [[w * base[i][j] for j in range(m)] for i in range(m)]
+        comps = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                comps[i][j] = comps[j][i] = w * base[i][j]
+        return comps
 
     base_domain = metric.domain
 
@@ -270,10 +274,6 @@ def deformed_density(base_theta: Callable, psi: RadialFunction, m: int,
     r = rep.r(rc_values)
     return np.asarray(psi(r ** 2)) ** (1.0 - m) \
         * np.asarray(base_theta(r), dtype=float)
-
-
-def profile_is_radial(profile: DensityProfile, tolerance: float = 1e-6) -> bool:
-    return bool(profile.theta_spread().max() <= tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +480,13 @@ def trivial_density_factor(profile, m: int, t_max: Optional[float] = None,
             raise ValueError("t_max required with a callable reduced density")
         return TrivializerRadialFunction(profile, m, t_max)
     if isinstance(profile, DensityProfile):
-        if not profile_is_radial(profile, spread_tolerance):
+        profile = profile.radii, profile.theta
+    radii, theta = (np.asarray(a, dtype=float) for a in profile)
+    if theta.ndim == 2:
+        if not relative_spread(theta).max() <= spread_tolerance:   # NaN too
             raise NonRadialProfileError(
                 "refusing to trivialize a non-radial base profile")
-        radii = profile.radii
-        theta = profile.mean_theta()
-    else:
-        radii, theta = profile
-        radii = np.asarray(radii, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 2:
-            spread = (theta.max(axis=1) - theta.min(axis=1)) / theta.mean(axis=1)
-            if spread.max() > spread_tolerance:
-                raise NonRadialProfileError(
-                    "refusing to trivialize a non-radial base profile")
-            theta = theta.mean(axis=1)
+        theta = theta.mean(axis=1)
     ttilde = theta / radii ** (m - 1)
     interp = PchipInterpolator(np.concatenate([[0.0], radii ** 2]),
                                np.concatenate([[1.0], ttilde]))

@@ -296,6 +296,12 @@ def shoot(metric: ChartMetric, P, theta, r: float,
     return _finalize_sample(metric, P, theta, r, state, 0, crossed)
 
 
+def relative_spread(table) -> np.ndarray:
+    """(max - min) / |mean| over the directions (axis 1) at each radius."""
+    return ((table.max(axis=1) - table.min(axis=1))
+            / np.abs(table.mean(axis=1)))
+
+
 @dataclass
 class DensityProfile:
     """Theta and Xi over a (radius, direction) grid about one center."""
@@ -312,15 +318,10 @@ class DensityProfile:
 
     def theta_spread(self) -> np.ndarray:
         """Relative direction-spread of Theta at each radius."""
-        return ((self.theta.max(axis=1) - self.theta.min(axis=1))
-                / np.abs(self.theta.mean(axis=1)))
+        return relative_spread(self.theta)
 
     def xi_spread(self) -> np.ndarray:
-        return ((self.xi.max(axis=1) - self.xi.min(axis=1))
-                / np.abs(self.xi.mean(axis=1)))
-
-    def mean_theta(self) -> np.ndarray:
-        return self.theta.mean(axis=1)
+        return relative_spread(self.xi)
 
 
 def density_profile(metric: ChartMetric, P, directions, radii,
@@ -486,8 +487,7 @@ def radial_harmonic(radii, theta_values, spread_tolerance: float = 1e-6):
     radii = np.asarray(radii, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)
     if theta_values.ndim == 2:
-        spread = ((theta_values.max(axis=1) - theta_values.min(axis=1))
-                  / np.abs(theta_values.mean(axis=1)))
+        spread = relative_spread(theta_values)
         if spread.max() > spread_tolerance:
             raise NonRadialProfileError(
                 f"profile spread {spread.max():.3e} exceeds "

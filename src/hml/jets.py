@@ -374,6 +374,12 @@ def _taylor_table(coef_fn, order: int, n: int):
     return tab
 
 
+@lru_cache(maxsize=None)
+def _taylor_columns(coef_fn, order: int, n: int):
+    """_taylor_table as Python floats: per d, tab[j, d] for j = n-1 .. 0."""
+    return tuple(map(tuple, _taylor_table(coef_fn, order, n)[::-1].T.tolist()))
+
+
 def _entire_apply(x, coef_fn, n_extra=40):
     """Apply an entire function of t given its Maclaurin coefficients.
 
@@ -387,6 +393,15 @@ def _entire_apply(x, coef_fn, n_extra=40):
         return sum(coef_fn(k) * t ** k for k in range(n))
     order = _order_of(x)
     t0 = np.asarray(x.const_value(), dtype=float)
+    if t0.ndim == 0:
+        # one point: the same Horner steps, each rounded alike, on floats
+        t, derivs = float(t0), []
+        for col in _taylor_columns(coef_fn, order, order + 1 + n_extra):
+            acc = 0.0
+            for c in col:
+                acc = acc * t + c
+            derivs.append(acc)
+        return x.apply_analytic(np.array(derivs))
     tab = _taylor_table(coef_fn, order, order + 1 + n_extra)
     tab = tab.reshape(tab.shape + (1,) * t0.ndim)
     # derivs[d] = sum_{k>=d} c_k k!/(k-d)! t0^(k-d), highest power first

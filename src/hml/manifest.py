@@ -25,7 +25,7 @@ class ManifestError(ValueError):
 _METRIC_KEYS = {"family", "dim", "cdim", "a", "b", "n", "deform"}
 _PSI_KINDS = {"poly", "trivial-density"}
 _ANALYSIS_KEYS = {"command", "center", "radii", "directions", "tolerance",
-                  "steps", "k_max", "order", "points", "planes",
+                  "steps", "k_max", "order", "planes",
                   "blowup_dims", "psi_variant"}
 _COMMANDS = {"curvature", "check_harmonic", "expand", "deform"}
 
@@ -48,11 +48,17 @@ def _reject_unknown(d: dict, allowed: set, where: str):
                             f"allowed: {sorted(allowed)}")
 
 
-def _require_count(d: dict, key: str, where: str):
-    """d[key], when present, must be an int >= 1 (bools are refused)."""
-    v = d.get(key, 1)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise ManifestError(f"{where}.{key} must be an integer >= 1, got {v!r}")
+def _require_count(d: dict, key: str, where: str, low: int = 1):
+    """d[key], when present, must be an int >= low (bools are refused)."""
+    v = d.get(key, low)
+    if isinstance(v, bool) or not isinstance(v, int) or v < low:
+        raise ManifestError(f"{where}.{key} must be an integer >= {low}, got {v!r}")
+
+
+def _is_real(v) -> bool:
+    """A finite int or float; bools are refused."""
+    return (not isinstance(v, bool) and isinstance(v, (int, float))
+            and abs(v) < math.inf)      # exact for ints of any size
 
 
 def validate(doc: dict, path: Optional[str] = None) -> Manifest:
@@ -70,8 +76,7 @@ def validate(doc: dict, path: Optional[str] = None) -> Manifest:
         _require_count(mspec, key, "metric")
     for key in ("a", "b"):
         v = mspec.get(key, 0.0)
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or not abs(v) < math.inf):     # exact for ints of any size
+        if not _is_real(v):
             raise ManifestError(f"metric.{key} must be a finite real, got {v!r}")
     if "deform" in mspec:
         dspec = mspec["deform"]
@@ -89,14 +94,22 @@ def validate(doc: dict, path: Optional[str] = None) -> Manifest:
                     or not all(isinstance(c, (int, float)) for c in coeffs)):
                 raise ManifestError("poly psi needs a non-empty numeric 'coeffs'")
         else:
-            _reject_unknown(psi, {"kind", "r_max", "samples"}, "deform.psi")
+            _reject_unknown(psi, {"kind", "r_max"}, "deform.psi")
     ana = doc["analysis"]
     _reject_unknown(ana, _ANALYSIS_KEYS, "analysis")
     cmd = ana.get("command")
     if cmd not in _COMMANDS:
         raise ManifestError(f"analysis.command must be one of {sorted(_COMMANDS)}")
-    for key in ("directions", "steps"):
-        _require_count(ana, key, "analysis")
+    for key, low in (("directions", 1), ("steps", 1), ("planes", 1),
+                     ("k_max", 0), ("order", 2)):
+        _require_count(ana, key, "analysis", low)
+    tol, radii = ana.get("tolerance", 1.0), ana.get("radii", [1.0])
+    if not (_is_real(tol) and tol > 0):
+        raise ManifestError(f"analysis.tolerance must be a finite real > 0, got {tol!r}")
+    if not (isinstance(radii, list) and radii
+            and all(_is_real(r) and r > 0 for r in radii)):
+        raise ManifestError("analysis.radii must be a non-empty list of "
+                            f"finite reals > 0, got {radii!r}")
     return Manifest(metric_spec=mspec, analysis=ana, path=path)
 
 

@@ -57,8 +57,14 @@ class ChartMetric:
         return f"<ChartMetric {self.name}({ps}) dim={self.dim}>"
 
     # -- validation -----------------------------------------------------
+    def _as_point(self, x) -> np.ndarray:
+        """A batch of one point as (dim,): 1-D jets are faster, bit for bit."""
+        x = np.asarray(x, dtype=float)
+        return x.reshape(self.dim) if x.size == x.shape[-1] == self.dim else x
+
     def contains(self, x) -> np.ndarray:
-        return np.asarray(self.domain(np.asarray(x, dtype=float)))
+        ok = np.asarray(self.domain(self._as_point(x)))
+        return ok.reshape(np.shape(x)[:-1])
 
     def require_inside(self, x):
         ok = self.contains(x)
@@ -92,14 +98,15 @@ class ChartMetric:
 
     def value(self, x) -> np.ndarray:
         """Metric matrix (batch +) (dim, dim) without derivatives."""
-        g = np.stack([c.value for c in self.component_jets(x, 0).flat], axis=-1)
+        comps = self.component_jets(self._as_point(x), 0)
+        g = np.stack([c.value for c in comps.flat], axis=-1)
         return g.reshape(np.shape(x)[:-1] + (self.dim, self.dim))
 
     def derivative_arrays(self, x, order: int):
         """[g, dg, d2g, ...]: dg[..., i, j, p] = d_p g_ij and so on."""
         batch, m = np.shape(x)[:-1], self.dim
         coefs = [c.coef.reshape(len(c.coef), -1)          # (size, points)
-                 for c in self.component_jets(x, order).flat]
+                 for c in self.component_jets(self._as_point(x), order).flat]
         n, block = coefs[0].shape[1], 128
         out = [np.empty((n, m * m, m ** d)) for d in range(order + 1)]
         # Blocks of points keep every temporary near 256 kB at m = 4: a

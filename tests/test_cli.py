@@ -279,6 +279,59 @@ def test_bad_steps_exit_3(tmp_path, capsys, steps):
     assert "analysis.steps must be an integer >= 1" in err
 
 
+@pytest.mark.parametrize("analysis,flags,why", [
+    ({"command": "check_harmonic", "radii": []}, [], "analysis.radii must be"),
+    ({"command": "check_harmonic", "radii": 5}, [], "analysis.radii must be"),
+    ({"command": "check_harmonic", "radii": [0.2, -0.1]}, [],
+     "analysis.radii must be"),
+    ({"command": "check_harmonic", "radii": [0.2, True]}, [],
+     "analysis.radii must be"),
+    ({"command": "check_harmonic"}, ["--radii", ""], "analysis.radii must be"),
+    ({"command": "check_harmonic", "tolerance": 0}, [],
+     "analysis.tolerance must be a finite real > 0"),
+    ({"command": "check_harmonic", "tolerance": math.inf}, [],
+     "analysis.tolerance must be a finite real > 0"),
+    ({"command": "check_harmonic", "tolerance": "1e-6"}, [],
+     "analysis.tolerance must be a finite real > 0"),
+    ({"command": "check_harmonic"}, ["--tol=-1e-6"],
+     "analysis.tolerance must be a finite real > 0"),
+    ({"command": "curvature", "k_max": -1}, [],
+     "analysis.k_max must be an integer >= 0"),
+    ({"command": "curvature", "k_max": True}, [],
+     "analysis.k_max must be an integer >= 0"),
+    ({"command": "curvature", "planes": 0}, [],
+     "analysis.planes must be an integer >= 1"),
+    ({"command": "curvature", "planes": 4.0}, [],
+     "analysis.planes must be an integer >= 1"),
+    ({"command": "expand", "order": 1}, [], "analysis.order must be an integer >= 2"),
+    ({"command": "expand", "order": "12"}, [],
+     "analysis.order must be an integer >= 2"),
+])
+def test_bad_analysis_values_exit_3(tmp_path, capsys, analysis, flags, why):
+    doc = {"metric": {"family": "euclidean", "dim": 3},
+           "analysis": {"steps": 20, "directions": 4, **analysis}}
+    assert run_cli(["--manifest", write(tmp_path, "a.json", doc),
+                    "--out", str(tmp_path), *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert why in err
+
+
+@pytest.mark.parametrize("metric,analysis", [
+    ({"family": "euclidean", "dim": 3},
+     {"command": "check_harmonic", "points": 8}),
+    ({"family": "sphere", "dim": 3,
+      "deform": {"psi": {"kind": "trivial-density", "samples": 64}}},
+     {"command": "deform"}),
+])
+def test_ignored_keys_are_unknown_exit_3(tmp_path, capsys, metric, analysis):
+    doc = {"metric": metric, "analysis": analysis}
+    assert run_cli(["--manifest", write(tmp_path, "k.json", doc),
+                    "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown keys" in err
+
+
 @pytest.mark.parametrize("metric,why", [
     ({"family": "sphere", "dim": "4"}, "metric.dim must be an integer >= 1"),
     ({"family": "sphere", "dim": True}, "metric.dim must be an integer >= 1"),

@@ -296,6 +296,14 @@ def test_trivial_density_factor_refuses_non_radial():
         trivial_density_factor((radii, theta), 3)
 
 
+def test_trivial_density_factor_refuses_non_radial_negative_mean():
+    """The spread divides by |mean|: a negative table cannot pass as radial."""
+    radii = np.linspace(0.2, 1.0, 8)
+    theta = -np.stack([radii ** 2, radii ** 2 * 1.01], axis=1)
+    with pytest.raises(NonRadialProfileError):
+        trivial_density_factor((radii, theta), 3)
+
+
 def test_profile_radial_function_order_cap():
     prof = ProfileRadialFunction([0.2, 0.5, 1.0], [1.0, 1.1, 1.3])
     with pytest.raises(ValueError):

@@ -158,19 +158,32 @@ class _BareJet:
         return derivs
 
 
+class _BarePoint(_BareJet):
+    """A one-point jet: _entire_apply runs its Horner loop on floats."""
+
+    def const_value(self):
+        return np.float64(0.1)
+
+
 def test_entire_apply_reuses_one_table(monkeypatch):
-    jets.cos_sqrt(_BareJet())              # fill the cache for order 4
-    jets.atan_sqrt_sq(_BareJet())
+    jets._taylor_columns.cache_clear()
+    for jet in (_BareJet(), _BarePoint()):  # fill the caches for order 4
+        jets.cos_sqrt(jet)
+        jets.atan_sqrt_sq(jet)
     size = jets._taylor_table.cache_info().currsize
+    columns = jets._taylor_columns.cache_info().currsize
+    assert columns == 2                     # the one-point calls read floats
 
     def no_factorial(k):
         raise AssertionError("factorial called after the table was cached")
 
     monkeypatch.setattr(math, "factorial", no_factorial)
     for _ in range(3):
-        jets.cos_sqrt(_BareJet())
-        jets.atan_sqrt_sq(_BareJet())
+        for jet in (_BareJet(), _BarePoint()):
+            jets.cos_sqrt(jet)
+            jets.atan_sqrt_sq(jet)
     assert jets._taylor_table.cache_info().currsize == size
+    assert jets._taylor_columns.cache_info().currsize == columns
 
 
 def test_scalar_fallbacks():

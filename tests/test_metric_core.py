@@ -128,7 +128,7 @@ def test_fast_path_matches_bundle(name, request):
 
 
 @pytest.mark.parametrize("name", ["fs2", "sphere4", "deformed_sphere4"])
-@pytest.mark.parametrize("shape", [(), (1,), (16,), (1024,), (2, 150)])
+@pytest.mark.parametrize("shape", [(), (1,), (16,), (1024,), (2, 150), (1, 1)])
 def test_derivative_arrays_match_literal_loop(name, shape, request):
     """The one-gather derivative_arrays is bit-identical to the per-component loop."""
     entry = request.getfixturevalue(name)
@@ -141,6 +141,17 @@ def test_derivative_arrays_match_literal_loop(name, shape, request):
         assert a.shape == b.shape and a.flags.c_contiguous
         assert np.array_equal(a, b)
     assert np.array_equal(metric.value(x), ref[0])
+
+
+def test_one_point_batch_matches_unbatched(deformed_sphere4):
+    """value and contains on a (1, m) batch equal the (m,) point bit for bit."""
+    metric = deformed_sphere4
+    for x in np.random.default_rng(11).uniform(-0.4, 0.4, (8, metric.dim)):
+        g, ok = metric.value(x[None]), metric.contains(x[None])
+        assert g.shape == (1, 4, 4) and g[0].tobytes() == metric.value(x).tobytes()
+        assert ok.shape == (1,) and ok[0] == metric.contains(x)
+    far = np.full((1, 1, metric.dim), 2.0)          # outside the chart
+    assert metric.contains(far).shape == (1, 1) and not metric.contains(far).any()
 
 
 @pytest.mark.parametrize("name", ALL_CATALOG)
