@@ -23,7 +23,7 @@ import numpy as np
 
 from . import conformal, expansion, geodesics, manifest as manifest_mod
 from .curvature import curvature, einstein_defect, sectional_curvature
-from .manifest import BuiltMetric, ManifestError
+from .manifest import BuiltMetric, ManifestError, setting
 from .metric import DomainError
 from .series import fit_radial_expansion
 
@@ -86,7 +86,15 @@ def _radii(ana: dict, default):
 
 
 def _shoot_config(ana: dict) -> geodesics.ShootConfig:
-    return geodesics.ShootConfig(steps=int(ana.get("steps", 2000)))
+    return geodesics.ShootConfig(**_given(ana, steps="steps"))
+
+
+def _given(ana: dict, **keys) -> dict:
+    """Keyword arguments for the analysis keys a manifest sets.
+
+    Unset keys are left out, so the library's own defaults apply.
+    """
+    return {arg: ana[key] for arg, key in keys.items() if key in ana}
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +104,8 @@ def _shoot_config(ana: dict) -> geodesics.ShootConfig:
 def cmd_curvature(built: BuiltMetric, ana: dict, outdir: str) -> int:
     metric = built.metric
     center = _center(built, ana)
-    bundle = curvature(metric, center, k_max=int(ana.get("k_max", 0)))
-    n_planes = int(ana.get("planes", 400))
+    bundle = curvature(metric, center, k_max=setting(ana, "k_max"))
+    n_planes = setting(ana, "planes")
     dirs = geodesics.unit_directions(metric.dim, 2 * n_planes)
     kappas = []
     for k in range(n_planes):
@@ -145,11 +153,11 @@ def cmd_curvature(built: BuiltMetric, ana: dict, outdir: str) -> int:
 def cmd_check_harmonic(built: BuiltMetric, ana: dict, outdir: str) -> int:
     metric = built.metric
     center = _center(built, ana)
-    cfg = geodesics.HarmonicityConfig(
-        radii=ana.get("radii"),
-        n_directions=ana.get("directions", 16),
-        tolerance=float(ana.get("tolerance", 1e-6)),
-        shoot=geodesics.ShootConfig(steps=int(ana.get("steps", 800))))
+    given = _given(ana, radii="radii", n_directions="directions",
+                   tolerance="tolerance")
+    if "steps" in ana:
+        given["shoot"] = _shoot_config(ana)
+    cfg = geodesics.HarmonicityConfig(**given)
     report = geodesics.centrally_harmonic_test(metric, center, cfg)
     doc = report.to_json_dict()
     doc["metric"] = metric.name
@@ -165,12 +173,12 @@ def cmd_expand(built: BuiltMetric, ana: dict, outdir: str) -> int:
     metric = built.metric
     entry = built.entry
     center = _center(built, ana)
-    order = int(ana.get("order", 12))
+    order = setting(ana, "order")
     report = {"metric": metric.name, "order": order}
     if entry.name == "two_d_family" and not built.deformed:
         # polar chart: the center is not a chart point, but the density
         # about it is known in closed form; only fitted values are reported
-        order = int(ana.get("order", max(8, entry.params["n"] + 1)))
+        order = ana.get("order", max(8, entry.params["n"] + 1))
         report["order"] = order
         radii = np.geomspace(0.05, 0.5, max(2 * (order - 1), 14))
         samples = list(zip(radii, entry.closed_form_density(radii)))
@@ -247,9 +255,9 @@ def cmd_deform(built: BuiltMetric, ana: dict, outdir: str) -> int:
                              "max": float(np.max(kappas))}
     if built.trivializer_base == "fubini_study" or ana.get("blowup_dims"):
         dims = ana.get("blowup_dims", [m])
-        variant = ana.get("psi_variant", "trivializer")
+        variant = setting(ana, "psi_variant")
         report["blowup"] = [
-            conformal.completeness_and_blowup(int(d), variant=variant)
+            conformal.completeness_and_blowup(d, variant=variant)
             .to_json_dict() for d in dims]
     _write_json(os.path.join(outdir, "deform.json"), report)
     return EXIT_OK

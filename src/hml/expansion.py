@@ -58,11 +58,10 @@ def jacobi(bundle: CurvatureBundle, xi, k: int) -> JacobiOperator:
 
 @dataclass
 class DensityExpansion:
-    """H_2..H_6 at a unit direction, with optional fitted counterparts."""
+    """H_2..H_6 at a unit direction."""
 
     direction: np.ndarray
     values: dict                 # k -> H_k(xi)
-    fitted: dict | None = None   # from geodesic-engine fits, for comparison
 
     def __getitem__(self, k: int) -> float:
         return self.values[k]

@@ -99,10 +99,6 @@ def parallel_frame_start(g0: np.ndarray, theta: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ShootConfig:
     steps: int = 2000          # fixed RK4 substeps over the full radius
-    method: str = "rk4"        # "rk4" | "rk45"
-    abs_tol: float = 1e-10     # rk45 controls
-    rel_tol: float = 1e-9
-    check_domain: bool = True
 
 
 def _rhs(metric: ChartMetric, state):
@@ -136,8 +132,7 @@ class _ConjugateTracker:
         self.max_det = np.maximum(self.max_det, det)
 
 
-def _rk4_segment(metric, state, length, nsteps, check_domain, r_start,
-                 tracker=None):
+def _rk4_segment(metric, state, length, nsteps, r_start, tracker):
     h = length / nsteps
     for i in range(nsteps):
         try:
@@ -149,62 +144,9 @@ def _rk4_segment(metric, state, length, nsteps, check_domain, r_start,
             raise DomainExitError(r_start + i * h) from exc
         state = tuple(y + (h / 6.0) * (a + 2 * b + 2 * c + d)
                       for y, a, b, c, d in zip(state, k1, k2, k3, k4))
-        if check_domain and not np.all(metric.contains(state[0])):
+        if not np.all(metric.contains(state[0])):
             raise DomainExitError(r_start + i * h)
-        if tracker is not None:
-            tracker.update(state[3])
-    return state
-
-
-_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0])
-_DP_B4 = np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
-def _rk45_segment(metric, state, length, cfg: ShootConfig, r_start,
-                  tracker=None):
-    """Adaptive Dormand-Prince 5(4) over one segment."""
-    t, t_end = 0.0, length
-    h = length / 50.0
-    while t < t_end - 1e-15 * length:
-        h = min(h, t_end - t)
-        ks = []
-        try:
-            for s in range(7):
-                ys = state
-                if s:
-                    ys = tuple(
-                        y + h * sum(_DP_A[s][j] * k[i] for j, k in enumerate(ks))
-                        for i, y in enumerate(state))
-                ks.append(_rhs(metric, ys))
-        except DomainError as exc:
-            raise DomainExitError(r_start + t) from exc
-        y5 = tuple(y + h * sum(_DP_B5[j] * ks[j][i] for j in range(7))
-                   for i, y in enumerate(state))
-        y4 = tuple(y + h * sum(_DP_B4[j] * ks[j][i] for j in range(7))
-                   for i, y in enumerate(state))
-        err = 0.0
-        for a, b, y in zip(y5, y4, state):
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(a))
-            err = max(err, float(np.max(np.abs(a - b) / scale)))
-        if err <= 1.0:
-            t += h
-            state = y5
-            if cfg.check_domain and not np.all(metric.contains(state[0])):
-                raise DomainExitError(r_start + t)
-            if tracker is not None:
-                tracker.update(state[3])
-        h *= min(5.0, max(0.2, 0.9 * (max(err, 1e-16)) ** -0.2))
+        tracker.update(state[3])
     return state
 
 
@@ -231,14 +173,8 @@ def _integrate_recording(metric, P, thetas, radii, cfg: ShootConfig):
     r_prev = 0.0
     for r in radii:
         seg = r - r_prev
-        if cfg.method == "rk4":
-            n = max(1, int(round(cfg.steps * seg / total)))
-            state = _rk4_segment(metric, state, seg, n, cfg.check_domain,
-                                 r_prev, tracker)
-        elif cfg.method == "rk45":
-            state = _rk45_segment(metric, state, seg, cfg, r_prev, tracker)
-        else:
-            raise ValueError(f"unknown integrator {cfg.method!r}")
+        n = max(1, int(round(cfg.steps * seg / total)))
+        state = _rk4_segment(metric, state, seg, n, r_prev, tracker)
         r_prev = r
         yield r, state, tracker.latched.copy()
 
@@ -409,7 +345,7 @@ class HarmonicityReport:
             "center": list(map(float, self.center)),
             "verdict": bool(self.verdict),
             "inconclusive": bool(self.inconclusive),
-            "tolerance": self.tolerance,
+            "tolerance": float(self.tolerance),
             "theta_spread_max": self.theta_spread_max,
             "xi_spread_max": self.xi_spread_max,
             "einstein_defect": self.einstein_defect,
@@ -461,7 +397,7 @@ def centrally_harmonic_test(metric: ChartMetric, P,
         tolerance=config.tolerance,
         theta_spread_max=float(np.max(sp_t)), xi_spread_max=float(np.max(sp_x)),
         einstein_defect=defect,
-        radii=list(map(float, radii)),
+        radii=sorted(map(float, radii)),     # the order density_profile uses
         theta_spread=list(map(float, np.atleast_1d(sp_t))),
         xi_spread=list(map(float, np.atleast_1d(sp_x))),
         n_directions=config.n_directions,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import catalog as _catalog
 from . import conformal, jets
@@ -22,12 +22,76 @@ class ManifestError(ValueError):
     pass
 
 
-_METRIC_KEYS = {"family", "dim", "cdim", "a", "b", "n", "deform"}
-_PSI_KINDS = {"poly", "trivial-density"}
-_ANALYSIS_KEYS = {"command", "center", "radii", "directions", "tolerance",
-                  "steps", "k_max", "order", "planes",
-                  "blowup_dims", "psi_variant"}
-_COMMANDS = {"curvature", "check_harmonic", "expand", "deform"}
+class Key(NamedTuple):
+    """One manifest key: the check its value must pass, and its CLI default.
+
+    ``default`` is None where the library or the metric supplies the
+    default instead (``steps``, ``directions``, ``tolerance``, ``radii``,
+    ``center``, ``blowup_dims``), so only keys a manifest sets reach it.
+    """
+
+    check: Callable[[object], bool]
+    must_be: str
+    default: object = None
+    required: bool = False
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite int or float; bools are refused."""
+    return (not isinstance(v, bool) and isinstance(v, (int, float))
+            and abs(v) < math.inf)      # exact for ints of any size
+
+
+def _count(low: int, default=None) -> Key:
+    return Key(lambda v: _is_int(v) and v >= low, f"an integer >= {low}",
+               default)
+
+
+def _one_of(choices: set, default=None, required=False) -> Key:
+    return Key(lambda v: isinstance(v, str) and v in choices,
+               f"one of {sorted(choices)}", default, required)
+
+
+def _list_of(item: Callable[[object], bool], items: str) -> Key:
+    return Key(lambda v: isinstance(v, list) and v != [] and all(map(item, v)),
+               f"a non-empty list of {items}")
+
+
+_OBJECT = Key(lambda v: isinstance(v, dict), "a JSON object")
+_BLOCK = _OBJECT._replace(required=True)
+_POSITIVE = Key(lambda v: _is_real(v) and v > 0, "a finite real > 0")
+
+METRIC_KEYS = {
+    "family": Key(lambda v: isinstance(v, str), "a string", required=True),
+    "dim": _count(1), "cdim": _count(1), "n": _count(1),
+    "a": Key(_is_real, "a finite real"), "b": Key(_is_real, "a finite real"),
+    "deform": _OBJECT,
+}
+_PSI_KIND = _one_of({"poly", "trivial-density"}, required=True)
+_PSI_KEYS = {
+    "poly": {"kind": _PSI_KIND,
+             "coeffs": _list_of(_is_real, "finite reals")._replace(required=True)},
+    "trivial-density": {"kind": _PSI_KIND, "r_max": _POSITIVE},
+}
+ANALYSIS_KEYS = {
+    "command": _one_of({"curvature", "check_harmonic", "expand", "deform"},
+                       required=True),
+    "center": _list_of(_is_real, "finite reals"),
+    "radii": _list_of(lambda r: _is_real(r) and r > 0, "finite reals > 0"),
+    "directions": _count(1),
+    "tolerance": _POSITIVE,
+    "steps": _count(1),
+    "k_max": _count(0, default=0),
+    "order": _count(2, default=12),
+    "planes": _count(1, default=400),
+    "blowup_dims": _list_of(_is_int, "integers"),
+    "psi_variant": _one_of({"trivializer", "density-root"},
+                           default="trivializer"),
+}
 
 
 @dataclass
@@ -41,75 +105,43 @@ class Manifest:
         return self.analysis["command"]
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = sorted(set(d) - allowed)
+def setting(analysis: dict, key: str):
+    """The value of an analysis key, or its CLI default when unset."""
+    return analysis.get(key, ANALYSIS_KEYS[key].default)
+
+
+def _refuse(where: str, key: str, spec: Key, value) -> ManifestError:
+    return ManifestError(f"{where}.{key} must be {spec.must_be}, got {value!r}")
+
+
+def _check(d, keys: dict, where: str):
+    """Refuse a non-object, unknown or missing keys, and values that fail."""
+    if not isinstance(d, dict):
+        raise ManifestError(f"{where} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - set(keys))
     if unknown:
         raise ManifestError(f"unknown keys {unknown} in {where}; "
-                            f"allowed: {sorted(allowed)}")
-
-
-def _require_count(d: dict, key: str, where: str, low: int = 1):
-    """d[key], when present, must be an int >= low (bools are refused)."""
-    v = d.get(key, low)
-    if isinstance(v, bool) or not isinstance(v, int) or v < low:
-        raise ManifestError(f"{where}.{key} must be an integer >= {low}, got {v!r}")
-
-
-def _is_real(v) -> bool:
-    """A finite int or float; bools are refused."""
-    return (not isinstance(v, bool) and isinstance(v, (int, float))
-            and abs(v) < math.inf)      # exact for ints of any size
+                            f"allowed: {sorted(keys)}")
+    for key, spec in keys.items():
+        if key not in d:
+            if spec.required:
+                raise ManifestError(f"{where} needs a {key!r}")
+        elif not spec.check(d[key]):
+            raise _refuse(where, key, spec, d[key])
 
 
 def validate(doc: dict, path: Optional[str] = None) -> Manifest:
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a JSON object")
-    _reject_unknown(doc, {"metric", "analysis"}, "manifest")
-    for key in ("metric", "analysis"):
-        if key not in doc or not isinstance(doc[key], dict):
-            raise ManifestError(f"manifest needs a {key!r} object")
-    mspec = doc["metric"]
-    _reject_unknown(mspec, _METRIC_KEYS, "metric")
-    if "family" not in mspec:
-        raise ManifestError("metric needs a 'family'")
-    for key in ("dim", "cdim", "n"):
-        _require_count(mspec, key, "metric")
-    for key in ("a", "b"):
-        v = mspec.get(key, 0.0)
-        if not _is_real(v):
-            raise ManifestError(f"metric.{key} must be a finite real, got {v!r}")
+    """Check a manifest against the key tables; the blocks are kept as written."""
+    _check(doc, {"metric": _BLOCK, "analysis": _BLOCK}, "manifest")
+    mspec, ana = doc["metric"], doc["analysis"]
+    _check(mspec, METRIC_KEYS, "metric")
     if "deform" in mspec:
-        dspec = mspec["deform"]
-        _reject_unknown(dspec, {"psi"}, "metric.deform")
-        psi = dspec.get("psi")
-        if not isinstance(psi, dict) or "kind" not in psi:
-            raise ManifestError("deform.psi needs a 'kind'")
-        if psi["kind"] not in _PSI_KINDS:
-            raise ManifestError(
-                f"deform.psi.kind must be one of {sorted(_PSI_KINDS)}")
-        if psi["kind"] == "poly":
-            _reject_unknown(psi, {"kind", "coeffs"}, "deform.psi")
-            coeffs = psi.get("coeffs")
-            if (not isinstance(coeffs, list) or not coeffs
-                    or not all(isinstance(c, (int, float)) for c in coeffs)):
-                raise ManifestError("poly psi needs a non-empty numeric 'coeffs'")
-        else:
-            _reject_unknown(psi, {"kind", "r_max"}, "deform.psi")
-    ana = doc["analysis"]
-    _reject_unknown(ana, _ANALYSIS_KEYS, "analysis")
-    cmd = ana.get("command")
-    if cmd not in _COMMANDS:
-        raise ManifestError(f"analysis.command must be one of {sorted(_COMMANDS)}")
-    for key, low in (("directions", 1), ("steps", 1), ("planes", 1),
-                     ("k_max", 0), ("order", 2)):
-        _require_count(ana, key, "analysis", low)
-    tol, radii = ana.get("tolerance", 1.0), ana.get("radii", [1.0])
-    if not (_is_real(tol) and tol > 0):
-        raise ManifestError(f"analysis.tolerance must be a finite real > 0, got {tol!r}")
-    if not (isinstance(radii, list) and radii
-            and all(_is_real(r) and r > 0 for r in radii)):
-        raise ManifestError("analysis.radii must be a non-empty list of "
-                            f"finite reals > 0, got {radii!r}")
+        _check(mspec["deform"], {"psi": _BLOCK}, "metric.deform")
+        psi = mspec["deform"]["psi"]
+        if not _PSI_KIND.check(psi.get("kind")):
+            raise _refuse("metric.deform.psi", "kind", _PSI_KIND, psi.get("kind"))
+        _check(psi, _PSI_KEYS[psi["kind"]], "metric.deform.psi")
+    _check(ana, ANALYSIS_KEYS, "analysis")
     return Manifest(metric_spec=mspec, analysis=ana, path=path)
 
 

@@ -1,13 +1,21 @@
 """Manifest validation, CLI determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hml import cli
-from hml.manifest import ManifestError, build_metric, validate
+from hml.geodesics import HarmonicityConfig, ShootConfig
+from hml.manifest import (ANALYSIS_KEYS, METRIC_KEYS, ManifestError,
+                          build_metric, validate)
 
 
 def write(tmp_path, name, doc):
@@ -251,6 +259,36 @@ def test_flag_overrides(tmp_path):
     assert rep["radii"] == [0.2, 0.5]
 
 
+def test_radii_order_does_not_move_labels(tmp_path):
+    # spreads are computed over sorted radii, so labels must be sorted too
+    doc = {"metric": {"family": "sphere", "dim": 3,
+                      "deform": {"psi": {"kind": "poly", "coeffs": [1, 0.25]}}},
+           "analysis": {"command": "check_harmonic", "directions": 4,
+                        "steps": 40, "center": [0.4, 0.0, 0.0]}}
+    outs = []
+    for radii in ([0.6, 0.3], [0.3, 0.6]):
+        doc["analysis"]["radii"] = radii
+        out = tmp_path / f"o{radii[0]}"
+        assert run_cli(["--manifest", write(tmp_path, "r.json", doc),
+                        "--out", str(out)]) == 1
+        outs.append(out)
+    rep = json.loads((outs[0] / "harmonicity.json").read_text())
+    assert rep["radii"] == [0.3, 0.6]
+    assert rep["theta_spread"][0] != rep["theta_spread"][1]
+    for name in ("harmonicity.json", "density.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_integer_tolerance_reports_as_float(tmp_path):
+    doc = {"metric": {"family": "euclidean", "dim": 3},
+           "analysis": {"command": "check_harmonic", "tolerance": 1,
+                        "directions": 2, "steps": 2, "radii": [0.1]}}
+    out = tmp_path / "o"
+    assert run_cli(["--manifest", write(tmp_path, "t.json", doc),
+                    "--out", str(out)]) == 0
+    assert '"tolerance": 1.0,' in (out / "harmonicity.json").read_text()
+
+
 @pytest.mark.parametrize("directions,flag", [(0, None), (-1, None),
                                              (2.5, None), ("8", None),
                                              (4, "0")])
@@ -306,6 +344,11 @@ def test_bad_steps_exit_3(tmp_path, capsys, steps):
     ({"command": "expand", "order": 1}, [], "analysis.order must be an integer >= 2"),
     ({"command": "expand", "order": "12"}, [],
      "analysis.order must be an integer >= 2"),
+    ({"command": []}, [], "analysis.command must be one of"),
+    ({"command": "curvature", "center": {"a": 1}}, [],
+     "analysis.center must be a non-empty list of finite reals"),
+    ({"command": "deform", "blowup_dims": 5}, [],
+     "analysis.blowup_dims must be a non-empty list of integers"),
 ])
 def test_bad_analysis_values_exit_3(tmp_path, capsys, analysis, flags, why):
     doc = {"metric": {"family": "euclidean", "dim": 3},
@@ -346,6 +389,20 @@ def test_ignored_keys_are_unknown_exit_3(tmp_path, capsys, metric, analysis):
      "metric.b must be a finite real"),
     ({"family": "space_form", "a": math.inf, "b": 0.25, "dim": 3},
      "metric.a must be a finite real"),
+    ({"family": ["x"]}, "metric.family must be a string"),
+    ({"family": "euclidean", "dim": 3, "deform": 5},
+     "metric.deform must be a JSON object"),
+    ({"family": "euclidean", "dim": 3, "deform": {"psi": {"kind": ["poly"]}}},
+     "metric.deform.psi.kind must be one of"),
+    ({"family": "fubini_study", "cdim": 2,
+      "deform": {"psi": {"kind": "trivial-density", "r_max": [1]}}},
+     "metric.deform.psi.r_max must be a finite real > 0"),
+    ({"family": "fubini_study", "cdim": 2,
+      "deform": {"psi": {"kind": "trivial-density", "r_max": -1.0}}},
+     "metric.deform.psi.r_max must be a finite real > 0"),
+    ({"family": "euclidean", "dim": 3,
+      "deform": {"psi": {"kind": "poly", "coeffs": [True]}}},
+     "metric.deform.psi.coeffs must be a non-empty list of finite reals"),
 ])
 def test_bad_metric_parameters_exit_3(tmp_path, capsys, metric, why):
     doc = {"metric": metric, "analysis": {"command": "curvature"}}
@@ -362,3 +419,147 @@ def test_bad_command_line_exit_3(capsys, argv):
     assert run_cli(argv) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one malformed key or flag always exits 3 with one line
+# ---------------------------------------------------------------------------
+
+_NOT_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                        st.just([]), st.just({}))
+_NOT_LIST = st.one_of(st.none(), st.booleans(), st.integers(),
+                      st.floats(), st.text(max_size=3), st.just({}))
+_NOT_STRING = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.lists(st.text(max_size=2), max_size=2), st.just({}))
+_NOT_OBJECT = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.text(max_size=3), st.lists(st.integers(), max_size=2))
+_NOT_REAL = st.one_of(_NOT_NUMBER,
+                      st.sampled_from([math.inf, -math.inf, math.nan]))
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+_NOT_POSITIVE = st.one_of(_NOT_REAL, st.integers(max_value=0),
+                          st.floats(max_value=0.0))
+
+
+def _not_count(low):
+    return st.one_of(_NOT_NUMBER, st.integers(max_value=low - 1), st.floats())
+
+
+def _not_list_of(good_item, bad_item):
+    """Not a list, an empty list, or good items followed by one bad item."""
+    with_bad = st.tuples(st.lists(good_item, max_size=2), bad_item)
+    return st.booleans().flatmap(
+        lambda as_list: with_bad.map(lambda t: [*t[0], t[1]]) if as_list
+        else st.one_of(_NOT_LIST, st.just([])))
+
+
+def _not_one_of(*choices):
+    return st.one_of(_NOT_NUMBER, st.text()).filter(lambda v: v not in choices)
+
+
+def _not_parsed(parse, ok):
+    """Short texts that ``parse`` refuses or parses to a value ``ok`` refuses."""
+    def parses_ok(text):
+        try:
+            return ok(parse(text))
+        except ValueError:
+            return False
+    return st.text(max_size=4).filter(lambda t: not parses_ok(t))
+
+
+_FUZZ_BASE = {"metric": {"family": "euclidean", "dim": 3},
+              "analysis": {"command": "check_harmonic", "directions": 2,
+                           "steps": 2, "radii": [0.1]}}
+_POLY = {"kind": "poly", "coeffs": [1.0, 0.25]}
+_TRIVIAL = {"kind": "trivial-density", "r_max": 1.0}
+_FUZZ_CASES = [
+    ((), "metric", _NOT_OBJECT),
+    ((), "analysis", _NOT_OBJECT),
+    (("metric",), "family", _NOT_STRING),
+    (("metric",), "dim", _not_count(1)),
+    (("metric",), "cdim", _not_count(1)),
+    (("metric",), "n", _not_count(1)),
+    (("metric",), "a", _NOT_REAL),
+    (("metric",), "b", _NOT_REAL),
+    (("metric",), "deform", _NOT_OBJECT),
+    (("metric", "deform"), "psi", _NOT_OBJECT),
+    (("metric", "deform", "psi"), "kind", _not_one_of("poly", "trivial-density")),
+    (("metric", "deform", "psi"), "coeffs", _not_list_of(_REAL, _NOT_REAL)),
+    (("metric", "deform", "psi"), "r_max", _NOT_POSITIVE),
+    (("analysis",), "command",
+     _not_one_of("curvature", "check_harmonic", "expand", "deform")),
+    (("analysis",), "center", _not_list_of(_REAL, _NOT_REAL)),
+    (("analysis",), "radii",
+     _not_list_of(st.floats(min_value=0.1, max_value=0.2), _NOT_POSITIVE)),
+    (("analysis",), "directions", _not_count(1)),
+    (("analysis",), "tolerance", _NOT_POSITIVE),
+    (("analysis",), "steps", _not_count(1)),
+    (("analysis",), "k_max", _not_count(0)),
+    (("analysis",), "order", _not_count(2)),
+    (("analysis",), "planes", _not_count(1)),
+    (("analysis",), "blowup_dims",
+     _not_list_of(st.sampled_from([4, 6]), st.one_of(_NOT_NUMBER, st.floats()))),
+    (("analysis",), "psi_variant", _not_one_of("trivializer", "density-root")),
+]
+_FUZZ_FLAGS = [
+    (None, "--tol", st.one_of(
+        st.floats(max_value=0.0).map(repr), st.sampled_from(["nan", "inf"]),
+        _not_parsed(float, lambda x: x > 0 and x < math.inf))),
+    (None, "--directions", st.one_of(
+        st.integers(max_value=0).map(str), st.floats().map(repr),
+        _not_parsed(int, lambda n: n >= 1))),
+    (None, "--radii", st.one_of(
+        st.lists(st.floats(max_value=0.0).map(repr), min_size=1,
+                 max_size=3).map(",".join),
+        _not_parsed(float, lambda x: x > 0 and x < math.inf)
+        .filter(lambda t: "," not in t))),
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_fuzz_malformed_input_exits_3(tmp_path_factory, data):
+    doc, args = json.loads(json.dumps(_FUZZ_BASE)), []
+    path, key, values = data.draw(st.sampled_from(_FUZZ_CASES + _FUZZ_FLAGS),
+                                  label="which")
+    if path is None:            # a command-line flag
+        args = [f"{key}={data.draw(values, label='value')}"]
+    else:
+        if path[1:2] == ("deform",):
+            doc["metric"] = {"family": "sphere", "dim": 3, "deform": {
+                "psi": dict(_TRIVIAL if key == "r_max" else _POLY)}}
+        validate(doc)   # the base is valid, so the one bad value is the cause
+        block = doc
+        for step in path:
+            block = block[step]
+        block[key] = data.draw(values, label="value")
+    out = tmp_path_factory.getbasetemp() / "fuzz"
+    mpath = write(tmp_path_factory.getbasetemp(), "fuzz.json", doc)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(["--manifest", mpath, "--out", str(out), *args])
+    err = err.getvalue()
+    assert code == 3, err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# README schema
+# ---------------------------------------------------------------------------
+
+def test_readme_schema_names_every_key_with_its_default():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Manifest schema\s+```jsonc\n(.*?)```", text,
+                      re.S).group(1)
+    shown = dict(re.findall(r'^\s*"(\w+)":\s*(.*?),?\s*(?://.*)?$', block, re.M))
+    library = {"directions": HarmonicityConfig().n_directions,
+               "tolerance": HarmonicityConfig().tolerance,
+               "steps": HarmonicityConfig().shoot.steps}
+    for key, spec in ANALYSIS_KEYS.items():
+        assert key in shown, key
+        default = library.get(key, spec.default)
+        if default is not None:
+            assert json.loads(shown[key]) == default, key
+    assert f"{ShootConfig().steps} for expand" in block
+    for key in METRIC_KEYS:
+        assert f'"{key}":' in block, key

@@ -70,14 +70,6 @@ def test_integrator_fourth_order_convergence(sphere3):
     assert errs[1] / errs[2] > 14
 
 
-def test_adaptive_fallback_agrees(sphere3):
-    s4 = shoot(sphere3.metric, np.zeros(3), [1.0, 0, 0], 1.1,
-               ShootConfig(steps=800))
-    s45 = shoot(sphere3.metric, np.zeros(3), [1.0, 0, 0], 1.1,
-                ShootConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-11))
-    assert s45.theta == pytest.approx(s4.theta, abs=1e-8)
-
-
 def test_domain_exit_reports_radius():
     hyp = catalog.space_form(0.5, -0.5, 3).metric
     # chart boundary at |x| = 1; the geodesic parameter is distance,
