@@ -27,6 +27,8 @@ class CatalogEntry:
     constant_curvature: Optional[float] = None   # None: not a space form
     einstein: bool = False
     closed_form_density: Optional[Callable] = None   # r -> Theta_P(r)
+    # t = r^2 -> Theta_P / r^(m-1), acting on truncated series
+    reduced_density: Optional[Callable] = None
     center_in_chart: bool = True
     notes: str = ""
 
@@ -48,6 +50,11 @@ def _space_form_density(kappa: float, m: int) -> Callable:
     return theta
 
 
+def _sinc_power(kappa: float, m: int) -> Callable:
+    """Reduced density (sin(sqrt(kappa t)) / sqrt(kappa t))^(m-1), kappa > 0."""
+    return lambda ts: jets.powf(jets.sinc_sqrt(ts * kappa), m - 1)
+
+
 def euclidean(dim: int) -> CatalogEntry:
     def components(xj):
         return [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
@@ -59,7 +66,8 @@ def euclidean(dim: int) -> CatalogEntry:
     return CatalogEntry(
         name="euclidean", params={"dim": dim}, metric=metric,
         constant_curvature=0.0, einstein=True,
-        closed_form_density=_space_form_density(0.0, dim))
+        closed_form_density=_space_form_density(0.0, dim),
+        reduced_density=lambda ts: 1.0 + 0.0 * ts)
 
 
 def space_form(a: float, b: float, dim: int) -> CatalogEntry:
@@ -102,7 +110,8 @@ def space_form(a: float, b: float, dim: int) -> CatalogEntry:
     return CatalogEntry(
         name="space_form", params={"a": a, "b": b, "dim": dim}, metric=metric,
         constant_curvature=kappa, einstein=True, center_in_chart=a > 0,
-        closed_form_density=_space_form_density(kappa, dim) if a > 0 else None)
+        closed_form_density=_space_form_density(kappa, dim) if a > 0 else None,
+        reduced_density=_sinc_power(kappa, dim) if a > 0 and b > 0 else None)
 
 
 def sphere(dim: int) -> CatalogEntry:
@@ -133,7 +142,8 @@ def sphere(dim: int) -> CatalogEntry:
     return CatalogEntry(
         name="sphere", params={"dim": dim}, metric=metric,
         constant_curvature=1.0, einstein=True,
-        closed_form_density=_space_form_density(1.0, dim))
+        closed_form_density=_space_form_density(1.0, dim),
+        reduced_density=_sinc_power(1.0, dim))
 
 
 def fubini_study(cdim: int) -> CatalogEntry:
@@ -183,6 +193,8 @@ def fubini_study(cdim: int) -> CatalogEntry:
         name="fubini_study", params={"cdim": cdim}, metric=metric,
         constant_curvature=None, einstein=True,
         closed_form_density=fs_density,
+        reduced_density=lambda ts: (jets.powf(jets.sinc_sqrt(ts), dim - 1)
+                                    * jets.cos_sqrt(ts)),
         notes="density closed form is engine-validated, sec in [1, 4]")
 
 

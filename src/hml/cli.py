@@ -14,6 +14,7 @@ Exit codes: 0 success (and harmonic verdict for check_harmonic);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import conformal, expansion, geodesics, manifest as manifest_mod
 from .curvature import curvature, einstein_defect, sectional_curvature
-from .manifest import BuiltMetric, ManifestError, setting
+from .manifest import (CHECK_HARMONIC, CURVATURE, DEFORM, EXPAND,
+                       BuiltMetric, ManifestError, setting)
 from .metric import DomainError
 from .series import fit_radial_expansion
 
@@ -209,7 +211,8 @@ def cmd_expand(built: BuiltMetric, ana: dict, outdir: str) -> int:
     report["residuals"] = {
         "fit_residual": fit.residual, "cond": fit.cond,
         "max_abs_difference": max(
-            abs(coeffs.values[k] - fit.coefficients[k]) for k in range(2, 7)),
+            abs(coeffs.values[k] - fit.coefficients[k])
+            for k in range(2, min(order, 6) + 1)),
         "truncation_estimate": {f"H{k}": v for k, v in
                                 fit.truncation_estimate.items()},
     }
@@ -257,17 +260,17 @@ def cmd_deform(built: BuiltMetric, ana: dict, outdir: str) -> int:
         dims = ana.get("blowup_dims", [m])
         variant = setting(ana, "psi_variant")
         report["blowup"] = [
-            conformal.completeness_and_blowup(d, variant=variant)
-            .to_json_dict() for d in dims]
+            dataclasses.asdict(conformal.completeness_and_blowup(d, variant))
+            for d in dims]
     _write_json(os.path.join(outdir, "deform.json"), report)
     return EXIT_OK
 
 
 _COMMANDS = {
-    "curvature": cmd_curvature,
-    "check_harmonic": cmd_check_harmonic,
-    "expand": cmd_expand,
-    "deform": cmd_deform,
+    CURVATURE: cmd_curvature,
+    CHECK_HARMONIC: cmd_check_harmonic,
+    EXPAND: cmd_expand,
+    DEFORM: cmd_deform,
 }
 
 
@@ -302,7 +305,7 @@ def main(argv=None) -> int:
         built = manifest_mod.build_metric(mf.metric_spec)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[ana["command"]](built, ana, args.out)
-    except (ManifestError, DomainError, ValueError) as exc:
+    except (ManifestError, DomainError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

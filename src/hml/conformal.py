@@ -33,6 +33,35 @@ from .series import TruncatedSeries
 # radial functions psi(t), t = r^2
 # ---------------------------------------------------------------------------
 
+def _horner(coeffs, t):
+    """c0 + c1 t + ... + cK t^K, from the top coefficient down."""
+    acc = 0.0 * t + coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * t + c
+    return acc
+
+
+def _cumulative_gauss(f, knots, n_nodes: int) -> np.ndarray:
+    """int of f from knots[0] to each knot, n_nodes-point Gauss per interval."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    a, b = knots[:-1], knots[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    pts = mid[:, None] + half[:, None] * nodes[None, :]
+    seg = (f(pts.ravel()).reshape(pts.shape) * weights[None, :]).sum(axis=1) * half
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def _growth_series(y0, rate: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Series of the solution of y' = rate y with constant term y0."""
+    ys = [y0]
+    for k in range(order):
+        acc = 0.0
+        for j in range(k + 1):
+            acc = acc + ys[j] * rate.coeffs[k - j]
+        ys.append(acc / (k + 1))
+    return TruncatedSeries(ys)
+
+
 class RadialFunction:
     """One-variable analytic factor psi(t) with derivatives on demand.
 
@@ -46,26 +75,21 @@ class RadialFunction:
     def series(self, t0, order: int) -> TruncatedSeries:
         raise NotImplementedError
 
-    def derivs(self, t0, order: int):
-        s = self.series(t0, order)
-        return [s.coeffs[k] * math.factorial(k) for k in range(order + 1)]
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return np.asarray(self.series(t, 0).coeffs[0])
 
-    def deriv1(self, t):
-        return np.asarray(self.series(np.asarray(t, dtype=float), 1).coeffs[1])
-
     def compose_jet(self, t_jet):
         """psi(t_jet) for a MultiJet (or series) argument t_jet."""
         order = t_jet.space.order if hasattr(t_jet, "space") else t_jet.order
-        return t_jet.apply_analytic(self.derivs(t_jet.const_value(), order))
+        s = self.series(t_jet.const_value(), order)
+        return t_jet.apply_analytic(
+            [c * math.factorial(k) for k, c in enumerate(s.coeffs)])
 
-    def find_zero(self, t_max: float, n: int = 2048) -> Optional[float]:
+    def find_zero(self, t_max: float) -> Optional[float]:
         """Location of a sign change of psi on [0, t_max], if any."""
         from scipy.optimize import brentq
-        ts = np.linspace(0.0, t_max, n)
+        ts = np.linspace(0.0, t_max, 2048)
         vals = np.atleast_1d(self(ts))
         sign = np.sign(vals)
         change = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
@@ -104,44 +128,8 @@ class PolynomialRadialFunction(AnalyticRadialFunction):
 
     def __init__(self, coeffs):
         self.poly_coeffs = [float(c) for c in coeffs]
-
-        def fn(t):
-            acc = 0.0 * t + self.poly_coeffs[-1]
-            for c in reversed(self.poly_coeffs[:-1]):
-                acc = acc * t + c
-            return acc
-
-        super().__init__(fn, name=f"poly{self.poly_coeffs}")
-
-
-class ProfileRadialFunction(RadialFunction):
-    """Monotone-cubic interpolated psi from (t, value) samples.
-
-    Derivative access is limited to order 2.  The interpolant is anchored
-    at t = 0 with the supplied anchor value (reduced densities have
-    psi -> 1 there).
-    """
-
-    max_order = 2
-
-    def __init__(self, t_knots, values, anchor: float = 1.0,
-                 name: str = "psi_profile"):
-        t_knots = np.asarray(t_knots, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if t_knots[0] > 0:
-            t_knots = np.concatenate([[0.0], t_knots])
-            values = np.concatenate([[anchor], values])
-        self._interp = PchipInterpolator(t_knots, values)
-        self._ds = [self._interp.derivative(k) for k in (1, 2)]
-        self.name = name
-
-    def series(self, t0, order: int) -> TruncatedSeries:
-        if order > self.max_order:
-            raise ValueError(
-                f"interpolated radial function supports order <= {self.max_order}")
-        t0 = np.asarray(t0, dtype=float)
-        cs = [self._interp(t0), self._ds[0](t0), self._ds[1](t0) / 2.0]
-        return TruncatedSeries(cs[: order + 1])
+        super().__init__(lambda t: _horner(self.poly_coeffs, t),
+                         name=f"poly{self.poly_coeffs}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +163,16 @@ class Reparametrization:
         return self._inv(np.asarray(rc, dtype=float))
 
 
-def reparametrize(psi: RadialFunction, r_max: float,
-                  n_grid: int = 1200) -> Reparametrization:
+def reparametrize(psi: RadialFunction, r_max: float) -> Reparametrization:
     """Integrate d(rc) = psi(r^2)^(-1) dr by composite Gauss quadrature."""
     zero = psi.find_zero(r_max ** 2)
     if zero is not None:
         raise ValueError(
             f"psi vanishes at t = {zero:.6g} (r = {math.sqrt(max(zero, 0)):.6g}) "
             "inside the requested range")
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    r_grid = np.linspace(0.0, r_max, n_grid + 1)
-    a, b = r_grid[:-1], r_grid[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = 1.0 / np.asarray(psi(pts.ravel() ** 2)).reshape(pts.shape)
-    seg = half * (vals * weights[None, :]).sum(axis=1)
-    rc_grid = np.concatenate([[0.0], np.cumsum(seg)])
+    r_grid = np.linspace(0.0, r_max, 1201)
+    rc_grid = _cumulative_gauss(lambda r: 1.0 / np.asarray(psi(r ** 2)),
+                                r_grid, 8)
     rep = Reparametrization(psi=psi, r_max=r_max, r_grid=r_grid,
                             rc_grid=rc_grid)
     probe = np.linspace(0.0, r_max, 137)
@@ -386,21 +368,16 @@ class TrivializerRadialFunction(RadialFunction):
     """
 
     def __init__(self, ttilde_t: Callable, m: int, t_max: float,
-                 n_grid: int = 1600, name: str = "trivializer"):
+                 name: str = "trivializer"):
+        if m < 2:
+            raise ValueError("the trivializing factor needs dimension >= 2")
         self.ttilde_t = ttilde_t
         self.m = m
         self.q = 1.0 / (m - 1)
-        self.t_max = t_max
         self.name = name
-        ts = np.linspace(0.0, t_max, n_grid + 1)
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        a, b = ts[:-1], ts[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        seg = (self._h_values(pts).reshape(len(a), -1)
-               * weights[None, :]).sum(axis=1) * half
-        logv = np.concatenate([[0.0], np.cumsum(seg)])
-        self._logV = CubicHermiteSpline(ts, logv, self._h_values(ts))
+        ts = np.linspace(0.0, t_max, 1601)
+        self._logV = CubicHermiteSpline(
+            ts, _cumulative_gauss(self._h_values, ts, 10), self._h_values(ts))
 
     # -- pieces -----------------------------------------------------------
     def _ttilde_series(self, t0, order: int) -> TruncatedSeries:
@@ -438,11 +415,7 @@ class TrivializerRadialFunction(RadialFunction):
             tt = np.asarray(self._ttilde_series(t[~small], 0).coeffs[0])
             out[~small] = (tt ** -self.q - 1.0) / (2.0 * t[~small])
         if np.any(small):
-            coeffs = self._h_series_at0(4)
-            acc = np.zeros_like(t[small])
-            for c in reversed(coeffs):
-                acc = acc * t[small] + c
-            out[small] = acc
+            out[small] = _horner(self._h_series_at0(4), t[small])
         return out[0] if scalar else out
 
     def V(self, t):
@@ -455,35 +428,22 @@ class TrivializerRadialFunction(RadialFunction):
         v0 = self.V(t0) * np.ones_like(t0)
         if order == 0:
             return TruncatedSeries([np.asarray(num.coeffs[0]) / v0])
-        h = self._h_series(t0, order - 1)
-        vcoef = [v0]
-        for k in range(order):
-            acc = 0.0
-            for j in range(k + 1):
-                acc = acc + vcoef[j] * h.coeffs[k - j]
-            vcoef.append(acc / (k + 1))
-        return num * TruncatedSeries(vcoef).reciprocal()
+        v = _growth_series(v0, self._h_series(t0, order - 1), order)
+        return num * v.reciprocal()
 
 
-def trivial_density_factor(profile, m: int, t_max: Optional[float] = None,
-                           spread_tolerance: float = 1e-6) -> RadialFunction:
+def trivial_density_factor(profile, m: int) -> RadialFunction:
     """Conformal factor making the deformed density exactly trivial.
 
-    ``profile`` may be a DensityProfile from the geodesic engine (checked
-    for radiality, then interpolated), a (radii, theta_values) pair, or a
-    callable giving the reduced density Ttilde as a function of t = r^2
-    acting on truncated series (exact derivatives; preferred when the
-    deformed chart will be re-shot).
+    ``profile`` is a DensityProfile from the geodesic engine or a
+    (radii, theta_values) pair; a table over several directions must be
+    radial, and is then averaged and interpolated in t = r^2.
     """
-    if callable(profile):
-        if t_max is None:
-            raise ValueError("t_max required with a callable reduced density")
-        return TrivializerRadialFunction(profile, m, t_max)
     if isinstance(profile, DensityProfile):
         profile = profile.radii, profile.theta
     radii, theta = (np.asarray(a, dtype=float) for a in profile)
     if theta.ndim == 2:
-        if not relative_spread(theta).max() <= spread_tolerance:   # NaN too
+        if not relative_spread(theta).max() <= 1e-6:   # NaN too
             raise NonRadialProfileError(
                 "refusing to trivialize a non-radial base profile")
         theta = theta.mean(axis=1)
@@ -493,20 +453,16 @@ def trivial_density_factor(profile, m: int, t_max: Optional[float] = None,
     ders = [interp.derivative(k) for k in (1, 2, 3)]
 
     def ttilde_t(ts):
-        if isinstance(ts, TruncatedSeries):
-            t0 = np.asarray(ts.coeffs[0], dtype=float)
-            # the monotone-cubic interpolant carries three honest
-            # derivatives; higher orders enter only through terms that are
-            # negligible at the small t0 where they are requested
-            derivs = [interp(t0)] + [d(t0) for d in ders[: min(ts.order, 3)]]
-            derivs += [np.zeros_like(t0)] * (ts.order + 1 - len(derivs))
-            return ts.apply_analytic(derivs)
-        return interp(ts)
+        t0 = np.asarray(ts.coeffs[0], dtype=float)
+        # the monotone-cubic interpolant carries three honest derivatives;
+        # higher orders enter only through terms that are negligible at the
+        # small t0 where they are requested
+        derivs = [interp(t0)] + [d(t0) for d in ders[: min(ts.order, 3)]]
+        derivs += [np.zeros_like(t0)] * (ts.order + 1 - len(derivs))
+        return ts.apply_analytic(derivs)
 
-    return TrivializerRadialFunction(
-        ttilde_t, m,
-        t_max=float(np.max(radii) ** 2) if t_max is None else t_max,
-        name="trivializer_profile")
+    return TrivializerRadialFunction(ttilde_t, m, t_max=float(np.max(radii) ** 2),
+                                     name="trivializer_profile")
 
 
 # ---------------------------------------------------------------------------
@@ -529,25 +485,11 @@ class BlowupReport:
     u_window: tuple
     samples: list
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m, "variant": self.variant,
-            "exponent": self.exponent, "coefficient": self.coefficient,
-            "fit_residual": self.fit_residual,
-            "psi_exponent": self.psi_exponent, "psi_scale": self.psi_scale,
-            "length": self.length, "length_finite": self.length_finite,
-            "u_window": list(self.u_window), "samples": self.samples,
-        }
-
-
-def _u_series(u0, order: int) -> TruncatedSeries:
-    return _seed_series(float(u0), order)
-
 
 def _fs_theta_u_series(u0, m: int, order: int) -> TruncatedSeries:
     """Projective-space density as a function of u = pi/2 - r:
     Theta = cos(u)^(m-1) sin(u), well conditioned near u = 0."""
-    u = _u_series(u0, order)
+    u = _seed_series(u0, order)
     return jets.cos(u) ** (m - 1) * jets.sin(u)
 
 
@@ -559,7 +501,7 @@ class _DensityRootPsiU:
         self.q = 1.0 / (m - 1)
 
     def series(self, u0, order: int) -> TruncatedSeries:
-        u = _u_series(u0, order)
+        u = _seed_series(u0, order)
         r = math.pi / 2 - u
         return jets.cos(u) / r * jets.powf(jets.sin(u), self.q)
 
@@ -577,28 +519,20 @@ class _TrivializerPsiU:
     like u^(-q).
     """
 
-    def __init__(self, m: int, u_min: float = 1e-10):
+    def __init__(self, m: int):
         self.m = m
         self.q = 1.0 / (m - 1)
-        self.u_min = u_min
         # omega(u) = d/du log V, V = W/(pi/2 - u):
         # dW/du = -W Theta^(-q)  and  d(pi/2 - u)/du = -1 give
         # omega = 1/(pi/2 - u) - Theta(u)^(-q)
         lin = np.linspace(math.pi / 2, 0.05, 900)
-        geo = np.geomspace(0.05, u_min, 900)
-        self._u_knots = np.concatenate([lin, geo[1:]])
-        om = self._omega(self._u_knots)
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        a, b = self._u_knots[:-1], self._u_knots[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        seg = (self._omega(pts).reshape(len(a), -1)
-               * weights[None, :]).sum(axis=1) * half
-        logv = np.concatenate([[0.0], np.cumsum(seg)])
+        geo = np.geomspace(0.05, 1e-10, 900)
+        u_knots = np.concatenate([lin, geo[1:]])
+        logv = _cumulative_gauss(self._omega, u_knots, 10)
         # knots run downward in u; store ascending for the spline
-        order_idx = np.argsort(self._u_knots)
+        order_idx = np.argsort(u_knots)
         self._logV = CubicHermiteSpline(
-            self._u_knots[order_idx], logv[order_idx], om[order_idx])
+            u_knots[order_idx], logv[order_idx], self._omega(u_knots)[order_idx])
 
     def _theta(self, u):
         u = np.asarray(u, dtype=float)
@@ -626,13 +560,7 @@ class _TrivializerPsiU:
         num = jets.powf(theta, self.q)
         rate = jets.powf(_fs_theta_u_series(u0, self.m, max(order - 1, 0)),
                          -self.q) * (-1.0)
-        w = [float(self.W(u0))]
-        for k in range(order):
-            acc = 0.0
-            for j in range(k + 1):
-                acc = acc + w[j] * rate.coeffs[k - j]
-            w.append(acc / (k + 1))
-        return num * TruncatedSeries(w).reciprocal()
+        return num * _growth_series(float(self.W(u0)), rate, order).reciprocal()
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -659,9 +587,7 @@ def deformed_radial_ricci(psi_u, theta_u_series, u: float, m: int,
             + psi0 * flux_d / float(th.coeffs[0]) - (m - 1) * psid ** 2)
 
 
-def completeness_and_blowup(m: int, variant: str = "density-root",
-                            u_window=(1e-4, 1e-2), n_fit: int = 25
-                            ) -> BlowupReport:
+def completeness_and_blowup(m: int, variant: str) -> BlowupReport:
     """Geodesic length and Ricci blow-up of the trivial-density build.
 
     The base is the projective space of real dimension m (even, in
@@ -669,8 +595,8 @@ def completeness_and_blowup(m: int, variant: str = "density-root",
     u = pi/2 - r near the cut locus.  Reports (i) int psi^-1 du with a
     finiteness verdict from local exponent detection psi ~ a u^q, and
     (ii) the log-log fit rho_{g_psi}(psi d_u, psi d_u) ~ c u^-p over the
-    u-window, fitted as log|rho| = log|c| - p log u + b u so that the
-    next-order factor (1 + b u) does not bias c.  For the density-root
+    u-window [1e-4, 1e-2], fitted as log|rho| = log|c| - p log u + b u so
+    that the next-order factor (1 + b u) does not bias c.  For the density-root
     variant, psi ~ (2/pi) u^(1/(m-1)) and Theta ~ u give
     c = -4(m-2)/((m-1) pi^2) and p = 2(m-2)/(m-1).
     """
@@ -688,7 +614,8 @@ def completeness_and_blowup(m: int, variant: str = "density-root",
     def theta_series(u0, order):
         return _fs_theta_u_series(u0, m, order)
 
-    us = np.geomspace(u_window[0], u_window[1], n_fit)
+    u_window = (1e-4, 1e-2)
+    us = np.geomspace(*u_window, 25)
     rho = np.array([deformed_radial_ricci(psi_u, theta_series, float(u), m,
                                           einstein_const) for u in us])
     if np.any(rho >= 0):
@@ -713,5 +640,5 @@ def completeness_and_blowup(m: int, variant: str = "density-root",
         coefficient=float(coefficient), fit_residual=resid,
         psi_exponent=float(q_est), psi_scale=float(a_est),
         length=float(head + tail), length_finite=finite,
-        u_window=tuple(u_window),
+        u_window=u_window,
         samples=[{"u": float(u), "ricci": float(r)} for u, r in zip(us, rho)])

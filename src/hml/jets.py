@@ -458,10 +458,17 @@ def atan_sqrt_sq(x):
     """atan(sqrt(t))^2; series route near 0, smooth composition elsewhere."""
     if not _is_jetlike(x):
         return np.arctan(np.sqrt(x)) ** 2
-    t0 = float(np.min(np.asarray(x.const_value())))
-    if t0 < 0.5:
+    t0 = np.asarray(x.const_value())
+    near = t0 < 0.5
+    if np.all(near):
         return _entire_apply(x, _atan_sqrt_sq_coef)
-    return atan(sqrt(x)) ** 2
+    if not np.any(near):
+        return atan(sqrt(x)) ** 2
+    # a batch on both sides: each point by its own route (the series
+    # converges only for t < 1)
+    w = near.astype(float)
+    return (atan_sqrt_sq(x - (1.0 - w) * t0) * w
+            + atan_sqrt_sq(x + w * (1.0 - t0)) * (1.0 - w))
 
 
 def norm_sq(xjets):

@@ -28,12 +28,14 @@ class Key(NamedTuple):
     ``default`` is None where the library or the metric supplies the
     default instead (``steps``, ``directions``, ``tolerance``, ``radii``,
     ``center``, ``blowup_dims``), so only keys a manifest sets reach it.
+    ``read_by`` names the analysis commands that read the key.
     """
 
     check: Callable[[object], bool]
     must_be: str
     default: object = None
     required: bool = False
+    read_by: tuple = ()
 
 
 def _is_int(v) -> bool:
@@ -77,20 +79,29 @@ _PSI_KEYS = {
              "coeffs": _list_of(_is_real, "finite reals")._replace(required=True)},
     "trivial-density": {"kind": _PSI_KIND, "r_max": _POSITIVE},
 }
+COMMANDS = CURVATURE, CHECK_HARMONIC, EXPAND, DEFORM = (
+    "curvature", "check_harmonic", "expand", "deform")
+
+
+def _read_by(key: Key, *commands: str) -> Key:
+    return key._replace(read_by=commands)
+
+
 ANALYSIS_KEYS = {
-    "command": _one_of({"curvature", "check_harmonic", "expand", "deform"},
-                       required=True),
-    "center": _list_of(_is_real, "finite reals"),
-    "radii": _list_of(lambda r: _is_real(r) and r > 0, "finite reals > 0"),
-    "directions": _count(1),
-    "tolerance": _POSITIVE,
-    "steps": _count(1),
-    "k_max": _count(0, default=0),
-    "order": _count(2, default=12),
-    "planes": _count(1, default=400),
-    "blowup_dims": _list_of(_is_int, "integers"),
-    "psi_variant": _one_of({"trivializer", "density-root"},
-                           default="trivializer"),
+    "command": _read_by(_one_of(set(COMMANDS), required=True), *COMMANDS),
+    "center": _read_by(_list_of(_is_real, "finite reals"),
+                       CURVATURE, CHECK_HARMONIC, EXPAND),
+    "radii": _read_by(_list_of(lambda r: _is_real(r) and r > 0,
+                               "finite reals > 0"), CHECK_HARMONIC, DEFORM),
+    "directions": _read_by(_count(1), CHECK_HARMONIC),
+    "tolerance": _read_by(_POSITIVE, CHECK_HARMONIC),
+    "steps": _read_by(_count(1), CHECK_HARMONIC, EXPAND, DEFORM),
+    "k_max": _read_by(_count(0, default=0), CURVATURE),
+    "order": _read_by(_count(2, default=12), EXPAND),
+    "planes": _read_by(_count(1, default=400), CURVATURE),
+    "blowup_dims": _read_by(_list_of(_is_int, "integers"), DEFORM),
+    "psi_variant": _read_by(_one_of({"trivializer", "density-root"},
+                                    default="trivializer"), DEFORM),
 }
 
 
@@ -142,6 +153,10 @@ def validate(doc: dict, path: Optional[str] = None) -> Manifest:
             raise _refuse("metric.deform.psi", "kind", _PSI_KIND, psi.get("kind"))
         _check(psi, _PSI_KEYS[psi["kind"]], "metric.deform.psi")
     _check(ana, ANALYSIS_KEYS, "analysis")
+    unread = sorted(k for k in ana if ana["command"] not in ANALYSIS_KEYS[k].read_by)
+    if unread:
+        raise ManifestError(f"analysis keys {unread} are not read by command "
+                            f"{ana['command']!r}")
     return Manifest(metric_spec=mspec, analysis=ana, path=path)
 
 
@@ -175,15 +190,9 @@ def _sphere_height_psi(coeffs) -> conformal.RadialFunction:
     poles and analytic in t.
     """
     poly = [float(c) for c in coeffs]
-
-    def fn(tser):
-        c2 = jets.cos_sqrt(tser) ** 2
-        acc = 0.0 * c2 + poly[-1]
-        for c in reversed(poly[:-1]):
-            acc = acc * c2 + c
-        return acc
-
-    return conformal.AnalyticRadialFunction(fn, name=f"height_poly{poly}")
+    return conformal.AnalyticRadialFunction(
+        lambda tser: conformal._horner(poly, jets.cos_sqrt(tser) ** 2),
+        name=f"height_poly{poly}")
 
 
 def build_metric(mspec: dict) -> BuiltMetric:
@@ -202,11 +211,19 @@ def build_metric(mspec: dict) -> BuiltMetric:
         else:
             psi = conformal.PolynomialRadialFunction(psi_spec["coeffs"])
     else:  # trivial-density
-        if entry.closed_form_density is None or not entry.center_in_chart:
+        if entry.reduced_density is None:
             raise ManifestError(
                 f"trivial-density deformation needs a radial closed-form "
                 f"density; family {entry.name!r} does not provide one")
-        psi = _trivializer_for(entry, r_max=psi_spec.get("r_max"))
+        iota = entry.metric.injectivity_radius or 1.0
+        r_max = psi_spec.get("r_max")
+        if r_max is None:
+            r_max = 0.9 * iota if math.isfinite(iota) else 1.0
+        elif r_max >= iota:
+            raise ManifestError(f"metric.deform.psi.r_max must be below the "
+                                f"injectivity radius {iota:.6g}, got {r_max!r}")
+        psi = conformal.TrivializerRadialFunction(
+            entry.reduced_density, entry.dim, t_max=float(r_max) ** 2)
     try:
         deformed = conformal.deform_metric(entry.metric, psi)
     except ValueError as exc:
@@ -214,34 +231,3 @@ def build_metric(mspec: dict) -> BuiltMetric:
     return BuiltMetric(entry=entry, metric=deformed, deformed=True, psi=psi,
                        trivializer_base=(entry.name
                                          if psi_spec["kind"] != "poly" else None))
-
-
-def _reduced_density_series_fn(entry: CatalogEntry):
-    """Ttilde as a function of t = r^2 acting on series, for known families."""
-    m = entry.dim
-    if entry.name == "euclidean":
-        return lambda ts: 1.0 + 0.0 * ts
-    if entry.name in ("sphere",) or (
-            entry.name == "space_form"
-            and entry.constant_curvature is not None
-            and entry.constant_curvature > 0):
-        kappa = 1.0 if entry.name == "sphere" else entry.constant_curvature
-
-        def fn(ts):
-            return jets.powf(jets.sinc_sqrt(ts * kappa), m - 1)
-        return fn
-    if entry.name == "fubini_study":
-        def fn(ts):
-            return jets.powf(jets.sinc_sqrt(ts), m - 1) * jets.cos_sqrt(ts)
-        return fn
-    raise ManifestError(f"no closed-form reduced density for {entry.name}")
-
-
-def _trivializer_for(entry: CatalogEntry, r_max: Optional[float]
-                     ) -> conformal.RadialFunction:
-    if r_max is None:
-        iota = entry.metric.injectivity_radius or 1.0
-        r_max = 0.9 * iota if math.isfinite(iota) else 1.0
-    fn = _reduced_density_series_fn(entry)
-    return conformal.TrivializerRadialFunction(fn, entry.dim,
-                                               t_max=float(r_max) ** 2)

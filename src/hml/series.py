@@ -141,46 +141,12 @@ class TruncatedSeries:
             out.append(-acc * inv0)
         return TruncatedSeries(out)
 
-    def sqrt(self) -> "TruncatedSeries":
-        c0 = self.coeffs[0]
-        if isinstance(c0, Rational):
-            root = _rational_sqrt(c0)
-        else:
-            if np.any(np.asarray(c0) <= 0):
-                raise ValueError("series sqrt requires positive constant term")
-            root = np.sqrt(c0)
-        out = [root]
-        for k in range(1, self.order + 1):
-            acc = self._zero()
-            for j in range(1, k):
-                acc = acc + out[j] * out[k - j]
-            out.append((self.coeffs[k] - acc) / (2 * root))
-        return TruncatedSeries(out)
-
     # -- calculus ---------------------------------------------------------
     def derive(self) -> "TruncatedSeries":
         """d/dr; the result is exact to one order lower."""
         if self.order == 0:
             return TruncatedSeries([self._zero()])
         return TruncatedSeries([k * self.coeffs[k] for k in range(1, self.order + 1)])
-
-    def integrate(self) -> "TruncatedSeries":
-        """Antiderivative with zero constant term (order grows by one)."""
-        out = [self._zero()]
-        for k, a in enumerate(self.coeffs):
-            out.append(a / (k + 1) if isinstance(a, Rational)
-                       else a / float(k + 1))
-        return TruncatedSeries(out)
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(r)); inner must have zero constant term."""
-        if np.any(np.asarray(inner.coeffs[0]) != 0):
-            raise ValueError("compose requires inner series with zero constant term")
-        self._check(inner)
-        result = TruncatedSeries.constant(self.coeffs[-1], self.order)
-        for k in range(self.order - 1, -1, -1):
-            result = result * inner + self.coeffs[k]
-        return result
 
     # -- shifts (factored handling of series with low-order zeros) ---------
     def shift(self, k: int) -> "TruncatedSeries":
@@ -207,16 +173,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs})"
-
-
-def _rational_sqrt(c: Rational) -> Fraction:
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("series sqrt requires positive constant term")
-    pn, pd = math.isqrt(c.numerator), math.isqrt(c.denominator)
-    if pn * pn != c.numerator or pd * pd != c.denominator:
-        raise ValueError(f"{c} is not a perfect rational square")
-    return Fraction(pn, pd)
 
 
 def rational_series(coeffs, order: int) -> TruncatedSeries:

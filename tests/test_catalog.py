@@ -8,6 +8,7 @@ import pytest
 from hml import catalog
 from hml.curvature import curvature, einstein_defect, sectional_curvature
 from hml.geodesics import ShootConfig, density_profile, g_unit_directions
+from hml.series import TruncatedSeries
 
 ENTRIES = [
     catalog.euclidean(3),
@@ -50,6 +51,18 @@ def test_declared_density_facts(entry, rng):
     prof = density_profile(entry.metric, P, dirs, radii, ShootConfig(steps=400))
     expected = entry.closed_form_density(np.asarray(radii))
     assert np.max(np.abs(prof.theta - expected[:, None])) < 1e-6
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: f"{e.name}{e.params}")
+def test_reduced_density_matches_closed_form(entry):
+    if entry.reduced_density is None:
+        return
+    m = entry.dim
+    iota = min(entry.metric.injectivity_radius, 2.0)
+    for r in (0.2 * iota, 0.5 * iota, 0.9 * iota):
+        got = entry.reduced_density(TruncatedSeries([r * r])).coeffs[0]
+        expected = entry.closed_form_density(r) / r ** (m - 1)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_fubini_study_not_space_form(rng):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hml import cli
 from hml.geodesics import HarmonicityConfig, ShootConfig
-from hml.manifest import (ANALYSIS_KEYS, METRIC_KEYS, ManifestError,
+from hml.manifest import (ANALYSIS_KEYS, COMMANDS, METRIC_KEYS, ManifestError,
                           build_metric, validate)
 
 
@@ -197,6 +197,18 @@ def test_expand_sphere(tmp_path):
     assert rep["residuals"]["max_abs_difference"] < 1e-5
 
 
+@pytest.mark.parametrize("order", [3, 5])
+def test_expand_below_order_6_compares_fitted_orders(tmp_path, order):
+    doc = {"metric": {"family": "sphere", "dim": 3},
+           "analysis": {"command": "expand", "steps": 300, "order": order}}
+    mpath = write(tmp_path, "lo.json", doc)
+    assert run_cli(["--manifest", mpath, "--out", str(tmp_path / "ol")]) == 0
+    rep = json.loads((tmp_path / "ol" / "expansion.json").read_text())
+    assert sorted(rep["fitted"]) == [f"H{k}" for k in range(2, order + 1)]
+    assert rep["residuals"]["max_abs_difference"] == pytest.approx(max(
+        abs(rep["analytic"][k] - rep["fitted"][k]) for k in rep["fitted"]))
+
+
 def test_expand_euclidean_zeros(tmp_path):
     doc = {"metric": {"family": "euclidean", "dim": 4},
            "analysis": {"command": "expand", "steps": 300, "order": 6}}
@@ -349,10 +361,26 @@ def test_bad_steps_exit_3(tmp_path, capsys, steps):
      "analysis.center must be a non-empty list of finite reals"),
     ({"command": "deform", "blowup_dims": 5}, [],
      "analysis.blowup_dims must be a non-empty list of integers"),
+    ({"command": "curvature"}, [],
+     "analysis keys ['steps'] are not read by command 'curvature'"),
+    ({"command": "curvature", "radii": [9.0], "directions": 2}, [],
+     "analysis keys ['directions', 'radii', 'steps'] are not read by command"),
+    ({"command": "check_harmonic", "planes": 3, "k_max": 1}, [],
+     "analysis keys ['k_max', 'planes'] are not read by command"),
+    ({"command": "expand", "radii": [0.2], "psi_variant": "trivializer"}, [],
+     "analysis keys ['psi_variant', 'radii'] are not read by command 'expand'"),
+    ({"command": "deform", "center": [0.0, 0.0, 0.0], "order": 4}, [],
+     "analysis keys ['center', 'order'] are not read by command 'deform'"),
+    ({"command": "deform", "blowup_dims": [4]}, ["--tol", "1e-6"],
+     "analysis keys ['tolerance'] are not read by command 'deform'"),
+    ({"command": "expand"}, ["--radii", "0.2"],
+     "analysis keys ['radii'] are not read by command 'expand'"),
+    ({"command": "deform"}, ["--directions", "2"],
+     "analysis keys ['directions'] are not read by command 'deform'"),
 ])
 def test_bad_analysis_values_exit_3(tmp_path, capsys, analysis, flags, why):
     doc = {"metric": {"family": "euclidean", "dim": 3},
-           "analysis": {"steps": 20, "directions": 4, **analysis}}
+           "analysis": {"steps": 20, **analysis}}
     assert run_cli(["--manifest", write(tmp_path, "a.json", doc),
                     "--out", str(tmp_path), *flags]) == 3
     err = capsys.readouterr().err
@@ -485,8 +513,7 @@ _FUZZ_CASES = [
     (("metric", "deform", "psi"), "kind", _not_one_of("poly", "trivial-density")),
     (("metric", "deform", "psi"), "coeffs", _not_list_of(_REAL, _NOT_REAL)),
     (("metric", "deform", "psi"), "r_max", _NOT_POSITIVE),
-    (("analysis",), "command",
-     _not_one_of("curvature", "check_harmonic", "expand", "deform")),
+    (("analysis",), "command", _not_one_of(*COMMANDS)),
     (("analysis",), "center", _not_list_of(_REAL, _NOT_REAL)),
     (("analysis",), "radii",
      _not_list_of(st.floats(min_value=0.1, max_value=0.2), _NOT_POSITIVE)),
@@ -541,6 +568,79 @@ def test_fuzz_malformed_input_exits_3(tmp_path_factory, data):
     assert code == 3, err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a valid manifest with a small budget exits 0-3, never a traceback
+# ---------------------------------------------------------------------------
+
+_SMALL_REAL = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def _valid_metric(draw):
+    family = draw(st.sampled_from(["euclidean", "space_form", "g_ab", "sphere",
+                                   "fubini_study", "two_d_family"]))
+    if family == "fubini_study":
+        spec = {"cdim": draw(st.integers(1, 2))}
+    elif family == "two_d_family":
+        spec = {"n": draw(st.integers(1, 9)), "b": draw(_SMALL_REAL)}
+    else:
+        spec = {"dim": draw(st.integers(1, 3))}
+        if family in ("space_form", "g_ab"):
+            spec.update(a=draw(_SMALL_REAL), b=draw(_SMALL_REAL))
+    psi = draw(st.one_of(
+        st.none(),
+        st.lists(_SMALL_REAL, min_size=1, max_size=3).map(
+            lambda c: {"kind": "poly", "coeffs": c}),
+        st.one_of(st.just({}), st.floats(0.1, 2.0).map(lambda r: {"r_max": r}))
+        .map(lambda r: {"kind": "trivial-density", **r})))
+    if psi is not None:
+        spec["deform"] = {"psi": psi}
+    return {"family": family, **spec}
+
+
+def _small_budget(dim: int) -> dict:
+    """A strategy for every analysis key but ``command``, small budgets."""
+    return {
+        "center": st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim),
+        "radii": st.lists(st.floats(0.05, 1.5), min_size=1, max_size=2),
+        "directions": st.integers(1, 3),
+        "tolerance": st.floats(1e-9, 1e-2),
+        "steps": st.integers(1, 30),
+        "k_max": st.integers(0, 1),
+        "order": st.integers(2, 9),
+        "planes": st.integers(1, 4),
+        "blowup_dims": st.lists(st.sampled_from([2, 4, 5]), min_size=1,
+                                max_size=1),
+        "psi_variant": st.sampled_from(["trivializer", "density-root"]),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzz_valid_manifest_exits_0_to_3(tmp_path_factory, data):
+    metric = data.draw(_valid_metric(), label="metric")
+    command = data.draw(st.sampled_from(COMMANDS), label="command")
+    dim = 2 * metric["cdim"] if "cdim" in metric else metric.get("dim", 2)
+    analysis = {"command": command}
+    for key, values in _small_budget(dim).items():
+        if command in ANALYSIS_KEYS[key].read_by and (
+                key in ("steps", "directions", "planes")
+                or data.draw(st.booleans())):
+            analysis[key] = data.draw(values, label=key)
+    doc = {"metric": metric, "analysis": analysis}
+    validate(doc)
+    base = tmp_path_factory.getbasetemp()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(["--manifest", write(base, "valid.json", doc),
+                        "--out", str(base / "valid")])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 # ---------------------------------------------------------------------------

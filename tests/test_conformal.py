@@ -8,7 +8,7 @@ import pytest
 
 from hml import catalog, jets
 from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
-                           ProfileRadialFunction, TrivializerRadialFunction,
+                           TrivializerRadialFunction,
                            completeness_and_blowup, conformal_factor_field,
                            deform_metric, deformed_density,
                            deformed_radial_ricci, _fs_theta_u_series,
@@ -304,14 +304,6 @@ def test_trivial_density_factor_refuses_non_radial_negative_mean():
         trivial_density_factor((radii, theta), 3)
 
 
-def test_profile_radial_function_order_cap():
-    prof = ProfileRadialFunction([0.2, 0.5, 1.0], [1.0, 1.1, 1.3])
-    with pytest.raises(ValueError):
-        prof.series(0.4, 5)
-    s = prof.series(0.4, 2)
-    assert s.order == 2
-
-
 def test_trivializer_mixed_batch_series(sphere3):
     # batched series evaluation straddling the near-zero branch agrees
     # with the per-point scalar path
@@ -332,7 +324,7 @@ def test_radial_function_derivatives_vs_fd():
         lambda t: jets.exp(t * 0.3) * (1.0 + t), name="probe")
     t0, h = 0.7, 1e-6
     fd = (psi(t0 + h) - psi(t0 - h)) / (2 * h)
-    assert psi.deriv1(t0) == pytest.approx(fd, rel=1e-8)
+    assert psi.series(t0, 1).coeffs[1] == pytest.approx(fd, rel=1e-8)
     d2_fd = (psi(t0 + h) - 2 * psi(t0) + psi(t0 - h)) / h ** 2
     assert 2 * psi.series(t0, 2).coeffs[2] == pytest.approx(d2_fd, rel=1e-3)
 
@@ -426,4 +418,4 @@ def test_blowup_trivializer_variant_consistent():
 
 def test_blowup_rejects_bad_dimension():
     with pytest.raises(ValueError):
-        completeness_and_blowup(5)
+        completeness_and_blowup(5, "trivializer")

@@ -129,6 +129,15 @@ def test_atan_sqrt_sq(t0):
         assert f.derivative_array(2)[0, 0] == pytest.approx(-4.0 / 3.0, abs=1e-12)
 
 
+def test_atan_sqrt_sq_batch_matches_each_point():
+    # a batch straddling the series radius takes each point's own route
+    x = np.array([[0.1, 0.2], [1.5, 3.0], [0.6, 0.1], [4.0, 0.0]])
+    batch = jets.atan_sqrt_sq(jets.norm_sq(seed_point(x, 3)))
+    for i, xi in enumerate(x):
+        single = jets.atan_sqrt_sq(jets.norm_sq(seed_point(xi, 3)))
+        assert np.array_equal(batch.coef[:, i], single.coef)
+
+
 @pytest.mark.parametrize("name", sorted(oracles.LITERAL_COEFS))
 @pytest.mark.parametrize("order", range(7))
 def test_entire_helpers_match_literal_horner(name, order):

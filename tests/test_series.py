@@ -52,33 +52,6 @@ def test_mul_reciprocal_roundtrip(s):
     assert one[0] == 1 and all(c == 0 for c in one[1:])
 
 
-@settings(max_examples=30, deadline=None)
-@given(series_st())
-def test_derive_integrate_identity(s):
-    t = TruncatedSeries([Fraction(0)] + s.coeffs[1:])    # zero constant term
-    back = t.derive().integrate()
-    assert back.coeffs == t.coeffs
-
-
-def test_compose():
-    outer = rational_series([0, 1, 1], 4)    # r + r^2
-    inner = rational_series([0, 2], 4)       # 2r
-    comp = outer.compose(inner)
-    assert comp.coeffs[:3] == [Fraction(0), Fraction(2), Fraction(4)]
-    with pytest.raises(ValueError):
-        outer.compose(rational_series([1, 1], 4))
-
-
-def test_sqrt_exact_and_float():
-    s = rational_series([4, 4, 1], 4)        # (2 + r)^2 ... checks recursion
-    r = s.sqrt()
-    assert (r * r).coeffs == s.coeffs
-    f = TruncatedSeries([4.0, 1.0, 0.0])
-    rf = f.sqrt()
-    assert rf.coeffs[0] == pytest.approx(2.0)
-    assert rf.coeffs[1] == pytest.approx(0.25)
-
-
 def test_truncation_mismatch_rejected():
     with pytest.raises(TruncationError):
         rational_series([1], 3) * rational_series([1], 4)
