@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -35,6 +37,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
+
+log = logging.getLogger("hml")
 
 
 def _fmt(x) -> str:
@@ -280,6 +284,22 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    # numpy's RuntimeWarnings (overflow, invalid value) go to the hml log
+    # below WARNING, so stderr carries only the one error line
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def route(message, category, filename, lineno, *args, **kwargs):
+            if issubclass(category, RuntimeWarning):
+                log.info("%s:%d: %s: %s", filename, lineno,
+                         category.__name__, message)
+            else:
+                show(message, category, filename, lineno, *args, **kwargs)
+        warnings.showwarning = route
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = _ArgumentParser(
         prog="hml",
         description="Centrally harmonic metric analyses from JSON manifests")

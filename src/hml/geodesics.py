@@ -101,7 +101,23 @@ class ShootConfig:
     steps: int = 2000          # fixed RK4 substeps over the full radius
 
 
+# Points per RHS block.  Every operation of the RHS is per point, so blocks
+# give the same bits.  At m = 4 a block of 512 holds d2g, U and R at 1 MB
+# each (2 MB in one call at B = 1024), so peak memory drops; blocks of 256
+# cut it further but pay the per-call overhead twice as often.
+RHS_BLOCK = 512
+
+
 def _rhs(metric: ChartMetric, state):
+    n = len(state[0])
+    if n <= RHS_BLOCK:
+        return _rhs_block(metric, state)
+    parts = [_rhs_block(metric, tuple(y[lo:lo + RHS_BLOCK] for y in state))
+             for lo in range(0, n, RHS_BLOCK)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _rhs_block(metric: ChartMetric, state):
     x, v, E, A, Ad = state
     _, _, Gamma, R = curvature_arrays(metric, x)
     B, m = v.shape[:-1], v.shape[-1]
@@ -133,10 +149,19 @@ class _ConjugateTracker:
 
 
 def _rk4_segment(metric, state, length, nsteps, r_start, tracker):
+    """RK4 over one segment; the RHS checks the domain at every stage point.
+
+    The point a step ends on is checked by the next step's k1, which then
+    reports the radius that step started from; the segment's last point is
+    checked here, since the caller records it.
+    """
     h = length / nsteps
     for i in range(nsteps):
         try:
             k1 = _rhs(metric, state)
+        except DomainError as exc:
+            raise DomainExitError(r_start + max(i - 1, 0) * h) from exc
+        try:
             k2 = _rhs(metric, tuple(y + 0.5 * h * k for y, k in zip(state, k1)))
             k3 = _rhs(metric, tuple(y + 0.5 * h * k for y, k in zip(state, k2)))
             k4 = _rhs(metric, tuple(y + h * k for y, k in zip(state, k3)))
@@ -144,9 +169,9 @@ def _rk4_segment(metric, state, length, nsteps, r_start, tracker):
             raise DomainExitError(r_start + i * h) from exc
         state = tuple(y + (h / 6.0) * (a + 2 * b + 2 * c + d)
                       for y, a, b, c, d in zip(state, k1, k2, k3, k4))
-        if not np.all(metric.contains(state[0])):
-            raise DomainExitError(r_start + i * h)
         tracker.update(state[3])
+    if not np.all(metric.contains(state[0])):
+        raise DomainExitError(r_start + (nsteps - 1) * h)
     return state
 
 

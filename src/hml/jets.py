@@ -23,6 +23,14 @@ import numpy as np
 
 from .conventions import MAX_JET_ORDER
 
+# A product sums slot rows instead of calling np.add.reduceat from
+# SLOT_MIN_BATCH points on (slot sums lose at 16 points and win from 32, for
+# order-2 and order-3 jets in 4 variables), while its slot array holds at
+# most SLOT_MAX_ITEMS floats (256 kB): larger ones faulted in fresh pages on
+# every call and lost to reduceat (order 2 at 1024 points, order 3 at 256).
+SLOT_MIN_BATCH = 32
+SLOT_MAX_ITEMS = 32768
+
 
 @lru_cache(maxsize=None)
 def _indices(nvars: int, order: int):
@@ -62,6 +70,30 @@ def _mul_table(nvars: int, order: int):
     # every output index occurs (alpha + 0 = alpha), so segments are dense
     starts = np.searchsorted(out_idx, np.arange(len(idx)))
     return ia, ib, starts
+
+
+# np.add.reduceat sums a segment of n <= 8 pairs as P0 + (((P1 + P2) + P3)
+# + ...): longer remainders go to numpy's 8-accumulator pairwise sum.
+_SLOT_MAX = 8
+
+
+@lru_cache(maxsize=None)
+def _slot_table(nvars: int, order: int):
+    """(sa, sb, pad, n_slots): the product pairs as slot rows, or None.
+
+    Slot j of output k holds pair starts[k] + j of _mul_table; the rows past
+    a segment's end (listed in ``pad``) are set to -0.0, which adds exactly.
+    None where a segment exceeds _SLOT_MAX, so reduceat's order differs.
+    """
+    ia, ib, starts = _mul_table(nvars, order)
+    lengths = np.diff(np.append(starts, len(ia)))
+    n_slots = int(lengths.max())
+    if n_slots > _SLOT_MAX:
+        return None
+    j = np.arange(n_slots)[:, None]
+    real = j < lengths
+    src = np.where(real, starts + j, starts).ravel()
+    return ia[src], ib[src], np.flatnonzero(~real.ravel()), n_slots
 
 
 @lru_cache(maxsize=None)
@@ -110,9 +142,44 @@ class JetSpace:
         self.order = order
         self.index_list, self.index_of = _indices(nvars, order)
         self.size = len(self.index_list)
+        self.factorials = tuple(float(math.factorial(k))
+                                for k in range(order + 1))
+        self.pairs = _mul_table(nvars, order)
+        self.slots = _slot_table(nvars, order)
 
     def __repr__(self):
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
+
+    # -- products of coefficient arrays --------------------------------
+    # Two routes give the same bits: reduceat over the pair list, or (for
+    # the mid-sized batches where it is faster) one elementwise add per
+    # slot row in reduceat's summation order.
+    def use_slots(self, a, b) -> bool:
+        return (self.slots is not None and a.ndim > 1 and a.shape == b.shape
+                and SLOT_MIN_BATCH * self.size <= a.size
+                and a.size * self.slots[3] <= SLOT_MAX_ITEMS
+                and a.dtype == b.dtype == np.float64)
+
+    def rows(self, b, slots: bool):
+        """The right factor's coefficients gathered for ``product``."""
+        return b[self.slots[1] if slots else self.pairs[1]]
+
+    def product(self, a, b_rows, slots: bool):
+        """Coefficients of a * b, given rows(b, slots)."""
+        if not slots:
+            ia, _, starts = self.pairs
+            return np.add.reduceat(a[ia] * b_rows, starts, axis=0)
+        sa, _, pad, n_slots = self.slots
+        p = a[sa]
+        p *= b_rows
+        p[pad] = -0.0
+        p = p.reshape((n_slots, self.size) + a.shape[1:])
+        if n_slots == 1:
+            return p[0]
+        tail = p[1]
+        for j in range(2, n_slots):
+            tail += p[j]
+        return p[0] + tail
 
 
 @lru_cache(maxsize=None)
@@ -196,9 +263,9 @@ class MultiJet:
         o = self._coerce(other)
         if o is None:
             return MultiJet(self.space, self.coef * other)
-        ia, ib, starts = _mul_table(self.space.nvars, self.space.order)
-        prod = self.coef[ia] * o.coef[ib]
-        return MultiJet(self.space, np.add.reduceat(prod, starts, axis=0))
+        space, a, b = self.space, self.coef, o.coef
+        slots = space.use_slots(a, b)
+        return MultiJet(space, space.product(a, space.rows(b, slots), slots))
 
     __rmul__ = __mul__
 
@@ -238,15 +305,20 @@ class MultiJet:
     # -- analytic composition ------------------------------------------
     def apply_analytic(self, derivs):
         """Compose with a univariate function given f^(k)(c0), k = 0..order."""
-        order = self.space.order
-        du = MultiJet(self.space, self.coef.copy())
-        du.coef[0] = np.zeros_like(du.coef[0])
-        ck = [derivs[k] / math.factorial(k) for k in range(min(len(derivs), order + 1))]
-        result = MultiJet.constant(self.space, 0.0, self.batch_shape)
-        result = result + ck[-1]
+        space = self.space
+        ck = [derivs[k] / space.factorials[k]
+              for k in range(min(len(derivs), space.order + 1))]
+        du = self.coef.copy()
+        du[0] = 0.0
+        # Horner in du from 0.0 + c_n; du's rows are gathered once
+        coef = np.zeros((space.size,) + self.batch_shape)
+        coef[0] = 0.0 + ck[-1]
+        slots = space.use_slots(coef, du)
+        du_rows = space.rows(du, slots)
         for k in range(len(ck) - 2, -1, -1):
-            result = result * du + ck[k]
-        return result
+            coef = space.product(coef, du_rows, slots)
+            coef[0] += ck[k]
+        return MultiJet(space, coef)
 
     def reciprocal(self):
         u0 = np.asarray(self.coef[0])
@@ -407,7 +479,8 @@ def _entire_apply(x, coef_fn, n_extra=40):
     # derivs[d] = sum_{k>=d} c_k k!/(k-d)! t0^(k-d), highest power first
     derivs = np.zeros((order + 1,) + t0.shape)
     for row in tab[::-1]:
-        derivs = derivs * t0 + row
+        derivs *= t0
+        derivs += row
     return x.apply_analytic(derivs)
 
 

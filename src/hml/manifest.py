@@ -69,7 +69,7 @@ _POSITIVE = Key(lambda v: _is_real(v) and v > 0, "a finite real > 0")
 
 METRIC_KEYS = {
     "family": Key(lambda v: isinstance(v, str), "a string", required=True),
-    "dim": _count(1), "cdim": _count(1), "n": _count(1),
+    "dim": _count(2), "cdim": _count(1), "n": _count(1),
     "a": Key(_is_real, "a finite real"), "b": Key(_is_real, "a finite real"),
     "deform": _OBJECT,
 }

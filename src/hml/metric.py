@@ -105,20 +105,17 @@ class ChartMetric:
     def derivative_arrays(self, x, order: int):
         """[g, dg, d2g, ...]: dg[..., i, j, p] = d_p g_ij and so on."""
         batch, m = np.shape(x)[:-1], self.dim
-        coefs = [c.coef.reshape(len(c.coef), -1)          # (size, points)
-                 for c in self.component_jets(self._as_point(x), order).flat]
-        n, block = coefs[0].shape[1], 128
-        out = [np.empty((n, m * m, m ** d)) for d in range(order + 1)]
-        # Blocks of points keep every temporary near 256 kB at m = 4: a
-        # call-sized temporary faults in ~1,000 fresh pages at B = 1024.
-        for lo in range(0, n, block):
-            coef = np.stack([c[:, lo:lo + block] for c in coefs])
-            for d, da in enumerate(out):
-                flat_pos, fact = _extraction_table(m, order, d)
-                g = np.take(coef, flat_pos, axis=1)  # (m*m, m**d, block)
-                g *= fact[:, None]
-                da[lo:lo + block] = g.transpose(2, 0, 1)
-        return [da.reshape(batch + (m, m) + (m,) * d) for d, da in enumerate(out)]
+        comps = self.component_jets(self._as_point(x), order).flat
+        coef = np.stack([c.coef.reshape(len(c.coef), -1) for c in comps])
+        out = []
+        for d in range(order + 1):
+            flat_pos, fact = _extraction_table(m, order, d)
+            g = np.take(coef, flat_pos, axis=1)    # (m*m, m**d, points)
+            g *= fact[:, None]
+            # C order: the matmuls downstream pick their kernel by layout
+            g = g.transpose(2, 0, 1).copy()
+            out.append(g.reshape(batch + (m, m) + (m,) * d))
+        return out
 
     def check_positive_definite(self, x):
         g = self.value(x)

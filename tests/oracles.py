@@ -208,6 +208,35 @@ def literal_derivative_arrays(metric, x, order):
     return out
 
 
+def literal_jet_product(space, a, b):
+    """Coefficients of a * b: one np.add.reduceat over the pairs of indices.
+
+    The pairs (out, left, right) with out = left + right are summed in
+    sorted order, each output's segment starting from its first pair.
+    """
+    idx, pos = space.index_list, space.index_of
+    pairs = sorted((pos[tuple(x + y for x, y in zip(al, be))], i, j)
+                   for i, al in enumerate(idx) for j, be in enumerate(idx)
+                   if sum(al) + sum(be) <= space.order)
+    out, ia, ib = (np.array(col) for col in zip(*pairs))
+    starts = np.searchsorted(out, np.arange(len(idx)))
+    return np.add.reduceat(a[ia] * b[ib], starts, axis=0)
+
+
+def literal_apply_analytic(x, derivs):
+    """Composition by a Horner loop written in jet ring operations."""
+    from hml.jets import MultiJet
+    order = x.space.order
+    du = MultiJet(x.space, x.coef.copy())
+    du.coef[0] = 0.0
+    ck = [derivs[k] / math.factorial(k)
+          for k in range(min(len(derivs), order + 1))]
+    result = MultiJet.constant(x.space, 0.0, x.batch_shape) + ck[-1]
+    for k in range(len(ck) - 2, -1, -1):
+        result = result * du + ck[k]
+    return result
+
+
 def literal_entire_apply(x, coef_fn, n_extra=40):
     """Entire function of a jet: one scalar Horner loop per derivative order."""
     order = x.space.order if hasattr(x, "space") else x.order

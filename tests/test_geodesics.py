@@ -81,7 +81,28 @@ def test_domain_exit_reports_radius():
         name="ball")
     with pytest.raises(DomainExitError) as exc:
         shoot(small, np.zeros(3), [1.0, 0, 0], 1.0, FAST)
-    assert 0.3 < exc.value.last_r < 0.55
+    # the k4 stage of the step from r = 149 h reaches |x| = 0.5
+    assert exc.value.last_r == 0.4966666666666667
+
+
+@pytest.mark.parametrize("radii,steps,bound,last_r", [
+    ([0.3], 5, 0.036, 0.0),                           # inside a segment
+    ([0.28, 0.56], 6, 0.168, 0.18666666666666668),    # at a segment's end
+], ids=["mid_segment", "segment_end"])
+def test_domain_exit_on_a_step_end_point(radii, steps, bound, last_r):
+    # Flat R^3 along v = (0.6, 0.8, 0): at these step sizes the RK4 update
+    # x + (h/6)(v + 2v + 2v + v) lands one ulp past the k4 stage x + h v, so
+    # in the slab x0 < nextafter(bound) only a step's end point leaves it;
+    # the radius reported is the one that step started from
+    slab = ChartMetric(
+        dim=3, components=lambda xj: [[1.0 if i == j else 0.0
+                                       for j in range(3)] for i in range(3)],
+        domain=lambda x: np.asarray(x)[..., 0] < np.nextafter(bound, 1.0),
+        name="slab")
+    with pytest.raises(DomainExitError) as exc:
+        density_profile(slab, np.zeros(3), np.array([[0.6, 0.8, 0.0]]), radii,
+                        ShootConfig(steps=steps))
+    assert exc.value.last_r == last_r
 
 
 def test_conjugate_point_flagged_odd_parity(sphere4):
@@ -135,19 +156,23 @@ def test_profile_deformed_sphere_off_pole_not_radial(deformed_sphere4):
                                     ("deformed_sphere4", [0.0, 0.3, 0, 0])],
                          ids=["fs2", "deformed_sphere4"])
 def test_batch_invariance_fixed_step(name, P, request):
-    # a direction shot alone and inside a batch of 40 gives bit-identical
-    # Theta and Xi on the fixed-step RK4 path
+    # a direction shot alone and inside a batch gives bit-identical Theta
+    # and Xi on the fixed-step RK4 path; 1024 directions take the blocked
+    # RHS and the slot-sum jet products
     entry = request.getfixturevalue(name)
     metric = getattr(entry, "metric", entry)
     P = np.asarray(P)
     radii = [0.4, 0.8]
-    dirs = g_unit_directions(metric, P, 40)
-    batch = density_profile(metric, P, dirs, radii, ShootConfig(steps=60))
-    for i in (0, 7, 39):
-        alone = density_profile(metric, P, dirs[i:i + 1], radii,
-                                ShootConfig(steps=60))
-        assert np.array_equal(alone.theta[:, 0], batch.theta[:, i])
-        assert np.array_equal(alone.xi[:, 0], batch.xi[:, i])
+    for n_dirs, steps, picks in ((40, 60, (0, 7, 39)),
+                                 (1024, 4, (0, 511, 512, 1023))):
+        dirs = g_unit_directions(metric, P, n_dirs)
+        batch = density_profile(metric, P, dirs, radii,
+                                ShootConfig(steps=steps))
+        for i in picks:
+            alone = density_profile(metric, P, dirs[i:i + 1], radii,
+                                    ShootConfig(steps=steps))
+            assert np.array_equal(alone.theta[:, 0], batch.theta[:, i])
+            assert np.array_equal(alone.xi[:, 0], batch.xi[:, i])
 
 
 @pytest.mark.parametrize("B", [1, 16, 1024])
@@ -166,6 +191,25 @@ def test_staged_rhs_matches_literal_einsum(fs2, B):
     got = reduced_jacobi(R, v, E)
     want = oracles.literal_reduced_jacobi(R, v, E)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["fs2", "deformed_sphere4"])
+def test_blocked_rhs_matches_each_point(name, request):
+    # 1000 points: a full RHS block and a partial one; every output row is
+    # bit-identical to the RHS of that point alone
+    entry = request.getfixturevalue(name)
+    metric = getattr(entry, "metric", entry)
+    P = np.zeros(4)
+    x, v, E, A, Ad = _initial_state(metric, P,
+                                    g_unit_directions(metric, P, 1000))
+    rng = np.random.default_rng(1000)
+    state = (x + rng.uniform(-0.3, 0.3, x.shape), v, E,
+             rng.standard_normal(A.shape), Ad)
+    got = _rhs(metric, state)
+    for i in range(1000):
+        alone = _rhs(metric, tuple(y[i:i + 1] for y in state))
+        for g, a in zip(got, alone):
+            assert g[i:i + 1].tobytes() == a.tobytes()
 
 
 def test_density_oracle_normal_coordinates(rng):

@@ -195,6 +195,53 @@ def test_entire_apply_reuses_one_table(monkeypatch):
     assert jets._taylor_columns.cache_info().currsize == columns
 
 
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.7e308,
+                     np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_product_matches_literal_reduceat(nvars, order):
+    """Both product routes give reduceat's bits, signed zeros and inf too."""
+    space = jet_space(nvars, order)
+    rng = np.random.default_rng(10 * nvars + order)
+    routes = set()
+    for B in (None, 1, 16, 32, 64, 128, 256, 1024):
+        shape = (space.size,) if B is None else (space.size, B)
+        a, b = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+                for _ in range(2))
+        for arr in (a, b):
+            hit = rng.random(shape) < 0.15
+            arr[hit] = rng.choice(_SPECIAL, hit.sum())
+        routes.add(space.use_slots(a, b))
+        with np.errstate(all="ignore"):
+            got = (jets.MultiJet(space, a) * jets.MultiJet(space, b)).coef
+            want = oracles.literal_jet_product(space, a, b)
+        assert got.tobytes() == want.tobytes()
+    assert routes == {False, True}        # both routes ran
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_apply_analytic_matches_literal_horner(order, monkeypatch):
+    cases = [seed_point(np.array([0.3, -0.2, 0.1]), order)]
+    cases += [seed_point(np.linspace(-0.3, 0.4, 3 * B).reshape(B, 3), order)
+              for B in (1, 16, 256)]
+    refs = []
+    for xj in cases:
+        t = jets.norm_sq(xj) + 0.5 * xj[1] + 0.7
+        derivs = [np.cos(t.value + k) for k in range(order + 1)]
+        # a top derivative of -0.0: the Horner loop starts from 0.0 + c_n
+        for ds in (derivs, derivs[:-1] + [-0.0 * t.value]):
+            refs.append((t, ds, oracles.literal_apply_analytic(t, ds)))
+
+    def no_factorial(k):
+        raise AssertionError("factorial called per composition")
+
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    for t, derivs, ref in refs:
+        assert t.apply_analytic(derivs).coef.tobytes() == ref.coef.tobytes()
+
+
 def test_scalar_fallbacks():
     assert jets.sqrt(4.0) == 2.0
     assert jets.sin(np.array([0.0, math.pi / 2])) == pytest.approx([0.0, 1.0])
