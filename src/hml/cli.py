@@ -284,6 +284,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    parser = _ArgumentParser(
+        prog="hml",
+        description="Centrally harmonic metric analyses from JSON manifests")
+    parser.add_argument("--manifest", required=True, help="path to manifest JSON")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="override analysis.tolerance")
+    parser.add_argument("--directions", type=int, default=None,
+                        help="override analysis.directions")
+    parser.add_argument("--radii", default=None,
+                        help="comma-separated radii overriding analysis.radii")
     # numpy's RuntimeWarnings (overflow, invalid value) go to the hml log
     # below WARNING, so stderr carries only the one error line
     with warnings.catch_warnings():
@@ -296,38 +307,23 @@ def main(argv=None) -> int:
             else:
                 show(message, category, filename, lineno, *args, **kwargs)
         warnings.showwarning = route
-        return _run(argv)
-
-
-def _run(argv) -> int:
-    parser = _ArgumentParser(
-        prog="hml",
-        description="Centrally harmonic metric analyses from JSON manifests")
-    parser.add_argument("--manifest", required=True, help="path to manifest JSON")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override analysis.tolerance")
-    parser.add_argument("--directions", type=int, default=None,
-                        help="override analysis.directions")
-    parser.add_argument("--radii", default=None,
-                        help="comma-separated radii overriding analysis.radii")
-    try:
-        args = parser.parse_args(argv)
-        mf = manifest_mod.load(args.manifest)
-        ana = dict(mf.analysis)
-        if args.tol is not None:
-            ana["tolerance"] = args.tol
-        if args.directions is not None:
-            ana["directions"] = args.directions
-        if args.radii is not None:
-            ana["radii"] = [float(r) for r in args.radii.split(",") if r]
-        manifest_mod.validate({"metric": mf.metric_spec, "analysis": ana})
-        built = manifest_mod.build_metric(mf.metric_spec)
-        os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[ana["command"]](built, ana, args.out)
-    except (ManifestError, DomainError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        try:
+            args = parser.parse_args(argv)
+            mf = manifest_mod.load(args.manifest)
+            ana = dict(mf.analysis)
+            if args.tol is not None:
+                ana["tolerance"] = args.tol
+            if args.directions is not None:
+                ana["directions"] = args.directions
+            if args.radii is not None:
+                ana["radii"] = [float(r) for r in args.radii.split(",") if r]
+            manifest_mod.validate({"metric": mf.metric_spec, "analysis": ana})
+            built = manifest_mod.build_metric(mf.metric_spec)
+            os.makedirs(args.out, exist_ok=True)
+            return _COMMANDS[ana["command"]](built, ana, args.out)
+        except (ManifestError, DomainError, ValueError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -25,11 +25,8 @@ from .conventions import MAX_JET_ORDER
 
 # A product sums slot rows instead of calling np.add.reduceat from
 # SLOT_MIN_BATCH points on (slot sums lose at 16 points and win from 32, for
-# order-2 and order-3 jets in 4 variables), while its slot array holds at
-# most SLOT_MAX_ITEMS floats (256 kB): larger ones faulted in fresh pages on
-# every call and lost to reduceat (order 2 at 1024 points, order 3 at 256).
+# order-2 and order-3 jets in 4 variables).
 SLOT_MIN_BATCH = 32
-SLOT_MAX_ITEMS = 32768
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +70,10 @@ def _mul_table(nvars: int, order: int):
 
 
 # np.add.reduceat sums a segment of n <= 8 pairs as P0 + (((P1 + P2) + P3)
-# + ...): longer remainders go to numpy's 8-accumulator pairwise sum.
+# + ...), the remainder from a -0.0 start: longer remainders go to numpy's
+# 8-accumulator pairwise sum.  Checked on numpy 2.4 (the floor in
+# pyproject.toml); test_product_matches_literal_reduceat fails on a numpy
+# that sums otherwise.
 _SLOT_MAX = 8
 
 
@@ -152,12 +152,11 @@ class JetSpace:
 
     # -- products of coefficient arrays --------------------------------
     # Two routes give the same bits: reduceat over the pair list, or (for
-    # the mid-sized batches where it is faster) one elementwise add per
-    # slot row in reduceat's summation order.
+    # batches of SLOT_MIN_BATCH points and more, where it is faster) one
+    # elementwise add per slot row in reduceat's summation order.
     def use_slots(self, a, b) -> bool:
         return (self.slots is not None and a.ndim > 1 and a.shape == b.shape
                 and SLOT_MIN_BATCH * self.size <= a.size
-                and a.size * self.slots[3] <= SLOT_MAX_ITEMS
                 and a.dtype == b.dtype == np.float64)
 
     def rows(self, b, slots: bool):
