@@ -209,13 +209,15 @@ def deform_metric(metric: ChartMetric, psi: RadialFunction) -> ChartMetric:
     m = metric.dim
 
     def components(xjets):
-        base = base_components(xjets)
+        base = [list(row) for row in base_components(xjets)]
         Psi = psi.compose_jet(rsq(xjets))
         w = Psi.reciprocal() ** 2
         comps = [[None] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
                 comps[i][j] = comps[j][i] = w * base[i][j]
+                # drop each base jet once used, to lower a batch's peak memory
+                base[i][j] = base[j][i] = None
         return comps
 
     base_domain = metric.domain

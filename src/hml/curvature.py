@@ -9,47 +9,75 @@ bundles with iterated covariant derivatives of R.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
 from .jets import MultiJet
 from .metric import (ChartMetric, DegenerateMetricError, OrderExceededError,
-                     ScalarField)
+                     ScalarField, Workspace)
 
 
 # ---------------------------------------------------------------------------
 # fast batched arrays: g, ginv, Gamma, R (order-2 jets)
 # ---------------------------------------------------------------------------
 
-def curvature_arrays(metric: ChartMetric, x):
+def curvature_arrays(metric: ChartMetric, x, ws: Optional[Workspace] = None):
     """(g, ginv, Gamma, R) at x; x may be (m,) or batched (..., m).
 
     Gamma[..., i, j, k] = Gamma_ij^k and R[..., i, j, k, l] is the lowered
     curvature tensor in the package sign convention.  Contractions are fixed
     two-operand matmuls; R is built from Christoffels of the first kind.
+    The large arrays are written into ``ws`` (a fresh workspace by default),
+    so a caller that passes its own reuses their pages from call to call.
     """
-    g, dg, d2g = metric.derivative_arrays(x, 2)
+    ws = Workspace() if ws is None else ws
+    g, dg, d2g = metric.derivative_arrays(x, 2, ws)
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(
             f"degenerate metric {metric.name} at {x}") from exc
     batch, m = g.shape[:-2], g.shape[-1]
+    # h and U take derivative_arrays' scratch buffers, free once it returns
     # first kind: h[i, j, l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
-    h = 0.5 * (np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -1, -2) - dg)
+    h = ws.array("coef", batch + (m, m, m))
+    np.add(np.moveaxis(dg, -1, -3), np.swapaxes(dg, -1, -2), out=h)
+    np.subtract(h, dg, out=h)
+    np.multiply(0.5, h, out=h)
     h = h.reshape(batch + (m * m, m))
     # Gamma_ij^k = g^{kl} h_ijl
-    Gamma = (h @ np.swapaxes(ginv, -1, -2)).reshape(batch + (m, m, m))
+    Gamma = np.matmul(h, np.swapaxes(ginv, -1, -2),
+                      out=ws.array("Gamma", batch + (m * m, m)))
     # R_ijkl = S_ijkl - S_jikl with
     # S_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk) - Gamma_jk^n h_iln,
     # assembled as U[j, k, i, l] = S_ijkl
-    U = (Gamma.reshape(batch + (m * m, m)) @ np.swapaxes(h, -1, -2)
-         ).reshape(batch + (m,) * 4)
-    np.subtract(0.5 * (np.swapaxes(d2g, -3, -1) - d2g), U, out=U)
-    S = np.moveaxis(U, -2, -4)
-    R = np.subtract(S, np.swapaxes(S, -4, -3), out=np.empty_like(d2g))
-    return g, ginv, Gamma, R
+    U = np.matmul(Gamma, np.swapaxes(h, -1, -2),
+                  out=ws.array("gather", batch + (m * m, m * m)))
+    # The index swaps are gathers along the flat m^4 axis: elementwise ops
+    # over the permuted views ran inner loops of length m.  R's buffer holds
+    # the second-derivative term until R is formed, d2g's holds S.
+    swap, to_s = _flat_perms(m)
+    d2f, Uf = d2g.reshape(-1, m ** 4), U.reshape(-1, m ** 4)
+    R = ws.array("R", batch + (m,) * 4)
+    Rf = R.reshape(-1, m ** 4)
+    np.take(d2f, swap, axis=1, mode="clip", out=Rf)
+    np.subtract(Rf, d2f, out=Rf)
+    np.multiply(0.5, Rf, out=Rf)
+    np.subtract(Rf, Uf, out=Uf)
+    S = np.take(Uf, to_s, axis=1, mode="clip", out=d2f).reshape(R.shape)
+    np.subtract(S, np.swapaxes(S, -4, -3), out=R)
+    return g, ginv, Gamma.reshape(batch + (m, m, m)), R
+
+
+@lru_cache(maxsize=None)
+def _flat_perms(m: int):
+    """Flat m^4 positions of swapaxes(T, -3, -1) and of moveaxis(T, -2, -4)."""
+    idx = np.arange(m ** 4).reshape((m,) * 4)
+    return (np.swapaxes(idx, -3, -1).ravel(),
+            np.moveaxis(idx, -2, -4).ravel())
 
 
 def jacobi_form(R, v):

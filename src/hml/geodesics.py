@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from scipy.special import ndtri
 
 from .curvature import (curvature, curvature_arrays, einstein_defect,
                          reduced_jacobi)
-from .metric import ChartMetric, DomainError
+from .metric import ChartMetric, DomainError, Workspace
 
 
 class DomainExitError(DomainError):
@@ -103,23 +104,24 @@ class ShootConfig:
 
 # Points per RHS block.  Every operation of the RHS is per point, so blocks
 # give the same bits.  At m = 4 a block of 512 holds d2g, U and R at 1 MB
-# each (2 MB in one call at B = 1024), so peak memory drops; blocks of 256
-# cut it further but pay the per-call overhead twice as often.
+# each, in buffers of the shot's workspace that every block and RK4 stage
+# reuses; blocks of 256 halve them but pay the per-call overhead twice as
+# often.
 RHS_BLOCK = 512
 
 
-def _rhs(metric: ChartMetric, state):
+def _rhs(metric: ChartMetric, state, ws: Optional[Workspace] = None):
     n = len(state[0])
     if n <= RHS_BLOCK:
-        return _rhs_block(metric, state)
-    parts = [_rhs_block(metric, tuple(y[lo:lo + RHS_BLOCK] for y in state))
+        return _rhs_block(metric, state, ws)
+    parts = [_rhs_block(metric, tuple(y[lo:lo + RHS_BLOCK] for y in state), ws)
              for lo in range(0, n, RHS_BLOCK)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _rhs_block(metric: ChartMetric, state):
+def _rhs_block(metric: ChartMetric, state, ws):
     x, v, E, A, Ad = state
-    _, _, Gamma, R = curvature_arrays(metric, x)
+    _, _, Gamma, R = curvature_arrays(metric, x, ws)
     B, m = v.shape[:-1], v.shape[-1]
     # Gv[j, k] = Gamma_ij^k v^i, shared by the geodesic and the frame
     Gv = (v[..., None, :] @ Gamma.reshape(B + (m, m * m))).reshape(B + (m, m))
@@ -148,7 +150,7 @@ class _ConjugateTracker:
         self.max_det = np.maximum(self.max_det, det)
 
 
-def _rk4_segment(metric, state, length, nsteps, r_start, tracker):
+def _rk4_segment(metric, state, length, nsteps, r_start, tracker, ws):
     """RK4 over one segment; the RHS checks the domain at every stage point.
 
     The point a step ends on is checked by the next step's k1, which then
@@ -156,15 +158,16 @@ def _rk4_segment(metric, state, length, nsteps, r_start, tracker):
     checked here, since the caller records it.
     """
     h = length / nsteps
+    rhs = partial(_rhs, metric, ws=ws)
     for i in range(nsteps):
         try:
-            k1 = _rhs(metric, state)
+            k1 = rhs(state)
         except DomainError as exc:
             raise DomainExitError(r_start + max(i - 1, 0) * h) from exc
         try:
-            k2 = _rhs(metric, tuple(y + 0.5 * h * k for y, k in zip(state, k1)))
-            k3 = _rhs(metric, tuple(y + 0.5 * h * k for y, k in zip(state, k2)))
-            k4 = _rhs(metric, tuple(y + h * k for y, k in zip(state, k3)))
+            k2 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k1)))
+            k3 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k2)))
+            k4 = rhs(tuple(y + h * k for y, k in zip(state, k3)))
         except DomainError as exc:
             raise DomainExitError(r_start + i * h) from exc
         state = tuple(y + (h / 6.0) * (a + 2 * b + 2 * c + d)
@@ -194,12 +197,13 @@ def _integrate_recording(metric, P, thetas, radii, cfg: ShootConfig):
         raise ValueError("record radii must be positive and increasing")
     state = _initial_state(metric, P, thetas)
     tracker = _ConjugateTracker(state[0].shape[0])
+    ws = Workspace()        # the shot's RHS buffers, reused by every stage
     total = radii[-1]
     r_prev = 0.0
     for r in radii:
         seg = r - r_prev
         n = max(1, int(round(cfg.steps * seg / total)))
-        state = _rk4_segment(metric, state, seg, n, r_prev, tracker)
+        state = _rk4_segment(metric, state, seg, n, r_prev, tracker, ws)
         r_prev = r
         yield r, state, tracker.latched.copy()
 
@@ -391,6 +395,10 @@ def centrally_harmonic_test(metric: ChartMetric, P,
     the tolerance at every probed radius.  Radii that leave the chart or
     cross a conjugate point make the result inconclusive rather than false.
     """
+    if config.n_directions < 2:
+        # one direction has no spread to measure: it would read as radial
+        raise ValueError(f"the harmonicity test needs at least 2 directions, "
+                         f"got {config.n_directions}")
     P = np.asarray(P, dtype=float)
     radii = config.radii
     if radii is None:

@@ -93,7 +93,7 @@ ANALYSIS_KEYS = {
                        CURVATURE, CHECK_HARMONIC, EXPAND),
     "radii": _read_by(_list_of(lambda r: _is_real(r) and r > 0,
                                "finite reals > 0"), CHECK_HARMONIC, DEFORM),
-    "directions": _read_by(_count(1), CHECK_HARMONIC),
+    "directions": _read_by(_count(2), CHECK_HARMONIC),
     "tolerance": _read_by(_POSITIVE, CHECK_HARMONIC),
     "steps": _read_by(_count(1), CHECK_HARMONIC, EXPAND, DEFORM),
     "k_max": _read_by(_count(0, default=0), CURVATURE),

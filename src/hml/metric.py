@@ -8,6 +8,7 @@ Charts are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,6 +28,35 @@ class DegenerateMetricError(ValueError):
 
 class OrderExceededError(ValueError):
     """Requested derivative order exceeds what the metric provides."""
+
+
+class Workspace:
+    """Float buffers that one caller reuses across calls, one per name.
+
+    ``array(name, shape)`` returns a C-contiguous view of the name's flat
+    buffer, grown when a call needs more, so repeated batched evaluations
+    (the RK4 stages and RHS blocks of one shot) write their large
+    temporaries into the same pages instead of allocating and freeing them
+    each time.  An array from a workspace is valid until the next request
+    for the same name; callers that keep results use a fresh workspace.
+    """
+
+    __slots__ = ("_flat", "_view")
+
+    def __init__(self):
+        self._flat = {}
+        self._view = {}     # the last view handed out per name
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        view = self._view.get(name)
+        if view is not None and view.shape == shape:
+            return view
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        view = self._view[name] = flat[:size].reshape(shape)
+        return view
 
 
 @dataclass(frozen=True)
@@ -102,19 +132,34 @@ class ChartMetric:
         g = np.stack([c.value for c in comps.flat], axis=-1)
         return g.reshape(np.shape(x)[:-1] + (self.dim, self.dim))
 
-    def derivative_arrays(self, x, order: int):
-        """[g, dg, d2g, ...]: dg[..., i, j, p] = d_p g_ij and so on."""
+    def derivative_arrays(self, x, order: int, ws: Optional[Workspace] = None):
+        """[g, dg, d2g, ...]: dg[..., i, j, p] = d_p g_ij and so on.
+
+        The arrays are written into ``ws`` (a fresh workspace by default):
+        order d under the name ``"d<d>"``, with ``"coef"`` and ``"gather"``
+        as scratch that is free again once this returns.
+        """
+        ws = Workspace() if ws is None else ws
         batch, m = np.shape(x)[:-1], self.dim
         comps = self.component_jets(self._as_point(x), order).flat
-        coef = np.stack([c.coef.reshape(len(c.coef), -1) for c in comps])
+        n, size = math.prod(batch), jet_space(m, order).size
+        # one concatenate: np.stack costs ~1 us per component at one point
+        coef = ws.array("coef", (m * m * size, n))
+        np.concatenate([c.coef.reshape(size, n) for c in comps], out=coef)
+        coef = coef.reshape(m * m, size, n)
         out = []
         for d in range(order + 1):
             flat_pos, fact = _extraction_table(m, order, d)
-            g = np.take(coef, flat_pos, axis=1)    # (m*m, m**d, points)
+            # mode="clip" (every index is in range) lets take write to out
+            # directly; the default mode buffers it through a temporary
+            g = np.take(coef, flat_pos, axis=1, mode="clip",
+                        out=ws.array("gather", (m * m, m ** d, n)))
             g *= fact[:, None]
-            # C order: the matmuls downstream pick their kernel by layout
-            g = g.transpose(2, 0, 1).copy()
-            out.append(g.reshape(batch + (m, m) + (m,) * d))
+            # batch first in C order: the matmuls downstream pick their
+            # kernel by layout
+            gd = ws.array(f"d{d}", (n, m * m, m ** d))
+            np.copyto(gd, g.transpose(2, 0, 1))
+            out.append(gd.reshape(batch + (m, m) + (m,) * d))
         return out
 
     def check_positive_definite(self, x):

@@ -305,8 +305,8 @@ def test_integer_tolerance_reports_as_float(tmp_path):
 
 
 @pytest.mark.parametrize("directions,flag", [(0, None), (-1, None),
-                                             (2.5, None), ("8", None),
-                                             (4, "0")])
+                                             (1, None), (2.5, None),
+                                             ("8", None), (4, "0"), (4, "1")])
 def test_bad_directions_exit_3(tmp_path, capsys, directions, flag):
     doc = {"metric": {"family": "euclidean", "dim": 3},
            "analysis": {"command": "check_harmonic", "directions": directions,
@@ -317,7 +317,7 @@ def test_bad_directions_exit_3(tmp_path, capsys, directions, flag):
     assert run_cli(args) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "analysis.directions must be an integer >= 1" in err
+    assert "analysis.directions must be an integer >= 2" in err
 
 
 @pytest.mark.parametrize("steps", [0, -5, 2.5, "800", True])
@@ -547,7 +547,7 @@ _FUZZ_CASES = [
     (("analysis",), "center", _not_list_of(_REAL, _NOT_REAL)),
     (("analysis",), "radii",
      _not_list_of(st.floats(min_value=0.1, max_value=0.2), _NOT_POSITIVE)),
-    (("analysis",), "directions", _not_count(1)),
+    (("analysis",), "directions", _not_count(2)),
     (("analysis",), "tolerance", _NOT_POSITIVE),
     (("analysis",), "steps", _not_count(1)),
     (("analysis",), "k_max", _not_count(0)),
@@ -562,8 +562,8 @@ _FUZZ_FLAGS = [
         st.floats(max_value=0.0).map(repr), st.sampled_from(["nan", "inf"]),
         _not_parsed(float, lambda x: x > 0 and x < math.inf))),
     (None, "--directions", st.one_of(
-        st.integers(max_value=0).map(str), st.floats().map(repr),
-        _not_parsed(int, lambda n: n >= 1))),
+        st.integers(max_value=1).map(str), st.floats().map(repr),
+        _not_parsed(int, lambda n: n >= 2))),
     (None, "--radii", st.one_of(
         st.lists(st.floats(max_value=0.0).map(repr), min_size=1,
                  max_size=3).map(",".join),
@@ -635,7 +635,7 @@ def _small_budget(dim: int) -> dict:
     return {
         "center": st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim),
         "radii": st.lists(st.floats(0.05, 1.5), min_size=1, max_size=2),
-        "directions": st.integers(1, 3),
+        "directions": st.integers(2, 3),
         "tolerance": st.floats(1e-9, 1e-2),
         "steps": st.integers(1, 30),
         "k_max": st.integers(0, 1),

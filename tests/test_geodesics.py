@@ -1,6 +1,7 @@
 """Geodesic + Jacobi integration: densities, radiality, shapes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hml.geodesics import (ConjugatePointError, DomainExitError,
                            parallel_frame_start, radial_harmonic,
                            reduced_jacobi_at, second_fundamental_form, shoot,
                            unit_directions)
-from hml.metric import ChartMetric, ScalarField
+from hml.metric import ChartMetric, ScalarField, Workspace
 
 import oracles
 
@@ -175,15 +176,19 @@ def test_batch_invariance_fixed_step(name, P, request):
             assert np.array_equal(alone.xi[:, 0], batch.xi[:, i])
 
 
+def _live_state(metric, B, seed):
+    """B directions off the center, with a generic A: every RHS term is live."""
+    P = np.zeros(metric.dim)
+    x, v, E, A, Ad = _initial_state(metric, P, g_unit_directions(metric, P, B))
+    rng = np.random.default_rng(seed)
+    return (x + rng.uniform(-0.3, 0.3, x.shape), v, E,
+            rng.standard_normal(A.shape), Ad)
+
+
 @pytest.mark.parametrize("B", [1, 16, 1024])
 def test_staged_rhs_matches_literal_einsum(fs2, B):
-    P = np.zeros(4)
-    x, v, E, A, Ad = _initial_state(fs2.metric, P,
-                                    g_unit_directions(fs2.metric, P, B))
-    rng = np.random.default_rng(B)
-    # off the center, with a generic A, so every term of the RHS is live
-    state = (x + rng.uniform(-0.3, 0.3, x.shape), v, E,
-             rng.standard_normal(A.shape), Ad)
+    state = _live_state(fs2.metric, B, B)
+    _, v, E, _, _ = state
     for got, want in zip(_rhs(fs2.metric, state),
                          oracles.literal_rhs(fs2.metric, state)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -199,17 +204,63 @@ def test_blocked_rhs_matches_each_point(name, request):
     # bit-identical to the RHS of that point alone
     entry = request.getfixturevalue(name)
     metric = getattr(entry, "metric", entry)
-    P = np.zeros(4)
-    x, v, E, A, Ad = _initial_state(metric, P,
-                                    g_unit_directions(metric, P, 1000))
-    rng = np.random.default_rng(1000)
-    state = (x + rng.uniform(-0.3, 0.3, x.shape), v, E,
-             rng.standard_normal(A.shape), Ad)
+    state = _live_state(metric, 1000, 1000)
     got = _rhs(metric, state)
     for i in range(1000):
         alone = _rhs(metric, tuple(y[i:i + 1] for y in state))
         for g, a in zip(got, alone):
             assert g[i:i + 1].tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fs2", "deformed_sphere4"])
+def test_rhs_workspace_reuse_matches_fresh_calls(name, request):
+    # one workspace through a full block, a partial one, then one point and
+    # a full batch again: every output matches a call with its own buffers
+    entry = request.getfixturevalue(name)
+    metric = getattr(entry, "metric", entry)
+    ws = Workspace()
+    for B, seed in [(1000, 1), (1, 2), (1000, 3), (16, 4)]:
+        state = _live_state(metric, B, seed)
+        for got, want in zip(_rhs(metric, state, ws), _rhs(metric, state)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (16,), (600,)])
+def test_public_arrays_survive_later_calls(deformed_sphere4, shape):
+    # the public entry points hand out arrays no later call writes into
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-0.3, 0.3, (2,) + shape + (4,))
+    first = [*curvature_arrays(deformed_sphere4, x),
+             *deformed_sphere4.derivative_arrays(x, 2)]
+    kept = [a.tobytes() for a in first]
+    curvature_arrays(deformed_sphere4, y)
+    deformed_sphere4.derivative_arrays(y, 2)
+    curvature_arrays(deformed_sphere4, y, Workspace())
+    assert [a.tobytes() for a in first] == kept
+
+
+@pytest.mark.parametrize("name", ["fs2", "deformed_sphere4"])
+def test_rhs_allocation_budget(name, request):
+    # a warm workspace leaves a B = 1024 RHS call only small temporaries:
+    # jets, per-block outputs and the concatenated result (the large arrays
+    # alone come to about 4 MiB when allocated per call)
+    entry = request.getfixturevalue(name)
+    metric = getattr(entry, "metric", entry)
+    state = _live_state(metric, 1024, 11)
+    ws = Workspace()
+    _rhs(metric, state, ws)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        _rhs(metric, state, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - start <= 2.0 * 2 ** 20
 
 
 def test_density_oracle_normal_coordinates(rng):
@@ -280,6 +331,15 @@ def test_not_harmonic_deformed_sphere_off_pole(deformed_sphere4):
         HarmonicityConfig(n_directions=10, n_radii=4, shoot=FAST))
     assert not rep.verdict and not rep.inconclusive
     assert rep.theta_spread_max > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_harmonicity_refuses_fewer_than_two_directions(deformed_sphere4, n):
+    # the spread over one direction is 0 whatever the metric: a false verdict
+    with pytest.raises(ValueError, match="at least 2 directions"):
+        centrally_harmonic_test(
+            deformed_sphere4, np.array([0.5, 0, 0, 0]),
+            HarmonicityConfig(n_directions=n, shoot=ShootConfig(steps=40)))
 
 
 def test_harmonicity_inconclusive_on_domain_exit():
