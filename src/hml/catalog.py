@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jets
 from .jets import norm_sq
-from .metric import ChartMetric
+from .metric import ChartMetric, entry_layout
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ def space_form(a: float, b: float, dim: int) -> CatalogEntry:
         raise ValueError("space form requires (a, b) != (0, 0)")
 
     def components(xj):
+        # nested: the same jet on the diagonal, so no product per entry, and
+        # a deformation multiplies the constant zeros as numbers
         t = norm_sq(xj)
         w = (a + b * t).reciprocal() ** 2
         return [[w if i == j else 0.0 for j in range(dim)] for i in range(dim)]
@@ -120,17 +122,17 @@ def sphere(dim: int) -> CatalogEntry:
     g = xhat xhat^T + (sin^2 r / r^2)(Id - xhat xhat^T), analytic in the
     chart because both radial profiles are even functions of r.
     """
+    rows, cols, diag, _ = entry_layout(dim)
+
     def components(xj):
-        t = norm_sq(xj)
+        x = jets.stack(xj)
+        t = norm_sq(x)
         s = jets.sin_sq_sqrt_over_t(t)            # sin^2(r)/r^2
         w = jets.t_minus_sinsq_over_t2(t)          # (1 - s)/t, analytic at 0
-        comps = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i, dim):
-                cross = xj[i] * xj[j] * w
-                comps[i][j] = cross + s if i == j else cross
-                comps[j][i] = comps[i][j]
-        return comps
+        g = jets.pair_products([x], rows, cols)   # x_i x_j
+        jets.multiply(g, w.spread(), out=g)
+        g.put(diag, g.entries(diag) + s.spread())
+        return g
 
     def domain(x):
         return np.sum(np.asarray(x) ** 2, axis=-1) < math.pi ** 2
@@ -157,26 +159,22 @@ def fubini_study(cdim: int) -> CatalogEntry:
     with J the standard complex structure pairing slots (2a, 2a+1).
     """
     dim = 2 * cdim
+    rows, cols, diag, _ = entry_layout(dim)
+    # Jx in real coordinates: (Jx)_{2a} = -x_{2a+1}, (Jx)_{2a+1} = x_{2a}
+    swap = np.arange(dim) ^ 1
 
     def components(xj):
-        t = norm_sq(xj)
+        x = jets.stack(xj)
+        t = norm_sq(x)
         inv = (1.0 + t).reciprocal()
         inv2 = inv * inv
-        # Jx in real coordinates: (Jx)_{2a} = -x_{2a+1}, (Jx)_{2a+1} = x_{2a}
-        jx = []
-        for a in range(cdim):
-            jx.extend([-1.0 * xj[2 * a + 1], xj[2 * a]])
-        comps = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i, dim):
-                cross = xj[i] * xj[j] + jx[i] * jx[j]
-                if i == j:
-                    entry = (1.0 + t - cross) * inv2
-                else:
-                    entry = (-1.0 * cross) * inv2
-                comps[i][j] = entry
-                comps[j][i] = entry
-        return comps
+        jx = x.entries(swap)
+        evens = jx.entries(slice(0, None, 2))
+        jets.multiply(evens, -1.0, out=evens)
+        g = jets.pair_products([x, jx], rows, cols)   # x_i x_j + Jx_i Jx_j
+        jets.multiply(g, -1.0, out=g)                 # off the diagonal
+        g.put(diag, (1.0 + t).spread() + g.entries(diag))   # 1 + t - cross
+        return jets.multiply(g, inv2.spread(), out=g)
 
     def fs_density(r):
         r = np.asarray(r, dtype=float)

@@ -24,7 +24,7 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from . import jets
 from .curvature import curvature, gradient_norm_sq, hessian, laplacian
 from .geodesics import DensityProfile, NonRadialProfileError, relative_spread
-from .jets import seed_point
+from .jets import MultiJet, seed_point
 from .metric import ChartMetric, ScalarField
 from .series import TruncatedSeries
 
@@ -209,16 +209,12 @@ def deform_metric(metric: ChartMetric, psi: RadialFunction) -> ChartMetric:
     m = metric.dim
 
     def components(xjets):
-        base = [list(row) for row in base_components(xjets)]
+        base = base_components(xjets)
         Psi = psi.compose_jet(rsq(xjets))
         w = Psi.reciprocal() ** 2
-        comps = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                comps[i][j] = comps[j][i] = w * base[i][j]
-                # drop each base jet once used, to lower a batch's peak memory
-                base[i][j] = base[j][i] = None
-        return comps
+        if type(base) is MultiJet:
+            return jets.multiply(w.spread(), base, out=base)
+        return [[w * c for c in row] for row in base]
 
     base_domain = metric.domain
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .jets import MultiJet
 from .metric import (ChartMetric, DegenerateMetricError, OrderExceededError,
-                     ScalarField, Workspace)
+                     ScalarField, Workspace, entry_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +41,9 @@ def curvature_arrays(metric: ChartMetric, x, ws: Optional[Workspace] = None):
         raise DegenerateMetricError(
             f"degenerate metric {metric.name} at {x}") from exc
     batch, m = g.shape[:-2], g.shape[-1]
-    # h and U take derivative_arrays' scratch buffers, free once it returns
+    # U takes derivative_arrays' scratch buffer, free once it returns
     # first kind: h[i, j, l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
-    h = ws.array("coef", batch + (m, m, m))
+    h = ws.array("h", batch + (m, m, m))
     np.add(np.moveaxis(dg, -1, -3), np.swapaxes(dg, -1, -2), out=h)
     np.subtract(h, dg, out=h)
     np.multiply(0.5, h, out=h)
@@ -289,7 +289,10 @@ def curvature(metric: ChartMetric, x, k_max: int = 0) -> CurvatureBundle:
     m = metric.dim
     order = k_max + 2
     metric.check_order(order)
-    G = metric.component_jets(x, order)
+    stack = metric.component_jets(x, order)
+    G = np.empty((m, m), dtype=object)
+    for ij, e in enumerate(entry_layout(m)[3].flat):
+        G.flat[ij] = stack.entries(e)
     Ginv = _jet_matrix_inverse(G, order)
     Gam = _christoffel_jets(G, Ginv)
     Rlow = _riemann_jets(G, Gam)

@@ -4,9 +4,10 @@ A ``MultiJet`` is a truncated Taylor expansion in ``nvars`` variables about a
 base point, carrying every mixed partial derivative up to a total ``order``.
 Metric components, conformal factors and scalar fields are written once as
 plain Python formulas; evaluating them on seeded jets yields all derivatives
-needed by the curvature machinery.  Coefficient arrays may carry an extra
-batch axis so that one evaluation serves many base points (used heavily by
-the geodesic integrator).
+needed by the curvature machinery.  Coefficient arrays may carry batch
+axes so that one evaluation serves many base points (used heavily by the
+geodesic integrator); in a stack, batch axis 0 indexes entries instead, so
+one product serves all the metric entries of a formula step.
 
 Analytic functions (sqrt, sin, atan, ...) act on jets through truncated
 composition with the univariate Taylor expansion at the constant term; the
@@ -27,6 +28,13 @@ from .conventions import MAX_JET_ORDER
 # SLOT_MIN_BATCH points on (slot sums lose at 16 points and win from 32, for
 # order-2 and order-3 jets in 4 variables).
 SLOT_MIN_BATCH = 32
+
+# No product gathers more than CHUNK_MAX floats of pairs or slot rows at
+# once: the largest array a workload made before metric entries were stacked
+# (an order-2 product in 4 variables on a 512-point block, 60 slot rows x
+# 512).  Wider stacks, where one product made temporaries of ~600 kB and ran
+# 6x slower than the per-entry products, are multiplied in column chunks.
+CHUNK_MAX = 30_720
 
 
 @lru_cache(maxsize=None)
@@ -146,6 +154,9 @@ class JetSpace:
                                 for k in range(order + 1))
         self.pairs = _mul_table(nvars, order)
         self.slots = _slot_table(nvars, order)
+        # gathered rows per column of a product, by the larger route
+        self.rows_per_column = (len(self.pairs[0]) if self.slots is None
+                             else self.slots[3] * self.size)
 
     def __repr__(self):
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
@@ -160,25 +171,56 @@ class JetSpace:
                 and a.dtype == b.dtype == np.float64)
 
     def rows(self, b, slots: bool):
-        """The right factor's coefficients gathered for ``product``."""
+        """The right factor's coefficients gathered for ``summed``."""
         return b[self.slots[1] if slots else self.pairs[1]]
 
-    def product(self, a, b_rows, slots: bool):
+    def summed(self, a, b_rows, slots: bool, out=None):
         """Coefficients of a * b, given rows(b, slots)."""
         if not slots:
             ia, _, starts = self.pairs
-            return np.add.reduceat(a[ia] * b_rows, starts, axis=0)
+            return np.add.reduceat(a[ia] * b_rows, starts, axis=0, out=out)
         sa, _, pad, n_slots = self.slots
         p = a[sa]
         p *= b_rows
         p[pad] = -0.0
         p = p.reshape((n_slots, self.size) + a.shape[1:])
         if n_slots == 1:
-            return p[0]
+            return np.positive(p[0], out=out)
         tail = p[1]
         for j in range(2, n_slots):
             tail += p[j]
-        return p[0] + tail
+        return np.add(p[0], tail, out=out)
+
+    def product(self, a, b, out=None):
+        """Coefficients of a * b; their batch axes broadcast.
+
+        A product whose gathered rows would exceed CHUNK_MAX floats runs
+        over chunks of the leading batch axis, written into one output; a
+        chunk of one index drops that axis, so it is chunked in turn.
+        """
+        if a.ndim == 1 == b.ndim:
+            ia, ib, starts = self.pairs
+            return np.add.reduceat(a[ia] * b[ib], starts, out=out)
+        n = max(a.size, b.size) // self.size
+        if n * self.rows_per_column <= CHUNK_MAX:
+            slots = self.use_slots(a, b)
+            return self.summed(a, self.rows(b, slots), slots, out)
+        shape = (self.size,) + np.broadcast_shapes(a.shape[1:], b.shape[1:])
+        if out is None:
+            out = np.empty(shape, dtype=np.result_type(a, b))
+        step = CHUNK_MAX // (n // shape[1] * self.rows_per_column)
+        chunks = (range(shape[1]) if step <= 1 else
+                  (slice(k, k + step) for k in range(0, shape[1], step)))
+        for at in chunks:
+            self.product(_columns(a, at), _columns(b, at), out[:, at])
+        return out
+
+
+def _columns(c, at):
+    """c[:, at]; an operand broadcast along that axis gives its one index."""
+    if c.shape[1] > 1:
+        return c[:, at]
+    return c[:, 0] if isinstance(at, int) else c
 
 
 @lru_cache(maxsize=None)
@@ -201,14 +243,6 @@ class MultiJet:
         coef[0] = value
         return MultiJet(space, coef)
 
-    @staticmethod
-    def variable(space: JetSpace, k: int, value, batch_shape=()):
-        jet = MultiJet.constant(space, value, batch_shape)
-        if space.order >= 1:
-            e_k = tuple(1 if i == k else 0 for i in range(space.nvars))
-            jet.coef[space.index_of[e_k]] = 1.0
-        return jet
-
     # -- basic queries ------------------------------------------------
     @property
     def value(self):
@@ -230,18 +264,28 @@ class MultiJet:
         out = out * fact.reshape((-1,) + (1,) * len(self.batch_shape))
         return out.reshape((self.space.nvars,) * d + self.batch_shape)
 
+    # -- stacks: batch axis 0 indexes the entries of a stacked jet ------
+    def entries(self, idx) -> "MultiJet":
+        """Entries ``idx`` of a stack (an int gives one entry, as a view)."""
+        return MultiJet(self.space, self.coef[:, idx])
+
+    def spread(self) -> "MultiJet":
+        """This jet with a length-1 entry axis, to broadcast over a stack."""
+        return MultiJet(self.space, self.coef[:, None])
+
+    def put(self, idx, other: "MultiJet"):
+        """Set the entries ``idx`` of this stack to ``other``, in place."""
+        self.coef[:, idx] = other.coef
+
     # -- ring operations ----------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, MultiJet):
-            if other.space is not self.space:
-                raise ValueError("jets from different spaces")
-            return other
-        return None
+    def _same_space(self, other):
+        if other.space is not self.space:
+            raise ValueError("jets from different spaces")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is not None:
-            return MultiJet(self.space, self.coef + o.coef)
+        if type(other) is MultiJet:
+            self._same_space(other)
+            return MultiJet(self.space, self.coef + other.coef)
         other = np.asarray(other)
         coef = self.coef.astype(np.result_type(self.coef, other), copy=True)
         coef[0] = coef[0] + other
@@ -259,20 +303,17 @@ class MultiJet:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is not MultiJet:
             return MultiJet(self.space, self.coef * other)
-        space, a, b = self.space, self.coef, o.coef
-        slots = space.use_slots(a, b)
-        return MultiJet(space, space.product(a, space.rows(b, slots), slots))
+        self._same_space(other)
+        return MultiJet(self.space, self.space.product(self.coef, other.coef))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is not MultiJet:
             return MultiJet(self.space, self.coef / other)
-        return self * o.reciprocal()
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -315,7 +356,7 @@ class MultiJet:
         slots = space.use_slots(coef, du)
         du_rows = space.rows(du, slots)
         for k in range(len(ck) - 2, -1, -1):
-            coef = space.product(coef, du_rows, slots)
+            coef = space.summed(coef, du_rows, slots)
             coef[0] += ck[k]
         return MultiJet(space, coef)
 
@@ -332,15 +373,83 @@ class MultiJet:
         return f"MultiJet(order={self.space.order}, value={self.value})"
 
 
-def seed_point(x, order: int):
-    """Seed coordinate jets at x (shape (m,) or (B, m)); returns list of jets."""
+@lru_cache(maxsize=None)
+def _seed_rows(nvars: int, order: int):
+    """Seed coefficients: column k holds d x_k / d x_k = 1 (values left 0)."""
+    space = jet_space(nvars, order)
+    rows = np.zeros((space.size, nvars))
+    if order >= 1:
+        for k in range(nvars):
+            rows[space.index_of[tuple(int(i == k) for i in range(nvars))], k] = 1.0
+    rows.setflags(write=False)      # shared by every caller through the cache
+    return rows
+
+
+class Seeds(list):
+    """Coordinate jets that are the entries of one stack, kept as ``stack``."""
+
+    __slots__ = ("stack",)
+
+    def __init__(self, stack: MultiJet):
+        super().__init__(stack.entries(k) for k in range(stack.coef.shape[1]))
+        self.stack = stack
+
+
+def seed_point(x, order: int) -> Seeds:
+    """Seed coordinate jets at x (shape (m,) or (..., m)), copied from cached rows."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        space = jet_space(x.shape[0], order)
-        return [MultiJet.variable(space, k, x[k]) for k in range(x.shape[0])]
-    space = jet_space(x.shape[-1], order)
-    batch = x.shape[:-1]
-    return [MultiJet.variable(space, k, x[..., k], batch) for k in range(x.shape[-1])]
+    batch, m = x.shape[:-1], x.shape[-1]
+    rows = _seed_rows(m, order)
+    coef = np.empty(rows.shape + batch)
+    coef[...] = rows.reshape(rows.shape + (1,) * len(batch))
+    coef[0] = np.moveaxis(x, -1, 0)
+    return Seeds(MultiJet(jet_space(m, order), coef))
+
+
+def stack(xjets) -> MultiJet:
+    """The jets of a sequence as one stack: entry k is xjets[k].
+
+    Seeds give their own stack, so a formula must not write into it.
+    """
+    if type(xjets) is Seeds:
+        return xjets.stack
+    return MultiJet(xjets[0].space, np.stack([x.coef for x in xjets], axis=1))
+
+
+def pair_products(stacks, rows, cols) -> MultiJet:
+    """Entry e: the sum over the stacks s of s[rows[e]] * s[cols[e]].
+
+    The products are added in the order of ``stacks``.  A result too wide
+    for one product under CHUNK_MAX is formed entry by entry into one
+    output, without gathering the factors' entries.
+    """
+    space, first = stacks[0].space, stacks[0].coef
+    batch = first.shape[2:]
+    if len(rows) * math.prod(batch) * space.rows_per_column <= CHUNK_MAX:
+        total = stacks[0].entries(rows) * stacks[0].entries(cols)
+        for s in stacks[1:]:
+            total = total + s.entries(rows) * s.entries(cols)
+        return total
+    out = np.empty((space.size, len(rows)) + batch)
+    for e, (i, j) in enumerate(zip(rows, cols)):
+        space.product(first[:, i], first[:, j], out[:, e])
+        for s in stacks[1:]:
+            out[:, e] += space.product(s.coef[:, i], s.coef[:, j])
+    return MultiJet(space, out)
+
+
+def multiply(a: MultiJet, b, out: MultiJet) -> MultiJet:
+    """a * b written into out's coefficients; returns out.
+
+    out may be a or b (each chunk of a product is read before it is
+    written), which saves a stack-sized temporary.
+    """
+    if type(b) is MultiJet:
+        a._same_space(b)
+        a.space.product(a.coef, b.coef, out.coef)
+    else:
+        np.multiply(a.coef, b, out=out.coef)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +653,19 @@ def atan_sqrt_sq(x):
 
 
 def norm_sq(xjets):
-    """Sum of squares of a sequence of jets (or numbers)."""
-    total = xjets[0] * xjets[0]
-    for xi in xjets[1:]:
-        total = total + xi * xi
+    """Sum of squares of a sequence or stack of jets (or of numbers).
+
+    Jets are squared as one stack; the squares are summed in order.
+    """
+    if type(xjets) is not MultiJet:
+        if not isinstance(xjets[0], MultiJet):
+            total = xjets[0] * xjets[0]
+            for xi in xjets[1:]:
+                total = total + xi * xi
+            return total
+        xjets = stack(xjets)
+    sq = xjets * xjets
+    total = sq.entries(0)
+    for k in range(1, sq.coef.shape[1]):
+        total = total + sq.entries(k)
     return total

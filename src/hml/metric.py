@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,12 +60,42 @@ class Workspace:
         return view
 
 
+@lru_cache(maxsize=None)
+def entry_layout(m: int):
+    """(rows, cols, diag, index) of a stack of metric entries.
+
+    Entry e of a stack is g_ij with (i, j) = (rows[e], cols[e]): the upper
+    triangle i <= j, row by row.  ``diag`` lists the entries with i == j and
+    ``index[i, j]`` is the entry holding g_ij = g_ji.
+    """
+    rows, cols = np.triu_indices(m)
+    index = np.empty((m, m), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return rows, cols, index[np.arange(m), np.arange(m)], index
+
+
+@lru_cache(maxsize=None)
+def _entry_extraction(m: int, order: int, d: int):
+    """Flat (coefficient, entry) positions and factorials of the order-d partials.
+
+    Position [(i * m + j) * m**d + p] holds d_p g_ij in a stack's
+    coefficients flattened to (size * entries, n).
+    """
+    flat_pos, fact = _extraction_table(m, order, d)
+    index = entry_layout(m)[3].ravel()
+    n_entries = m * (m + 1) // 2
+    pos = flat_pos[None, :] * n_entries + index[:, None]
+    return pos.ravel(), np.tile(fact, m * m)
+
+
 @dataclass(frozen=True)
 class ChartMetric:
     """Analytic Riemannian metric on an open chart of R^dim.
 
-    ``components(xjets)`` must return a dim x dim nested structure of jets
-    (symmetric); it is evaluated with whatever jet order the caller seeds,
+    ``components(xjets)`` maps the list of seeded coordinate jets to the
+    metric entries: a stacked jet of the upper triangle (see
+    ``entry_layout``), or a symmetric dim x dim nested structure of jets and
+    constants.  It is evaluated with whatever jet order the caller seeds,
     so all derivatives come from one formula.  ``radial_distance_sq`` is an
     optional analytic expression for the squared geodesic distance r_P^2
     from the chart's distinguished center (the origin); charts that provide
@@ -108,57 +139,58 @@ class ChartMetric:
                 f"order {order} requested")
 
     # -- evaluation -------------------------------------------------------
-    def component_jets(self, x, order: int):
-        """dim x dim object array of jets at x (x may carry a batch axis)."""
+    def component_jets(self, x, order: int) -> MultiJet:
+        """The metric entries at x as one stack (see ``entry_layout``).
+
+        Batch axis 0 of the stack indexes the entries; the batch axes of x
+        follow it.  A nested structure from ``components`` is stacked here.
+        """
         self.require_inside(x)
         self.check_order(order)
-        xj = seed_point(x, order)
-        comps = self.components(xj)
-        out = np.empty((self.dim, self.dim), dtype=object)
+        comps = self.components(seed_point(x, order))
+        if type(comps) is MultiJet:
+            return comps
+        rows, cols, _, _ = entry_layout(self.dim)
         space = jet_space(self.dim, order)
-        batch = np.shape(x)[:-1]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                c = comps[i][j]
-                if not isinstance(c, MultiJet):
-                    c = MultiJet.constant(space, c, batch)
-                    c.coef[0] = c.coef[0] + np.zeros(batch)
-                out[i, j] = c
-        return out
+        coef = np.zeros((space.size, len(rows)) + np.shape(x)[:-1])
+        for e, (i, j) in enumerate(zip(rows, cols)):
+            c = comps[i][j]
+            if type(c) is MultiJet:
+                coef[:, e] = c.coef
+            else:
+                coef[0, e] = c
+        return MultiJet(space, coef)
 
     def value(self, x) -> np.ndarray:
         """Metric matrix (batch +) (dim, dim) without derivatives."""
-        comps = self.component_jets(self._as_point(x), 0)
-        g = np.stack([c.value for c in comps.flat], axis=-1)
+        g = self.component_jets(self._as_point(x), 0).value
+        g = np.moveaxis(g[entry_layout(self.dim)[3]], (0, 1), (-2, -1))
         return g.reshape(np.shape(x)[:-1] + (self.dim, self.dim))
 
     def derivative_arrays(self, x, order: int, ws: Optional[Workspace] = None):
         """[g, dg, d2g, ...]: dg[..., i, j, p] = d_p g_ij and so on.
 
         The arrays are written into ``ws`` (a fresh workspace by default):
-        order d under the name ``"d<d>"``, with ``"coef"`` and ``"gather"``
-        as scratch that is free again once this returns.
+        order d under the name ``"d<d>"``, with ``"gather"`` as scratch
+        that is free again once this returns.
         """
         ws = Workspace() if ws is None else ws
         batch, m = np.shape(x)[:-1], self.dim
-        comps = self.component_jets(self._as_point(x), order).flat
-        n, size = math.prod(batch), jet_space(m, order).size
-        # one concatenate: np.stack costs ~1 us per component at one point
-        coef = ws.array("coef", (m * m * size, n))
-        np.concatenate([c.coef.reshape(size, n) for c in comps], out=coef)
-        coef = coef.reshape(m * m, size, n)
+        stack = self.component_jets(self._as_point(x), order)
+        n = math.prod(batch)
+        coef = stack.coef.reshape(-1, n)
         out = []
         for d in range(order + 1):
-            flat_pos, fact = _extraction_table(m, order, d)
+            pos, fact = _entry_extraction(m, order, d)
             # mode="clip" (every index is in range) lets take write to out
             # directly; the default mode buffers it through a temporary
-            g = np.take(coef, flat_pos, axis=1, mode="clip",
-                        out=ws.array("gather", (m * m, m ** d, n)))
+            g = np.take(coef, pos, axis=0, mode="clip",
+                        out=ws.array("gather", (pos.size, n)))
             g *= fact[:, None]
             # batch first in C order: the matmuls downstream pick their
             # kernel by layout
-            gd = ws.array(f"d{d}", (n, m * m, m ** d))
-            np.copyto(gd, g.transpose(2, 0, 1))
+            gd = ws.array(f"d{d}", (n, pos.size))
+            np.copyto(gd, g.T)
             out.append(gd.reshape(batch + (m, m) + (m,) * d))
         return out
 

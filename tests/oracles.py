@@ -5,14 +5,18 @@ derivatives come from O(h^4) central differences of plain metric values,
 and the volume-density oracle integrates the coordinate form of the
 variation equation rather than the parallel-frame form the engine uses.
 christoffel_arrays and the literal_* references are the exception: they
-use the engine's metric jets and keep the plain, unstaged or per-component
-forms of engine routines, so that the optimized routines can be checked
-against them (bit for bit where the arithmetic is the same).
+use the engine's jets and keep the plain, unstaged or per-component forms
+of engine routines (the per-entry metric formulas among them), so that the
+optimized routines can be checked against them (bit for bit where the
+arithmetic is the same).
 """
 
+import functools
 import math
 
 import numpy as np
+
+from hml import jets
 
 
 def fd1(f, x, h=1e-5):
@@ -190,17 +194,104 @@ def coordinate_jacobi_density(metric, P, theta, radii, steps=800):
     return np.array(out)
 
 
-def literal_derivative_arrays(metric, x, order):
-    """[g, dg, ...] by one extraction and moveaxis per component and order."""
-    comps = metric.component_jets(x, order)
-    batch = np.shape(x)[:-1]
-    m = metric.dim
+def literal_norm_sq(xjets):
+    """x_0^2 + ... + x_(m-1)^2, one product per coordinate, summed in order."""
+    total = xjets[0] * xjets[0]
+    for xi in xjets[1:]:
+        total = total + xi * xi
+    return total
+
+
+def _literal_sphere(dim):
+    def components(xj):
+        t = literal_norm_sq(xj)
+        s = jets.sin_sq_sqrt_over_t(t)
+        w = jets.t_minus_sinsq_over_t2(t)
+        comps = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                cross = xj[i] * xj[j] * w
+                comps[i][j] = cross + s if i == j else cross
+                comps[j][i] = comps[i][j]
+        return comps
+    return components, literal_norm_sq
+
+
+def _literal_fubini_study(cdim):
+    dim = 2 * cdim
+
+    def components(xj):
+        t = literal_norm_sq(xj)
+        inv = (1.0 + t).reciprocal()
+        inv2 = inv * inv
+        jx = []
+        for a in range(cdim):
+            jx.extend([-1.0 * xj[2 * a + 1], xj[2 * a]])
+        comps = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                cross = xj[i] * xj[j] + jx[i] * jx[j]
+                if i == j:
+                    entry = (1.0 + t - cross) * inv2
+                else:
+                    entry = (-1.0 * cross) * inv2
+                comps[i][j] = entry
+                comps[j][i] = entry
+        return comps
+    return components, lambda xj: jets.atan_sqrt_sq(literal_norm_sq(xj))
+
+
+def _literal_space_form(a, b, dim):
+    def components(xj):
+        w = (a + b * literal_norm_sq(xj)).reciprocal() ** 2
+        return [[w if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+
+    def rsq(xj):              # a > 0 and b >= 0: the deformable space forms
+        t = literal_norm_sq(xj)
+        if b > 0:
+            return jets.atan_sqrt_sq(t * (b / a)) * (1.0 / (a * b))
+        return t * (1.0 / a ** 2)
+    return components, rsq
+
+
+def literal_components(entry, psi=None):
+    """Per-entry components of a catalog entry, deformed by psi if given.
+
+    The sphere, Fubini-Study and space-form formulas make one jet product
+    per entry and step, written out apart from the stacked catalog ones;
+    euclidean and two_d_family are per-entry in the catalog already.  The
+    deformation multiplies every entry by psi(r_P^2)^(-2).
+    """
+    make = {"sphere": _literal_sphere, "fubini_study": _literal_fubini_study,
+            "space_form": _literal_space_form}.get(entry.name)
+    if make is None:
+        components = entry.metric.components
+        rsq = literal_norm_sq
+    else:
+        components, rsq = make(**entry.params)
+    if psi is None:
+        return components
+
+    def deformed(xj):
+        w = psi.compose_jet(rsq(xj)).reciprocal() ** 2
+        return [[w * c for c in row] for row in components(xj)]
+    return deformed
+
+
+def literal_derivative_arrays(components, x, order):
+    """[g, dg, ...] of per-entry components: one extraction and moveaxis each."""
+    from hml.jets import MultiJet, jet_space, seed_point
+    batch, m = np.shape(x)[:-1], np.shape(x)[-1]
+    comps = components(seed_point(x, order))
     out = []
     for d in range(order + 1):
         arr = np.empty(batch + (m, m) + (m,) * d)
         for i in range(m):
             for j in range(m):
-                da = comps[i, j].derivative_array(d)
+                c = comps[i][j]
+                if not isinstance(c, MultiJet):
+                    c = MultiJet.constant(jet_space(m, order), c, batch)
+                da = c.derivative_array(d)
                 if d:
                     da = np.moveaxis(da, range(d), range(-d, 0))
                 arr[(Ellipsis, i, j) + (slice(None),) * d] = da
@@ -214,13 +305,20 @@ def literal_jet_product(space, a, b):
     The pairs (out, left, right) with out = left + right are summed in
     sorted order, each output's segment starting from its first pair.
     """
+    ia, ib, starts = _literal_pairs(space.nvars, space.order)
+    return np.add.reduceat(a[ia] * b[ib], starts, axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _literal_pairs(nvars, order):
+    from hml.jets import jet_space
+    space = jet_space(nvars, order)
     idx, pos = space.index_list, space.index_of
     pairs = sorted((pos[tuple(x + y for x, y in zip(al, be))], i, j)
                    for i, al in enumerate(idx) for j, be in enumerate(idx)
                    if sum(al) + sum(be) <= space.order)
     out, ia, ib = (np.array(col) for col in zip(*pairs))
-    starts = np.searchsorted(out, np.arange(len(idx)))
-    return np.add.reduceat(a[ia] * b[ib], starts, axis=0)
+    return ia, ib, np.searchsorted(out, np.arange(len(idx)))
 
 
 def literal_apply_analytic(x, derivs):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hml import catalog, jets
+from hml import catalog, jets, manifest
 from hml.curvature import (christoffels, curvature, curvature_arrays,
                            einstein_defect, gradient_norm_sq, hessian,
                            laplacian, sectional_curvature)
@@ -127,20 +127,74 @@ def test_fast_path_matches_bundle(name, request):
         assert np.max(np.abs(G - b.christoffels)) < 1e-12
 
 
+_SPHERE4_POLY = {"family": "sphere", "dim": 4,
+                 "deform": {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}}
+
+
 @pytest.mark.parametrize("name", ["fs2", "sphere4", "deformed_sphere4"])
 @pytest.mark.parametrize("shape", [(), (1,), (16,), (1024,), (2, 150), (1, 1)])
 def test_derivative_arrays_match_literal_loop(name, shape, request):
     """The one-gather derivative_arrays is bit-identical to the per-component loop."""
-    entry = request.getfixturevalue(name)
-    metric = getattr(entry, "metric", entry)
+    if name == "deformed_sphere4":
+        built = manifest.build_metric(_SPHERE4_POLY)
+        metric, literal = built.metric, oracles.literal_components(
+            built.entry, built.psi)
+    else:
+        entry = request.getfixturevalue(name)
+        metric, literal = entry.metric, oracles.literal_components(entry)
     x = np.random.default_rng(len(shape) + sum(shape)).uniform(
         -0.3, 0.3, size=shape + (metric.dim,))
     got = metric.derivative_arrays(x, 2)
-    ref = oracles.literal_derivative_arrays(metric, x, 2)
+    ref = oracles.literal_derivative_arrays(literal, x, 2)
     for a, b in zip(got, ref):
         assert a.shape == b.shape and a.flags.c_contiguous
         assert np.array_equal(a, b)
     assert np.array_equal(metric.value(x), ref[0])
+
+
+_STACKED_CHARTS = {
+    "euclidean3": {"family": "euclidean", "dim": 3},
+    "space_form": {"family": "space_form", "a": 1.0, "b": 0.25, "dim": 3},
+    "hyperbolic4": {"family": "space_form", "a": 0.5, "b": -0.5, "dim": 4},
+    "sphere3": {"family": "sphere", "dim": 3},
+    "sphere4": {"family": "sphere", "dim": 4},
+    "fs2": {"family": "fubini_study", "cdim": 2},
+    "two_d_family": {"family": "two_d_family", "n": 3, "b": 0.4},
+    "deformed_sphere4": _SPHERE4_POLY,
+    "trivial_sphere3": {"family": "sphere", "dim": 3,
+                        "deform": {"psi": {"kind": "trivial-density"}}},
+    "trivial_fs2": {"family": "fubini_study", "cdim": 2,
+                    "deform": {"psi": {"kind": "trivial-density"}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKED_CHARTS))
+def test_stacked_entries_match_per_entry_formulas(name):
+    """Stacked metric formulas give the per-entry formulas' bits.
+
+    derivative_arrays to order 3, unbatched and at B = 1 to 1024, and the
+    jet-ring bundle at k_max = 4, which takes per-entry views of the stack.
+    """
+    built = manifest.build_metric(_STACKED_CHARTS[name])
+    metric, m = built.metric, built.metric.dim
+    literal = oracles.literal_components(built.entry,
+                                         built.psi if built.deformed else None)
+    rng = np.random.default_rng(len(name))
+    for B in (None, 1, 16, 300, 512, 1024):
+        x = rng.uniform(-0.3, 0.3, (m,) if B is None else (B, m))
+        if name == "two_d_family":
+            x[..., 0] += 0.6                # the chart is r > 0
+        for order in range(4):
+            got = metric.derivative_arrays(x, order)
+            ref = oracles.literal_derivative_arrays(literal, x, order)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+    got = curvature(metric, x[0], k_max=4)
+    ref = curvature(ChartMetric(dim=m, components=literal), x[0], k_max=4)
+    for field in ("g", "ginv", "christoffels", "riemann", "ricci", "scalar"):
+        assert np.asarray(getattr(got, field)).tobytes() == \
+            np.asarray(getattr(ref, field)).tobytes()
+    assert [a.tobytes() for a in got.nabla_r] == \
+        [a.tobytes() for a in ref.nabla_r]
 
 
 def test_one_point_batch_matches_unbatched(deformed_sphere4):
@@ -284,8 +338,7 @@ def test_einstein_defect_chart_scaling_invariance(fs2):
     base = fs2.metric
 
     def scaled_components(xj):
-        return [[c * c * comp for comp in row]
-                for row in base.components([c * xi for xi in xj])]
+        return c * c * base.components([c * xi for xi in xj])
 
     scaled = ChartMetric(dim=4, components=scaled_components, name="scaled")
     x = np.array([0.1, -0.2, 0.05, 0.15])
