@@ -1,9 +1,9 @@
 """Pointwise curvature: Christoffels, Riemann, Ricci, grad^k R, Hessians.
 
 Index conventions are documented in :mod:`hml.conventions`.  Two paths are
-provided: a batched array path for the quantities the geodesic integrator
-needs at every step (Gamma and R), and a jet-ring path for full curvature
-bundles with iterated covariant derivatives of R.
+provided: batched arrays for the quantities the geodesic integrator needs
+at every step (Gamma and R), and stacked jets indexed by integer tables, as
+the metric entries are, for full curvature bundles with grad^k R.
 """
 
 from __future__ import annotations
@@ -117,131 +117,94 @@ class CurvatureBundle:
     nabla_r: list = field(default_factory=list)  # nabla_r[s] = grad^s R
 
     def nabla(self, s: int) -> np.ndarray:
-        if s > self.k_max:
+        if not 0 <= s <= self.k_max:
             raise OrderExceededError(
                 f"bundle holds grad^k R for k <= {self.k_max}, got {s}")
         return self.riemann if s == 0 else self.nabla_r[s - 1]
 
 
-def _jet_matrix_inverse(G, order):
-    """Inverse of an object-matrix of jets by Newton iteration."""
-    m = G.shape[0]
-    space = G[0, 0].space
-    batch = G[0, 0].batch_shape
-    g0 = np.empty(batch + (m, m))
-    for i in range(m):
-        for j in range(m):
-            g0[..., i, j] = G[i, j].value
-    inv0 = np.linalg.inv(g0)
-    X = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            X[i, j] = MultiJet.constant(space, inv0[..., i, j], batch)
-    steps = max(1, int(np.ceil(np.log2(order + 1))) + 1)
-    for _ in range(steps):
-        GX = _jet_matmul(G, X)
-        for i in range(m):
-            GX[i, i] = GX[i, i] - 2.0
-        X = _jet_matmul(X, GX)
-        for i in range(m):
-            for j in range(m):
-                X[i, j] = -X[i, j]
+def _dot(pairs):
+    """The sum of a * b over the stack pairs (a, b), added in order."""
+    total = None
+    for a, b in pairs:
+        total = a * b if total is None else total + a * b
+    return total
+
+
+def _inverse(G, order):
+    """Inverse of an (m, m) stack by Newton iteration from its value's inverse."""
+    m = G.coef.shape[1]
+    i, j = np.indices((m, m))
+    X = MultiJet.constant(G.space, np.linalg.inv(G.value), (m, m))
+    for _ in range(max(1, int(np.ceil(np.log2(order + 1))) + 1)):
+        GX = _dot((G.entries(i, k), X.entries(k, j)) for k in range(m))
+        GX.coef[0, range(m), range(m)] -= 2.0
+        X = -_dot((X.entries(i, k), GX.entries(k, j)) for k in range(m))
     return X
 
 
-def _jet_matmul(A, B):
-    m = A.shape[0]
-    out = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            acc = A[i, 0] * B[0, j]
-            for k in range(1, m):
-                acc = acc + A[i, k] * B[k, j]
-            out[i, j] = acc
-    return out
+def _partials(T):
+    """dT[..., p] = d/dx_p of each entry of the stack T, one entry axis more."""
+    return MultiJet(T.space, np.stack(
+        [T.partial(p).coef for p in range(T.space.nvars)], axis=-1))
 
 
-def _christoffel_jets(G, Ginv):
-    """Gamma_ij^k as jets; exact to one order below the metric jets."""
-    m = G.shape[0]
-    dG = [[[G[i][j].partial(p) for p in range(m)] for j in range(m)]
-          for i in range(m)]
-    Gam = np.empty((m, m, m), dtype=object)
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(m):
-                acc = None
-                for l in range(m):
-                    term = Ginv[k, l] * (dG[j][l][i] + dG[i][l][j] - dG[i][j][l])
-                    acc = term if acc is None else acc + term
-                Gam[i, j, k] = acc * 0.5
-                Gam[j, i, k] = Gam[i, j, k]
-    return Gam
+def _derivs(T, d):
+    """Order-d partials of the stack T, derivative axes after the entry axes."""
+    return np.moveaxis(T.derivative_array(d), range(d), range(-d, 0))
 
 
-def _riemann_jets(G, Gam):
-    """Lowered R_{ijkl} as jets; exact to two orders below the metric jets."""
-    m = G.shape[0]
-    dGam = np.empty((m, m, m, m), dtype=object)  # dGam[p][i][j][k] = d_p G_ij^k
-    for p in range(m):
-        for i in range(m):
-            for j in range(i, m):
-                for k in range(m):
-                    dGam[p, i, j, k] = Gam[i, j, k].partial(p)
-                    dGam[p, j, i, k] = dGam[p, i, j, k]
-    Rup = np.empty((m, m, m, m), dtype=object)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(m):
-                for l in range(m):
-                    acc = dGam[i, j, k, l] - dGam[j, i, k, l]
-                    for mm in range(m):
-                        acc = acc + Gam[i, mm, l] * Gam[j, k, mm] \
-                            - Gam[j, mm, l] * Gam[i, k, mm]
-                    Rup[i, j, k, l] = acc
-    zero = Gam[0, 0, 0] * 0.0
-    for i in range(m):
-        for k in range(m):
-            for l in range(m):
-                Rup[i, i, k, l] = zero
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(m):
-                for l in range(m):
-                    Rup[j, i, k, l] = -1.0 * Rup[i, j, k, l]
-    # lower the last index
-    Rlow = np.empty((m, m, m, m), dtype=object)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(m):
-                for l in range(m):
-                    acc = None
-                    for mm in range(m):
-                        term = G[l, mm] * Rup[i, j, k, mm]
-                        acc = term if acc is None else acc + term
-                    Rlow[i, j, k, l] = acc
-                    Rlow[j, i, k, l] = -1.0 * acc
-        for k in range(m):
-            for l in range(m):
-                Rlow[i, i, k, l] = zero
-    return Rlow
+def _riemann_stack(S, Gam):
+    """R[ij, k, l] = R_ijkl for i < j, ij indexing np.triu_indices(m, 1)."""
+    m = S.space.nvars
+    e = entry_layout(m)[3]
+    a, b = np.triu_indices(m, 1)
+    ij, i, j, k, l = np.broadcast_arrays(
+        np.arange(len(a))[:, None, None], a[:, None, None], b[:, None, None],
+        np.arange(m)[:, None], np.arange(m))
+    dGam = _partials(Gam)                      # dGam[ij, k, p] = d_p Gamma_ij^k
+    Rup = dGam.entries(e[j, k], l, i) - dGam.entries(e[i, k], l, j)
+    del dGam                                   # only Rup's first term reads it
+    for n in range(m):
+        Rup = (Rup + Gam.entries(e[i, n], l) * Gam.entries(e[j, k], n)) \
+            - Gam.entries(e[j, n], l) * Gam.entries(e[i, k], n)
+    return _dot((S.entries(e[l, n]), Rup.entries(ij, k, n)) for n in range(m))
 
 
-def _tensor_partials(T_jets, orders):
-    """Numeric partial-derivative arrays of an object-array of jets.
+def _jet_partials(metric: ChartMetric, x, k_max: int):
+    """g, Gamma and the partial arrays of R and Gamma at x, from stacked jets.
 
-    Returns P[d] of shape T.shape + (m,)*d for each d in ``orders``
-    (derivative indices appended last).
+    Every jet-ring quantity is one stack, indexed by integer tables as
+    ``entry_layout`` indexes the metric: G and G^-1 over (i, j), Gamma over
+    (i <= j, k), R up and down over (i < j, k, l), and dG, dGamma along one
+    more axis p.  Each entry keeps the term order of the per-entry formulas.
+    The partials of R (to order k_max) and of Gamma (to k_max - 1) come as
+    C-contiguous arrays: the einsums of _covariant_step round by layout.
     """
-    shape = T_jets.shape
-    flat = T_jets.reshape(-1)
-    out = {}
-    for d in orders:
-        arrs = [np.moveaxis(j.derivative_array(d), range(d), range(-d, 0))
-                if d else j.derivative_array(0) for j in flat]
-        stacked = np.stack(arrs).reshape(shape + arrs[0].shape)
-        out[d] = stacked
-    return out
+    m = metric.dim
+    rows, cols, _, e = entry_layout(m)
+    S = metric.component_jets(x, k_max + 2)
+    Ginv = _inverse(S.entries(e), k_max + 2)
+    # Gamma[ij, k] = Gamma_ij^k for i <= j, ij the entry of g_ij in S
+    dS = _partials(S)                          # dS[e[i, j], p] = d_p g_ij
+    i, j, k = np.broadcast_arrays(rows[:, None], cols[:, None], np.arange(m))
+    Gam = _dot((Ginv.entries(k, l),
+                (dS.entries(e[j, l], i) + dS.entries(e[i, l], j))
+                - dS.entries(e[i, j], l)) for l in range(m)) * 0.5
+    R = _riemann_stack(S, Gam)
+    zero = Gam.entries(0, 0) * 0.0
+    a, b = np.triu_indices(m, 1)
+    PR = {}
+    for d in range(k_max + 1):
+        # R_jikl = -1.0 R_ijkl and R_iikl = Gamma_00^0 * 0.0, filled by index
+        PR[d] = np.empty((m,) * (4 + d))
+        P = _derivs(R, d)
+        PR[d][a, b] = P
+        PR[d][b, a] = -1.0 * P
+        PR[d][range(m), range(m)] = zero.derivative_array(d)
+    DGam = {d: np.ascontiguousarray(_derivs(Gam, d)[e])
+            for d in range(max(k_max, 1))}
+    return S.value[e], Gam.value[e], PR, DGam
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -286,39 +249,20 @@ def curvature(metric: ChartMetric, x, k_max: int = 0) -> CurvatureBundle:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("curvature bundles are per-point; batch via curvature_arrays")
-    m = metric.dim
-    order = k_max + 2
-    metric.check_order(order)
-    stack = metric.component_jets(x, order)
-    G = np.empty((m, m), dtype=object)
-    for ij, e in enumerate(entry_layout(m)[3].flat):
-        G.flat[ij] = stack.entries(e)
-    Ginv = _jet_matrix_inverse(G, order)
-    Gam = _christoffel_jets(G, Ginv)
-    Rlow = _riemann_jets(G, Gam)
-
-    g = np.array([[G[i, j].value for j in range(m)] for i in range(m)], dtype=float)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    metric.check_order(k_max + 2)
+    g, Gamma, PR, DGam = _jet_partials(metric, x, k_max)
     ginv = np.linalg.inv(g)
-    Gamma = np.array([[[Gam[i, j, k].value for k in range(m)]
-                       for j in range(m)] for i in range(m)], dtype=float)
-    # partial arrays of R (exact to order k_max) and of Gamma (k_max - 1);
-    # Gam[i, j, k] = Gamma_ij^k is symmetric in (i, j), matching the
-    # 'a i c' pattern used for corrections in _covariant_step.
-    PR = _tensor_partials(Rlow, range(k_max + 1))
-    DGam = _tensor_partials(Gam, range(max(k_max, 1)))
     nabla = []
     P = PR
-    rank = 4
     for s in range(1, k_max + 1):
-        P = _covariant_step(P, DGam, rank, k_max - s)
-        rank += 1
+        P = _covariant_step(P, DGam, 3 + s, k_max - s)
         nabla.append(P[0])
-
-    R0 = PR[0]
-    ricci = np.einsum('il,ijkl->jk', ginv, R0)
+    ricci = np.einsum('il,ijkl->jk', ginv, PR[0])
     scalar = float(np.einsum('jk,jk->', ginv, ricci))
-    return CurvatureBundle(point=x, dim=m, k_max=k_max, g=g, ginv=ginv,
-                           christoffels=Gamma, riemann=R0, ricci=ricci,
+    return CurvatureBundle(point=x, dim=metric.dim, k_max=k_max, g=g, ginv=ginv,
+                           christoffels=Gamma, riemann=PR[0], ricci=ricci,
                            scalar=scalar, nabla_r=nabla)
 
 

@@ -265,9 +265,9 @@ class MultiJet:
         return out.reshape((self.space.nvars,) * d + self.batch_shape)
 
     # -- stacks: batch axis 0 indexes the entries of a stacked jet ------
-    def entries(self, idx) -> "MultiJet":
-        """Entries ``idx`` of a stack (an int gives one entry, as a view)."""
-        return MultiJet(self.space, self.coef[:, idx])
+    def entries(self, *idx) -> "MultiJet":
+        """Entries ``idx`` of a stack, one index per entry axis (ints give views)."""
+        return MultiJet(self.space, self.coef[(slice(None),) + idx])
 
     def spread(self) -> "MultiJet":
         """This jet with a length-1 entry axis, to broadcast over a stack."""

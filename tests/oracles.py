@@ -8,7 +8,8 @@ christoffel_arrays and the literal_* references are the exception: they
 use the engine's jets and keep the plain, unstaged or per-component forms
 of engine routines (the per-entry metric formulas among them), so that the
 optimized routines can be checked against them (bit for bit where the
-arithmetic is the same).
+arithmetic is the same).  literal_curvature is the jet-ring bundle path
+built on object arrays of scalar jets, filled and contracted entry by entry.
 """
 
 import functools
@@ -297,6 +298,171 @@ def literal_derivative_arrays(components, x, order):
                 arr[(Ellipsis, i, j) + (slice(None),) * d] = da
         out.append(arr)
     return out
+
+
+def _literal_jet_matrix_inverse(G, order):
+    """Inverse of an object-matrix of jets by Newton iteration."""
+    from hml.jets import MultiJet
+    m = G.shape[0]
+    space = G[0, 0].space
+    batch = G[0, 0].batch_shape
+    g0 = np.empty(batch + (m, m))
+    for i in range(m):
+        for j in range(m):
+            g0[..., i, j] = G[i, j].value
+    inv0 = np.linalg.inv(g0)
+    X = np.empty((m, m), dtype=object)
+    for i in range(m):
+        for j in range(m):
+            X[i, j] = MultiJet.constant(space, inv0[..., i, j], batch)
+    steps = max(1, int(np.ceil(np.log2(order + 1))) + 1)
+    for _ in range(steps):
+        GX = _literal_jet_matmul(G, X)
+        for i in range(m):
+            GX[i, i] = GX[i, i] - 2.0
+        X = _literal_jet_matmul(X, GX)
+        for i in range(m):
+            for j in range(m):
+                X[i, j] = -X[i, j]
+    return X
+
+
+def _literal_jet_matmul(A, B):
+    m = A.shape[0]
+    out = np.empty((m, m), dtype=object)
+    for i in range(m):
+        for j in range(m):
+            acc = A[i, 0] * B[0, j]
+            for k in range(1, m):
+                acc = acc + A[i, k] * B[k, j]
+            out[i, j] = acc
+    return out
+
+
+def _literal_christoffel_jets(G, Ginv):
+    """Gamma_ij^k as jets; exact to one order below the metric jets."""
+    m = G.shape[0]
+    dG = [[[G[i][j].partial(p) for p in range(m)] for j in range(m)]
+          for i in range(m)]
+    Gam = np.empty((m, m, m), dtype=object)
+    for i in range(m):
+        for j in range(i, m):
+            for k in range(m):
+                acc = None
+                for l in range(m):
+                    term = Ginv[k, l] * (dG[j][l][i] + dG[i][l][j] - dG[i][j][l])
+                    acc = term if acc is None else acc + term
+                Gam[i, j, k] = acc * 0.5
+                Gam[j, i, k] = Gam[i, j, k]
+    return Gam
+
+
+def _literal_riemann_jets(G, Gam):
+    """Lowered R_{ijkl} as jets; exact to two orders below the metric jets."""
+    m = G.shape[0]
+    dGam = np.empty((m, m, m, m), dtype=object)  # dGam[p][i][j][k] = d_p G_ij^k
+    for p in range(m):
+        for i in range(m):
+            for j in range(i, m):
+                for k in range(m):
+                    dGam[p, i, j, k] = Gam[i, j, k].partial(p)
+                    dGam[p, j, i, k] = dGam[p, i, j, k]
+    Rup = np.empty((m, m, m, m), dtype=object)
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(m):
+                for l in range(m):
+                    acc = dGam[i, j, k, l] - dGam[j, i, k, l]
+                    for mm in range(m):
+                        acc = acc + Gam[i, mm, l] * Gam[j, k, mm] \
+                            - Gam[j, mm, l] * Gam[i, k, mm]
+                    Rup[i, j, k, l] = acc
+    zero = Gam[0, 0, 0] * 0.0
+    for i in range(m):
+        for k in range(m):
+            for l in range(m):
+                Rup[i, i, k, l] = zero
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(m):
+                for l in range(m):
+                    Rup[j, i, k, l] = -1.0 * Rup[i, j, k, l]
+    # lower the last index
+    Rlow = np.empty((m, m, m, m), dtype=object)
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(m):
+                for l in range(m):
+                    acc = None
+                    for mm in range(m):
+                        term = G[l, mm] * Rup[i, j, k, mm]
+                        acc = term if acc is None else acc + term
+                    Rlow[i, j, k, l] = acc
+                    Rlow[j, i, k, l] = -1.0 * acc
+        for k in range(m):
+            for l in range(m):
+                Rlow[i, i, k, l] = zero
+    return Rlow
+
+
+def _literal_tensor_partials(T_jets, orders):
+    """Numeric partial-derivative arrays of an object-array of jets.
+
+    Returns P[d] of shape T.shape + (m,)*d for each d in ``orders``
+    (derivative indices appended last).
+    """
+    shape = T_jets.shape
+    flat = T_jets.reshape(-1)
+    out = {}
+    for d in orders:
+        arrs = [np.moveaxis(j.derivative_array(d), range(d), range(-d, 0))
+                if d else j.derivative_array(0) for j in flat]
+        stacked = np.stack(arrs).reshape(shape + arrs[0].shape)
+        out[d] = stacked
+    return out
+
+
+def literal_curvature(metric, x, k_max=0):
+    """Full curvature bundle at a single point, with grad^k R for k <= k_max."""
+    from hml.curvature import CurvatureBundle, _covariant_step
+    from hml.metric import entry_layout
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("curvature bundles are per-point; batch via curvature_arrays")
+    m = metric.dim
+    order = k_max + 2
+    metric.check_order(order)
+    stack = metric.component_jets(x, order)
+    G = np.empty((m, m), dtype=object)
+    for ij, e in enumerate(entry_layout(m)[3].flat):
+        G.flat[ij] = stack.entries(e)
+    Ginv = _literal_jet_matrix_inverse(G, order)
+    Gam = _literal_christoffel_jets(G, Ginv)
+    Rlow = _literal_riemann_jets(G, Gam)
+
+    g = np.array([[G[i, j].value for j in range(m)] for i in range(m)], dtype=float)
+    ginv = np.linalg.inv(g)
+    Gamma = np.array([[[Gam[i, j, k].value for k in range(m)]
+                       for j in range(m)] for i in range(m)], dtype=float)
+    # partial arrays of R (exact to order k_max) and of Gamma (k_max - 1);
+    # Gam[i, j, k] = Gamma_ij^k is symmetric in (i, j), matching the
+    # 'a i c' pattern used for corrections in _covariant_step.
+    PR = _literal_tensor_partials(Rlow, range(k_max + 1))
+    DGam = _literal_tensor_partials(Gam, range(max(k_max, 1)))
+    nabla = []
+    P = PR
+    rank = 4
+    for s in range(1, k_max + 1):
+        P = _covariant_step(P, DGam, rank, k_max - s)
+        rank += 1
+        nabla.append(P[0])
+
+    R0 = PR[0]
+    ricci = np.einsum('il,ijkl->jk', ginv, R0)
+    scalar = float(np.einsum('jk,jk->', ginv, ricci))
+    return CurvatureBundle(point=x, dim=m, k_max=k_max, g=g, ginv=ginv,
+                           christoffels=Gamma, riemann=R0, ricci=ricci,
+                           scalar=scalar, nabla_r=nabla)
 
 
 def literal_jet_product(space, a, b):

@@ -263,6 +263,27 @@ def test_rhs_allocation_budget(name, request):
     assert peak - start <= 2.0 * 2 ** 20
 
 
+def test_bundle_allocation_budget():
+    # the jet-ring bundle stacks R only for i < j and dGamma only for
+    # i <= j (5.7 MiB here); a stack of R over every (i, j) peaks at 13 MiB
+    from hml.curvature import curvature
+    metric = catalog.fubini_study(3).metric
+    x = np.random.default_rng(3).uniform(-0.3, 0.3, 6)
+    curvature(metric, x, k_max=2)               # builds the cached tables
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        curvature(metric, x, k_max=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - start <= 8.0 * 2 ** 20
+
+
 def test_density_oracle_normal_coordinates(rng):
     # det A (parallel-frame route) vs sqrt(det g) in numerically
     # constructed normal coordinates (coordinate-variation route)

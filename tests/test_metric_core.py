@@ -189,12 +189,47 @@ def test_stacked_entries_match_per_entry_formulas(name):
             ref = oracles.literal_derivative_arrays(literal, x, order)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
     got = curvature(metric, x[0], k_max=4)
-    ref = curvature(ChartMetric(dim=m, components=literal), x[0], k_max=4)
-    for field in ("g", "ginv", "christoffels", "riemann", "ricci", "scalar"):
-        assert np.asarray(getattr(got, field)).tobytes() == \
-            np.asarray(getattr(ref, field)).tobytes()
-    assert [a.tobytes() for a in got.nabla_r] == \
-        [a.tobytes() for a in ref.nabla_r]
+    ref = oracles.literal_curvature(ChartMetric(dim=m, components=literal),
+                                    x[0], k_max=4)
+    assert _bundle_bytes(got) == _bundle_bytes(ref)
+
+
+def _bundle_bytes(bundle):
+    fields = ("g", "ginv", "christoffels", "riemann", "ricci", "scalar")
+    return ([np.asarray(getattr(bundle, f)).tobytes() for f in fields]
+            + [a.tobytes() for a in bundle.nabla_r])
+
+
+@pytest.mark.parametrize("k_max", [0, 2, 4])
+@pytest.mark.parametrize("name", sorted(_STACKED_CHARTS))
+def test_bundle_matches_literal_curvature(name, k_max):
+    """The stacked bundle gives the object-array path's bits, field by field."""
+    metric = manifest.build_metric(_STACKED_CHARTS[name]).metric
+    m = metric.dim
+    x = np.random.default_rng(m + k_max).uniform(-0.3, 0.3, m)
+    if name == "two_d_family":
+        x[0] += 0.6                         # the chart is r > 0
+    points = [x] + ([np.zeros(m)] if metric.contains(np.zeros(m)) else [])
+    for p in points:
+        got = curvature(metric, p, k_max)
+        assert _bundle_bytes(got) == _bundle_bytes(
+            oracles.literal_curvature(metric, p, k_max))
+        assert len(got.nabla_r) == k_max
+
+
+@pytest.mark.parametrize("spec", [{"family": "fubini_study", "cdim": 3},
+                                  {"family": "sphere", "dim": 6}],
+                         ids=["fubini_study3", "sphere6"])
+def test_bundle_matches_literal_curvature_dim6(spec):
+    metric = manifest.build_metric(spec).metric
+    x = np.random.default_rng(6).uniform(-0.3, 0.3, 6)
+    assert _bundle_bytes(curvature(metric, x, 2)) == _bundle_bytes(
+        oracles.literal_curvature(metric, x, 2))
+
+
+def test_negative_k_max_refused(fs2):
+    with pytest.raises(ValueError, match="k_max"):
+        curvature(fs2.metric, np.zeros(4), k_max=-1)
 
 
 def test_one_point_batch_matches_unbatched(deformed_sphere4):
@@ -372,8 +407,10 @@ def test_order_exceeded_error(euclid3):
     with pytest.raises(OrderExceededError):
         curvature(limited, [0.0, 0.0, 0.0], k_max=2)   # needs order 4
     b = curvature(limited, [0.0, 0.0, 0.0], k_max=1)
-    with pytest.raises(OrderExceededError):
-        b.nabla(2)
+    for s in (2, -1):
+        with pytest.raises(OrderExceededError):
+            b.nabla(s)
+    assert b.nabla(0) is b.riemann and b.nabla(1) is b.nabla_r[0]
 
 
 def test_metric_derivatives_consistent_with_fd(fs2):
