@@ -126,7 +126,7 @@ def sphere(dim: int) -> CatalogEntry:
 
     def components(xj):
         x = jets.stack(xj)
-        t = norm_sq(x)
+        t = norm_sq(xj)
         s = jets.sin_sq_sqrt_over_t(t)            # sin^2(r)/r^2
         w = jets.t_minus_sinsq_over_t2(t)          # (1 - s)/t, analytic at 0
         g = jets.pair_products([x], rows, cols)   # x_i x_j
@@ -165,7 +165,7 @@ def fubini_study(cdim: int) -> CatalogEntry:
 
     def components(xj):
         x = jets.stack(xj)
-        t = norm_sq(x)
+        t = norm_sq(xj)
         inv = (1.0 + t).reciprocal()
         inv2 = inv * inv
         jx = x.entries(swap)

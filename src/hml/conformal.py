@@ -25,7 +25,7 @@ from . import jets
 from .curvature import curvature, gradient_norm_sq, hessian, laplacian
 from .geodesics import DensityProfile, NonRadialProfileError, relative_spread
 from .jets import MultiJet, seed_point
-from .metric import ChartMetric, ScalarField
+from .metric import ChartMetric, ScalarField, outside_domain
 from .series import TruncatedSeries
 
 
@@ -102,7 +102,16 @@ class RadialFunction:
 
 
 def _seed_series(t0, order: int) -> TruncatedSeries:
-    t0 = np.asarray(t0, dtype=float)
+    if not isinstance(t0, float):          # numpy's float64 is a float
+        t0 = np.asarray(t0, dtype=float)
+        if t0.ndim == 0:
+            t0 = t0[()]
+    if isinstance(t0, float):
+        # one point: the same series steps on Python floats, rounded alike.
+        # A zero stays a 0-d array, because series products skip factors
+        # that are zero floats but never arrays, and the skip can flip the
+        # sign of a zero coefficient
+        t0 = float(t0) if t0 != 0 else np.asarray(t0)
     if order == 0:
         return TruncatedSeries([t0 + 0.0])
     return TruncatedSeries.variable(order, at=t0)
@@ -206,11 +215,16 @@ def deform_metric(metric: ChartMetric, psi: RadialFunction) -> ChartMetric:
     _require_radial_chart(metric)
     base_components = metric.components
     rsq = metric.radial_distance_sq
-    m = metric.dim
+    name = f"{metric.name}_psi"
 
     def components(xjets):
+        # the base formula first: it leaves |x|^2 on the seeds for rsq
         base = base_components(xjets)
         Psi = psi.compose_jet(rsq(xjets))
+        # the domain's psi > 0, tested on the composed jet's constant term:
+        # psi(r^2), the value this formula divides by
+        if not jets.all_true(Psi.const_value() > 0):
+            raise outside_domain(name)
         w = Psi.reciprocal() ** 2
         if type(base) is MultiJet:
             return jets.multiply(w.spread(), base, out=base)
@@ -224,10 +238,10 @@ def deform_metric(metric: ChartMetric, psi: RadialFunction) -> ChartMetric:
         return ok & (np.asarray(psi(t)) > 0)
 
     return ChartMetric(
-        dim=m, components=components, domain=domain,
-        name=f"{metric.name}_psi",
+        dim=metric.dim, components=components, domain=domain, name=name,
         params={**metric.params, "psi": psi.name},
-        injectivity_radius=None, radial_distance_sq=None, normal_chart=False)
+        injectivity_radius=None, radial_distance_sq=None, normal_chart=False,
+        _formula_domain=base_domain)
 
 
 def radial_sq_value(metric: ChartMetric, x) -> np.ndarray:

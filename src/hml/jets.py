@@ -201,7 +201,7 @@ class JetSpace:
         if a.ndim == 1 == b.ndim:
             ia, ib, starts = self.pairs
             return np.add.reduceat(a[ia] * b[ib], starts, out=out)
-        n = max(a.size, b.size) // self.size
+        n = _out_columns(a, b)
         if n * self.rows_per_column <= CHUNK_MAX:
             slots = self.use_slots(a, b)
             return self.summed(a, self.rows(b, slots), slots, out)
@@ -214,6 +214,20 @@ class JetSpace:
         for at in chunks:
             self.product(_columns(a, at), _columns(b, at), out[:, at])
         return out
+
+
+def _out_columns(a, b) -> int:
+    """Columns of a product's output: its operands' batch axes broadcast."""
+    if a.shape == b.shape or a.ndim == 2 == b.ndim:     # one batch axis
+        return max(a.size, b.size) // a.shape[0]
+    if a.ndim == b.ndim:        # axis by axis: equal lengths, or one is 1
+        return math.prod(map(max, a.shape[1:], b.shape[1:]))
+    return math.prod(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+
+
+def all_true(flags) -> bool:
+    """np.all(flags) without numpy's reduction call on a scalar (one point)."""
+    return bool(flags) if flags.ndim == 0 else bool(flags.all())
 
 
 def _columns(c, at):
@@ -323,7 +337,8 @@ class MultiJet:
             raise TypeError("use powf() for non-integer exponents")
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = MultiJet.constant(self.space, 1.0, self.batch_shape)
+        result = MultiJet(self.space, np.zeros(self.coef.shape))
+        result.coef[0] = 1.0
         base = self
         while n:
             if n & 1:
@@ -361,8 +376,8 @@ class MultiJet:
         return MultiJet(space, coef)
 
     def reciprocal(self):
-        u0 = np.asarray(self.coef[0])
-        if np.any(u0 == 0):
+        u0 = self.coef[0]        # a float64 scalar at one point, else an array
+        if not all_true(u0 != 0):
             raise ZeroDivisionError("reciprocal of jet with zero constant term")
         derivs = [1.0 / u0]
         for k in range(1, self.space.order + 1):
@@ -386,13 +401,18 @@ def _seed_rows(nvars: int, order: int):
 
 
 class Seeds(list):
-    """Coordinate jets that are the entries of one stack, kept as ``stack``."""
+    """Coordinate jets that are the entries of one stack, kept as ``stack``.
 
-    __slots__ = ("stack",)
+    ``sum_sq`` keeps their ``norm_sq`` once formed, so a chart's formula and
+    its radial distance square the coordinates once.
+    """
+
+    __slots__ = ("stack", "sum_sq")
 
     def __init__(self, stack: MultiJet):
         super().__init__(stack.entries(k) for k in range(stack.coef.shape[1]))
         self.stack = stack
+        self.sum_sq = None
 
 
 def seed_point(x, order: int) -> Seeds:
@@ -581,7 +601,7 @@ def _entire_apply(x, coef_fn, n_extra=40):
             for c in col:
                 acc = acc * t + c
             derivs.append(acc)
-        return x.apply_analytic(np.array(derivs))
+        return x.apply_analytic(derivs)
     tab = _taylor_table(coef_fn, order, order + 1 + n_extra)
     tab = tab.reshape(tab.shape + (1,) * t0.ndim)
     # derivs[d] = sum_{k>=d} c_k k!/(k-d)! t0^(k-d), highest power first
@@ -655,8 +675,13 @@ def atan_sqrt_sq(x):
 def norm_sq(xjets):
     """Sum of squares of a sequence or stack of jets (or of numbers).
 
-    Jets are squared as one stack; the squares are summed in order.
+    Jets are squared as one stack; the squares are summed in order.  Seeds
+    return the sum they keep, so a caller must not write into it.
     """
+    if type(xjets) is Seeds:
+        if xjets.sum_sq is None:
+            xjets.sum_sq = norm_sq(xjets.stack)
+        return xjets.sum_sq
     if type(xjets) is not MultiJet:
         if not isinstance(xjets[0], MultiJet):
             total = xjets[0] * xjets[0]

@@ -16,11 +16,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .jets import MultiJet, _extraction_table, jet_space, seed_point
+from .jets import MultiJet, _extraction_table, all_true, jet_space, seed_point
 
 
 class DomainError(ValueError):
     """Evaluation point fails the chart's domain predicate."""
+
+
+def outside_domain(name: str) -> DomainError:
+    return DomainError(f"point outside domain of {name}")
 
 
 class DegenerateMetricError(ValueError):
@@ -101,6 +105,13 @@ class ChartMetric:
     from the chart's distinguished center (the origin); charts that provide
     it support radial conformal deformation.  ``normal_chart`` marks the
     special case r_P(x) = |x|.
+
+    ``_formula_domain``, where set, is the part of ``domain`` that
+    ``component_jets`` checks before it runs the formula, which then tests
+    the rest itself and raises the same DomainError: a deformed chart's
+    formula forms psi(r^2) anyway, so it tests psi > 0 on that value instead
+    of evaluating psi a second time (see ``conformal.deform_metric``).
+    ``contains`` always checks all of ``domain``.
     """
 
     dim: int
@@ -112,6 +123,7 @@ class ChartMetric:
     radial_distance_sq: Optional[Callable] = None
     normal_chart: bool = False
     max_order: Optional[int] = None  # None: analytic, any order
+    _formula_domain: Optional[Callable] = field(default=None, repr=False)
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -128,9 +140,8 @@ class ChartMetric:
         return ok.reshape(np.shape(x)[:-1])
 
     def require_inside(self, x):
-        ok = self.contains(x)
-        if not np.all(ok):
-            raise DomainError(f"point outside domain of {self.name}")
+        if not all_true(self.contains(x)):
+            raise outside_domain(self.name)
 
     def check_order(self, order: int):
         if self.max_order is not None and order > self.max_order:
@@ -145,7 +156,10 @@ class ChartMetric:
         Batch axis 0 of the stack indexes the entries; the batch axes of x
         follow it.  A nested structure from ``components`` is stacked here.
         """
-        self.require_inside(x)
+        if self._formula_domain is None:
+            self.require_inside(x)
+        elif not all_true(np.asarray(self._formula_domain(self._as_point(x)))):
+            raise outside_domain(self.name)
         self.check_order(order)
         comps = self.components(seed_point(x, order))
         if type(comps) is MultiJet:

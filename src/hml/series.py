@@ -42,14 +42,14 @@ class TruncatedSeries:
     @staticmethod
     def constant(value, order: int) -> "TruncatedSeries":
         zero = value * 0
-        return TruncatedSeries([value] + [zero] * order)
+        return _series([value] + [zero] * order)
 
     @staticmethod
     def variable(order: int, at=0.0) -> "TruncatedSeries":
         """Float-mode seed t0 + (t - t0); ``at`` may be a numpy array."""
         if order < 1:
             raise ValueError("a variable needs order >= 1")
-        return TruncatedSeries([at, 1.0] + [0.0] * (order - 1))
+        return _series([at, 1.0] + [0.0] * (order - 1))
 
     def const_value(self):
         return self.coeffs[0]
@@ -64,7 +64,7 @@ class TruncatedSeries:
         return self.coeffs[0] * 0
 
     def _check(self, other):
-        if other.order != self.order:
+        if len(other.coeffs) != len(self.coeffs):
             raise TruncationError(
                 f"truncation mismatch: {self.order} vs {other.order}")
 
@@ -72,15 +72,15 @@ class TruncatedSeries:
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)
-            return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+            return _series([a + b for a, b in zip(self.coeffs, other.coeffs)])
         c = list(self.coeffs)
         c[0] = c[0] + other
-        return TruncatedSeries(c)
+        return _series(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-a for a in self.coeffs])
+        return _series([-a for a in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -90,16 +90,9 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries([a * other for a in self.coeffs])
+            return _series([a * other for a in self.coeffs])
         self._check(other)
-        n = self.order
-        out = [self._zero() for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not isinstance(a, np.ndarray) and a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return TruncatedSeries(out)
+        return _series(_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -162,17 +155,38 @@ class TruncatedSeries:
 
     # -- analytic composition (float mode), mirrors MultiJet ---------------
     def apply_analytic(self, derivs) -> "TruncatedSeries":
-        du = TruncatedSeries(self.coeffs)
-        du = du - du.coeffs[0]
+        c = self.coeffs
+        du = [c[0] + (-c[0])] + c[1:]                 # self - c0
         ck = [derivs[k] / math.factorial(k)
-              for k in range(min(len(derivs), self.order + 1))]
-        result = TruncatedSeries.constant(ck[-1] + self._zero(), self.order)
+              for k in range(min(len(derivs), len(c)))]
+        value = ck[-1] + self._zero()
+        out = [value] + [value * 0] * (len(c) - 1)    # constant(value)
         for k in range(len(ck) - 2, -1, -1):
-            result = result * du + ck[k]
-        return result
+            out = _product(out, du)                     # out * du + ck[k]
+            out[0] = out[0] + ck[k]
+        return _series(out)
 
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs})"
+
+
+def _product(a: list, b: list) -> list:
+    """Coefficients of a series product; terms of a zero number are skipped."""
+    n = len(b)
+    out = [a[0] * 0] * n        # entries are replaced, never updated
+    for i, c in enumerate(a):
+        if not isinstance(c, np.ndarray) and c == 0:
+            continue
+        for j in range(n - i):
+            out[i + j] = out[i + j] + c * b[j]
+    return out
+
+
+def _series(coeffs: list) -> TruncatedSeries:
+    """A series on a new list made here, taken without a copy."""
+    s = object.__new__(TruncatedSeries)
+    s.coeffs = coeffs
+    return s
 
 
 def rational_series(coeffs, order: int) -> TruncatedSeries:

@@ -6,19 +6,23 @@ import math
 import numpy as np
 import pytest
 
-from hml import catalog, jets
+from hml import catalog, conformal, jets
 from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
                            TrivializerRadialFunction,
                            completeness_and_blowup, conformal_factor_field,
                            deform_metric, deformed_density,
                            deformed_radial_ricci, _fs_theta_u_series,
-                           _DensityRootPsiU, reparametrize, ricci_conformal,
-                           space_form_isometry_check, trivial_density_factor)
+                           _DensityRootPsiU, radial_sq_value, reparametrize,
+                           ricci_conformal, space_form_isometry_check,
+                           trivial_density_factor)
 from hml.curvature import christoffels, curvature, hessian, sectional_curvature
-from hml.geodesics import (HarmonicityConfig, NonRadialProfileError,
-                           ShootConfig, centrally_harmonic_test,
-                           density_profile, g_unit_directions)
-from hml.manifest import _sphere_height_psi
+from hml.geodesics import (DomainExitError, HarmonicityConfig,
+                           NonRadialProfileError, ShootConfig,
+                           centrally_harmonic_test, density_profile,
+                           g_unit_directions, shoot)
+from hml.manifest import _sphere_height_psi, build_metric
+from hml.metric import DomainError
+from hml.series import TruncatedSeries
 
 FAST = ShootConfig(steps=300)
 
@@ -327,6 +331,90 @@ def test_radial_function_derivatives_vs_fd():
     assert psi.series(t0, 1).coeffs[1] == pytest.approx(fd, rel=1e-8)
     d2_fd = (psi(t0 + h) - 2 * psi(t0) + psi(t0 - h)) / h ** 2
     assert 2 * psi.series(t0, 2).coeffs[2] == pytest.approx(d2_fd, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the deformed domain and psi's series at one point
+# ---------------------------------------------------------------------------
+
+def _zero_at_two(euclid3):
+    """psi(t) = 1 - t/4 vanishes at |x| = 2, inside the flat chart."""
+    psi = PolynomialRadialFunction([1.0, -0.25])
+    return psi, deform_metric(euclid3.metric, psi)
+
+
+def test_deformed_domain_where_psi_vanishes(euclid3):
+    # the formula tests psi > 0 itself; contains keeps the full predicate,
+    # and both refuse the same points, one by one and in a batch
+    psi, metric = _zero_at_two(euclid3)
+    r = np.linspace(1.9, 2.1, 41)
+    pts = np.stack([r, 0.3 * r, 0.0 * r], axis=-1) / math.sqrt(1.09)
+    full = (euclid3.metric.contains(pts)
+            & (np.asarray(psi(radial_sq_value(euclid3.metric, pts))) > 0))
+    assert 0 < full.sum() < len(full)
+    assert np.array_equal(metric.contains(pts), full)
+    message = "^point outside domain of euclidean_psi$"
+    for p, inside in zip(pts, full):
+        for evaluate in (metric.value, lambda x: metric.component_jets(x, 2)):
+            if inside:
+                evaluate(p)
+            else:
+                with pytest.raises(DomainError, match=message):
+                    evaluate(p)
+    metric.value(pts[full])
+    with pytest.raises(DomainError, match=message):
+        metric.value(pts)
+
+
+@pytest.mark.parametrize("steps,r,last_r", [(4, 8.0, 2.0), (3, 9.0, 0.0)])
+def test_deformed_domain_exit_radius(euclid3, steps, r, last_r):
+    # the flat geodesic creeps towards |x| = 2 (psi's zero, at infinite
+    # deformed distance), and coarse RK4 stages overshoot it
+    _, metric = _zero_at_two(euclid3)
+    with pytest.raises(DomainExitError) as exc:
+        shoot(metric, np.zeros(3), [1.0, 0.0, 0.0], r, ShootConfig(steps=steps))
+    assert exc.value.last_r == last_r
+
+
+def _array_seed(t0, order: int) -> TruncatedSeries:
+    """The series seed with t0 kept as a 0-d array, as arrays take it."""
+    t0 = np.asarray(t0, dtype=float)
+    if order == 0:
+        return TruncatedSeries([t0 + 0.0])
+    return TruncatedSeries.variable(order, at=t0)
+
+
+_FLOAT_PATH_PSIS = {
+    "poly": PolynomialRadialFunction([1.0, -0.25, 0.0, 0.125]),
+    "poly_zero_at_4": PolynomialRadialFunction([1.0, -0.25]),
+    "poly_vanishing_at_0": PolynomialRadialFunction([0.0, 1.0, -2.0]),
+    "height": _sphere_height_psi([1.0, 0.25]),
+    "height_zero_at_pole": _sphere_height_psi([0.0, -1.0]),
+    # t0 as the left factor of a product: at t0 = -0.0 a float would be
+    # skipped as a zero and flip the sign of the constant term
+    "square": AnalyticRadialFunction(lambda t: t * t, name="square"),
+}
+
+
+@pytest.mark.parametrize("name", [*_FLOAT_PATH_PSIS, "trivializer"])
+def test_psi_series_on_floats_bit_for_bit(name, monkeypatch):
+    # one point runs psi's series on Python floats: every coefficient,
+    # zero signs included, has the bytes of the 0-d array path
+    psi = (_FLOAT_PATH_PSIS[name] if name != "trivializer" else build_metric(
+        {"family": "sphere", "dim": 3,
+         "deform": {"psi": {"kind": "trivial-density"}}}).psi)
+    rng = np.random.default_rng(5)
+    ts = [0.0, -0.0, 5e-324, 5e-5, 0.25, 1.0, 4.0, math.pi ** 2 / 4,
+          *rng.uniform(0.0, 6.0, 12)]
+    got = [(t, k, psi.series(np.float64(t), k)) for t in ts for k in range(5)]
+    monkeypatch.setattr(conformal, "_seed_series", _array_seed)
+    for t, k, series in got:
+        want = psi.series(np.float64(t), k)
+        assert len(series.coeffs) == len(want.coeffs) == k + 1
+        for c, w in zip(series.coeffs, want.coeffs):
+            assert np.float64(c).tobytes() == np.float64(w).tobytes(), (t, k)
+        if name != "trivializer" and t != 0:
+            assert all(type(c) is float for c in series.coeffs)
 
 
 # ---------------------------------------------------------------------------

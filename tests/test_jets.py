@@ -1,6 +1,7 @@
 """Taylor-mode jet engine against closed-form derivatives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,34 @@ def test_product_matches_literal_reduceat(nvars, order):
                 assert got_l[at].tobytes() == want.tobytes()
                 want = oracles.literal_jet_product(space, a[at], spread[one])
                 assert got_r[at].tobytes() == want.tobytes()
+
+
+def test_product_chunks_operands_that_broadcast_both_ways(monkeypatch):
+    # (15, 64, 1) x (15, 1, 64): neither operand has the output's 4,096
+    # columns, so chunks are sized from the output.  Each chunk gathers at
+    # most CHUNK_MAX floats of product terms next to smaller factor rows,
+    # so the peak stays under two gathered factors at the cap (unchunked,
+    # this product peaked at 1.65 MB)
+    space = jet_space(4, 2)
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((space.size, 64, 1))
+    b = rng.standard_normal((space.size, 1, 64))
+    out = np.empty((space.size, 64, 64))
+    space.product(a, b, out)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        space.product(a, b, out)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2 * jets.CHUNK_MAX * 8
+    monkeypatch.setattr(jets, "CHUNK_MAX", 10 ** 12)
+    assert space.product(a, b).tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("order", range(5))
