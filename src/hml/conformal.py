@@ -102,16 +102,13 @@ class RadialFunction:
 
 
 def _seed_series(t0, order: int) -> TruncatedSeries:
-    if not isinstance(t0, float):          # numpy's float64 is a float
-        t0 = np.asarray(t0, dtype=float)
-        if t0.ndim == 0:
-            t0 = t0[()]
-    if isinstance(t0, float):
+    t0 = np.asarray(t0, dtype=float)
+    if t0.ndim == 0 and t0 != 0:
         # one point: the same series steps on Python floats, rounded alike.
         # A zero stays a 0-d array, because series products skip factors
         # that are zero floats but never arrays, and the skip can flip the
         # sign of a zero coefficient
-        t0 = float(t0) if t0 != 0 else np.asarray(t0)
+        t0 = float(t0)
     if order == 0:
         return TruncatedSeries([t0 + 0.0])
     return TruncatedSeries.variable(order, at=t0)

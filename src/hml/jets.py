@@ -218,8 +218,6 @@ class JetSpace:
 
 def _out_columns(a, b) -> int:
     """Columns of a product's output: its operands' batch axes broadcast."""
-    if a.shape == b.shape or a.ndim == 2 == b.ndim:     # one batch axis
-        return max(a.size, b.size) // a.shape[0]
     if a.ndim == b.ndim:        # axis by axis: equal lengths, or one is 1
         return math.prod(map(max, a.shape[1:], b.shape[1:]))
     return math.prod(np.broadcast_shapes(a.shape[1:], b.shape[1:]))

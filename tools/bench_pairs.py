@@ -2,13 +2,13 @@
 
 Usage:
     python3 tools/bench_pairs.py pairs PARENT CHANGE --out BENCH_N.json
-        [--label N] [--what TEXT] [--seeds 1001-1010] [--seconds 10]
-        [--workloads cli_defaults,wide_sweep,coefficients]
-    python3 tools/bench_pairs.py ab PARENT CHANGE [--rounds 15] [--out FILE]
+        [--label N] [--what TEXT] [--seeds 1001-1010]
+    python3 tools/bench_pairs.py ab PARENT CHANGE [--out FILE]
 
 PARENT and CHANGE are two checkouts, each with its own src/ and perfbench/.
 
-``pairs`` runs each checkout's own ``perfbench/run.py``, unchanged, with
+``pairs`` runs each checkout's own ``perfbench/run.py``, unchanged, on every
+workload of the change's BENCHMARK.json for its ``run_seconds``, with
 ``--trace 0``: one seed per pair on both sides, the parent first on odd
 pairs and the change first on even ones.  It writes every run, and per
 metric the median, the inclusive quartiles, the pairs the change wins
@@ -16,9 +16,9 @@ metric the median, the inclusive quartiles, the pairs the change wins
 
 ``ab`` imports both checkouts' hml in one process under different names
 and times one ``_rhs`` call on the poly-deformed sphere(4) and on its base
-sphere(4) at B = 1, 512 and 1024 points (|x| = 0.4), in interleaved rounds,
-each side with its own Workspace.  It reports microseconds per call, the
-paired change/parent ratio and, per side, the deformed/base ratio.
+sphere(4) at B = 1, 512 and 1024 points (|x| = 0.4), in ROUNDS interleaved
+rounds, each side with its own Workspace.  It reports microseconds per call,
+the paired change/parent ratio and, per side, the deformed/base ratio.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("cli_defaults", "wide_sweep", "coefficients")
+ROUNDS = 15
 DEFORMED_SPHERE4 = {"family": "sphere", "dim": 4,
                     "deform": {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}}
 
@@ -91,18 +91,21 @@ def pairs(args) -> dict:
              "change": Path(args.change).resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     seeds = _seeds(args.seeds)
+    if len(seeds) < 2:
+        raise SystemExit("pairs: quartiles need at least two seeds")
     factors = {"parent": [], "change": []}
     env = None
     table = {}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
         correct = True
         for i, seed in enumerate(seeds):
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in sides:
                 record, result = run_perfbench(roots[side], workload, seed,
-                                               args.seconds)
+                                               seconds)
                 env = env or {k: v for k, v in record["env"].items()
                               if k not in ("git_sha", "src_hml_lines")}
                 factors[side].append(record["speed_factor"])
@@ -121,7 +124,7 @@ def pairs(args) -> dict:
     return {
         "label": args.label, "what": args.what,
         "method": (f"tools/bench_pairs.py pairs: perfbench/run.py unchanged, "
-                   f"--seconds {args.seconds:g} --trace 0; {len(seeds)} pairs "
+                   f"--seconds {seconds:g} --trace 0; {len(seeds)} pairs "
                    f"per workload, seeds {args.seeds}, parent first on odd "
                    f"pairs and change first on even pairs; the same seed on "
                    f"both sides of a pair"),
@@ -176,7 +179,7 @@ def ab(args) -> dict:
                for side, mod in sides.items()
                for chart in ("sphere4", "deformed_sphere4")}
         us = {key: [] for key in fns}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             keys = list(fns) if r % 2 == 0 else list(fns)[::-1]
             for key in keys:
                 t = time.perf_counter()
@@ -211,9 +214,6 @@ def main(argv=None) -> int:
     s.add_argument("--label", default="")
     s.add_argument("--what", default="")
     s.add_argument("--seeds", default="1001-1010")
-    s.add_argument("--seconds", type=float, default=10.0)
-    s.add_argument("--workloads", default=",".join(WORKLOADS))
-    sub.choices["ab"].add_argument("--rounds", type=int, default=15)
     args = p.parse_args(argv)
     result = pairs(args) if args.cmd == "pairs" else ab(args)
     text = json.dumps(result, indent=1)
