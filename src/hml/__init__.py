@@ -20,8 +20,8 @@ from .curvature import (CurvatureBundle, christoffels, curvature,
                         hessian, laplacian, sectional_curvature)
 from .expansion import (DensityExpansion, JacobiOperator, density_coefficients,
                         jacobi, leading_coefficient, verify_leading_coefficient)
-from .geodesics import (DensityProfile, HarmonicityConfig, HarmonicityReport,
-                        PolarDensitySample, ShootConfig, SphereShapeSample,
+from .geodesics import (DensityProfile, HarmonicityReport, PolarDensitySample,
+                        SphereShapeSample,
                         centrally_harmonic_test, density_profile, eigen_spread,
                         g_unit_directions, radial_harmonic,
                         second_fundamental_form, shoot, unit_directions)

@@ -61,8 +61,7 @@ def euclidean(dim: int) -> CatalogEntry:
 
     metric = ChartMetric(
         dim=dim, components=components, name="euclidean", params={"dim": dim},
-        injectivity_radius=math.inf, radial_distance_sq=norm_sq,
-        normal_chart=True)
+        injectivity_radius=math.inf, radial_distance_sq=norm_sq)
     return CatalogEntry(
         name="euclidean", params={"dim": dim}, metric=metric,
         constant_curvature=0.0, einstein=True,
@@ -108,7 +107,7 @@ def space_form(a: float, b: float, dim: int) -> CatalogEntry:
     metric = ChartMetric(
         dim=dim, components=components, domain=domain, name="space_form",
         params={"a": a, "b": b, "dim": dim}, injectivity_radius=iota,
-        radial_distance_sq=rdist_sq, normal_chart=False)
+        radial_distance_sq=rdist_sq)
     return CatalogEntry(
         name="space_form", params={"a": a, "b": b, "dim": dim}, metric=metric,
         constant_curvature=kappa, einstein=True, center_in_chart=a > 0,
@@ -140,7 +139,7 @@ def sphere(dim: int) -> CatalogEntry:
     metric = ChartMetric(
         dim=dim, components=components, domain=domain, name="sphere",
         params={"dim": dim}, injectivity_radius=math.pi,
-        radial_distance_sq=norm_sq, normal_chart=True)
+        radial_distance_sq=norm_sq)
     return CatalogEntry(
         name="sphere", params={"dim": dim}, metric=metric,
         constant_curvature=1.0, einstein=True,
@@ -186,7 +185,7 @@ def fubini_study(cdim: int) -> CatalogEntry:
     metric = ChartMetric(
         dim=dim, components=components, name="fubini_study",
         params={"cdim": cdim}, injectivity_radius=math.pi / 2,
-        radial_distance_sq=rdist_sq, normal_chart=False)
+        radial_distance_sq=rdist_sq)
     return CatalogEntry(
         name="fubini_study", params={"cdim": cdim}, metric=metric,
         constant_curvature=None, einstein=True,
@@ -223,7 +222,7 @@ def two_d_family(n: int, b: float) -> CatalogEntry:
 
     metric = ChartMetric(
         dim=2, components=components, domain=domain, name="two_d_family",
-        params={"n": n, "b": b}, normal_chart=False)
+        params={"n": n, "b": b})
     return CatalogEntry(
         name="two_d_family", params={"n": n, "b": b}, metric=metric,
         constant_curvature=None, einstein=True,  # any surface is Einstein

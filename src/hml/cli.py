@@ -86,15 +86,6 @@ def _center(built: BuiltMetric, ana: dict) -> np.ndarray:
     return center
 
 
-def _radii(ana: dict, default):
-    radii = ana.get("radii", default)
-    return sorted(float(r) for r in radii)
-
-
-def _shoot_config(ana: dict) -> geodesics.ShootConfig:
-    return geodesics.ShootConfig(**_given(ana, steps="steps"))
-
-
 def _given(ana: dict, **keys) -> dict:
     """Keyword arguments for the analysis keys a manifest sets.
 
@@ -159,12 +150,9 @@ def cmd_curvature(built: BuiltMetric, ana: dict, outdir: str) -> int:
 def cmd_check_harmonic(built: BuiltMetric, ana: dict, outdir: str) -> int:
     metric = built.metric
     center = _center(built, ana)
-    given = _given(ana, radii="radii", n_directions="directions",
-                   tolerance="tolerance")
-    if "steps" in ana:
-        given["shoot"] = _shoot_config(ana)
-    cfg = geodesics.HarmonicityConfig(**given)
-    report = geodesics.centrally_harmonic_test(metric, center, cfg)
+    report = geodesics.centrally_harmonic_test(
+        metric, center, **_given(ana, radii="radii", n_directions="directions",
+                                 tolerance="tolerance", steps="steps"))
     doc = report.to_json_dict()
     doc["metric"] = metric.name
     _write_json(os.path.join(outdir, "harmonicity.json"), doc)
@@ -205,9 +193,8 @@ def cmd_expand(built: BuiltMetric, ana: dict, outdir: str) -> int:
     if iota is not None and math.isfinite(iota):
         r_hi = min(r_hi, 0.25 * float(iota))
     radii = np.geomspace(r_hi / 7, r_hi, max(2 * (order - 1), 24))
-    cfg = _shoot_config(ana)
     profile = geodesics.density_profile(metric, center, theta[None, :],
-                                        radii, cfg)
+                                        radii, **_given(ana, steps="steps"))
     fit = fit_radial_expansion(
         list(zip(radii, profile.theta[:, 0])), metric.dim, order)
     report["analytic"] = {f"H{k}": v for k, v in coeffs.values.items()}
@@ -232,8 +219,7 @@ def cmd_deform(built: BuiltMetric, ana: dict, outdir: str) -> int:
     psi = built.psi
     m = entry.dim
     report = {"metric": metric.name, "base": entry.name, "psi": psi.name}
-    radii = _radii(ana, np.linspace(0.15, 0.75, 5))
-    cfg = _shoot_config(ana)
+    radii = sorted(map(float, ana.get("radii", np.linspace(0.15, 0.75, 5))))
     # density law check: formula vs direct shooting in the deformed metric
     if entry.closed_form_density is not None and entry.center_in_chart:
         rep = conformal.reparametrize(psi, max(radii) * 1.05)
@@ -243,8 +229,9 @@ def cmd_deform(built: BuiltMetric, ana: dict, outdir: str) -> int:
             rep=rep)
         center = np.zeros(m)
         theta = geodesics.g_unit_directions(metric, center, 1)[0]
-        profile = geodesics.density_profile(metric, center, theta[None, :],
-                                            rc_vals, cfg)
+        profile = geodesics.density_profile(
+            metric, center, theta[None, :], rc_vals,
+            **_given(ana, steps="steps"))
         shot = profile.theta[:, 0]
         report["density_law"] = {
             "rc": list(map(float, rc_vals)),

@@ -237,7 +237,7 @@ def deform_metric(metric: ChartMetric, psi: RadialFunction) -> ChartMetric:
     return ChartMetric(
         dim=metric.dim, components=components, domain=domain, name=name,
         params={**metric.params, "psi": psi.name},
-        injectivity_radius=None, radial_distance_sq=None, normal_chart=False,
+        injectivity_radius=None, radial_distance_sq=None,
         _formula_domain=base_domain)
 
 

@@ -15,7 +15,8 @@ this linear form, so integration starts at the center exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional, Sequence
 
@@ -96,11 +97,6 @@ def parallel_frame_start(g0: np.ndarray, theta: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShootConfig:
-    steps: int = 2000          # fixed RK4 substeps over the full radius
-
 
 # Points per RHS block.  Every operation of the RHS is per point, so blocks
 # give the same bits.  At m = 4 a block of 512 holds d2g, U and R at 1 MB
@@ -190,8 +186,14 @@ def _initial_state(metric: ChartMetric, P, thetas):
     return (x, thetas.copy(), E, A, Ad)
 
 
-def _integrate_recording(metric, P, thetas, radii, cfg: ShootConfig):
-    """March through sorted radii, yielding (r, state, crossed) at each."""
+def _integrate_recording(metric, P, thetas, radii, steps: int):
+    """March through sorted radii, yielding (r, state, crossed) at each.
+
+    ``steps`` fixed RK4 steps span the largest radius.
+    """
+    if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
+            or steps < 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("record radii must be positive and increasing")
@@ -202,7 +204,7 @@ def _integrate_recording(metric, P, thetas, radii, cfg: ShootConfig):
     r_prev = 0.0
     for r in radii:
         seg = r - r_prev
-        n = max(1, int(round(cfg.steps * seg / total)))
+        n = max(1, int(round(steps * seg / total)))
         state = _rk4_segment(metric, state, seg, n, r_prev, tracker, ws)
         r_prev = r
         yield r, state, tracker.latched.copy()
@@ -235,30 +237,23 @@ class PolarDensitySample:
         return self.theta / self.radius ** (m - 1)
 
 
-def _finalize_sample(metric, P, theta_dir, r, state, b, crossed):
-    x, v, E, A, Ad = (s[b] for s in state)
-    detA = float(np.linalg.det(A))
-    conj = detA <= 0 or bool(crossed[b])
-    xi = float(np.trace(np.linalg.solve(A, Ad))) if detA > 0 else math.nan
-    g = metric.value(x)
-    energy = abs(float(v @ g @ v) - 1.0)
-    return PolarDensitySample(
-        center=np.asarray(P, float), direction=theta_dir, radius=float(r),
-        endpoint=x, velocity=v, frame=E, A=A, A_prime=Ad, theta=detA,
-        xi=xi, conjugate=conj, energy_error=energy)
-
-
 def shoot(metric: ChartMetric, P, theta, r: float,
-          config: ShootConfig = ShootConfig()) -> PolarDensitySample:
+          steps: int = 2000) -> PolarDensitySample:
     """Integrate a single geodesic with its Jacobi system out to radius r."""
     theta = np.asarray(theta, dtype=float)
     nrm = metric.norm(P, theta)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"direction must be g-unit at P (|theta|_g = {nrm:.3g})")
-    for rr, state, crossed in _integrate_recording(metric, P, theta[None, :],
-                                                   [r], config):
-        pass
-    return _finalize_sample(metric, P, theta, r, state, 0, crossed)
+    (_, state, crossed), = _integrate_recording(metric, P, theta[None, :],
+                                                [r], steps)
+    x, v, E, A, Ad = (y[0] for y in state)
+    detA = float(np.linalg.det(A))
+    xi = float(np.trace(np.linalg.solve(A, Ad))) if detA > 0 else math.nan
+    energy = abs(float(v @ metric.value(x) @ v) - 1.0)
+    return PolarDensitySample(
+        center=np.asarray(P, float), direction=theta, radius=float(r),
+        endpoint=x, velocity=v, frame=E, A=A, A_prime=Ad, theta=detA,
+        xi=xi, conjugate=detA <= 0 or bool(crossed[0]), energy_error=energy)
 
 
 def relative_spread(table) -> np.ndarray:
@@ -290,17 +285,18 @@ class DensityProfile:
 
 
 def density_profile(metric: ChartMetric, P, directions, radii,
-                    config: ShootConfig = ShootConfig()) -> DensityProfile:
+                    steps: int = 2000) -> DensityProfile:
     """Batch of shoot results organized for radiality analysis.
 
-    ``directions`` is either a count (deterministic sampling) or an array
-    of g-unit vectors, integrated together in one vectorized batch.
+    ``directions`` is an (N, dim) array of g-unit vectors, integrated
+    together in one vectorized batch.
     """
     P = np.asarray(P, dtype=float)
-    if isinstance(directions, (int, np.integer)):
-        directions = g_unit_directions(metric, P, int(directions))
-    else:
-        directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != metric.dim \
+            or len(directions) == 0:
+        raise ValueError(f"directions must be shaped (N, {metric.dim}) with "
+                         f"N >= 1, got {directions.shape}")
     radii = np.asarray(sorted(float(r) for r in radii))
 
     R, N, m = len(radii), len(directions), metric.dim
@@ -311,7 +307,7 @@ def density_profile(metric: ChartMetric, P, directions, radii,
     energy = 0.0
     eye = np.eye(m - 1)
     for ir, (_, (x, v, E, A, Ad), crossed) in enumerate(
-            _integrate_recording(metric, P, directions, radii, config)):
+            _integrate_recording(metric, P, directions, radii, steps)):
         det = np.linalg.det(A)
         theta[ir] = det
         conj[ir] = bad = (det <= 0) | crossed
@@ -341,14 +337,10 @@ def density_profile(metric: ChartMetric, P, directions, radii,
 # harmonicity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HarmonicityConfig:
-    radii: Optional[Sequence[float]] = None   # default: geometric in (0, r_max)
-    r_max: float = 0.8
-    n_radii: int = 6
-    n_directions: int = 16
-    tolerance: float = 1e-6        # relative spread separating radial/non-radial
-    shoot: ShootConfig = ShootConfig(steps=800)
+# The default radius grid: N_RADII geometric radii up to R_MAX, which is
+# clamped to 0.45 of the injectivity radius about a chart's center.
+R_MAX = 0.8
+N_RADII = 6
 
 
 @dataclass
@@ -370,70 +362,58 @@ class HarmonicityReport:
     profile: Optional[DensityProfile] = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "center": list(map(float, self.center)),
-            "verdict": bool(self.verdict),
-            "inconclusive": bool(self.inconclusive),
-            "tolerance": float(self.tolerance),
-            "theta_spread_max": self.theta_spread_max,
-            "xi_spread_max": self.xi_spread_max,
-            "einstein_defect": self.einstein_defect,
-            "radii": list(map(float, self.radii)),
-            "theta_spread": list(map(float, self.theta_spread)),
-            "xi_spread": list(map(float, self.xi_spread)),
-            "n_directions": self.n_directions,
-            "largest_safe_radius": self.largest_safe_radius,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "profile"}
 
 
 def centrally_harmonic_test(metric: ChartMetric, P,
-                            config: HarmonicityConfig = HarmonicityConfig()
-                            ) -> HarmonicityReport:
+                            radii: Optional[Sequence[float]] = None,
+                            n_directions: int = 16, tolerance: float = 1e-6,
+                            steps: int = 800) -> HarmonicityReport:
     """Radiality of Theta and Xi across directions, plus the Einstein check.
 
     The verdict is 'harmonic about P' iff both relative spreads stay below
     the tolerance at every probed radius.  Radii that leave the chart or
     cross a conjugate point make the result inconclusive rather than false.
     """
-    if config.n_directions < 2:
+    if n_directions < 2:
         # one direction has no spread to measure: it would read as radial
         raise ValueError(f"the harmonicity test needs at least 2 directions, "
-                         f"got {config.n_directions}")
+                         f"got {n_directions}")
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
+            or not 0 < tolerance < math.inf):
+        # a tolerance <= 0 would turn a radial profile into "not harmonic"
+        raise ValueError(f"tolerance must be a finite real > 0, "
+                         f"got {tolerance!r}")
     P = np.asarray(P, dtype=float)
-    radii = config.radii
     if radii is None:
-        r_max = config.r_max
+        r_max = R_MAX
         iota = metric.injectivity_radius
         if np.allclose(P, 0.0) and iota is not None and math.isfinite(iota):
             r_max = min(r_max, 0.45 * iota)
-        radii = np.geomspace(r_max / 4.0, r_max, config.n_radii)
-    inconclusive = False
+        radii = np.geomspace(r_max / 4.0, r_max, N_RADII)
     try:
-        profile = density_profile(metric, P, config.n_directions, radii,
-                                  config.shoot)
-        if profile.conjugate.any():
-            inconclusive = True
+        profile = density_profile(
+            metric, P, g_unit_directions(metric, P, n_directions), radii,
+            steps)
     except DomainExitError:
         profile = None
-        inconclusive = True
-    bundle = curvature(metric, P, k_max=0)
-    defect = einstein_defect(bundle)
-    if inconclusive or profile is None:
+    inconclusive = profile is None or bool(profile.conjugate.any())
+    if inconclusive:
         sp_t = sp_x = [math.nan]
         verdict = False
     else:
-        sp_t = profile.theta_spread()
-        sp_x = profile.xi_spread()
-        verdict = bool(max(sp_t.max(), sp_x.max()) <= config.tolerance)
+        sp_t, sp_x = profile.theta_spread(), profile.xi_spread()
+        verdict = bool(max(sp_t.max(), sp_x.max()) <= tolerance)
     return HarmonicityReport(
-        center=list(P), verdict=verdict, inconclusive=inconclusive,
-        tolerance=config.tolerance,
+        center=P.tolist(), verdict=verdict, inconclusive=inconclusive,
+        tolerance=float(tolerance),
         theta_spread_max=float(np.max(sp_t)), xi_spread_max=float(np.max(sp_x)),
-        einstein_defect=defect,
+        einstein_defect=einstein_defect(curvature(metric, P, k_max=0)),
         radii=sorted(map(float, radii)),     # the order density_profile uses
         theta_spread=list(map(float, np.atleast_1d(sp_t))),
         xi_spread=list(map(float, np.atleast_1d(sp_x))),
-        n_directions=config.n_directions,
+        n_directions=n_directions,
         largest_safe_radius=(profile.largest_safe_radius
                              if profile is not None else 0.0),
         profile=profile)
@@ -494,9 +474,8 @@ class SphereShapeSample:
 
 
 def second_fundamental_form(metric: ChartMetric, P, theta, r: float,
-                            config: ShootConfig = ShootConfig()
-                            ) -> SphereShapeSample:
-    sample = shoot(metric, P, theta, r, config)
+                            steps: int = 2000) -> SphereShapeSample:
+    sample = shoot(metric, P, theta, r, steps)
     if sample.conjugate:
         raise ConjugatePointError(
             f"det A <= 0 at r = {r}: conjugate point crossed")

@@ -103,8 +103,7 @@ class ChartMetric:
     so all derivatives come from one formula.  ``radial_distance_sq`` is an
     optional analytic expression for the squared geodesic distance r_P^2
     from the chart's distinguished center (the origin); charts that provide
-    it support radial conformal deformation.  ``normal_chart`` marks the
-    special case r_P(x) = |x|.
+    it support radial conformal deformation.
 
     ``_formula_domain``, where set, is the part of ``domain`` that
     ``component_jets`` checks before it runs the formula, which then tests
@@ -121,7 +120,6 @@ class ChartMetric:
     params: dict = field(default_factory=dict)
     injectivity_radius: Optional[float] = None  # about the center; None = unknown
     radial_distance_sq: Optional[Callable] = None
-    normal_chart: bool = False
     max_order: Optional[int] = None  # None: analytic, any order
     _formula_domain: Optional[Callable] = field(default=None, repr=False)
 

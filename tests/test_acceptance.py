@@ -23,8 +23,7 @@ from hml.conformal import (PolynomialRadialFunction, TrivializerRadialFunction,
 from hml.curvature import christoffels, curvature, curvature_arrays, hessian
 from hml.expansion import (density_coefficients, leading_coefficient,
                            verify_leading_coefficient)
-from hml.geodesics import (HarmonicityConfig, ShootConfig,
-                           centrally_harmonic_test, density_profile,
+from hml.geodesics import (centrally_harmonic_test, density_profile,
                            eigen_spread, g_unit_directions, radial_harmonic,
                            reduced_jacobi_at, second_fundamental_form, shoot)
 from hml.manifest import _sphere_height_psi
@@ -84,7 +83,7 @@ def test_02_expansion_vs_ode_oracle():
         r_hi = min(0.42, iota / 4)          # stay within iota/4
         radii = geometric_radii(r_hi / 7, r_hi, 24)
         prof = density_profile(entry.metric, P, theta[None, :], radii,
-                               ShootConfig(steps=700))
+                               steps=700)
         fit = fit_radial_expansion(list(zip(radii, prof.theta[:, 0])), 4,
                                    order=12)
         diff = max(abs(fit[k] - co[k]) for k in range(2, 7))
@@ -199,12 +198,11 @@ def _pole_chart(sign):
 
 def test_06_deformed_sphere_harmonicity():
     t0 = time.time()
-    cfg = HarmonicityConfig(n_directions=10, n_radii=4, r_max=0.8,
-                            shoot=ShootConfig(steps=350))
+    cfg = dict(n_directions=10, radii=np.geomspace(0.2, 0.8, 4), steps=350)
     pole_spreads = []
     for sign in (+1, -1):
         metric = _pole_chart(sign)
-        rep = centrally_harmonic_test(metric, np.zeros(4), cfg)
+        rep = centrally_harmonic_test(metric, np.zeros(4), **cfg)
         pole_spreads.append(max(rep.theta_spread_max, rep.xi_spread_max))
         assert rep.verdict
     metric = _pole_chart(+1)
@@ -215,9 +213,8 @@ def test_06_deformed_sphere_harmonicity():
         P = np.zeros(4)
         P[ax] = dist
         rep = centrally_harmonic_test(
-            metric, P, HarmonicityConfig(n_directions=10, n_radii=4,
-                                         r_max=0.6,
-                                         shoot=ShootConfig(steps=350)))
+            metric, P, n_directions=10, radii=np.geomspace(0.15, 0.6, 4),
+            steps=350)
         assert not rep.verdict and not rep.inconclusive
         off_spreads.append(rep.theta_spread_max)
     elapsed = time.time() - t0
@@ -243,7 +240,7 @@ def test_07_density_law_end_to_end():
     pred = deformed_density(lambda r: r ** (m - 1), psi, m, rc, 6.0)
     theta = g_unit_directions(deformed, np.zeros(m), 1)[0]
     prof = density_profile(deformed, np.zeros(m), theta[None, :], rc,
-                           ShootConfig(steps=600))
+                           steps=600)
     err_sphere = float(np.max(np.abs(pred - prof.theta[:, 0])))
     err_closed = float(np.max(np.abs(pred - np.sin(rc) ** (m - 1))))
 
@@ -259,7 +256,7 @@ def test_07_density_law_end_to_end():
                                rep=rep)
     theta_fs = g_unit_directions(deformed_fs, np.zeros(4), 1)[0]
     prof_fs = density_profile(deformed_fs, np.zeros(4), theta_fs[None, :],
-                              rc_fs, ShootConfig(steps=600))
+                              rc_fs, steps=600)
     err_fs = float(np.max(np.abs(pred_fs - prof_fs.theta[:, 0])))
     err_trivial = float(np.max(np.abs(prof_fs.theta[:, 0]
                                       / rc_fs ** 3 - 1.0)))
@@ -319,7 +316,7 @@ def test_09_umbilicity():
         dirs = g_unit_directions(entry.metric, P, 4)
         radii = [0.25, 0.5, 0.75]
         prof = density_profile(entry.metric, P, dirs, radii,
-                               ShootConfig(steps=350))
+                               steps=350)
         worst_sf = max(worst_sf, float(np.nanmax(prof.umbilicity)))
     # projective plane: defect bounded away from zero, s_P = 3
     fs = catalog.fubini_study(2)
@@ -328,7 +325,7 @@ def test_09_umbilicity():
     for theta in g_unit_directions(fs.metric, np.zeros(4), 5):
         for r in (0.05, 0.1, 0.2):
             s = second_fundamental_form(fs.metric, np.zeros(4), theta, r,
-                                        ShootConfig(steps=200))
+                                        steps=200)
             min_defect = min(min_defect, s.umbilicity_defect)
     # small-radius expansion of the shape operator
     theta = np.array([1.0, 0, 0, 0])
@@ -337,7 +334,7 @@ def test_09_umbilicity():
     resid = []
     for r in radii:
         s = second_fundamental_form(fs.metric, np.zeros(4), theta, r,
-                                    ShootConfig(steps=200))
+                                    steps=200)
         resid.append((s.L - np.eye(3) / r).ravel())
     A = np.stack([np.asarray(radii), np.ones(4)], axis=1)
     lin = np.linalg.lstsq(A, np.stack(resid), rcond=None)[0][0].reshape(3, 3)
@@ -375,12 +372,12 @@ def test_10_property_suites():
     fs = catalog.fubini_study(2)
     theta = g_unit_directions(fs.metric, np.zeros(4), 1)[0]
     energy = shoot(fs.metric, np.zeros(4), theta, 1.2,
-                   ShootConfig(steps=500)).energy_error
+                   steps=500).energy_error
     # integrator order on the round sphere
     sp = catalog.sphere(3)
     exact = math.sin(0.9) ** 2
     errs = [abs(shoot(sp.metric, np.zeros(3), [1.0, 0, 0], 0.9,
-                      ShootConfig(steps=s)).theta - exact)
+                      steps=s).theta - exact)
             for s in (40, 80)]
     order_ratio = errs[0] / errs[1]
     # radial harmonic profiles up to affine equivalence

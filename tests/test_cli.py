@@ -1,6 +1,7 @@
 """Manifest validation, CLI determinism, exit codes."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hml import cli
-from hml.geodesics import HarmonicityConfig, ShootConfig
+from hml import cli, geodesics
+from hml.geodesics import centrally_harmonic_test, density_profile
 from hml.manifest import (ANALYSIS_KEYS, COMMANDS, METRIC_KEYS, ManifestError,
                           build_metric, validate)
 
@@ -330,6 +331,47 @@ def test_bad_steps_exit_3(tmp_path, capsys, steps):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "analysis.steps must be an integer >= 1" in err
+
+
+class _Stop(Exception):
+    """Raised by a recording stand-in once the CLI has made its call."""
+
+
+_EUCLID3 = {"family": "euclidean", "dim": 3}
+_DEFORMED_SPHERE3 = {"family": "sphere", "dim": 3, "deform": {
+    "psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}}
+
+
+@pytest.mark.parametrize("metric,analysis,target,n_args,keywords", [
+    (_EUCLID3, {"command": "expand", "steps": 7}, "density_profile", 4,
+     {"steps": 7}),
+    (_EUCLID3, {"command": "expand"}, "density_profile", 4, {}),
+    (_DEFORMED_SPHERE3, {"command": "deform", "steps": 7}, "density_profile",
+     4, {"steps": 7}),
+    (_DEFORMED_SPHERE3, {"command": "deform"}, "density_profile", 4, {}),
+    (_EUCLID3, {"command": "check_harmonic", "radii": [0.1, 0.2],
+                "directions": 3, "tolerance": 1e-5, "steps": 9},
+     "centrally_harmonic_test", 2,
+     {"radii": [0.1, 0.2], "n_directions": 3, "tolerance": 1e-5, "steps": 9}),
+    (_EUCLID3, {"command": "check_harmonic"}, "centrally_harmonic_test", 2,
+     {}),
+])
+def test_cli_forwards_each_key_to_its_keyword(tmp_path, monkeypatch, metric,
+                                              analysis, target, n_args,
+                                              keywords):
+    # an unset key passes no keyword, so the library's default applies
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        raise _Stop
+
+    monkeypatch.setattr(geodesics, target, record)
+    doc = {"metric": metric, "analysis": analysis}
+    with pytest.raises(_Stop):
+        run_cli(["--manifest", write(tmp_path, "k.json", doc),
+                 "--out", str(tmp_path / "o")])
+    assert calls == [(n_args, keywords)]
 
 
 @pytest.mark.parametrize("analysis,flags,why", [
@@ -682,14 +724,16 @@ def test_readme_schema_names_every_key_with_its_default():
     block = re.search(r"### Manifest schema\s+```jsonc\n(.*?)```", text,
                       re.S).group(1)
     shown = dict(re.findall(r'^\s*"(\w+)":\s*(.*?),?\s*(?://.*)?$', block, re.M))
-    library = {"directions": HarmonicityConfig().n_directions,
-               "tolerance": HarmonicityConfig().tolerance,
-               "steps": HarmonicityConfig().shoot.steps}
+    harmonic = inspect.signature(centrally_harmonic_test).parameters
+    library = {"directions": harmonic["n_directions"].default,
+               "tolerance": harmonic["tolerance"].default,
+               "steps": harmonic["steps"].default}
     for key, spec in ANALYSIS_KEYS.items():
         assert key in shown, key
         default = library.get(key, spec.default)
         if default is not None:
             assert json.loads(shown[key]) == default, key
-    assert f"{ShootConfig().steps} for expand" in block
+    shoot_steps = inspect.signature(density_profile).parameters["steps"].default
+    assert f"{shoot_steps} for expand" in block
     for key in METRIC_KEYS:
         assert f'"{key}":' in block, key

@@ -16,15 +16,14 @@ from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
                            ricci_conformal, space_form_isometry_check,
                            trivial_density_factor)
 from hml.curvature import christoffels, curvature, hessian, sectional_curvature
-from hml.geodesics import (DomainExitError, HarmonicityConfig,
-                           NonRadialProfileError, ShootConfig,
+from hml.geodesics import (DomainExitError, NonRadialProfileError,
                            centrally_harmonic_test, density_profile,
                            g_unit_directions, shoot)
 from hml.manifest import _sphere_height_psi, build_metric
 from hml.metric import DomainError
 from hml.series import TruncatedSeries
 
-FAST = ShootConfig(steps=300)
+FAST = 300      # RK4 steps
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +81,8 @@ def test_deform_requires_radial_chart():
 def test_deformed_sphere_harmonic_at_pole(sphere4):
     ms = deform_metric(sphere4.metric, _sphere_height_psi([1.0, 0.25]))
     rep = centrally_harmonic_test(
-        ms, np.zeros(4), HarmonicityConfig(n_directions=8, n_radii=3,
-                                           shoot=FAST))
+        ms, np.zeros(4), n_directions=8, radii=np.geomspace(0.2, 0.8, 3),
+        steps=FAST)
     assert rep.verdict
     assert rep.theta_spread_max < 1e-9
 
@@ -117,7 +116,7 @@ def test_deformed_density_matches_direct_shot(euclid4):
     pred = deformed_density(lambda r: r ** (m - 1), psi, m, rc, 4.0)
     theta = g_unit_directions(ms, np.zeros(4), 1)[0]
     prof = density_profile(ms, np.zeros(4), theta[None, :], rc,
-                           ShootConfig(steps=500))
+                           steps=500)
     assert np.max(np.abs(pred - prof.theta[:, 0])) < 1e-5
 
 
@@ -220,7 +219,7 @@ def test_nonlinear_deformation_not_harmonic_off_center(euclid3):
     ms = deform_metric(euclid3.metric, psi)
     rep = centrally_harmonic_test(
         ms, np.array([0.45, 0.0, 0.0]),
-        HarmonicityConfig(n_directions=8, n_radii=3, r_max=0.35, shoot=FAST))
+        n_directions=8, radii=np.geomspace(0.35 / 4, 0.35, 3), steps=FAST)
     assert not rep.verdict and not rep.inconclusive
     assert rep.theta_spread_max > 1e-3
 
@@ -235,8 +234,7 @@ def test_theorem_style_deformed_base_harmonic(euclid3, fs2):
         ms = deform_metric(base, psi)
         rep = centrally_harmonic_test(
             ms, np.zeros(base.dim),
-            HarmonicityConfig(n_directions=8, n_radii=3, r_max=0.6,
-                              shoot=FAST))
+            n_directions=8, radii=np.geomspace(0.15, 0.6, 3), steps=FAST)
         assert rep.verdict
         assert rep.theta_spread_max < 1e-6
 
@@ -264,7 +262,7 @@ def test_trivializer_sphere_density_flat(sphere3):
     rc = rep.rc(np.array([0.4, 0.8, 1.2]))
     theta = g_unit_directions(ms, np.zeros(3), 1)[0]
     prof = density_profile(ms, np.zeros(3), theta[None, :], rc,
-                           ShootConfig(steps=500))
+                           steps=500)
     assert np.max(np.abs(prof.theta[:, 0] / rc ** (m - 1) - 1.0)) < 1e-5
 
 
@@ -283,8 +281,10 @@ def test_trivializer_differs_from_reduced_density_closures(sphere3):
 
 def test_trivial_density_factor_from_engine_profile(sphere3):
     radii = np.linspace(0.15, 1.0, 10)
-    prof = density_profile(sphere3.metric, np.zeros(3), 6, radii,
-                           ShootConfig(steps=400))
+    prof = density_profile(sphere3.metric, np.zeros(3),
+                           g_unit_directions(sphere3.metric, np.zeros(3), 6),
+                           radii,
+                           steps=400)
     tri = trivial_density_factor(prof, 3)
     # compare against the closed-form construction
     ref = TrivializerRadialFunction(
@@ -372,7 +372,7 @@ def test_deformed_domain_exit_radius(euclid3, steps, r, last_r):
     # deformed distance), and coarse RK4 stages overshoot it
     _, metric = _zero_at_two(euclid3)
     with pytest.raises(DomainExitError) as exc:
-        shoot(metric, np.zeros(3), [1.0, 0.0, 0.0], r, ShootConfig(steps=steps))
+        shoot(metric, np.zeros(3), [1.0, 0.0, 0.0], r, steps=steps)
     assert exc.value.last_r == last_r
 
 

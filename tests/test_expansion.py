@@ -10,7 +10,7 @@ from hml import catalog
 from hml.curvature import curvature
 from hml.expansion import (TruncationTooLow, density_coefficients, jacobi,
                            leading_coefficient, verify_leading_coefficient)
-from hml.geodesics import ShootConfig, density_profile, g_unit_directions
+from hml.geodesics import density_profile, g_unit_directions
 from hml.metric import OrderExceededError
 from hml.series import fit_radial_expansion, geometric_radii
 
@@ -108,7 +108,7 @@ def test_density_coefficients_vs_shot_density(fs2):
     co = density_coefficients(fs2.metric, np.zeros(4), theta)
     radii = geometric_radii(0.06, 0.42, 24)
     prof = density_profile(fs2.metric, np.zeros(4), theta[None, :], radii,
-                           ShootConfig(steps=700))
+                           steps=700)
     fit = fit_radial_expansion(list(zip(radii, prof.theta[:, 0])), 4, order=12)
     for k in range(2, 7):
         assert fit[k] == pytest.approx(co[k], abs=1e-5)
@@ -126,7 +126,7 @@ def test_density_coefficients_off_pole_odd_orders():
     co = density_coefficients(ms, P, theta)
     assert abs(co[3]) > 0.1 and abs(co[5]) > 0.1
     radii = geometric_radii(0.05, 0.35, 24)
-    prof = density_profile(ms, P, theta[None, :], radii, ShootConfig(steps=700))
+    prof = density_profile(ms, P, theta[None, :], radii, steps=700)
     fit = fit_radial_expansion(list(zip(radii, prof.theta[:, 0])), 4, order=12)
     for k, tol in ((2, 1e-9), (3, 1e-7), (4, 1e-6), (5, 1e-5), (6, 1e-4)):
         assert fit[k] == pytest.approx(co[k], abs=tol)

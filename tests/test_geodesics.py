@@ -9,8 +9,7 @@ import pytest
 from hml import catalog, jets
 from hml.curvature import curvature_arrays, laplacian, reduced_jacobi
 from hml.geodesics import (ConjugatePointError, DomainExitError,
-                           HarmonicityConfig, NonRadialProfileError,
-                           ShootConfig, _initial_state, _rhs,
+                           NonRadialProfileError, _initial_state, _rhs,
                            centrally_harmonic_test,
                            density_profile, eigen_spread, g_unit_directions,
                            parallel_frame_start, radial_harmonic,
@@ -20,7 +19,7 @@ from hml.metric import ChartMetric, ScalarField, Workspace
 
 import oracles
 
-FAST = ShootConfig(steps=300)
+FAST = 300      # RK4 steps
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +27,7 @@ FAST = ShootConfig(steps=300)
 # ---------------------------------------------------------------------------
 
 def test_shoot_euclidean(euclid3):
-    s = shoot(euclid3.metric, [0.0, 0, 0], [0, 1.0, 0], 2.0, ShootConfig(steps=50))
+    s = shoot(euclid3.metric, [0.0, 0, 0], [0, 1.0, 0], 2.0, steps=50)
     assert np.allclose(s.endpoint, [0, 2, 0], atol=1e-12)
     assert s.theta == pytest.approx(2.0 ** 2, rel=1e-12)       # det(2 I_2)
     assert np.allclose(s.A, 2.0 * np.eye(2), atol=1e-12)
@@ -37,14 +36,14 @@ def test_shoot_euclidean(euclid3):
 
 def test_shoot_sphere_closed_form(sphere4):
     s = shoot(sphere4.metric, np.zeros(4), [1.0, 0, 0, 0], 1.0,
-              ShootConfig(steps=500))
+              steps=500)
     assert s.theta == pytest.approx(math.sin(1.0) ** 3, abs=1e-7)
     assert np.allclose(s.A, math.sin(1.0) * np.eye(3), atol=1e-9)
 
 
 def test_shoot_fubini_study_closed_form(fs2):
     theta = g_unit_directions(fs2.metric, np.zeros(4), 5)[3]
-    s = shoot(fs2.metric, np.zeros(4), theta, 1.0, ShootConfig(steps=500))
+    s = shoot(fs2.metric, np.zeros(4), theta, 1.0, steps=500)
     assert s.theta == pytest.approx(math.sin(1.0) ** 3 * math.cos(1.0), abs=1e-6)
 
 
@@ -55,7 +54,7 @@ def test_shoot_requires_unit_direction(sphere3):
 
 def test_energy_conservation(fs2):
     theta = g_unit_directions(fs2.metric, np.zeros(4), 1)[0]
-    s = shoot(fs2.metric, np.zeros(4), theta, 1.2, ShootConfig(steps=600))
+    s = shoot(fs2.metric, np.zeros(4), theta, 1.2, steps=600)
     assert s.energy_error < 1e-9
 
 
@@ -65,7 +64,7 @@ def test_integrator_fourth_order_convergence(sphere3):
     errs = []
     for steps in (40, 80, 160):
         s = shoot(sphere3.metric, np.zeros(3), [1.0, 0, 0], 0.9,
-                  ShootConfig(steps=steps))
+                  steps=steps)
         errs.append(abs(s.theta - exact))
     assert errs[0] / errs[1] > 14
     assert errs[1] / errs[2] > 14
@@ -102,7 +101,7 @@ def test_domain_exit_on_a_step_end_point(radii, steps, bound, last_r):
         name="slab")
     with pytest.raises(DomainExitError) as exc:
         density_profile(slab, np.zeros(3), np.array([[0.6, 0.8, 0.0]]), radii,
-                        ShootConfig(steps=steps))
+                        steps=steps)
     assert exc.value.last_r == last_r
 
 
@@ -111,7 +110,7 @@ def test_conjugate_point_flagged_odd_parity(sphere4):
     # sits inside the chart: the geodesic passes back through the pole;
     # det A = sin^3 goes negative past it
     s = shoot(sphere4.metric, [1.0, 0, 0, 0], [-1.0, 0, 0, 0], 3.3,
-              ShootConfig(steps=800))
+              steps=800)
     assert s.conjugate
     assert s.theta < 0
 
@@ -120,12 +119,12 @@ def test_conjugate_point_latched_even_parity(sphere3):
     # det A = sin^2 stays positive after the crossing at pi; the dip
     # monitor must still latch the conjugate point
     s = shoot(sphere3.metric, [1.0, 0, 0], [-1.0, 0, 0], 3.3,
-              ShootConfig(steps=800))
+              steps=800)
     assert s.conjugate
     assert s.theta > 0
     # and a shot stopping before the crossing stays clean
     s_ok = shoot(sphere3.metric, [1.0, 0, 0], [-1.0, 0, 0], 2.0,
-                 ShootConfig(steps=400))
+                 steps=400)
     assert not s_ok.conjugate
 
 
@@ -134,22 +133,25 @@ def test_conjugate_point_latched_even_parity(sphere3):
 # ---------------------------------------------------------------------------
 
 def test_profile_euclidean_columns_identical(euclid4):
-    prof = density_profile(euclid4.metric, np.zeros(4), 20, [0.5, 1.0, 1.5],
-                           ShootConfig(steps=100))
+    dirs = g_unit_directions(euclid4.metric, np.zeros(4), 20)
+    prof = density_profile(euclid4.metric, np.zeros(4), dirs, [0.5, 1.0, 1.5],
+                           steps=100)
     for ir, r in enumerate(prof.radii):
         assert np.max(np.abs(prof.theta[ir] - r ** 3)) < 1e-12
     assert prof.theta_spread().max() < 1e-12
 
 
 def test_profile_deformed_sphere_pole_radial(deformed_sphere4):
-    prof = density_profile(deformed_sphere4, np.zeros(4), 8,
+    dirs = g_unit_directions(deformed_sphere4, np.zeros(4), 8)
+    prof = density_profile(deformed_sphere4, np.zeros(4), dirs,
                            [0.3, 0.6, 0.9], FAST)
     assert prof.theta_spread().max() < 1e-7
 
 
 def test_profile_deformed_sphere_off_pole_not_radial(deformed_sphere4):
     P = np.array([0.45, 0, 0, 0])
-    prof = density_profile(deformed_sphere4, P, 8, [0.3, 0.6, 0.9], FAST)
+    dirs = g_unit_directions(deformed_sphere4, P, 8)
+    prof = density_profile(deformed_sphere4, P, dirs, [0.3, 0.6, 0.9], FAST)
     assert prof.theta_spread().max() > 1e-3
 
 
@@ -168,10 +170,10 @@ def test_batch_invariance_fixed_step(name, P, request):
                                  (1024, 4, (0, 511, 512, 1023))):
         dirs = g_unit_directions(metric, P, n_dirs)
         batch = density_profile(metric, P, dirs, radii,
-                                ShootConfig(steps=steps))
+                                steps=steps)
         for i in picks:
             alone = density_profile(metric, P, dirs[i:i + 1], radii,
-                                    ShootConfig(steps=steps))
+                                    steps=steps)
             assert np.array_equal(alone.theta[:, 0], batch.theta[:, i])
             assert np.array_equal(alone.xi[:, 0], batch.xi[:, i])
 
@@ -300,7 +302,7 @@ def test_density_oracle_normal_coordinates(rng):
         oracle = oracles.coordinate_jacobi_density(
             entry.metric, P, theta, radii, steps=600)
         prof = density_profile(entry.metric, P, theta[None, :], radii,
-                               ShootConfig(steps=600))
+                               steps=600)
         assert np.max(np.abs(prof.theta[:, 0] - oracle)) < 1e-5
 
 
@@ -311,8 +313,7 @@ def test_density_oracle_normal_coordinates(rng):
 def test_harmonic_euclidean(euclid3):
     rep = centrally_harmonic_test(
         euclid3.metric, [0.2, -0.1, 0.4],
-        HarmonicityConfig(n_directions=10, n_radii=4,
-                          shoot=ShootConfig(steps=150)))
+        n_directions=10, radii=np.geomspace(0.2, 0.8, 4), steps=150)
     assert rep.verdict and not rep.inconclusive
     assert rep.theta_spread_max < 1e-12
     assert rep.einstein_defect < 1e-12
@@ -320,8 +321,9 @@ def test_harmonic_euclidean(euclid3):
 
 def test_harmonic_fubini_study(fs2):
     rep = centrally_harmonic_test(
-        fs2.metric, np.zeros(4),
-        HarmonicityConfig(n_directions=10, n_radii=4, shoot=FAST))
+        fs2.metric, np.zeros(4), n_directions=10,
+        radii=np.geomspace(0.45 * math.pi / 2 / 4, 0.45 * math.pi / 2, 4),
+        steps=FAST)
     assert rep.verdict
     assert rep.theta_spread_max < 1e-9
 
@@ -331,7 +333,7 @@ def test_harmonic_fubini_study_off_origin(fs2):
     P = np.array([0.3, 0.1, -0.2, 0.05])
     rep = centrally_harmonic_test(
         fs2.metric, P,
-        HarmonicityConfig(n_directions=8, n_radii=3, r_max=0.5, shoot=FAST))
+        n_directions=8, radii=np.geomspace(0.125, 0.5, 3), steps=FAST)
     assert rep.verdict
     assert rep.theta_spread_max < 1e-7
     assert rep.einstein_defect < 1e-10
@@ -341,15 +343,15 @@ def test_small_radius_density_asymptotics(fs2):
     # Theta = r^(m-1) (1 + O(r^2)) and Xi = (m-1)/r + O(r) near the center
     theta = g_unit_directions(fs2.metric, np.zeros(4), 1)[0]
     for r in (0.02, 0.04, 0.08):
-        s = shoot(fs2.metric, np.zeros(4), theta, r, ShootConfig(steps=100))
+        s = shoot(fs2.metric, np.zeros(4), theta, r, steps=100)
         assert abs(s.reduced_theta - 1.0) <= 2.0 * r ** 2
         assert abs(s.xi - 3.0 / r) <= 4.0 * r
 
 
 def test_not_harmonic_deformed_sphere_off_pole(deformed_sphere4):
     rep = centrally_harmonic_test(
-        deformed_sphere4, np.array([0.3, 0, 0, 0]),
-        HarmonicityConfig(n_directions=10, n_radii=4, shoot=FAST))
+        deformed_sphere4, np.array([0.3, 0, 0, 0]), n_directions=10,
+        radii=np.geomspace(0.2, 0.8, 4), steps=FAST)
     assert not rep.verdict and not rep.inconclusive
     assert rep.theta_spread_max > 1e-3
 
@@ -360,7 +362,38 @@ def test_harmonicity_refuses_fewer_than_two_directions(deformed_sphere4, n):
     with pytest.raises(ValueError, match="at least 2 directions"):
         centrally_harmonic_test(
             deformed_sphere4, np.array([0.5, 0, 0, 0]),
-            HarmonicityConfig(n_directions=n, shoot=ShootConfig(steps=40)))
+            n_directions=n, steps=40)
+
+
+@pytest.mark.parametrize("steps", [0, -5, True, 2.5])
+def test_bad_steps_refused_where_integration_starts(fs2, steps):
+    # one RK4 step per radius would pass for a result (Theta 0.2374 at r = 1
+    # against sin^3(1) cos(1) = 0.3219)
+    P = np.zeros(4)
+    dirs = g_unit_directions(fs2.metric, P, 2)
+    for call in (lambda: shoot(fs2.metric, P, dirs[0], 1.0, steps=steps),
+                 lambda: density_profile(fs2.metric, P, dirs, [1.0],
+                                         steps=steps),
+                 lambda: centrally_harmonic_test(fs2.metric, P, steps=steps)):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            call()
+
+
+@pytest.mark.parametrize("tolerance", [-1, 0, 0.0, math.nan, math.inf, True,
+                                       "1e-6"])
+def test_harmonicity_refuses_bad_tolerance(fs2, tolerance):
+    # tolerance = -1 turned FS2's radial profile at the origin into
+    # "not harmonic"
+    with pytest.raises(ValueError, match="tolerance must be a finite real > 0"):
+        centrally_harmonic_test(fs2.metric, np.zeros(4), tolerance=tolerance,
+                                steps=40)
+
+
+@pytest.mark.parametrize("directions", [np.ones((2, 3)), np.ones(4),
+                                        np.ones((0, 4)), np.ones((1, 2, 4)), 8])
+def test_density_profile_refuses_misshaped_directions(fs2, directions):
+    with pytest.raises(ValueError, match=r"directions must be shaped \(N, 4\)"):
+        density_profile(fs2.metric, np.zeros(4), directions, [0.5], steps=10)
 
 
 def test_harmonicity_inconclusive_on_domain_exit():
@@ -371,8 +404,7 @@ def test_harmonicity_inconclusive_on_domain_exit():
         name="ball")
     rep = centrally_harmonic_test(
         ball, np.zeros(3),
-        HarmonicityConfig(radii=[0.3, 0.8], n_directions=6,
-                          shoot=ShootConfig(steps=100)))
+        radii=[0.3, 0.8], n_directions=6, steps=100)
     assert rep.inconclusive
 
 
@@ -426,7 +458,7 @@ def test_radial_harmonic_refuses_non_radial():
 
 def test_shape_operator_euclidean(euclid3):
     s = second_fundamental_form(euclid3.metric, np.zeros(3), [1.0, 0, 0],
-                                0.8, ShootConfig(steps=100))
+                                0.8, steps=100)
     assert np.max(np.abs(s.L - np.eye(2) / 0.8)) < 1e-10
     assert s.umbilicity_defect < 1e-10
     assert s.xi == pytest.approx(2 / 0.8, rel=1e-10)
@@ -435,14 +467,14 @@ def test_shape_operator_euclidean(euclid3):
 def test_shape_operator_sphere_cot(sphere3):
     r = 0.9
     s = second_fundamental_form(sphere3.metric, np.zeros(3), [1.0, 0, 0],
-                                r, ShootConfig(steps=400))
+                                r, steps=400)
     assert np.max(np.abs(s.L - np.eye(2) / math.tan(r))) < 1e-7
     assert s.umbilicity_defect < 1e-7
 
 
 def test_shape_operator_symmetric(fs2):
     theta = g_unit_directions(fs2.metric, np.zeros(4), 2)[1]
-    sample = shoot(fs2.metric, np.zeros(4), theta, 0.6, ShootConfig(steps=400))
+    sample = shoot(fs2.metric, np.zeros(4), theta, 0.6, steps=400)
     raw = sample.A_prime @ np.linalg.inv(sample.A)
     assert np.max(np.abs(raw - raw.T)) < 1e-9
 
@@ -456,7 +488,7 @@ def test_shape_operator_matches_normal_coordinate_formula(sphere3):
     from hml.curvature import christoffels
     r = 0.7
     s = second_fundamental_form(sphere3.metric, np.zeros(3), [1.0, 0, 0],
-                                r, ShootConfig(steps=400))
+                                r, steps=400)
     x = np.array([r, 0.0, 0.0])
     Gam = christoffels(sphere3.metric, x)
     g_ang = sphere3.metric.value(x)[1:, 1:]
@@ -470,7 +502,7 @@ def test_shape_operator_matches_normal_coordinate_formula(sphere3):
 def test_shape_operator_conjugate_error(sphere3):
     with pytest.raises(ConjugatePointError):
         second_fundamental_form(sphere3.metric, [1.0, 0, 0], [-1.0, 0, 0],
-                                3.3, ShootConfig(steps=400))
+                                3.3, steps=400)
 
 
 def test_small_radius_shape_expansion_fubini_study(fs2):
@@ -481,7 +513,7 @@ def test_small_radius_shape_expansion_fubini_study(fs2):
     mats = []
     for r in radii:
         s = second_fundamental_form(fs2.metric, np.zeros(4), theta, r,
-                                    ShootConfig(steps=200))
+                                    steps=200)
         mats.append(s.L - np.eye(3) / r)
     # linear fit of the residual against r, entrywise
     A = np.stack([np.asarray(radii), np.ones(len(radii))], axis=1)
@@ -514,7 +546,7 @@ def test_positive_spread_forces_umbilicity_defect(fs2):
     for theta in dirs:
         for r in (0.05, 0.1):
             s = second_fundamental_form(fs2.metric, np.zeros(4), theta, r,
-                                        ShootConfig(steps=150))
+                                        steps=150)
             assert s.umbilicity_defect > 1e-3
 
 
