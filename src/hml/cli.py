@@ -308,7 +308,8 @@ def main(argv=None) -> int:
             built = manifest_mod.build_metric(mf.metric_spec)
             os.makedirs(args.out, exist_ok=True)
             return _COMMANDS[ana["command"]](built, ana, args.out)
-        except (ManifestError, DomainError, ValueError, ArithmeticError) as exc:
+        except (ManifestError, DomainError, ValueError, ArithmeticError,
+                OSError) as exc:    # OSError: an --out that cannot be written
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
 

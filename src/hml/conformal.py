@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from . import jets
 from .curvature import curvature, gradient_norm_sq, hessian, laplacian
@@ -153,6 +151,7 @@ class Reparametrization:
     roundtrip_error: float = 0.0
 
     def __post_init__(self):
+        from scipy.interpolate import CubicHermiteSpline
         self._fwd = CubicHermiteSpline(
             self.r_grid, self.rc_grid, 1.0 / self.psi(self.r_grid ** 2))
         self._inv = CubicHermiteSpline(
@@ -384,6 +383,7 @@ class TrivializerRadialFunction(RadialFunction):
         self.m = m
         self.q = 1.0 / (m - 1)
         self.name = name
+        from scipy.interpolate import CubicHermiteSpline
         ts = np.linspace(0.0, t_max, 1601)
         self._logV = CubicHermiteSpline(
             ts, _cumulative_gauss(self._h_values, ts, 10), self._h_values(ts))
@@ -457,6 +457,7 @@ def trivial_density_factor(profile, m: int) -> RadialFunction:
                 "refusing to trivialize a non-radial base profile")
         theta = theta.mean(axis=1)
     ttilde = theta / radii ** (m - 1)
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(np.concatenate([[0.0], radii ** 2]),
                                np.concatenate([[1.0], ttilde]))
     ders = [interp.derivative(k) for k in (1, 2, 3)]
@@ -538,6 +539,7 @@ class _TrivializerPsiU:
         geo = np.geomspace(0.05, 1e-10, 900)
         u_knots = np.concatenate([lin, geo[1:]])
         logv = _cumulative_gauss(self._omega, u_knots, 10)
+        from scipy.interpolate import CubicHermiteSpline
         # knots run downward in u; store ascending for the spline
         order_idx = np.argsort(u_knots)
         self._logV = CubicHermiteSpline(
@@ -641,6 +643,7 @@ def completeness_and_blowup(m: int, variant: str) -> BlowupReport:
     a_est = p1 / u1 ** q_est
     finite = q_est < 1.0
     delta = 1e-4
+    from scipy.integrate import quad
     tail, _ = quad(lambda u: 1.0 / float(psi_u(np.asarray(u))), delta,
                    math.pi / 2 - 1e-9, limit=400)
     head = delta ** (1 - q_est) / (a_est * (1 - q_est)) if finite else math.inf

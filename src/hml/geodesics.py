@@ -21,7 +21,6 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .curvature import (curvature, curvature_arrays, einstein_defect,
                          reduced_jacobi)
@@ -54,6 +53,7 @@ def unit_directions(m: int, n: int) -> np.ndarray:
     Kronecker sequence with the generalized golden ratio, pushed through
     the inverse normal CDF; seedless and reproducible by construction.
     """
+    from scipy.special import ndtri
     phi = 2.0
     for _ in range(60):
         phi = (1 + phi) ** (1 / (m + 1))
@@ -376,10 +376,13 @@ def centrally_harmonic_test(metric: ChartMetric, P,
     the tolerance at every probed radius.  Radii that leave the chart or
     cross a conjugate point make the result inconclusive rather than false.
     """
-    if n_directions < 2:
+    if (isinstance(n_directions, bool)
+            or not isinstance(n_directions, numbers.Integral)
+            or n_directions < 2):
         # one direction has no spread to measure: it would read as radial
-        raise ValueError(f"the harmonicity test needs at least 2 directions, "
-                         f"got {n_directions}")
+        raise ValueError(f"n_directions must be an integer: the harmonicity "
+                         f"test needs at least 2 directions, "
+                         f"got {n_directions!r}")
     if (isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real)
             or not 0 < tolerance < math.inf):
         # a tolerance <= 0 would turn a radial profile into "not harmonic"

@@ -178,6 +178,18 @@ def test_manifest_errors_exit_3(tmp_path, capsys):
                     "--out", str(tmp_path)]) == 3
 
 
+def test_unwritable_out_exits_3(tmp_path, capsys):
+    # makedirs on an existing file raised FileExistsError: a traceback and
+    # exit 1, which reads as "not harmonic"
+    mpath = write(tmp_path, "m.json", GOOD_SF)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert run_cli(["--manifest", mpath, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_expand_two_d_family(tmp_path):
     doc = {"metric": {"family": "two_d_family", "n": 7, "b": 0.1},
            "analysis": {"command": "expand"}}

@@ -1,0 +1,68 @@
+"""Cold start: ``import hml`` loads no scipy; each command only what it calls.
+
+Each check runs in a fresh interpreter, since the test process has long
+imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hml
+
+ENV = {**os.environ, "PYTHONPATH": str(Path(hml.__file__).parents[1])}
+
+
+def scipy_loaded(script: str, *argv) -> list:
+    """The scipy modules in sys.modules after running ``script``."""
+    script += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+               "sys.modules if m.startswith('scipy'))))")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=ENV, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_build_and_first_call_load_no_scipy():
+    # every catalog family and the poly-deformed sphere(4); trivial-density
+    # charts build a spline, so they load scipy.interpolate by design
+    loaded = scipy_loaded("""
+import numpy as np
+import hml, hml.cli
+from hml.curvature import curvature_arrays
+from hml.manifest import build_metric
+
+poly = {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}
+for spec in [{"family": "euclidean", "dim": 3},
+             {"family": "space_form", "a": 1.0, "b": 0.25, "dim": 3},
+             {"family": "g_ab", "a": 0.5, "b": -0.5, "dim": 4},
+             {"family": "sphere", "dim": 4},
+             {"family": "fubini_study", "cdim": 2},
+             {"family": "two_d_family", "n": 2, "b": 0.3},
+             {"family": "sphere", "dim": 4, "deform": poly},
+             {"family": "euclidean", "dim": 3, "deform": poly}]:
+    metric = build_metric(spec).metric
+    x = np.full(metric.dim, 0.1)
+    x[0] = 0.3
+    curvature_arrays(metric, x)
+""")
+    assert loaded == []
+
+
+def test_check_harmonic_loads_neither_integrate_interpolate_nor_optimize(
+        tmp_path):
+    doc = {"metric": {"family": "fubini_study", "cdim": 2},
+           "analysis": {"command": "check_harmonic", "directions": 4,
+                        "steps": 40}}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    loaded = scipy_loaded("""
+import sys
+import hml.cli
+assert hml.cli.main(["--manifest", sys.argv[1], "--out", sys.argv[2]]) == 0
+""", str(manifest), str(tmp_path / "out"))
+    assert "scipy.special" in loaded
+    assert not {"scipy.integrate", "scipy.interpolate",
+                "scipy.optimize"} & set(loaded)

@@ -379,6 +379,14 @@ def test_bad_steps_refused_where_integration_starts(fs2, steps):
             call()
 
 
+@pytest.mark.parametrize("n", [2.5, True])
+def test_bad_n_directions_refused(fs2, n):
+    # 2.5 drew 3 directions (np.arange(1, 3.5)) and reported 2.5
+    with pytest.raises(ValueError, match="n_directions must be an integer"):
+        centrally_harmonic_test(fs2.metric, np.zeros(4), n_directions=n,
+                                steps=40)
+
+
 @pytest.mark.parametrize("tolerance", [-1, 0, 0.0, math.nan, math.inf, True,
                                        "1e-6"])
 def test_harmonicity_refuses_bad_tolerance(fs2, tolerance):

@@ -5,6 +5,7 @@ Usage:
         [--label N] [--what TEXT] [--seeds 1001-1010]
     python3 tools/bench_pairs.py ab PARENT CHANGE [--out FILE]
     python3 tools/bench_pairs.py bytes PARENT CHANGE [--out FILE]
+    python3 tools/bench_pairs.py cold PARENT CHANGE [--out FILE]
 
 PARENT and CHANGE are two checkouts, each with its own src/ and perfbench/.
 
@@ -31,6 +32,19 @@ point.  It runs both sides' CLI on the change's perfbench plans for the
 cli_defaults and wide_sweep workloads at seeds 1-3 and hashes every report
 file and exit code.  A call that raises is recorded by its message.  It
 reports the number of equal hashes, the total, and each mismatch.
+
+``cold`` is the A/B of start-up cost, which only fresh processes can
+measure: an import runs once per interpreter, so a same-process A/B would
+time the second side's imports as free.  In COLD_ROUNDS alternating
+rounds (the parent first in the first round) it starts, for each
+checkout, one ``perfbench/probe.py`` per workload on the change's plan
+for seed COLD_PLAN_SEED (wall time to its ``ready`` line, as run.py
+times ``setup_s``) and one ``python -m hml`` per cli_defaults manifest
+(wall time to exit).  It reports per side the median and the runs, the
+median over rounds of the change/parent ratio, and for each command the
+exit codes, whether the two sides wrote the same report bytes, and the
+scipy subpackages the command loaded, read in one extra untimed run per
+side.
 """
 
 from __future__ import annotations
@@ -50,6 +64,8 @@ import time
 from pathlib import Path
 
 ROUNDS = 15
+COLD_ROUNDS = 10
+COLD_PLAN_SEED = 1
 DEFORMED_SPHERE4 = {"family": "sphere", "dim": 4,
                     "deform": {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}}
 
@@ -358,13 +374,19 @@ def report_hashes(alias: str, plans: list) -> dict:
     return hashes
 
 
+def load_workloads(root: Path):
+    """The checkout's ``perfbench/workloads.py``, which builds the plans."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", root / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def byte_identity(args) -> dict:
     roots = {"parent": Path(args.parent).resolve(),
              "change": Path(args.change).resolve()}
-    spec = importlib.util.spec_from_file_location(
-        "bytes_workloads", roots["change"] / "perfbench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads(roots["change"])
     plans = [workloads.build_plan(w, seed) for w in ("cli_defaults",
                                                      "wide_sweep")
              for seed in BYTES_SEEDS]
@@ -382,10 +404,111 @@ def byte_identity(args) -> dict:
             "mismatches": mismatches}
 
 
+# ---------------------------------------------------------------------------
+# fresh-process start-up A/B
+# ---------------------------------------------------------------------------
+
+# runs hml's __main__ as ``python -m hml`` does, then prints the scipy
+# subpackages it loaded as the last line of stderr
+_SCIPY_LOADED = """
+import json, runpy, sys
+sys.argv[0] = "hml"
+try:
+    runpy.run_module("hml", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(sorted(name for name, mod in sys.modules.items()
+                        if name.startswith("scipy.") and name.count(".") == 1
+                        and not name.split(".")[1].startswith("_")
+                        and hasattr(mod, "__path__"))), file=sys.stderr)
+"""
+
+
+def probe_wall(root: Path, plan_path: str) -> float:
+    """Seconds from starting ``root``'s set-up probe to its ready line."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "perfbench/probe.py", plan_path],
+                            cwd=root, stdout=subprocess.PIPE, text=True)
+    line = proc.stdout.readline()
+    wall = time.perf_counter() - t0
+    proc.stdout.close()
+    if proc.wait() != 0 or line.strip() != "ready":
+        raise RuntimeError(f"set-up probe failed in {root}")
+    return wall
+
+
+def hml_run(root: Path, argv: list, prefix=("-m", "hml")):
+    """(wall seconds, exit code, stderr) of one fresh ``python -m hml``.
+
+    ``prefix`` replaces ``-m hml``, as with ``-c _SCIPY_LOADED``.
+    """
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, *prefix, *argv], cwd=root, env=env,
+                         capture_output=True, text=True)
+    return time.perf_counter() - t0, out.returncode, out.stderr
+
+
+def _paired(runs: dict) -> dict:
+    return {**{side: {"median_s": round(statistics.median(t), 4),
+                      "runs_s": [round(x, 4) for x in t]}
+               for side, t in runs.items()},
+            "paired_ratio_median": round(statistics.median(
+                c / p for p, c in zip(runs["parent"], runs["change"])), 3)}
+
+
+def cold(args) -> dict:
+    roots = {"parent": Path(args.parent).resolve(),
+             "change": Path(args.change).resolve()}
+    workloads = load_workloads(roots["change"])
+    with tempfile.TemporaryDirectory() as tmp:
+        plans = {}
+        for name in workloads.WORKLOADS:
+            os.makedirs(os.path.join(tmp, name))
+            plan = workloads.build_plan(name, COLD_PLAN_SEED)
+            plans[name] = workloads.write_plan(plan, os.path.join(tmp, name))
+            if name == "cli_defaults":
+                commands = {op["name"]: op["manifest_path"]
+                            for op in plan["ops"]}
+        probes = {name: {"parent": [], "change": []} for name in plans}
+        clis = {name: {"parent": [], "change": []} for name in commands}
+        exits = {name: {"parent": set(), "change": set()} for name in commands}
+        for r in range(COLD_ROUNDS):
+            for side in ("parent", "change") if r % 2 == 0 else ("change",
+                                                               "parent"):
+                for name, path in plans.items():
+                    probes[name][side].append(probe_wall(roots[side], path))
+                for name, path in commands.items():
+                    out = os.path.join(tmp, side, name)
+                    wall, code, _ = hml_run(
+                        roots[side], ["--manifest", path, "--out", out])
+                    clis[name][side].append(wall)
+                    exits[name][side].add(code)
+            print(f"cold round {r + 1}/{COLD_ROUNDS}", file=sys.stderr)
+        result = {"rounds": COLD_ROUNDS, "plan_seed": COLD_PLAN_SEED,
+                  "probe": {name: _paired(t) for name, t in probes.items()},
+                  "cli": {}}
+        for name, path in commands.items():
+            files = {side: {f: Path(tmp, side, name, f).read_bytes()
+                            for f in sorted(os.listdir(Path(tmp, side, name)))}
+                     for side in roots}
+            loaded = {side: json.loads(hml_run(
+                root, ["--manifest", path, "--out", os.path.join(tmp, "x")],
+                prefix=("-c", _SCIPY_LOADED))[2].splitlines()[-1])
+                for side, root in roots.items()}
+            result["cli"][name] = {
+                **_paired(clis[name]),
+                "exit_codes": {side: sorted(c) for side, c in
+                               exits[name].items()},
+                "reports_equal": files["parent"] == files["change"],
+                "scipy_loaded": loaded}
+    return result
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
-    for name in ("pairs", "ab", "bytes"):
+    for name in ("pairs", "ab", "bytes", "cold"):
         s = sub.add_parser(name)
         s.add_argument("parent")
         s.add_argument("change")
@@ -395,7 +518,8 @@ def main(argv=None) -> int:
     s.add_argument("--what", default="")
     s.add_argument("--seeds", default="1001-1010")
     args = p.parse_args(argv)
-    result = {"pairs": pairs, "ab": ab, "bytes": byte_identity}[args.cmd](args)
+    result = {"pairs": pairs, "ab": ab, "bytes": byte_identity,
+              "cold": cold}[args.cmd](args)
     text = json.dumps(result, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
