@@ -8,6 +8,7 @@ the metric entries are, for full curvature bundles with grad^k R.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jets import MultiJet
+from .jets import MultiJet, entry_dot
 from .metric import (ChartMetric, DegenerateMetricError, OrderExceededError,
                      ScalarField, Workspace, entry_layout)
 
@@ -123,23 +124,16 @@ class CurvatureBundle:
         return self.riemann if s == 0 else self.nabla_r[s - 1]
 
 
-def _dot(pairs):
-    """The sum of a * b over the stack pairs (a, b), added in order."""
-    total = None
-    for a, b in pairs:
-        total = a * b if total is None else total + a * b
-    return total
-
-
 def _inverse(G, order):
     """Inverse of an (m, m) stack by Newton iteration from its value's inverse."""
     m = G.coef.shape[1]
-    i, j = np.indices((m, m))
+    k = np.arange(m)
+    i, j = k[:, None, None], k[:, None]
     X = MultiJet.constant(G.space, np.linalg.inv(G.value), (m, m))
     for _ in range(max(1, int(np.ceil(np.log2(order + 1))) + 1)):
-        GX = _dot((G.entries(i, k), X.entries(k, j)) for k in range(m))
+        GX = entry_dot(G, (i, k), X, (k, j))
         GX.coef[0, range(m), range(m)] -= 2.0
-        X = -_dot((X.entries(i, k), GX.entries(k, j)) for k in range(m))
+        X = -entry_dot(X, (i, k), GX, (k, j))
     return X
 
 
@@ -165,10 +159,15 @@ def _riemann_stack(S, Gam):
     dGam = _partials(Gam)                      # dGam[ij, k, p] = d_p Gamma_ij^k
     Rup = dGam.entries(e[j, k], l, i) - dGam.entries(e[i, k], l, j)
     del dGam                                   # only Rup's first term reads it
-    for n in range(m):
-        Rup = (Rup + Gam.entries(e[i, n], l) * Gam.entries(e[j, k], n)) \
-            - Gam.entries(e[j, n], l) * Gam.entries(e[i, k], n)
-    return _dot((S.entries(e[l, n]), Rup.entries(ij, k, n)) for n in range(m))
+    # Rup = (Rup + Gamma_in^l Gamma_jk^n) - Gamma_jn^l Gamma_ik^n, n in order
+    n, odd = np.repeat(np.arange(m), 2), np.arange(2 * m) % 2
+    p, q = (np.where(odd, y[..., None], x[..., None])
+            for x, y in ((i, j), (j, i)))
+    Rup = entry_dot(Gam, (e[p, n], l[..., None]), Gam, (e[q, k[..., None]], n),
+                    init=Rup, minus=range(1, 2 * m, 2))
+    n = np.arange(m)
+    return entry_dot(S, (e[l[..., None], n],), Rup,
+                     (ij[..., None], k[..., None], n))
 
 
 def _jet_partials(metric: ChartMetric, x, k_max: int):
@@ -187,10 +186,11 @@ def _jet_partials(metric: ChartMetric, x, k_max: int):
     Ginv = _inverse(S.entries(e), k_max + 2)
     # Gamma[ij, k] = Gamma_ij^k for i <= j, ij the entry of g_ij in S
     dS = _partials(S)                          # dS[e[i, j], p] = d_p g_ij
-    i, j, k = np.broadcast_arrays(rows[:, None], cols[:, None], np.arange(m))
-    Gam = _dot((Ginv.entries(k, l),
-                (dS.entries(e[j, l], i) + dS.entries(e[i, l], j))
-                - dS.entries(e[i, j], l)) for l in range(m)) * 0.5
+    i, j, l = rows[:, None], cols[:, None], np.arange(m)
+    D = ((dS.entries(e[j, l], i) + dS.entries(e[i, l], j))
+         - dS.entries(e[i, j], l))             # D[ij, l], summed over l
+    ij = np.arange(len(rows))[:, None, None]
+    Gam = entry_dot(Ginv, (l[:, None], l), D, (ij, l)) * 0.5
     R = _riemann_stack(S, Gam)
     zero = Gam.entries(0, 0) * 0.0
     a, b = np.triu_indices(m, 1)
@@ -215,31 +215,33 @@ def _covariant_step(P_prev: dict, DGam: dict, rank: int, need: int):
 
     P_prev[d] are partial arrays of T (shape (m,)*rank + (m,)*d); returns
     partial arrays of grad T (rank + 1, new covariant slot appended last)
-    for d = 0..need.  The Leibniz expansion runs over explicit derivative
-    slots, so arrays stay dense and einsum does the work.
+    for d = 0..need, and drops P_prev[need + 1] after its one read.  The
+    Leibniz expansion runs over explicit derivative slots, so arrays stay
+    dense and einsum does the work.  The einsums of the slot subsets of one
+    size differ only in which output slots carry which letters, so each is
+    formed once, for the first subset, and read transposed for the rest.
     """
     P_new = {}
     for d in range(need + 1):
         # d^d of (grad T)[..., a] = P_prev[d+1] with 'a' as one derivative slot
         base_idx = _LETTERS[:rank]
         dslots = _LETTERS[rank:rank + d]
-        a = _LETTERS[rank + d]
-        src = P_prev[d + 1]
+        a, c = _LETTERS[rank + d], _LETTERS[rank + d + 1]
         # reorder: P_prev[d+1][..., p1..pd, a] -> want [..., a, p1..pd]
-        term = np.moveaxis(src, -1, rank)
-        total = term.copy()
+        total = np.moveaxis(P_prev.pop(d + 1) if d == need else P_prev[d + 1],
+                            -1, rank).copy()
         # corrections: - sum_slots d^S Gamma_{a i_s}^c * d^(rest) T[i_s -> c]
         for s in range(rank):
+            t_idx = base_idx[:s] + c + base_idx[s + 1:]
             for nsub in range(d + 1):
+                E = np.einsum(f"{a}{base_idx[s]}{c}{dslots[:nsub]},"
+                              f"{t_idx}{dslots[nsub:]}->{base_idx}{a}{dslots}",
+                              DGam[nsub], P_prev[d - nsub])
                 for subset in combinations(range(d), nsub):
                     rest = [i for i in range(d) if i not in subset]
-                    gam_idx = a + base_idx[s] + _LETTERS[rank + d + 1]  # a i_s c
-                    gam_d = "".join(dslots[i] for i in subset)
-                    t_idx = (base_idx[:s] + _LETTERS[rank + d + 1]
-                             + base_idx[s + 1:] + "".join(dslots[i] for i in rest))
-                    out_idx = base_idx + a + dslots
-                    expr = f"{gam_idx}{gam_d},{t_idx}->{out_idx}"
-                    total -= np.einsum(expr, DGam[nsub], P_prev[d - nsub])
+                    slots = np.argsort(list(subset) + rest) + rank + 1
+                    total -= E.transpose(*range(rank + 1), *slots)
+                del E
         P_new[d] = total
     return P_new
 
@@ -249,20 +251,20 @@ def curvature(metric: ChartMetric, x, k_max: int = 0) -> CurvatureBundle:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("curvature bundles are per-point; batch via curvature_arrays")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if (isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral)
+            or k_max < 0):
+        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
     metric.check_order(k_max + 2)
-    g, Gamma, PR, DGam = _jet_partials(metric, x, k_max)
+    g, Gamma, P, DGam = _jet_partials(metric, x, k_max)
     ginv = np.linalg.inv(g)
-    nabla = []
-    P = PR
-    for s in range(1, k_max + 1):
+    riemann, nabla = P[0], []
+    for s in range(1, k_max + 1):       # rebinding P frees the step's input
         P = _covariant_step(P, DGam, 3 + s, k_max - s)
         nabla.append(P[0])
-    ricci = np.einsum('il,ijkl->jk', ginv, PR[0])
+    ricci = np.einsum('il,ijkl->jk', ginv, riemann)
     scalar = float(np.einsum('jk,jk->', ginv, ricci))
     return CurvatureBundle(point=x, dim=metric.dim, k_max=k_max, g=g, ginv=ginv,
-                           christoffels=Gamma, riemann=PR[0], ricci=ricci,
+                           christoffels=Gamma, riemann=riemann, ricci=ricci,
                            scalar=scalar, nabla_r=nabla)
 
 

@@ -71,8 +71,13 @@ def density_coefficients(metric: ChartMetric, P, xi,
                          bundle: CurvatureBundle | None = None
                          ) -> DensityExpansion:
     """Evaluate H_2..H_6 exactly as trace polynomials of J_0..J_4."""
+    P, xi = np.asarray(P, dtype=float), np.asarray(xi, dtype=float)
+    for name, v in (("P", P), ("xi", xi)):
+        if v.shape != (metric.dim,):
+            raise ValueError(f"{name} must have shape ({metric.dim},), "
+                             f"got {v.shape}")
     if bundle is None:
-        bundle = curvature(metric, np.asarray(P, dtype=float), k_max=4)
+        bundle = curvature(metric, P, k_max=4)
     J = [jacobi(bundle, xi, k).matrix for k in range(5)]
     tr = lambda A: float(np.trace(A))
     t0, t1, t2, t3, t4 = (tr(J[k]) for k in range(5))
@@ -90,7 +95,7 @@ def density_coefficients(metric: ChartMetric, P, xi,
             - t000 / 2835.0 - t02 / 630.0 + t1 ** 2 / 288.0
             - t11 / 672.0 - t4 / 1008.0),
     }
-    return DensityExpansion(direction=np.asarray(xi, dtype=float), values=values)
+    return DensityExpansion(direction=xi, values=values)
 
 
 def leading_coefficient(n: int) -> Fraction:

@@ -36,6 +36,12 @@ SLOT_MIN_BATCH = 32
 # 6x slower than the per-entry products, are multiplied in column chunks.
 CHUNK_MAX = 30_720
 
+# entry_dot gathers at most ROWS_MAX floats (2 MiB) of operand pair rows at
+# once, and multiplies at most BLOCK_MAX floats of pairs at once (glibc's
+# mmap threshold: larger temporaries were mapped afresh on every call).
+ROWS_MAX = 1 << 18
+BLOCK_MAX = 16_384
+
 
 @lru_cache(maxsize=None)
 def _indices(nvars: int, order: int):
@@ -454,6 +460,69 @@ def pair_products(stacks, rows, cols) -> MultiJet:
         for s in stacks[1:]:
             out[:, e] += space.product(s.coef[:, i], s.coef[:, j])
     return MultiJet(space, out)
+
+
+def entry_dot(a: MultiJet, ia: tuple, b: MultiJet, ib: tuple,
+              init: MultiJet = None, minus=()) -> MultiJet:
+    """init + sum over t of a.entries(*ia)[..., t] * b.entries(*ib)[..., t].
+
+    The index arrays broadcast, the term axis t last.  Terms are added in
+    order (subtracted for t in ``minus``) with the bits of one stacked
+    product per term, but no operand stack is formed: a run of products
+    gathers the pair rows of each distinct operand entry once.  The result
+    is laid out entry by entry, as the sums are kept.
+    """
+    size, (pa, pb, starts) = a.space.size, a.space.pairs
+    ca, cb = (np.arange(c.coef[0].size).reshape(c.coef.shape[1:])[i]
+              for c, i in ((a, ia), (b, ib)))
+    shape, runs = _runs(ca.shape, ca.tobytes(), cb.shape, cb.tobytes(),
+                        tuple(minus), ROWS_MAX // len(pa),
+                        max(1, BLOCK_MAX // len(pa)))
+    # -0.0 + p is p, bit for bit, so the first term needs no case of its own
+    sums = (np.full((math.prod(shape), size), -0.0) if init is None else
+            np.ascontiguousarray(init.coef.reshape(size, -1).T))
+    at, bt = (np.ascontiguousarray(c.coef.reshape(size, -1).T) for c in (a, b))
+    for ua, ja, ub, jb, blocks in runs:
+        ra, rb = np.take(at[ua], pa, axis=1), np.take(bt[ub], pb, axis=1)
+        for k, segments in blocks:
+            part = np.add.reduceat(ra[ja[k]] * rb[jb[k]], starts,
+                                   axis=-1).reshape(-1, size)
+            for r, e, sign in segments:     # 1.0 * p is p, -1.0 * p is -p
+                sums[e] += sign * part[r]
+    return MultiJet(a.space, sums.T.reshape((size,) + shape))
+
+
+@lru_cache(maxsize=None)
+def _runs(a_shape, ca: bytes, b_shape, cb: bytes, minus, limit, step):
+    """entry_dot's output shape and runs (ua, ja, ub, jb, blocks).
+
+    Over a run, at most ``limit`` distinct entries ua, ub give ca = ua[ja]
+    and cb = ub[jb] (products term-major).  A block (k, segments) forms at
+    most ``step`` products k; a segment (r, e, sign) adds sign times their
+    rows r, all of one term, to the sums e.
+    """
+    ca, cb = (np.moveaxis(c, -1, 0).ravel() for c in np.broadcast_arrays(
+        np.frombuffer(ca, int).reshape(a_shape),
+        np.frombuffer(cb, int).reshape(b_shape)))
+    shape = np.broadcast_shapes(a_shape, b_shape)[:-1]
+    n, runs, lo = math.prod(shape), [], 0
+    while lo < len(ca):
+        new = np.zeros(len(ca) - lo, dtype=int)     # distinct entries so far
+        for c in (ca[lo:], cb[lo:]):
+            new[np.unique(c, return_index=True)[1]] += 1
+        hi = lo + max(1, int(np.searchsorted(np.cumsum(new), limit, "right")))
+        blocks = []
+        for k in range(lo, hi, step):
+            w = min(step, hi - k)
+            cuts = [k, *range((k // n + 1) * n, k + w, n), k + w]
+            blocks.append((k - lo if w == 1 else slice(k - lo, k - lo + w),
+                           [(slice(p - k, q - k), slice(p % n, p % n + q - p),
+                             -1.0 if p // n in minus else 1.0)
+                            for p, q in zip(cuts, cuts[1:])]))
+        runs.append(np.unique(ca[lo:hi], return_inverse=True)
+                    + np.unique(cb[lo:hi], return_inverse=True) + (blocks,))
+        lo = hi
+    return shape, tuple(runs)
 
 
 def multiply(a: MultiJet, b, out: MultiJet) -> MultiJet:

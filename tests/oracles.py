@@ -9,10 +9,12 @@ use the engine's jets and keep the plain, unstaged or per-component forms
 of engine routines (the per-entry metric formulas among them), so that the
 optimized routines can be checked against them (bit for bit where the
 arithmetic is the same).  literal_curvature is the jet-ring bundle path
-built on object arrays of scalar jets, filled and contracted entry by entry.
+built on object arrays of scalar jets, filled and contracted entry by entry,
+with its own covariant step that forms one einsum per slot subset.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -422,9 +424,41 @@ def _literal_tensor_partials(T_jets, orders):
     return out
 
 
+def _literal_covariant_step(P_prev, DGam, rank, need):
+    """One covariant derivative of a rank-``rank`` tensor, one einsum per
+    slot subset (the unstaged form of hml.curvature._covariant_step).
+
+    P_prev[d] are partial arrays of T (shape (m,)*rank + (m,)*d); returns
+    the partial arrays of grad T (new covariant slot appended last) for
+    d = 0..need.
+    """
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    P_new = {}
+    for d in range(need + 1):
+        base_idx = letters[:rank]
+        dslots = letters[rank:rank + d]
+        a = letters[rank + d]
+        # P_prev[d+1][..., p1..pd, a] -> [..., a, p1..pd]
+        total = np.moveaxis(P_prev[d + 1], -1, rank).copy()
+        # - sum over slots and subsets of d^S Gamma_{a i_s}^c d^(rest) T[i_s -> c]
+        for s in range(rank):
+            for nsub in range(d + 1):
+                for subset in itertools.combinations(range(d), nsub):
+                    rest = [i for i in range(d) if i not in subset]
+                    gam_idx = a + base_idx[s] + letters[rank + d + 1]
+                    gam_d = "".join(dslots[i] for i in subset)
+                    t_idx = (base_idx[:s] + letters[rank + d + 1]
+                             + base_idx[s + 1:] + "".join(dslots[i] for i in rest))
+                    out_idx = base_idx + a + dslots
+                    expr = f"{gam_idx}{gam_d},{t_idx}->{out_idx}"
+                    total -= np.einsum(expr, DGam[nsub], P_prev[d - nsub])
+        P_new[d] = total
+    return P_new
+
+
 def literal_curvature(metric, x, k_max=0):
     """Full curvature bundle at a single point, with grad^k R for k <= k_max."""
-    from hml.curvature import CurvatureBundle, _covariant_step
+    from hml.curvature import CurvatureBundle
     from hml.metric import entry_layout
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -446,14 +480,14 @@ def literal_curvature(metric, x, k_max=0):
                        for j in range(m)] for i in range(m)], dtype=float)
     # partial arrays of R (exact to order k_max) and of Gamma (k_max - 1);
     # Gam[i, j, k] = Gamma_ij^k is symmetric in (i, j), matching the
-    # 'a i c' pattern used for corrections in _covariant_step.
+    # 'a i c' pattern used for corrections in _literal_covariant_step.
     PR = _literal_tensor_partials(Rlow, range(k_max + 1))
     DGam = _literal_tensor_partials(Gam, range(max(k_max, 1)))
     nabla = []
     P = PR
     rank = 4
     for s in range(1, k_max + 1):
-        P = _covariant_step(P, DGam, rank, k_max - s)
+        P = _literal_covariant_step(P, DGam, rank, k_max - s)
         rank += 1
         nabla.append(P[0])
 

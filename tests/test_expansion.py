@@ -75,6 +75,21 @@ def test_density_coefficients_euclidean(euclid4):
     assert max(abs(v) for v in co.values.values()) == 0.0
 
 
+def test_density_coefficients_refuses_misshaped_inputs(fs2):
+    P, xi = np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0])
+    for bad in (np.zeros(3), np.zeros((1, 4)), np.zeros(5)):
+        with pytest.raises(ValueError, match=r"P must have shape \(4,\)"):
+            density_coefficients(fs2.metric, bad, xi)
+        with pytest.raises(ValueError, match=r"xi must have shape \(4,\)"):
+            density_coefficients(fs2.metric, P, bad)
+    # a non-unit direction is accepted: H_k(c xi) = c^k H_k(xi)
+    unit = density_coefficients(fs2.metric, P, xi)
+    twice = density_coefficients(fs2.metric, P, 2.0 * xi)
+    for k in range(2, 7):
+        assert twice[k] == pytest.approx(2.0 ** k * unit[k], rel=1e-12,
+                                         abs=1e-14)
+
+
 def test_density_coefficients_sphere_closed_form(sphere3):
     # Ttilde = sin^2(r)/r^2 = 1 - r^2/3 + 2 r^4/45 - r^6/315 + ...
     co = density_coefficients(sphere3.metric, np.zeros(3), [1.0, 0, 0])

@@ -283,6 +283,45 @@ def test_product_chunks_operands_that_broadcast_both_ways(monkeypatch):
     assert space.product(a, b).tobytes() == out.tobytes()
 
 
+@pytest.mark.parametrize("rows_max", [None, 1, 1 << 12])
+@pytest.mark.parametrize("nvars, order", [(2, 1), (3, 2), (4, 4), (6, 3)])
+def test_entry_dot_matches_stacked_products(nvars, order, rows_max,
+                                            monkeypatch):
+    """entry_dot gives the bits of one stacked product per term, added or
+    subtracted in order, however its runs and blocks fall.
+
+    The coefficients are finite (signed zeros and subnormals among them):
+    the sums are laid out entry by entry, and which NaN an add of two NaNs
+    returns depends on where an element falls in numpy's vector loops.
+    """
+    space = jet_space(nvars, order)
+    if rows_max is not None:      # runs of one product, or of a few
+        monkeypatch.setattr(jets, "ROWS_MAX", rows_max * len(space.pairs[0]))
+    rng = np.random.default_rng(nvars * order)
+
+    def draw(shape):
+        arr = _draw_coefs(rng, shape)
+        bad = ~(np.abs(arr) < 1e100)
+        arr[bad] = rng.choice(_SPECIAL[:4], bad.sum())
+        return arr
+
+    a = jets.MultiJet(space, draw((space.size, 5, 3)))
+    b = jets.MultiJet(space, draw((space.size, 7)))
+    init = jets.MultiJet(space, draw((space.size, 4, 6)))
+    ia = (rng.integers(0, 5, (4, 1, 9)), rng.integers(0, 3, (1, 6, 9)))
+    ib = (rng.integers(0, 7, (4, 6, 9)),)
+    with np.errstate(under="ignore"):
+        for start, minus in ((None, ()), (init, range(1, 9, 2))):
+            want = start
+            for t in range(9):
+                p = a.entries(*(i[..., t] for i in ia)) * b.entries(ib[0][..., t])
+                want = p if want is None else (want - p if t in minus
+                                               else want + p)
+            got = jets.entry_dot(a, ia, b, ib, init=start, minus=minus)
+            assert got.coef.shape == want.coef.shape
+            assert got.coef.tobytes() == np.ascontiguousarray(want.coef).tobytes()
+
+
 @pytest.mark.parametrize("order", range(5))
 def test_apply_analytic_matches_literal_horner(order, monkeypatch):
     cases = [seed_point(np.array([0.3, -0.2, 0.1]), order)]

@@ -227,9 +227,33 @@ def test_bundle_matches_literal_curvature_dim6(spec):
         oracles.literal_curvature(metric, x, 2))
 
 
+def test_bundle_matches_literal_curvature_dim6_k4():
+    """Order-6 jets in 6 variables, where each product is a block of its
+    own, and the first covariant step reads its einsums transposed."""
+    metric = manifest.build_metric({"family": "fubini_study", "cdim": 3}).metric
+    x = np.random.default_rng(64).uniform(-0.3, 0.3, 6)
+    assert _bundle_bytes(curvature(metric, x, 4)) == _bundle_bytes(
+        oracles.literal_curvature(metric, x, 4))
+
+
+def test_bundle_matches_literal_curvature_k6(fs2):
+    """k_max = 6: the second covariant step reads an einsum transposed over
+    derivative slots of a tensor that is not bitwise symmetric in them."""
+    x = np.random.default_rng(66).uniform(-0.3, 0.3, 4)
+    assert _bundle_bytes(curvature(fs2.metric, x, 6)) == _bundle_bytes(
+        oracles.literal_curvature(fs2.metric, x, 6))
+
+
 def test_negative_k_max_refused(fs2):
     with pytest.raises(ValueError, match="k_max"):
         curvature(fs2.metric, np.zeros(4), k_max=-1)
+
+
+@pytest.mark.parametrize("k_max", [2.5, True, "2", None])
+def test_bad_k_max_refused(fs2, k_max):
+    with pytest.raises(ValueError, match="k_max must be an integer >= 0"):
+        curvature(fs2.metric, np.zeros(4), k_max=k_max)
+    assert curvature(fs2.metric, np.zeros(4), k_max=np.int64(1)).k_max == 1
 
 
 def test_one_point_batch_matches_unbatched(deformed_sphere4):

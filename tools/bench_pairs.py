@@ -20,17 +20,21 @@ metric the median, the inclusive quartiles, the pairs the change wins
 and times one ``_rhs`` call on the poly-deformed sphere(4) and on its base
 sphere(4) at B = 1, 512 and 1024 points (|x| = 0.4), in ROUNDS interleaved
 rounds, each side with its own Workspace.  It reports microseconds per call,
-the paired change/parent ratio and, per side, the deformed/base ratio.
+the paired change/parent ratio and, per side, the deformed/base ratio.  It
+then times the curvature bundle layer the same way on BUNDLE_CASES:
+``curvature`` on FS2 at k_max 0, 2 and 4 and ``density_coefficients`` at
+m = 4 and m = 6, each at one seeded point with |x| = 0.3.
 
 ``bytes`` checks that a change keeps every value.  It imports both
 checkouts' hml in one process and hashes, on each chart of BYTES_CHARTS,
 the ``tobytes`` of ``value``, ``derivative_arrays`` (orders 0-3, 0-2 at
 m = 6), ``curvature_arrays`` and ``_rhs`` (fresh and through a Workspace)
 at every batch size of BYTES_BATCHES (the first three at m = 6), and the
-curvature bundle (k_max 4, 2 at m = 6) and ``density_coefficients`` at one
-point.  It runs both sides' CLI on the change's perfbench plans for the
-cli_defaults and wide_sweep workloads at seeds 1-3 and hashes every report
-file and exit code.  A call that raises is recorded by its message.  It
+curvature bundle (k_max 4, and 2 at m = 6) and ``density_coefficients`` at
+one point and at the chart's center where the chart contains it.  It runs
+both sides' CLI on the change's perfbench plans for the cli_defaults and
+wide_sweep workloads at seeds 1-3 and hashes every report file and exit
+code.  A call that raises is recorded by its message.  It
 reports the number of equal hashes, the total, and each mismatch.
 
 ``cold`` is the A/B of start-up cost, which only fresh processes can
@@ -202,6 +206,60 @@ def rhs_case(alias: str, chart: str, B: int):
     return lambda: geo._rhs(metric, state, ws)
 
 
+# name: (chart, k_max for a curvature bundle or None for
+# density_coefficients, calls per round, rounds)
+BUNDLE_CASES = {
+    "curvature_fs2_k0": ({"family": "fubini_study", "cdim": 2}, 0, 100, ROUNDS),
+    "curvature_fs2_k2": ({"family": "fubini_study", "cdim": 2}, 2, 20, ROUNDS),
+    "curvature_fs2_k4": ({"family": "fubini_study", "cdim": 2}, 4, 3, ROUNDS),
+    "density_fs2": ({"family": "fubini_study", "cdim": 2}, None, 3, ROUNDS),
+    "density_sphere4": ({"family": "sphere", "dim": 4}, None, 3, ROUNDS),
+    "density_sphere6": ({"family": "sphere", "dim": 6}, None, 1, 7),
+    "density_fubini_study3": ({"family": "fubini_study", "cdim": 3}, None, 1, 7),
+}
+
+
+def bundle_case(alias: str, spec: dict, k_max):
+    """A zero-argument call of one warmed bundle or density_coefficients."""
+    import numpy as np
+
+    curvature = importlib.import_module(f"{alias}.curvature").curvature
+    expansion = importlib.import_module(f"{alias}.expansion")
+    metric = importlib.import_module(f"{alias}.manifest").build_metric(
+        spec).metric
+    rng = np.random.default_rng(metric.dim)
+    x = rng.normal(size=metric.dim)
+    x *= 0.3 / np.linalg.norm(x)
+    xi = rng.normal(size=metric.dim)
+    call = ((lambda: curvature(metric, x, k_max)) if k_max is not None else
+            (lambda: expansion.density_coefficients(metric, x, xi)))
+    call()
+    return call
+
+
+def interleaved(fns: dict, calls: int, rounds: int) -> dict:
+    """Microseconds per call of each function, one entry per round.
+
+    The functions run in turn, in reversed order on odd rounds.
+    """
+    us = {key: [] for key in fns}
+    for r in range(rounds):
+        for key in list(fns) if r % 2 == 0 else list(fns)[::-1]:
+            t = time.perf_counter()
+            for _ in range(calls):
+                fns[key]()
+            us[key].append(1e6 * (time.perf_counter() - t) / calls)
+    return us
+
+
+def paired(parent: list, change: list) -> dict:
+    return {**{side: {"us_min": round(min(t)),
+                      "us_median": round(statistics.median(t))}
+               for side, t in (("parent", parent), ("change", change))},
+            "paired_ratio_median": round(statistics.median(
+                b / a for a, b in zip(parent, change)), 3)}
+
+
 def ab(args) -> dict:
     sides = {"parent": load_hml(Path(args.parent).resolve(), "hml_parent"),
              "change": load_hml(Path(args.change).resolve(), "hml_change")}
@@ -210,27 +268,21 @@ def ab(args) -> dict:
         fns = {(side, chart): rhs_case(mod.__name__, chart, B)
                for side, mod in sides.items()
                for chart in ("sphere4", "deformed_sphere4")}
-        us = {key: [] for key in fns}
-        for r in range(ROUNDS):
-            keys = list(fns) if r % 2 == 0 else list(fns)[::-1]
-            for key in keys:
-                t = time.perf_counter()
-                for _ in range(calls):
-                    fns[key]()
-                us[key].append(1e6 * (time.perf_counter() - t) / calls)
+        us = interleaved(fns, calls, ROUNDS)
         for chart in ("sphere4", "deformed_sphere4"):
-            p, c = us["parent", chart], us["change", chart]
-            out[f"geodesics.rhs_{chart}_B{B}"] = {
-                side: {"us_min": round(min(t)), "us_median":
-                       round(statistics.median(t))}
-                for side, t in (("parent", p), ("change", c))}
-            out[f"geodesics.rhs_{chart}_B{B}"]["paired_ratio_median"] = round(
-                statistics.median(b / a for a, b in zip(p, c)), 3)
+            out[f"geodesics.rhs_{chart}_B{B}"] = paired(us["parent", chart],
+                                                        us["change", chart])
         out[f"deformed_over_base_B{B}"] = {
             side: round(statistics.median(
                 d / b for b, d in zip(us[side, "sphere4"],
                                       us[side, "deformed_sphere4"])), 3)
             for side in sides}
+    for name, (spec, k_max, calls, rounds) in BUNDLE_CASES.items():
+        fns = {side: bundle_case(mod.__name__, spec, k_max)
+               for side, mod in sides.items()}
+        us = interleaved(fns, calls, rounds)
+        out[f"curvature.{name}"] = paired(us["parent"], us["change"])
+        print(f"ab {name}: {out[f'curvature.{name}']}", file=sys.stderr)
     return out
 
 
@@ -344,14 +396,22 @@ def array_hashes(alias: str) -> dict:
             _record(hashes, f"{tag}/_rhs", lambda: rhs(metric, state))
             _record(hashes, f"{tag}/_rhs/ws", lambda: rhs(metric, state, ws))
             if B is None:
-                k_max = 2 if m >= 6 else 4
-                _record(hashes, f"{chart}/curvature_k{k_max}",
-                        lambda: mod["curvature"].curvature(metric, x, k_max))
-                _record(hashes, f"{chart}/density_coefficients",
-                        lambda: mod["expansion"].density_coefficients(
-                            metric, x, mod["geodesics"].g_unit_directions(
-                                metric, x, 1)[0]).values)
+                bundle_hashes(hashes, mod, chart, metric, x)
+        center = np.zeros(m)
+        if metric.contains(center):     # the exact zeros of the reports
+            bundle_hashes(hashes, mod, f"{chart}/center", metric, center)
     return hashes
+
+
+def bundle_hashes(hashes: dict, mod: dict, tag: str, metric, x):
+    """Hashes of the curvature bundles and density_coefficients at x."""
+    for k_max in (2, 4) if metric.dim >= 6 else (4,):
+        _record(hashes, f"{tag}/curvature_k{k_max}",
+                lambda: mod["curvature"].curvature(metric, x, k_max))
+    _record(hashes, f"{tag}/density_coefficients",
+            lambda: mod["expansion"].density_coefficients(
+                metric, x, mod["geodesics"].g_unit_directions(
+                    metric, x, 1)[0]).values)
 
 
 def report_hashes(alias: str, plans: list) -> dict:
