@@ -11,13 +11,10 @@ from . import catalog, conformal, conventions, expansion, geodesics, jets
 from .catalog import CatalogEntry, build
 from .conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
                         RadialFunction, Reparametrization, TrivializerRadialFunction,
-                        completeness_and_blowup, conformal_factor_field,
-                        deform_metric, deformed_density, reparametrize,
-                        ricci_conformal, space_form_isometry_check,
-                        trivial_density_factor)
-from .curvature import (CurvatureBundle, christoffels, curvature,
-                        curvature_arrays, einstein_defect, gradient_norm_sq,
-                        hessian, laplacian, sectional_curvature)
+                        completeness_and_blowup, deform_metric,
+                        deformed_density, reparametrize, trivial_density_factor)
+from .curvature import (CurvatureBundle, curvature, curvature_arrays,
+                        einstein_defect, sectional_curvature)
 from .expansion import (DensityExpansion, JacobiOperator, density_coefficients,
                         jacobi, leading_coefficient, verify_leading_coefficient)
 from .geodesics import (DensityProfile, HarmonicityReport, PolarDensitySample,
@@ -26,9 +23,9 @@ from .geodesics import (DensityProfile, HarmonicityReport, PolarDensitySample,
                         g_unit_directions, radial_harmonic,
                         second_fundamental_form, shoot, unit_directions)
 from .metric import (ChartMetric, DegenerateMetricError, DomainError,
-                     OrderExceededError, ScalarField)
+                     OrderExceededError)
 from .series import (RadialFit, TruncatedSeries, TruncationError,
-                     fit_radial_expansion, geometric_radii, rational_series)
+                     fit_radial_expansion, rational_series)
 
 __version__ = "0.1.0"
 

@@ -6,9 +6,8 @@ obeys
     Theta_{P, g_psi}(rc, theta) = psi(r(rc)^2)^(1-m) Theta_{P, g}(r(rc)),
 
 where rc is the deformed radial coordinate with d(rc) = psi(r^2)^(-1) dr.
-This module also carries the Ricci conformal-change law, the g_ab isometry
-checks, the density-trivializing factor, and the near-cut-locus blow-up
-diagnostics for the trivial-density construction.
+This module also carries the density-trivializing factor and the
+near-cut-locus blow-up diagnostics for the trivial-density construction.
 """
 
 from __future__ import annotations
@@ -20,10 +19,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .curvature import curvature, gradient_norm_sq, hessian, laplacian
+# not called here: perfbench/tracer.py patches hml.conformal.curvature
+from .curvature import curvature
 from .geodesics import DensityProfile, NonRadialProfileError, relative_spread
 from .jets import MultiJet, seed_point
-from .metric import ChartMetric, ScalarField, outside_domain
+from .metric import ChartMetric, outside_domain
 from .series import TruncatedSeries
 
 
@@ -189,15 +189,6 @@ def reparametrize(psi: RadialFunction, r_max: float) -> Reparametrization:
 # metric deformation and the density law
 # ---------------------------------------------------------------------------
 
-def conformal_factor_field(metric: ChartMetric, psi: RadialFunction
-                           ) -> ScalarField:
-    """Psi(x) = psi(r_P(x)^2) as a jet-evaluable scalar field."""
-    _require_radial_chart(metric)
-    return ScalarField(
-        lambda xj: psi.compose_jet(metric.radial_distance_sq(xj)),
-        name=f"{psi.name}(r^2)")
-
-
 def _require_radial_chart(metric: ChartMetric):
     if metric.radial_distance_sq is None:
         raise ValueError(
@@ -264,84 +255,6 @@ def deformed_density(base_theta: Callable, psi: RadialFunction, m: int,
     r = rep.r(rc_values)
     return np.asarray(psi(r ** 2)) ** (1.0 - m) \
         * np.asarray(base_theta(r), dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Ricci conformal change law
-# ---------------------------------------------------------------------------
-
-def ricci_conformal(metric: ChartMetric, psi: RadialFunction, x,
-                    bundle=None) -> np.ndarray:
-    """Predicted Ricci of g_psi from the base metric's data at x:
-
-        rho_psi = rho + (m-2)/Psi Hess(Psi)
-                  + ( -Delta0(Psi)/Psi - (m-1) |dPsi|^2/Psi^2 ) g,
-
-    with Delta0 the positive Laplacian.  Compare against the directly
-    computed Ricci of deform_metric(metric, psi) to cross-check both paths.
-    """
-    x = np.asarray(x, dtype=float)
-    m = metric.dim
-    if bundle is None:
-        bundle = curvature(metric, x, k_max=0)
-    field = conformal_factor_field(metric, psi)
-    Psi0 = float(field.value(x))
-    H = hessian(metric, field, x)
-    lap = float(laplacian(metric, field, x))
-    gn = float(gradient_norm_sq(metric, field, x))
-    return (bundle.ricci + (m - 2) / Psi0 * H
-            + (-lap / Psi0 - (m - 1) * gn / Psi0 ** 2) * bundle.g)
-
-
-# ---------------------------------------------------------------------------
-# space-form isometries (inversion and scaling)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class IsometryReport:
-    a: float
-    b: float
-    n_points: int
-    max_dev_inversion: float
-    max_dev_scaling: float
-    scaling_c: float
-
-    def max_dev(self) -> float:
-        return max(self.max_dev_inversion, self.max_dev_scaling)
-
-
-def space_form_isometry_check(a: float, b: float, points,
-                              c: float = 3.0) -> IsometryReport:
-    """Pull g_{b,a} back through inversion eta = xi/|xi|^2 and check the
-    scaling identity relating g_{a,b} to g_{a/c, bc}; both componentwise."""
-    from .catalog import space_form
-
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[1]
-    g_ab = space_form(a, b, m).metric
-    g_ba = space_form(b, a, m).metric
-    g_scaled = space_form(a / c, b * c, m).metric
-
-    dev_inv = 0.0
-    dev_scale = 0.0
-    for xi in points:
-        r2 = float(xi @ xi)
-        if r2 < 1e-12:
-            raise ValueError("points must avoid the inversion singularity at 0")
-        eta = xi / r2
-        if not (g_ab.contains(xi) and g_ba.contains(eta)):
-            raise ValueError(f"point {xi} leaves a domain of g_ab / g_ba")
-        Jac = (np.eye(m) - 2.0 * np.outer(xi, xi) / r2) / r2
-        pulled = Jac.T @ g_ba.value(eta) @ Jac
-        dev_inv = max(dev_inv, float(np.max(np.abs(pulled - g_ab.value(xi)))))
-        # scaling xi = c eta: (phi_c^* g_{a,b})(eta) = c^2 g_{a,b}(c eta)
-        eta_s = xi / c
-        pulled_s = c ** 2 * g_ab.value(xi)
-        dev_scale = max(dev_scale,
-                        float(np.max(np.abs(pulled_s - g_scaled.value(eta_s)))))
-    return IsometryReport(a=a, b=b, n_points=len(points),
-                          max_dev_inversion=dev_inv,
-                          max_dev_scaling=dev_scale, scaling_c=c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Pointwise curvature: Christoffels, Riemann, Ricci, grad^k R, Hessians.
+"""Pointwise curvature: Christoffels, Riemann, Ricci, grad^k R.
 
 Index conventions are documented in :mod:`hml.conventions`.  Two paths are
 provided: batched arrays for the quantities the geodesic integrator needs
@@ -18,7 +18,7 @@ import numpy as np
 
 from .jets import MultiJet, entry_dot
 from .metric import (ChartMetric, DegenerateMetricError, OrderExceededError,
-                     ScalarField, Workspace, entry_layout)
+                     Workspace, entry_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,11 @@ def curvature(metric: ChartMetric, x, k_max: int = 0) -> CurvatureBundle:
             or k_max < 0):
         raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
     metric.check_order(k_max + 2)
-    g, Gamma, P, DGam = _jet_partials(metric, x, k_max)
+    try:
+        g, Gamma, P, DGam = _jet_partials(metric, x, k_max)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError(
+            f"degenerate metric {metric.name} at {x}") from exc
     ginv = np.linalg.inv(g)
     riemann, nabla = P[0], []
     for s in range(1, k_max + 1):       # rebinding P frees the step's input
@@ -272,12 +276,6 @@ def curvature(metric: ChartMetric, x, k_max: int = 0) -> CurvatureBundle:
 # spec operations built on bundles
 # ---------------------------------------------------------------------------
 
-def christoffels(metric: ChartMetric, x) -> np.ndarray:
-    """Gamma[..., i, j, k] = Gamma_ij^k at x (batch allowed)."""
-    _, _, Gamma, _ = curvature_arrays(metric, x)
-    return Gamma
-
-
 def sectional_curvature(bundle: CurvatureBundle, u, v) -> float:
     """Sectional curvature of span(u, v); raises on degenerate planes."""
     u = np.asarray(u, dtype=float)
@@ -288,30 +286,6 @@ def sectional_curvature(bundle: CurvatureBundle, u, v) -> float:
         raise ValueError("degenerate plane for sectional curvature")
     num = np.einsum('ijkl,i,j,k,l->', bundle.riemann, u, v, v, u)
     return float(num / gram)
-
-
-def hessian(metric: ChartMetric, phi: ScalarField, x) -> np.ndarray:
-    """Covariant Hessian (d_i d_j phi - Gamma_ij^k d_k phi) at x."""
-    x = np.asarray(x, dtype=float)
-    jet = phi.jet(x, 2)
-    grad = np.moveaxis(jet.derivative_array(1), 0, -1)
-    d2 = np.moveaxis(jet.derivative_array(2), (0, 1), (-2, -1))
-    Gamma = christoffels(metric, x)
-    H = d2 - np.einsum('...ijk,...k->...ij', Gamma, grad)
-    return H
-
-
-def laplacian(metric: ChartMetric, phi: ScalarField, x) -> float:
-    """Geometer's positive Laplacian Delta0 phi = -trace_g Hess phi."""
-    H = hessian(metric, phi, x)
-    ginv = np.linalg.inv(metric.value(x))
-    return -np.einsum('...ij,...ij->...', ginv, H)
-
-
-def gradient_norm_sq(metric: ChartMetric, phi: ScalarField, x):
-    grad = phi.jet(x, 1).derivative_array(1)
-    ginv = np.linalg.inv(metric.value(x))
-    return np.einsum('...i,...ij,...j->...', grad, ginv, grad)
 
 
 def einstein_defect(bundle: CurvatureBundle) -> float:

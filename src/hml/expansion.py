@@ -33,15 +33,6 @@ class JacobiOperator:
     matrix: np.ndarray    # endomorphism of T_P M (index raised with g^{-1})
     bilinear: np.ndarray  # the symmetric lowered form
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-    def eigenvalues(self, g) -> np.ndarray:
-        # solve the symmetric generalized problem bilinear v = lambda g v
-        from scipy.linalg import eigh
-        return eigh(self.bilinear, g, eigvals_only=True)
-
 
 def jacobi(bundle: CurvatureBundle, xi, k: int) -> JacobiOperator:
     """Assemble J_k(xi) from grad^k R by contraction."""

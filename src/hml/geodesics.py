@@ -231,11 +231,6 @@ class PolarDensitySample:
     conjugate: bool
     energy_error: float
 
-    @property
-    def reduced_theta(self) -> float:
-        m = len(self.center)
-        return self.theta / self.radius ** (m - 1)
-
 
 def shoot(metric: ChartMetric, P, theta, r: float,
           steps: int = 2000) -> PolarDensitySample:

@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import jets
 from .jets import MultiJet, _extraction_table, all_true, jet_space, seed_point
 
 
@@ -206,56 +205,7 @@ class ChartMetric:
             out.append(gd.reshape(batch + (m, m) + (m,) * d))
         return out
 
-    def check_positive_definite(self, x):
-        g = self.value(x)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMetricError(
-                f"degenerate metric: {self.name} not positive definite at {x}"
-            ) from exc
-        return True
-
     def norm(self, x, v) -> float:
         g = self.value(x)
         v = np.asarray(v, dtype=float)
         return float(np.sqrt(v @ g @ v))
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Scalar function on a chart, jet-evaluable like metric components."""
-
-    fn: Callable
-    name: str = "phi"
-
-    def jet(self, x, order: int) -> MultiJet:
-        xj = seed_point(x, order)
-        out = self.fn(xj)
-        if not isinstance(out, MultiJet):
-            space = jet_space(np.shape(x)[-1], order)
-            out = MultiJet.constant(space, out, np.shape(x)[:-1])
-        return out
-
-    def value(self, x):
-        return self.jet(x, 0).value
-
-    @staticmethod
-    def from_radial(radial_derivs: Callable, metric: ChartMetric,
-                    name: str = "phi") -> "ScalarField":
-        """Field f(x) = fcheck(r_P(x)) from fcheck's derivative evaluator.
-
-        ``radial_derivs(r0, order)`` must return [fcheck(r0), fcheck'(r0), ...].
-        Requires the chart to expose r_P^2 analytically.
-        """
-        if metric.radial_distance_sq is None:
-            raise ValueError("chart does not declare a radial distance")
-
-        def fn(xjets):
-            t = metric.radial_distance_sq(xjets)
-            r = jets.sqrt(t)
-            r0 = np.asarray(r.const_value())
-            order = r.space.order if isinstance(r, MultiJet) else r.order
-            return r.apply_analytic(radial_derivs(r0, order))
-
-        return ScalarField(fn, name=name)

@@ -263,8 +263,3 @@ def fit_radial_expansion(samples, m: int, order: int,
         coefficients={k + 2: float(coeffs[k]) for k in range(len(coeffs))},
         order=order, residual=residual, cond=float(cond),
         truncation_estimate=trunc)
-
-
-def geometric_radii(r_min: float, r_max: float, n: int) -> np.ndarray:
-    """Geometrically spaced fit radii in [r_min, r_max]."""
-    return np.geomspace(r_min, r_max, n)

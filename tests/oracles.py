@@ -10,16 +10,28 @@ of engine routines (the per-entry metric formulas among them), so that the
 optimized routines can be checked against them (bit for bit where the
 arithmetic is the same).  literal_curvature is the jet-ring bundle path
 built on object arrays of scalar jets, filled and contracted entry by entry,
-with its own covariant step that forms one einsum per slot subset.
+with its own covariant step that forms one einsum per slot subset.  The
+jet-based oracles at the end are exceptions too: ScalarField evaluates a
+function on seeded jets, the Hessian family (christoffels, hessian,
+laplacian, gradient_norm_sq) reads Gamma from curvature_arrays, and the
+Ricci conformal-change law (ricci_conformal) combines them with the base
+metric's bundle, independently of the deformed chart it is checked against.
 """
 
 import functools
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from hml import jets
+from hml.catalog import space_form
+from hml.conformal import RadialFunction, _require_radial_chart
+from hml.curvature import CurvatureBundle, curvature, curvature_arrays
+from hml.jets import MultiJet, jet_space, seed_point
+from hml.metric import ChartMetric, DegenerateMetricError
 
 
 def fd1(f, x, h=1e-5):
@@ -283,7 +295,6 @@ def literal_components(entry, psi=None):
 
 def literal_derivative_arrays(components, x, order):
     """[g, dg, ...] of per-entry components: one extraction and moveaxis each."""
-    from hml.jets import MultiJet, jet_space, seed_point
     batch, m = np.shape(x)[:-1], np.shape(x)[-1]
     comps = components(seed_point(x, order))
     out = []
@@ -304,7 +315,6 @@ def literal_derivative_arrays(components, x, order):
 
 def _literal_jet_matrix_inverse(G, order):
     """Inverse of an object-matrix of jets by Newton iteration."""
-    from hml.jets import MultiJet
     m = G.shape[0]
     space = G[0, 0].space
     batch = G[0, 0].batch_shape
@@ -458,7 +468,6 @@ def _literal_covariant_step(P_prev, DGam, rank, need):
 
 def literal_curvature(metric, x, k_max=0):
     """Full curvature bundle at a single point, with grad^k R for k <= k_max."""
-    from hml.curvature import CurvatureBundle
     from hml.metric import entry_layout
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -511,7 +520,6 @@ def literal_jet_product(space, a, b):
 
 @functools.lru_cache(maxsize=None)
 def _literal_pairs(nvars, order):
-    from hml.jets import jet_space
     space = jet_space(nvars, order)
     idx, pos = space.index_list, space.index_of
     pairs = sorted((pos[tuple(x + y for x, y in zip(al, be))], i, j)
@@ -523,7 +531,6 @@ def _literal_pairs(nvars, order):
 
 def literal_apply_analytic(x, derivs):
     """Composition by a Horner loop written in jet ring operations."""
-    from hml.jets import MultiJet
     order = x.space.order
     du = MultiJet(x.space, x.coef.copy())
     du.coef[0] = 0.0
@@ -566,3 +573,168 @@ LITERAL_COEFS = {
         lambda k: (-1.0) ** k * 2.0 ** (2 * k + 3) / math.factorial(2 * k + 4),
     "atan_sqrt_sq": lambda k: _atan_sqrt_sq_coeffs(k + 1)[k],
 }
+
+
+# ---------------------------------------------------------------------------
+# scalar fields, Hessians and the Ricci conformal-change law
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ScalarField:
+    """Scalar function on a chart, jet-evaluable like metric components."""
+
+    fn: Callable
+    name: str = "phi"
+
+    def jet(self, x, order: int) -> MultiJet:
+        xj = seed_point(x, order)
+        out = self.fn(xj)
+        if not isinstance(out, MultiJet):
+            space = jet_space(np.shape(x)[-1], order)
+            out = MultiJet.constant(space, out, np.shape(x)[:-1])
+        return out
+
+    def value(self, x):
+        return self.jet(x, 0).value
+
+    @staticmethod
+    def from_radial(radial_derivs: Callable, metric: ChartMetric,
+                    name: str = "phi") -> "ScalarField":
+        """Field f(x) = fcheck(r_P(x)) from fcheck's derivative evaluator.
+
+        ``radial_derivs(r0, order)`` must return [fcheck(r0), fcheck'(r0), ...].
+        Requires the chart to expose r_P^2 analytically.
+        """
+        if metric.radial_distance_sq is None:
+            raise ValueError("chart does not declare a radial distance")
+
+        def fn(xjets):
+            t = metric.radial_distance_sq(xjets)
+            r = jets.sqrt(t)
+            r0 = np.asarray(r.const_value())
+            order = r.space.order if isinstance(r, MultiJet) else r.order
+            return r.apply_analytic(radial_derivs(r0, order))
+
+        return ScalarField(fn, name=name)
+
+
+def christoffels(metric: ChartMetric, x) -> np.ndarray:
+    """Gamma[..., i, j, k] = Gamma_ij^k at x (batch allowed)."""
+    _, _, Gamma, _ = curvature_arrays(metric, x)
+    return Gamma
+
+
+def hessian(metric: ChartMetric, phi: ScalarField, x) -> np.ndarray:
+    """Covariant Hessian (d_i d_j phi - Gamma_ij^k d_k phi) at x."""
+    x = np.asarray(x, dtype=float)
+    jet = phi.jet(x, 2)
+    grad = np.moveaxis(jet.derivative_array(1), 0, -1)
+    d2 = np.moveaxis(jet.derivative_array(2), (0, 1), (-2, -1))
+    Gamma = christoffels(metric, x)
+    H = d2 - np.einsum('...ijk,...k->...ij', Gamma, grad)
+    return H
+
+
+def laplacian(metric: ChartMetric, phi: ScalarField, x) -> float:
+    """Geometer's positive Laplacian Delta0 phi = -trace_g Hess phi."""
+    H = hessian(metric, phi, x)
+    ginv = np.linalg.inv(metric.value(x))
+    return -np.einsum('...ij,...ij->...', ginv, H)
+
+
+def gradient_norm_sq(metric: ChartMetric, phi: ScalarField, x):
+    grad = phi.jet(x, 1).derivative_array(1)
+    ginv = np.linalg.inv(metric.value(x))
+    return np.einsum('...i,...ij,...j->...', grad, ginv, grad)
+
+
+def conformal_factor_field(metric: ChartMetric, psi: RadialFunction
+                           ) -> ScalarField:
+    """Psi(x) = psi(r_P(x)^2) as a jet-evaluable scalar field."""
+    _require_radial_chart(metric)
+    return ScalarField(
+        lambda xj: psi.compose_jet(metric.radial_distance_sq(xj)),
+        name=f"{psi.name}(r^2)")
+
+
+def ricci_conformal(metric: ChartMetric, psi: RadialFunction, x,
+                    bundle=None) -> np.ndarray:
+    """Predicted Ricci of g_psi from the base metric's data at x:
+
+        rho_psi = rho + (m-2)/Psi Hess(Psi)
+                  + ( -Delta0(Psi)/Psi - (m-1) |dPsi|^2/Psi^2 ) g,
+
+    with Delta0 the positive Laplacian.  Compare against the directly
+    computed Ricci of deform_metric(metric, psi) to cross-check both paths.
+    """
+    x = np.asarray(x, dtype=float)
+    m = metric.dim
+    if bundle is None:
+        bundle = curvature(metric, x, k_max=0)
+    field = conformal_factor_field(metric, psi)
+    Psi0 = float(field.value(x))
+    H = hessian(metric, field, x)
+    lap = float(laplacian(metric, field, x))
+    gn = float(gradient_norm_sq(metric, field, x))
+    return (bundle.ricci + (m - 2) / Psi0 * H
+            + (-lap / Psi0 - (m - 1) * gn / Psi0 ** 2) * bundle.g)
+
+
+# ---------------------------------------------------------------------------
+# metric checks: positive definiteness, space-form isometries
+# ---------------------------------------------------------------------------
+
+def check_positive_definite(metric: ChartMetric, x):
+    g = metric.value(x)
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError(
+            f"degenerate metric: {metric.name} not positive definite at {x}"
+        ) from exc
+    return True
+
+
+@dataclass
+class IsometryReport:
+    a: float
+    b: float
+    n_points: int
+    max_dev_inversion: float
+    max_dev_scaling: float
+    scaling_c: float
+
+    def max_dev(self) -> float:
+        return max(self.max_dev_inversion, self.max_dev_scaling)
+
+
+def space_form_isometry_check(a: float, b: float, points,
+                              c: float = 3.0) -> IsometryReport:
+    """Pull g_{b,a} back through inversion eta = xi/|xi|^2 and check the
+    scaling identity relating g_{a,b} to g_{a/c, bc}; both componentwise."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    m = points.shape[1]
+    g_ab = space_form(a, b, m).metric
+    g_ba = space_form(b, a, m).metric
+    g_scaled = space_form(a / c, b * c, m).metric
+
+    dev_inv = 0.0
+    dev_scale = 0.0
+    for xi in points:
+        r2 = float(xi @ xi)
+        if r2 < 1e-12:
+            raise ValueError("points must avoid the inversion singularity at 0")
+        eta = xi / r2
+        if not (g_ab.contains(xi) and g_ba.contains(eta)):
+            raise ValueError(f"point {xi} leaves a domain of g_ab / g_ba")
+        Jac = (np.eye(m) - 2.0 * np.outer(xi, xi) / r2) / r2
+        pulled = Jac.T @ g_ba.value(eta) @ Jac
+        dev_inv = max(dev_inv, float(np.max(np.abs(pulled - g_ab.value(xi)))))
+        # scaling xi = c eta: (phi_c^* g_{a,b})(eta) = c^2 g_{a,b}(c eta)
+        eta_s = xi / c
+        pulled_s = c ** 2 * g_ab.value(xi)
+        dev_scale = max(dev_scale,
+                        float(np.max(np.abs(pulled_s - g_scaled.value(eta_s)))))
+    return IsometryReport(a=a, b=b, n_points=len(points),
+                          max_dev_inversion=dev_inv,
+                          max_dev_scaling=dev_scale, scaling_c=c)

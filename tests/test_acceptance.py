@@ -18,16 +18,18 @@ import pytest
 from hml import catalog, jets
 from hml.conformal import (PolynomialRadialFunction, TrivializerRadialFunction,
                            completeness_and_blowup, deform_metric,
-                           deformed_density, reparametrize, ricci_conformal,
-                           space_form_isometry_check)
-from hml.curvature import christoffels, curvature, curvature_arrays, hessian
+                           deformed_density, reparametrize)
+from hml.curvature import curvature, curvature_arrays
 from hml.expansion import (density_coefficients, leading_coefficient,
                            verify_leading_coefficient)
 from hml.geodesics import (centrally_harmonic_test, density_profile,
                            eigen_spread, g_unit_directions, radial_harmonic,
                            reduced_jacobi_at, second_fundamental_form, shoot)
 from hml.manifest import _sphere_height_psi
-from hml.series import fit_radial_expansion, geometric_radii
+from hml.series import fit_radial_expansion
+
+from oracles import (christoffels, conformal_factor_field, hessian,
+                     ricci_conformal, space_form_isometry_check)
 
 RESULTS = []
 
@@ -81,7 +83,7 @@ def test_02_expansion_vs_ode_oracle():
         co = density_coefficients(entry.metric, P, theta)
         iota = entry.metric.injectivity_radius or math.inf
         r_hi = min(0.42, iota / 4)          # stay within iota/4
-        radii = geometric_radii(r_hi / 7, r_hi, 24)
+        radii = np.geomspace(r_hi / 7, r_hi, 24)
         prof = density_profile(entry.metric, P, theta[None, :], radii,
                                steps=700)
         fit = fit_radial_expansion(list(zip(radii, prof.theta[:, 0])), 4,
@@ -160,7 +162,6 @@ def test_05_ricci_conformal_oracle():
             worst = max(worst, float(np.max(np.abs(pred - direct))))
     # Hessian structure at xi = (r, 0, ..., 0): radial entry
     # 2 psi' + 4 r^2 psi'', angular block 2 psi'(delta - r Gamma^1)
-    from hml.conformal import conformal_factor_field
     entry = catalog.sphere(3)
     psi = PolynomialRadialFunction([1.0, 0.3, -0.04])
     r = 0.7

@@ -9,19 +9,21 @@ import pytest
 from hml import catalog, conformal, jets
 from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
                            TrivializerRadialFunction,
-                           completeness_and_blowup, conformal_factor_field,
+                           completeness_and_blowup,
                            deform_metric, deformed_density,
                            deformed_radial_ricci, _fs_theta_u_series,
                            _DensityRootPsiU, radial_sq_value, reparametrize,
-                           ricci_conformal, space_form_isometry_check,
                            trivial_density_factor)
-from hml.curvature import christoffels, curvature, hessian, sectional_curvature
+from hml.curvature import curvature, sectional_curvature
 from hml.geodesics import (DomainExitError, NonRadialProfileError,
                            centrally_harmonic_test, density_profile,
                            g_unit_directions, shoot)
 from hml.manifest import _sphere_height_psi, build_metric
 from hml.metric import DomainError
 from hml.series import TruncatedSeries
+
+from oracles import (christoffels, conformal_factor_field, hessian,
+                     ricci_conformal, space_form_isometry_check)
 
 FAST = 300      # RK4 steps
 

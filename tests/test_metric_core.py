@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from hml import catalog, jets, manifest
-from hml.curvature import (christoffels, curvature, curvature_arrays,
-                           einstein_defect, gradient_norm_sq, hessian,
-                           laplacian, sectional_curvature)
+from hml.curvature import (curvature, curvature_arrays, einstein_defect,
+                           sectional_curvature)
 from hml.metric import (ChartMetric, DegenerateMetricError, DomainError,
-                        OrderExceededError, ScalarField)
+                        OrderExceededError)
 
 import oracles
+from oracles import (ScalarField, check_positive_definite, christoffels,
+                     gradient_norm_sq, hessian, laplacian)
 
 
 ALL_CATALOG = ["euclid3", "sphere3", "round_sf3", "hyperbolic3", "fs2"]
@@ -422,7 +423,12 @@ def test_degenerate_metric_reported():
         components=lambda xj: [[xj[0] * 0 + 1.0, 0.0], [0.0, xj[0] * 0]],
         name="degenerate")
     with pytest.raises(DegenerateMetricError):
-        bad.check_positive_definite(np.array([0.3, 0.4]))
+        check_positive_definite(bad, np.array([0.3, 0.4]))
+    # both library paths name the chart and the point
+    for path in (curvature_arrays, curvature):
+        with pytest.raises(DegenerateMetricError,
+                           match=r"degenerate metric degenerate at \[0\.3 0\.4\]"):
+            path(bad, np.array([0.3, 0.4]))
 
 
 def test_order_exceeded_error(euclid3):
@@ -447,4 +453,4 @@ def test_metric_derivatives_consistent_with_fd(fs2):
 def test_positive_definite_sampled(sphere4, rng):
     pts = rng.uniform(-0.6, 0.6, size=(10, 4))
     for p in pts:
-        assert sphere4.metric.check_positive_definite(p)
+        assert check_positive_definite(sphere4.metric, p)

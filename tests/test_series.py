@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hml.series import (IllConditionedFit, TruncatedSeries, TruncationError,
-                        fit_radial_expansion, geometric_radii, rational_series)
+                        fit_radial_expansion, rational_series)
 
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=12)
@@ -76,7 +76,7 @@ def test_shift_unshift():
 
 def test_fit_euclidean_zeros():
     m = 4
-    radii = geometric_radii(0.05, 0.5, 16)
+    radii = np.geomspace(0.05, 0.5, 16)
     samples = [(r, r ** (m - 1)) for r in radii]
     fit = fit_radial_expansion(samples, m, order=6)
     assert max(abs(v) for v in fit.coefficients.values()) < 1e-10
@@ -84,7 +84,7 @@ def test_fit_euclidean_zeros():
 
 def test_fit_sphere_h2():
     m = 3
-    radii = geometric_radii(0.02, 0.35, 18)
+    radii = np.geomspace(0.02, 0.35, 18)
     samples = [(r, np.sin(r) ** 2) for r in radii]
     fit = fit_radial_expansion(samples, m, order=8)
     assert fit[2] == pytest.approx(-1.0 / 3.0, abs=1e-6)
@@ -94,7 +94,7 @@ def test_fit_sphere_h2():
 def test_fit_polar_family_leading_term():
     # Theta = r (1 + b r^7): the fit recovers the order-7 coefficient
     b, n, m = 0.1, 7, 2
-    radii = geometric_radii(0.05, 0.5, 20)
+    radii = np.geomspace(0.05, 0.5, 20)
     samples = [(r, r * (1 + b * r ** n)) for r in radii]
     fit = fit_radial_expansion(samples, m, order=8)
     assert fit[7] == pytest.approx(b, abs=1e-8)
@@ -128,7 +128,7 @@ def test_fit_ill_conditioned_reports_cond():
 
 def test_fit_truncation_diagnostic_present():
     m = 3
-    radii = geometric_radii(0.02, 0.4, 30)
+    radii = np.geomspace(0.02, 0.4, 30)
     samples = [(r, np.sin(r) ** 2) for r in radii]
     fit = fit_radial_expansion(samples, m, order=6)
     assert 2 in fit.truncation_estimate
