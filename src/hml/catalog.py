@@ -30,7 +30,6 @@ class CatalogEntry:
     # t = r^2 -> Theta_P / r^(m-1), acting on truncated series
     reduced_density: Optional[Callable] = None
     center_in_chart: bool = True
-    notes: str = ""
 
     @property
     def dim(self) -> int:
@@ -191,8 +190,7 @@ def fubini_study(cdim: int) -> CatalogEntry:
         constant_curvature=None, einstein=True,
         closed_form_density=fs_density,
         reduced_density=lambda ts: (jets.powf(jets.sinc_sqrt(ts), dim - 1)
-                                    * jets.cos_sqrt(ts)),
-        notes="density closed form is engine-validated, sec in [1, 4]")
+                                    * jets.cos_sqrt(ts)))
 
 
 def two_d_family(n: int, b: float) -> CatalogEntry:
@@ -226,8 +224,7 @@ def two_d_family(n: int, b: float) -> CatalogEntry:
     return CatalogEntry(
         name="two_d_family", params={"n": n, "b": b}, metric=metric,
         constant_curvature=None, einstein=True,  # any surface is Einstein
-        closed_form_density=theta_density, center_in_chart=False,
-        notes="polar chart: center excluded, density known in closed form")
+        closed_form_density=theta_density, center_in_chart=False)
 
 
 _FAMILIES = {

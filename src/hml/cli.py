@@ -167,47 +167,38 @@ def cmd_expand(built: BuiltMetric, ana: dict, outdir: str) -> int:
     metric = built.metric
     entry = built.entry
     center = _center(built, ana)
-    order = setting(ana, "order")
-    report = {"metric": metric.name, "order": order}
     if entry.name == "two_d_family" and not built.deformed:
         # polar chart: the center is not a chart point, but the density
         # about it is known in closed form; only fitted values are reported
         order = ana.get("order", max(8, entry.params["n"] + 1))
-        report["order"] = order
         radii = np.geomspace(0.05, 0.5, max(2 * (order - 1), 14))
-        samples = list(zip(radii, entry.closed_form_density(radii)))
-        fit = fit_radial_expansion(samples, entry.dim, order)
-        report["analytic"] = None
-        report["fitted"] = {f"H{k}": v for k, v in fit.coefficients.items()}
-        report["residuals"] = {"fit_residual": fit.residual,
-                               "cond": fit.cond,
-                               "truncation_estimate":
-                                   {f"H{k}": v for k, v in
-                                    fit.truncation_estimate.items()}}
-        _write_json(os.path.join(outdir, "expansion.json"), report)
-        return EXIT_OK
-    theta = geodesics.g_unit_directions(metric, center, 1)[0]
-    coeffs = expansion.density_coefficients(metric, center, theta)
-    r_hi = 0.42
-    iota = metric.injectivity_radius
-    if iota is not None and math.isfinite(iota):
-        r_hi = min(r_hi, 0.25 * float(iota))
-    radii = np.geomspace(r_hi / 7, r_hi, max(2 * (order - 1), 24))
-    profile = geodesics.density_profile(metric, center, theta[None, :],
-                                        radii, **_given(ana, steps="steps"))
-    fit = fit_radial_expansion(
-        list(zip(radii, profile.theta[:, 0])), metric.dim, order)
-    report["analytic"] = {f"H{k}": v for k, v in coeffs.values.items()}
-    report["fitted"] = {f"H{k}": v for k, v in fit.coefficients.items()}
-    report["residuals"] = {
-        "fit_residual": fit.residual, "cond": fit.cond,
-        "max_abs_difference": max(
-            abs(coeffs.values[k] - fit.coefficients[k])
-            for k in range(2, min(order, 6) + 1)),
-        "truncation_estimate": {f"H{k}": v for k, v in
-                                fit.truncation_estimate.items()},
-    }
-    _write_json(os.path.join(outdir, "expansion.json"), report)
+        theta, analytic = entry.closed_form_density(radii), None
+    else:
+        order = setting(ana, "order")
+        direction = geodesics.g_unit_directions(metric, center, 1)[0]
+        analytic = expansion.density_coefficients(
+            metric, center, direction).values
+        r_hi = 0.42
+        iota = metric.injectivity_radius
+        if iota is not None and math.isfinite(iota):
+            r_hi = min(r_hi, 0.25 * float(iota))
+        radii = np.geomspace(r_hi / 7, r_hi, max(2 * (order - 1), 24))
+        theta = geodesics.density_profile(
+            metric, center, direction[None, :], radii,
+            **_given(ana, steps="steps")).theta[:, 0]
+    fit = fit_radial_expansion(list(zip(radii, theta)), metric.dim, order)
+    residuals = {"fit_residual": fit.residual, "cond": fit.cond,
+                 "truncation_estimate": {f"H{k}": v for k, v in
+                                         fit.truncation_estimate.items()}}
+    if analytic is not None:
+        residuals["max_abs_difference"] = max(
+            abs(analytic[k] - fit.coefficients[k])
+            for k in range(2, min(order, 6) + 1))
+        analytic = {f"H{k}": v for k, v in analytic.items()}
+    _write_json(os.path.join(outdir, "expansion.json"), {
+        "metric": metric.name, "order": order, "analytic": analytic,
+        "fitted": {f"H{k}": v for k, v in fit.coefficients.items()},
+        "residuals": residuals})
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import jets
 # not called here: perfbench/tracer.py patches hml.conformal.curvature
 from .curvature import curvature
-from .geodesics import DensityProfile, NonRadialProfileError, relative_spread
+from .geodesics import DensityProfile, radial_mean
 from .jets import MultiJet, seed_point
 from .metric import ChartMetric, outside_domain
 from .series import TruncatedSeries
@@ -79,24 +79,9 @@ class RadialFunction:
 
     def compose_jet(self, t_jet):
         """psi(t_jet) for a MultiJet (or series) argument t_jet."""
-        order = t_jet.space.order if hasattr(t_jet, "space") else t_jet.order
-        s = self.series(t_jet.const_value(), order)
+        s = self.series(t_jet.const_value(), t_jet.order)
         return t_jet.apply_analytic(
             [c * math.factorial(k) for k, c in enumerate(s.coeffs)])
-
-    def find_zero(self, t_max: float) -> Optional[float]:
-        """Location of a sign change of psi on [0, t_max], if any."""
-        from scipy.optimize import brentq
-        ts = np.linspace(0.0, t_max, 2048)
-        vals = np.atleast_1d(self(ts))
-        sign = np.sign(vals)
-        change = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
-        if len(change) == 0:
-            return None
-        i = change[0]
-        if vals[i] == 0:
-            return float(ts[i])
-        return float(brentq(lambda t: float(self(t)), ts[i], ts[i + 1]))
 
 
 def _seed_series(t0, order: int) -> TruncatedSeries:
@@ -169,12 +154,19 @@ class Reparametrization:
 
 
 def reparametrize(psi: RadialFunction, r_max: float) -> Reparametrization:
-    """Integrate d(rc) = psi(r^2)^(-1) dr by composite Gauss quadrature."""
-    zero = psi.find_zero(r_max ** 2)
-    if zero is not None:
+    """Integrate d(rc) = psi(r^2)^(-1) dr by composite Gauss quadrature.
+
+    Refuses a psi that changes sign or vanishes on [0, r_max^2], naming the
+    interval of a 2048-point grid in t = r^2 that holds the zero."""
+    ts = np.linspace(0.0, r_max ** 2, 2048)
+    sign = np.sign(np.atleast_1d(psi(ts)))
+    change = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
+    if len(change):
+        lo, hi = ts[change[0]], ts[change[0] + 1]
         raise ValueError(
-            f"psi vanishes at t = {zero:.6g} (r = {math.sqrt(max(zero, 0)):.6g}) "
-            "inside the requested range")
+            f"psi vanishes at some t in [{lo:.6g}, {hi:.6g}] (r in "
+            f"[{math.sqrt(lo):.6g}, {math.sqrt(hi):.6g}]) inside the "
+            "requested range")
     r_grid = np.linspace(0.0, r_max, 1201)
     rc_grid = _cumulative_gauss(lambda r: 1.0 / np.asarray(psi(r ** 2)),
                                 r_grid, 8)
@@ -365,10 +357,7 @@ def trivial_density_factor(profile, m: int) -> RadialFunction:
         profile = profile.radii, profile.theta
     radii, theta = (np.asarray(a, dtype=float) for a in profile)
     if theta.ndim == 2:
-        if not relative_spread(theta).max() <= 1e-6:   # NaN too
-            raise NonRadialProfileError(
-                "refusing to trivialize a non-radial base profile")
-        theta = theta.mean(axis=1)
+        theta = radial_mean(theta, 1e-6)
     ttilde = theta / radii ** (m - 1)
     from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(np.concatenate([[0.0], radii ** 2]),

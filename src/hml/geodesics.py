@@ -126,54 +126,6 @@ def _rhs_block(metric: ChartMetric, state, ws):
     return (v, dv, dE, Ad, -reduced_jacobi(R, v, E) @ A)
 
 
-class _ConjugateTracker:
-    """Latch conjugate-point crossings of det A along the integration.
-
-    det A <= 0 catches odd-multiplicity zeros; collapses of det A to a tiny
-    fraction of its running maximum catch the even-multiplicity crossings a
-    pointwise sign test cannot see.
-    """
-
-    DIP = 1e-4
-
-    def __init__(self, batch: int):
-        self.max_det = np.zeros(batch)
-        self.latched = np.zeros(batch, dtype=bool)
-
-    def update(self, A):
-        det = np.linalg.det(A)
-        self.latched |= (det <= 0) | (det < self.DIP * self.max_det)
-        self.max_det = np.maximum(self.max_det, det)
-
-
-def _rk4_segment(metric, state, length, nsteps, r_start, tracker, ws):
-    """RK4 over one segment; the RHS checks the domain at every stage point.
-
-    The point a step ends on is checked by the next step's k1, which then
-    reports the radius that step started from; the segment's last point is
-    checked here, since the caller records it.
-    """
-    h = length / nsteps
-    rhs = partial(_rhs, metric, ws=ws)
-    for i in range(nsteps):
-        try:
-            k1 = rhs(state)
-        except DomainError as exc:
-            raise DomainExitError(r_start + max(i - 1, 0) * h) from exc
-        try:
-            k2 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k1)))
-            k3 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k2)))
-            k4 = rhs(tuple(y + h * k for y, k in zip(state, k3)))
-        except DomainError as exc:
-            raise DomainExitError(r_start + i * h) from exc
-        state = tuple(y + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                      for y, a, b, c, d in zip(state, k1, k2, k3, k4))
-        tracker.update(state[3])
-    if not np.all(metric.contains(state[0])):
-        raise DomainExitError(r_start + (nsteps - 1) * h)
-    return state
-
-
 def _initial_state(metric: ChartMetric, P, thetas):
     P = np.asarray(P, dtype=float)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -186,11 +138,20 @@ def _initial_state(metric: ChartMetric, P, thetas):
     return (x, thetas.copy(), E, A, Ad)
 
 
-def _integrate_recording(metric, P, thetas, radii, steps: int):
-    """March through sorted radii, yielding (r, state, crossed) at each.
+DIP = 1e-4      # conjugate-point latch: det A below DIP x its running max
 
-    ``steps`` fixed RK4 steps span the largest radius.
-    """
+
+def _integrate_recording(metric, P, thetas, radii, steps: int):
+    """March through sorted radii by RK4, yielding (r, state, crossed) at each.
+
+    ``steps`` fixed RK4 steps span the largest radius.  Every RHS stage
+    checks the domain; an exit raises DomainExitError with a radius known
+    inside: a failing k1 (which checks where the previous step ended) gives
+    the previous step's start, a later stage its own step's start, and a
+    segment end, checked before it is recorded, its last step's start.
+    ``crossed`` latches per direction, after every step, det A <= 0 (zeros
+    of odd multiplicity) and det A < DIP times its running maximum (the
+    even-multiplicity crossings a pointwise sign test cannot see)."""
     if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
             or steps < 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
@@ -198,16 +159,33 @@ def _integrate_recording(metric, P, thetas, radii, steps: int):
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("record radii must be positive and increasing")
     state = _initial_state(metric, P, thetas)
-    tracker = _ConjugateTracker(state[0].shape[0])
-    ws = Workspace()        # the shot's RHS buffers, reused by every stage
-    total = radii[-1]
+    max_det = np.zeros(state[0].shape[0])
+    crossed = np.zeros(state[0].shape[0], dtype=bool)
+    rhs = partial(_rhs, metric, ws=Workspace())    # one shot's RHS buffers
     r_prev = 0.0
     for r in radii:
-        seg = r - r_prev
-        n = max(1, int(round(steps * seg / total)))
-        state = _rk4_segment(metric, state, seg, n, r_prev, tracker, ws)
+        n = max(1, int(round(steps * (r - r_prev) / radii[-1])))
+        h = (r - r_prev) / n
+        for i in range(n):
+            try:
+                k1 = rhs(state)
+            except DomainError as exc:
+                raise DomainExitError(r_prev + max(i - 1, 0) * h) from exc
+            try:
+                k2 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k1)))
+                k3 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k2)))
+                k4 = rhs(tuple(y + h * k for y, k in zip(state, k3)))
+            except DomainError as exc:
+                raise DomainExitError(r_prev + i * h) from exc
+            state = tuple(y + (h / 6.0) * (a + 2 * b + 2 * c + d)
+                          for y, a, b, c, d in zip(state, k1, k2, k3, k4))
+            det = np.linalg.det(state[3])
+            crossed |= (det <= 0) | (det < DIP * max_det)
+            max_det = np.maximum(max_det, det)
+        if not np.all(metric.contains(state[0])):
+            raise DomainExitError(r_prev + (n - 1) * h)
         r_prev = r
-        yield r, state, tracker.latched.copy()
+        yield r, state, crossed.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +233,17 @@ def relative_spread(table) -> np.ndarray:
     """(max - min) / |mean| over the directions (axis 1) at each radius."""
     return ((table.max(axis=1) - table.min(axis=1))
             / np.abs(table.mean(axis=1)))
+
+
+def radial_mean(table, tolerance: float) -> np.ndarray:
+    """The mean over the directions (axis 1) of a table whose relative
+    spread is within ``tolerance`` (not NaN) at every radius."""
+    spread = relative_spread(table).max()
+    if not spread <= tolerance:
+        raise NonRadialProfileError(
+            f"profile spread {spread:.3e} is not within {tolerance:.1e}; "
+            "not radial")
+    return table.mean(axis=1)
 
 
 @dataclass
@@ -434,12 +423,7 @@ def radial_harmonic(radii, theta_values, spread_tolerance: float = 1e-6):
     radii = np.asarray(radii, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)
     if theta_values.ndim == 2:
-        spread = relative_spread(theta_values)
-        if spread.max() > spread_tolerance:
-            raise NonRadialProfileError(
-                f"profile spread {spread.max():.3e} exceeds "
-                f"{spread_tolerance:.1e}; not radial")
-        theta_values = theta_values.mean(axis=1)
+        theta_values = radial_mean(theta_values, spread_tolerance)
     if np.any(theta_values <= 0):
         raise ValueError("density must be positive on the profile")
     spline = CubicSpline(radii, 1.0 / theta_values)

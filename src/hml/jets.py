@@ -266,6 +266,10 @@ class MultiJet:
     def value(self):
         return self.coef[0]
 
+    @property
+    def order(self) -> int:
+        return self.space.order
+
     def const_value(self):
         return self.coef[0]
 
@@ -389,7 +393,7 @@ class MultiJet:
         return self.apply_analytic(derivs)
 
     def __repr__(self):
-        return f"MultiJet(order={self.space.order}, value={self.value})"
+        return f"MultiJet(order={self.order}, value={self.value})"
 
 
 @lru_cache(maxsize=None)
@@ -543,79 +547,61 @@ def multiply(a: MultiJet, b, out: MultiJet) -> MultiJet:
 # analytic function helpers, usable on MultiJet / TruncatedSeries / ndarray
 # ---------------------------------------------------------------------------
 
-def _is_jetlike(x):
-    return hasattr(x, "apply_analytic")
+def _compose(x, plain, derivs):
+    """plain(x) on numbers; on a jet or series, x composed with the function
+    whose derivatives at x's constant term u0 are derivs(u0, order)."""
+    if not hasattr(x, "apply_analytic"):
+        return plain(x)
+    return x.apply_analytic(derivs(np.asarray(x.const_value()), x.order))
 
 
-def _order_of(x):
-    return x.space.order if isinstance(x, MultiJet) else x.order
+def _power(x, alpha, value, what):
+    """x**alpha: value(x) on numbers, the power rule on a positive jet."""
+    def derivs(u0, order):
+        if np.any(u0 <= 0):
+            raise ValueError(f"{what} requires positive constant term")
+        out = [value(u0)]
+        for k in range(1, order + 1):
+            out.append(out[-1] * (alpha - (k - 1)) / u0)
+        return out
+    return _compose(x, value, derivs)
 
 
 def sqrt(x):
-    if not _is_jetlike(x):
-        return np.sqrt(x)
-    u0 = np.asarray(x.const_value())
-    if np.any(u0 <= 0):
-        raise ValueError("sqrt of jet requires positive constant term")
-    derivs = [np.sqrt(u0)]
-    for k in range(1, _order_of(x) + 1):
-        derivs.append(derivs[-1] * (0.5 - (k - 1)) / u0)
-    return x.apply_analytic(derivs)
+    return _power(x, 0.5, np.sqrt, "sqrt of jet")
 
 
 def powf(x, alpha: float):
     """x**alpha for non-integer alpha (constant term must be positive)."""
-    if not _is_jetlike(x):
-        return np.power(x, alpha)
-    u0 = np.asarray(x.const_value())
-    if np.any(u0 <= 0):
-        raise ValueError("powf requires positive constant term")
-    derivs = [np.power(u0, alpha)]
-    for k in range(1, _order_of(x) + 1):
-        derivs.append(derivs[-1] * (alpha - (k - 1)) / u0)
-    return x.apply_analytic(derivs)
+    return _power(x, alpha, lambda u: np.power(u, alpha), "powf")
 
 
 def exp(x):
-    if not _is_jetlike(x):
-        return np.exp(x)
-    e0 = np.exp(np.asarray(x.const_value()))
-    return x.apply_analytic([e0] * (_order_of(x) + 1))
+    return _compose(x, np.exp, lambda u0, order: [np.exp(u0)] * (order + 1))
 
 
 def log(x):
-    if not _is_jetlike(x):
-        return np.log(x)
-    u0 = np.asarray(x.const_value())
-    derivs = [np.log(u0)]
-    for k in range(1, _order_of(x) + 1):
-        derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / u0 ** k)
-    return x.apply_analytic(derivs)
+    return _compose(x, np.log, lambda u0, order: [np.log(u0)] + [
+        (-1.0) ** (k - 1) * math.factorial(k - 1) / u0 ** k
+        for k in range(1, order + 1)])
+
+
+def _sin_cycle(u0, order, shift):
+    """Derivatives of sin (shift 0) or cos (shift 1) at u0."""
+    s, c = np.sin(u0), np.cos(u0)
+    cycle = [s, c, -s, -c]
+    return [cycle[(k + shift) % 4] for k in range(order + 1)]
 
 
 def sin(x):
-    if not _is_jetlike(x):
-        return np.sin(x)
-    u0 = np.asarray(x.const_value())
-    s, c = np.sin(u0), np.cos(u0)
-    cycle = [s, c, -s, -c]
-    return x.apply_analytic([cycle[k % 4] for k in range(_order_of(x) + 1)])
+    return _compose(x, np.sin, lambda u0, order: _sin_cycle(u0, order, 0))
 
 
 def cos(x):
-    if not _is_jetlike(x):
-        return np.cos(x)
-    u0 = np.asarray(x.const_value())
-    s, c = np.sin(u0), np.cos(u0)
-    cycle = [c, -s, -c, s]
-    return x.apply_analytic([cycle[k % 4] for k in range(_order_of(x) + 1)])
+    return _compose(x, np.cos, lambda u0, order: _sin_cycle(u0, order, 1))
 
 
-def atan(x):
-    if not _is_jetlike(x):
-        return np.arctan(x)
-    u0 = np.asarray(x.const_value())
-    order = _order_of(x)
+def _atan_derivs(u0, order):
     # Taylor coefficients of atan(u0 + h): integrate 1/(1 + (u0+h)^2),
     # whose h-series is the reciprocal of (1+u0^2) + 2 u0 h + h^2.
     denom = [1.0 + u0 ** 2, 2.0 * u0, np.ones_like(u0)]
@@ -626,8 +612,11 @@ def atan(x):
             acc = acc + denom[j] * recip[k - j]
         recip.append(-acc / denom[0])
     coeffs = [np.arctan(u0)] + [recip[k - 1] / k for k in range(1, order + 1)]
-    derivs = [coeffs[k] * math.factorial(k) for k in range(order + 1)]
-    return x.apply_analytic(derivs)
+    return [coeffs[k] * math.factorial(k) for k in range(order + 1)]
+
+
+def atan(x):
+    return _compose(x, np.arctan, _atan_derivs)
 
 
 @lru_cache(maxsize=None)
@@ -654,29 +643,31 @@ def _entire_apply(x, coef_fn, n_extra=40):
     constant term come from the term-wise differentiated series (one Horner
     loop over a cached table); all uses here have |t| bounded by ~pi^2.
     """
-    if not _is_jetlike(x):
-        t = np.asarray(x, dtype=float)
-        n = n_extra + 15
-        return sum(coef_fn(k) * t ** k for k in range(n))
-    order = _order_of(x)
-    t0 = np.asarray(x.const_value(), dtype=float)
-    if t0.ndim == 0:
-        # one point: the same Horner steps, each rounded alike, on floats
-        t, derivs = float(t0), []
-        for col in _taylor_columns(coef_fn, order, order + 1 + n_extra):
-            acc = 0.0
-            for c in col:
-                acc = acc * t + c
-            derivs.append(acc)
-        return x.apply_analytic(derivs)
-    tab = _taylor_table(coef_fn, order, order + 1 + n_extra)
-    tab = tab.reshape(tab.shape + (1,) * t0.ndim)
-    # derivs[d] = sum_{k>=d} c_k k!/(k-d)! t0^(k-d), highest power first
-    derivs = np.zeros((order + 1,) + t0.shape)
-    for row in tab[::-1]:
-        derivs *= t0
-        derivs += row
-    return x.apply_analytic(derivs)
+    def plain(t):
+        t = np.asarray(t, dtype=float)
+        return sum(coef_fn(k) * t ** k for k in range(n_extra + 15))
+
+    def derivs(t0, order):
+        t0 = np.asarray(t0, dtype=float)
+        if t0.ndim == 0:
+            # one point: the same Horner steps, each rounded alike, on floats
+            t, out = float(t0), []
+            for col in _taylor_columns(coef_fn, order, order + 1 + n_extra):
+                acc = 0.0
+                for c in col:
+                    acc = acc * t + c
+                out.append(acc)
+            return out
+        tab = _taylor_table(coef_fn, order, order + 1 + n_extra)
+        tab = tab.reshape(tab.shape + (1,) * t0.ndim)
+        # out[d] = sum_{k>=d} c_k k!/(k-d)! t0^(k-d), highest power first
+        out = np.zeros((order + 1,) + t0.shape)
+        for row in tab[::-1]:
+            out *= t0
+            out += row
+        return out
+
+    return _compose(x, plain, derivs)
 
 
 def _cos_sqrt_coef(k):
@@ -724,7 +715,7 @@ def t_minus_sinsq_over_t2(x):
 
 def atan_sqrt_sq(x):
     """atan(sqrt(t))^2; series route near 0, smooth composition elsewhere."""
-    if not _is_jetlike(x):
+    if not hasattr(x, "apply_analytic"):
         return np.arctan(np.sqrt(x)) ** 2
     t0 = np.asarray(x.const_value())
     near = t0 < 0.5

@@ -31,7 +31,7 @@ class DegenerateMetricError(ValueError):
 
 
 class OrderExceededError(ValueError):
-    """Requested derivative order exceeds what the metric provides."""
+    """Requested derivative order exceeds what a curvature bundle holds."""
 
 
 class Workspace:
@@ -119,7 +119,6 @@ class ChartMetric:
     params: dict = field(default_factory=dict)
     injectivity_radius: Optional[float] = None  # about the center; None = unknown
     radial_distance_sq: Optional[Callable] = None
-    max_order: Optional[int] = None  # None: analytic, any order
     _formula_domain: Optional[Callable] = field(default=None, repr=False)
 
     def __repr__(self):
@@ -140,12 +139,6 @@ class ChartMetric:
         if not all_true(self.contains(x)):
             raise outside_domain(self.name)
 
-    def check_order(self, order: int):
-        if self.max_order is not None and order > self.max_order:
-            raise OrderExceededError(
-                f"{self.name} provides derivatives to order {self.max_order}, "
-                f"order {order} requested")
-
     # -- evaluation -------------------------------------------------------
     def component_jets(self, x, order: int) -> MultiJet:
         """The metric entries at x as one stack (see ``entry_layout``).
@@ -157,7 +150,6 @@ class ChartMetric:
             self.require_inside(x)
         elif not all_true(np.asarray(self._formula_domain(self._as_point(x)))):
             raise outside_domain(self.name)
-        self.check_order(order)
         comps = self.components(seed_point(x, order))
         if type(comps) is MultiJet:
             return comps

@@ -474,7 +474,6 @@ def literal_curvature(metric, x, k_max=0):
         raise ValueError("curvature bundles are per-point; batch via curvature_arrays")
     m = metric.dim
     order = k_max + 2
-    metric.check_order(order)
     stack = metric.component_jets(x, order)
     G = np.empty((m, m), dtype=object)
     for ij, e in enumerate(entry_layout(m)[3].flat):

@@ -2,6 +2,7 @@
 space-form isometries, trivializing factor, blow-up diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,8 +53,13 @@ def test_reparametrize_atanh():
 
 
 def test_reparametrize_rejects_vanishing_psi():
-    with pytest.raises(ValueError, match="vanishes"):
+    # psi = 1 - t vanishes at t = 1: the message names a grid interval
+    # holding it
+    with pytest.raises(ValueError, match="vanishes") as info:
         reparametrize(PolynomialRadialFunction([1.0, -1.0]), 1.5)
+    lo, hi = map(float, re.search(r"t in \[(\S+), (\S+)\]",
+                                  str(info.value)).groups())
+    assert lo <= 1.0 <= hi and hi - lo < 2e-3
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,11 @@ def test_radial_harmonic_refuses_non_radial():
     table = np.stack([radii ** 2, radii ** 2 * 1.01], axis=1)
     with pytest.raises(NonRadialProfileError):
         radial_harmonic(radii, table)
+    # a NaN spread is refused too, not handed on to the spline
+    table = np.stack([radii ** 2, radii ** 2], axis=1)
+    table[7, 1] = np.nan
+    with pytest.raises(NonRadialProfileError):
+        radial_harmonic(radii, table)
 
 
 # ---------------------------------------------------------------------------

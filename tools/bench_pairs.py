@@ -34,8 +34,11 @@ curvature bundle (k_max 4, and 2 at m = 6) and ``density_coefficients`` at
 one point and at the chart's center where the chart contains it.  It runs
 both sides' CLI on the change's perfbench plans for the cli_defaults and
 wide_sweep workloads at seeds 1-3 and hashes every report file and exit
-code.  A call that raises is recorded by its message.  It
-reports the number of equal hashes, the total, and each mismatch.
+code.  It runs the change's ``tests/test_cli.py`` once against each side's
+src, with the hypothesis draw pinned, and hashes the run's exit code and
+every file it writes, under its relative path, except the fuzz tests'
+files (CLI_TREE_SKIP).  A call that raises is recorded by its message.
+It reports the number of equal hashes, the total, and each mismatch.
 
 ``cold`` is the A/B of start-up cost, which only fresh processes can
 measure: an import runs once per interpreter, so a same-process A/B would
@@ -434,6 +437,29 @@ def report_hashes(alias: str, plans: list) -> dict:
     return hashes
 
 
+# The fuzz tests' files and directories: their draws follow the literals in
+# src/hml, so they differ between checkouts that keep every value.
+CLI_TREE_SKIP = {"fuzz.json", "valid.json", "valid"}
+
+
+def cli_tree_hashes(change: Path, root: Path, tmp: str, side: str) -> dict:
+    """Hashes of the files the change's test_cli.py writes with root's src."""
+    base, cwd = Path(tmp, side), Path(tmp, f"{side}_cwd")
+    cwd.mkdir()     # each side's run keeps its hypothesis database apart
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", str(change / "tests" / "test_cli.py"),
+         "-q", "-p", "no:cacheprovider", "--hypothesis-seed=1",
+         f"--basetemp={base}", "-o", f"pythonpath={root / 'src'}"],
+        cwd=cwd, capture_output=True, text=True)
+    hashes = {"test_cli/exit": str(proc.returncode)}
+    for path in sorted(base.rglob("*")):
+        rel = path.relative_to(base)
+        if path.is_file() and not CLI_TREE_SKIP & set(rel.parts):
+            hashes[f"test_cli/{rel.as_posix()}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    return hashes
+
+
 def load_workloads(root: Path):
     """The checkout's ``perfbench/workloads.py``, which builds the plans."""
     spec = importlib.util.spec_from_file_location(
@@ -451,10 +477,14 @@ def byte_identity(args) -> dict:
                                                      "wide_sweep")
              for seed in BYTES_SEEDS]
     hashes = {}
-    for side, root in roots.items():
-        alias = load_hml(root, f"hml_{side}").__name__
-        hashes[side] = {**array_hashes(alias), **report_hashes(alias, plans)}
-        print(f"{side}: {len(hashes[side])} hashes", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, root in roots.items():
+            alias = load_hml(root, f"hml_{side}").__name__
+            hashes[side] = {**array_hashes(alias),
+                            **report_hashes(alias, plans),
+                            **cli_tree_hashes(roots["change"], root, tmp,
+                                              side)}
+            print(f"{side}: {len(hashes[side])} hashes", file=sys.stderr)
     keys = sorted(set(hashes["parent"]) | set(hashes["change"]))
     mismatches = [{"key": key, **{side: hashes[side].get(key)
                                   for side in roots}}
