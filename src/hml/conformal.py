@@ -49,6 +49,27 @@ def _cumulative_gauss(f, knots, n_nodes: int) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
+def _hermite(x, y, dydx) -> Callable:
+    """The cubic Hermite interpolant through (x, y) with slopes dydx, with
+    scipy CubicHermiteSpline's coefficients and its sum c3 + c2 s + c1 s^2
+    + c0 s^3 term for term: the same bits, and no scipy to import."""
+    dx = np.diff(x)
+    if not (np.all(dx > 0) and np.isfinite(y).all() and np.isfinite(dydx).all()):
+        raise ValueError("Hermite knots must increase and data be finite")
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
+
+    def spline(xp):
+        xp = np.asarray(xp, dtype=float)
+        i = np.clip(np.searchsorted(x, xp, "right") - 1, 0, len(x) - 2)
+        s = xp - x[i]
+        c0, c1, c2, c3 = (ck[i] for ck in c)
+        return np.asarray(c3 + c2 * s + c1 * (s * s)
+                          + c0 * (s * s * s)).reshape(xp.shape)
+    return spline
+
+
 def _growth_series(y0, rate: TruncatedSeries, order: int) -> TruncatedSeries:
     """Series of the solution of y' = rate y with constant term y0."""
     ys = [y0]
@@ -136,21 +157,9 @@ class Reparametrization:
     roundtrip_error: float = 0.0
 
     def __post_init__(self):
-        from scipy.interpolate import CubicHermiteSpline
-        self._fwd = CubicHermiteSpline(
-            self.r_grid, self.rc_grid, 1.0 / self.psi(self.r_grid ** 2))
-        self._inv = CubicHermiteSpline(
-            self.rc_grid, self.r_grid, self.psi(self.r_grid ** 2))
-
-    @property
-    def rc_max(self) -> float:
-        return float(self.rc_grid[-1])
-
-    def rc(self, r):
-        return self._fwd(np.asarray(r, dtype=float))
-
-    def r(self, rc):
-        return self._inv(np.asarray(rc, dtype=float))
+        self.rc = _hermite(self.r_grid, self.rc_grid,
+                           1.0 / self.psi(self.r_grid ** 2))
+        self.r = _hermite(self.rc_grid, self.r_grid, self.psi(self.r_grid ** 2))
 
 
 def reparametrize(psi: RadialFunction, r_max: float) -> Reparametrization:
@@ -241,9 +250,9 @@ def deformed_density(base_theta: Callable, psi: RadialFunction, m: int,
     if rep is None:
         rep = reparametrize(psi, r_max)
     rc_values = np.asarray(rc_values, dtype=float)
-    if np.any(rc_values > rep.rc_max + 1e-12):
+    if np.any(rc_values > rep.rc_grid[-1] + 1e-12):
         raise ValueError(
-            f"deformed radius beyond rc({r_max}) = {rep.rc_max:.6g}")
+            f"deformed radius beyond rc({r_max}) = {rep.rc_grid[-1]:.6g}")
     r = rep.r(rc_values)
     return np.asarray(psi(r ** 2)) ** (1.0 - m) \
         * np.asarray(base_theta(r), dtype=float)
@@ -288,9 +297,8 @@ class TrivializerRadialFunction(RadialFunction):
         self.m = m
         self.q = 1.0 / (m - 1)
         self.name = name
-        from scipy.interpolate import CubicHermiteSpline
         ts = np.linspace(0.0, t_max, 1601)
-        self._logV = CubicHermiteSpline(
+        self._logV = _hermite(
             ts, _cumulative_gauss(self._h_values, ts, 10), self._h_values(ts))
 
     # -- pieces -----------------------------------------------------------
@@ -357,7 +365,7 @@ def trivial_density_factor(profile, m: int) -> RadialFunction:
         profile = profile.radii, profile.theta
     radii, theta = (np.asarray(a, dtype=float) for a in profile)
     if theta.ndim == 2:
-        theta = radial_mean(theta, 1e-6)
+        theta = radial_mean(theta)
     ttilde = theta / radii ** (m - 1)
     from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(np.concatenate([[0.0], radii ** 2]),
@@ -441,15 +449,10 @@ class _TrivializerPsiU:
         geo = np.geomspace(0.05, 1e-10, 900)
         u_knots = np.concatenate([lin, geo[1:]])
         logv = _cumulative_gauss(self._omega, u_knots, 10)
-        from scipy.interpolate import CubicHermiteSpline
         # knots run downward in u; store ascending for the spline
         order_idx = np.argsort(u_knots)
-        self._logV = CubicHermiteSpline(
+        self._logV = _hermite(
             u_knots[order_idx], logv[order_idx], self._omega(u_knots)[order_idx])
-
-    def _theta(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.cos(u) ** (self.m - 1) * np.sin(u)
 
     def _omega(self, u):
         """d/du log(W/(pi/2 - u)) = (1 - Ttilde(r)^-q)/r, r = pi/2 - u."""
@@ -477,7 +480,7 @@ class _TrivializerPsiU:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        return self._theta(u) ** self.q / self.W(u)
+        return (np.cos(u) ** (self.m - 1) * np.sin(u)) ** self.q / self.W(u)
 
 
 def deformed_radial_ricci(psi_u, theta_u_series, u: float, m: int,

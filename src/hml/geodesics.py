@@ -139,6 +139,7 @@ def _initial_state(metric: ChartMetric, P, thetas):
 
 
 DIP = 1e-4      # conjugate-point latch: det A below DIP x its running max
+RADIAL_TOL = 1e-6   # the relative direction-spread a radial profile may have
 
 
 def _integrate_recording(metric, P, thetas, radii, steps: int):
@@ -235,13 +236,13 @@ def relative_spread(table) -> np.ndarray:
             / np.abs(table.mean(axis=1)))
 
 
-def radial_mean(table, tolerance: float) -> np.ndarray:
+def radial_mean(table) -> np.ndarray:
     """The mean over the directions (axis 1) of a table whose relative
-    spread is within ``tolerance`` (not NaN) at every radius."""
+    spread is within RADIAL_TOL (not NaN) at every radius."""
     spread = relative_spread(table).max()
-    if not spread <= tolerance:
+    if not spread <= RADIAL_TOL:
         raise NonRadialProfileError(
-            f"profile spread {spread:.3e} is not within {tolerance:.1e}; "
+            f"profile spread {spread:.3e} is not within {RADIAL_TOL:.1e}; "
             "not radial")
     return table.mean(axis=1)
 
@@ -410,7 +411,7 @@ def centrally_harmonic_test(metric: ChartMetric, P,
 # radial harmonic function
 # ---------------------------------------------------------------------------
 
-def radial_harmonic(radii, theta_values, spread_tolerance: float = 1e-6):
+def radial_harmonic(radii, theta_values):
     """The nonconstant radial harmonic function from a radial profile.
 
     f(r) = int_{r0}^{r} Theta(s)^{-1} ds, normalized f(r0) = 0 and
@@ -423,7 +424,7 @@ def radial_harmonic(radii, theta_values, spread_tolerance: float = 1e-6):
     radii = np.asarray(radii, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)
     if theta_values.ndim == 2:
-        theta_values = radial_mean(theta_values, spread_tolerance)
+        theta_values = radial_mean(theta_values)
     if np.any(theta_values <= 0):
         raise ValueError("density must be positive on the profile")
     spline = CubicSpline(radii, 1.0 / theta_values)

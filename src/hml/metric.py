@@ -135,10 +135,6 @@ class ChartMetric:
         ok = np.asarray(self.domain(self._as_point(x)))
         return ok.reshape(np.shape(x)[:-1])
 
-    def require_inside(self, x):
-        if not all_true(self.contains(x)):
-            raise outside_domain(self.name)
-
     # -- evaluation -------------------------------------------------------
     def component_jets(self, x, order: int) -> MultiJet:
         """The metric entries at x as one stack (see ``entry_layout``).
@@ -146,9 +142,9 @@ class ChartMetric:
         Batch axis 0 of the stack indexes the entries; the batch axes of x
         follow it.  A nested structure from ``components`` is stacked here.
         """
-        if self._formula_domain is None:
-            self.require_inside(x)
-        elif not all_true(np.asarray(self._formula_domain(self._as_point(x)))):
+        inside = (self.contains(x) if self._formula_domain is None
+                  else np.asarray(self._formula_domain(self._as_point(x))))
+        if not all_true(inside):
             raise outside_domain(self.name)
         comps = self.components(seed_point(x, order))
         if type(comps) is MultiJet:

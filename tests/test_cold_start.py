@@ -15,19 +15,14 @@ import hml
 ENV = {**os.environ, "PYTHONPATH": str(Path(hml.__file__).parents[1])}
 
 
-def run_fresh(script: str, *argv):
-    """The JSON value ``script`` prints last, run in a fresh interpreter."""
+def scipy_loaded(script: str, *argv) -> list:
+    """The scipy modules in sys.modules after running ``script``."""
+    script += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+               "sys.modules if m.startswith('scipy'))))")
     proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=ENV, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def scipy_loaded(script: str, *argv) -> list:
-    """The scipy modules in sys.modules after running ``script``."""
-    return run_fresh(script + "\nimport json, sys\nprint(json.dumps(sorted("
-                     "m for m in sys.modules if m.startswith('scipy'))))",
-                     *argv)
 
 
 def test_import_build_and_first_call_load_no_scipy():
@@ -56,53 +51,35 @@ for spec in [{"family": "euclidean", "dim": 3},
     assert loaded == []
 
 
-def test_check_harmonic_loads_neither_integrate_interpolate_nor_optimize(
-        tmp_path):
-    doc = {"metric": {"family": "fubini_study", "cdim": 2},
-           "analysis": {"command": "check_harmonic", "directions": 4,
-                        "steps": 40}}
+def cli_scipy_loaded(tmp_path, doc: dict) -> list:
+    """The scipy modules in sys.modules after one CLI run of ``doc``."""
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps(doc))
-    loaded = scipy_loaded("""
+    return scipy_loaded("""
 import sys
 import hml.cli
 assert hml.cli.main(["--manifest", sys.argv[1], "--out", sys.argv[2]]) == 0
 """, str(manifest), str(tmp_path / "out"))
+
+
+def test_check_harmonic_loads_neither_integrate_interpolate_nor_optimize(
+        tmp_path):
+    loaded = cli_scipy_loaded(tmp_path, {
+        "metric": {"family": "fubini_study", "cdim": 2},
+        "analysis": {"command": "check_harmonic", "directions": 4,
+                     "steps": 40}})
     assert "scipy.special" in loaded
     assert not {"scipy.integrate", "scipy.interpolate",
                 "scipy.optimize"} & set(loaded)
 
 
-# put ahead of a script: hml_imports collects the scipy modules named by
-# import statements in hml's own modules
-_WATCH_HML_IMPORTS = """
-import builtins
-hml_imports = set()
-_import = builtins.__import__
-
-def _watch(name, globals=None, locals=None, fromlist=(), level=0):
-    if (level == 0 and name.startswith("scipy")
-            and (globals or {}).get("__name__", "").startswith("hml")):
-        hml_imports.add(name)
-    return _import(name, globals, locals, fromlist, level)
-
-builtins.__import__ = _watch
-"""
-
-
-def test_deform_imports_no_optimize(tmp_path):
-    # psi's zero test is a grid sign test with no root finder behind it.
-    # scipy.interpolate imports scipy.optimize itself (scipy 1.17), so the
-    # test reads which scipy modules hml imports, not sys.modules.
-    doc = {"metric": {"family": "sphere", "dim": 4, "deform": {
-               "psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}},
-           "analysis": {"command": "deform", "steps": 200}}
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps(doc))
-    imported = run_fresh(_WATCH_HML_IMPORTS + """
-import json, sys
-import hml.cli
-assert hml.cli.main(["--manifest", sys.argv[1], "--out", sys.argv[2]]) == 0
-print(json.dumps(sorted(hml_imports)))
-""", str(manifest), str(tmp_path / "out"))
-    assert imported == ["scipy.interpolate", "scipy.special"]
+def test_deform_loads_neither_interpolate_nor_optimize(tmp_path):
+    # psi's zero test is a grid sign test with no root finder behind it,
+    # and the reparametrization's Hermite splines are numpy's arithmetic
+    loaded = cli_scipy_loaded(tmp_path, {
+        "metric": {"family": "sphere", "dim": 4, "deform": {
+            "psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}},
+        "analysis": {"command": "deform", "steps": 200}})
+    assert "scipy.special" in loaded
+    assert not {"scipy.integrate", "scipy.interpolate",
+                "scipy.optimize"} & set(loaded)

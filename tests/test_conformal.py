@@ -62,6 +62,12 @@ def test_reparametrize_rejects_vanishing_psi():
     assert lo <= 1.0 <= hi and hi - lo < 2e-3
 
 
+def test_reparametrize_refuses_nan_psi():
+    # NaN passes the sign test; the rc(r) spline refuses non-finite data
+    with pytest.raises(ValueError, match="finite"):
+        reparametrize(PolynomialRadialFunction([1.0, math.nan]), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # deformation
 # ---------------------------------------------------------------------------

@@ -35,9 +35,10 @@ one point and at the chart's center where the chart contains it.  It runs
 both sides' CLI on the change's perfbench plans for the cli_defaults and
 wide_sweep workloads at seeds 1-3 and hashes every report file and exit
 code.  It runs the change's ``tests/test_cli.py`` once against each side's
-src, with the hypothesis draw pinned, and hashes the run's exit code and
-every file it writes, under its relative path, except the fuzz tests'
-files (CLI_TREE_SKIP).  A call that raises is recorded by its message.
+src, with the hypothesis draw pinned, and hashes every file it writes,
+under its relative path, except the fuzz tests' files (CLI_TREE_SKIP); it
+exits if either run fails or writes nothing else.  A call that raises is
+recorded by its message.
 It reports the number of equal hashes, the total, and each mismatch.
 
 ``cold`` is the A/B of start-up cost, which only fresh processes can
@@ -443,7 +444,10 @@ CLI_TREE_SKIP = {"fuzz.json", "valid.json", "valid"}
 
 
 def cli_tree_hashes(change: Path, root: Path, tmp: str, side: str) -> dict:
-    """Hashes of the files the change's test_cli.py writes with root's src."""
+    """Hashes of the files the change's test_cli.py writes with root's src.
+
+    Exits unless the run passes and writes some file outside CLI_TREE_SKIP:
+    two runs that fail alike would otherwise compare equal over less."""
     base, cwd = Path(tmp, side), Path(tmp, f"{side}_cwd")
     cwd.mkdir()     # each side's run keeps its hypothesis database apart
     proc = subprocess.run(
@@ -451,12 +455,17 @@ def cli_tree_hashes(change: Path, root: Path, tmp: str, side: str) -> dict:
          "-q", "-p", "no:cacheprovider", "--hypothesis-seed=1",
          f"--basetemp={base}", "-o", f"pythonpath={root / 'src'}"],
         cwd=cwd, capture_output=True, text=True)
-    hashes = {"test_cli/exit": str(proc.returncode)}
+    if proc.returncode != 0:
+        sys.exit(f"{side}: test_cli.py exited {proc.returncode}\n"
+                 f"{proc.stdout[-4000:]}{proc.stderr}")
+    hashes = {}
     for path in sorted(base.rglob("*")):
         rel = path.relative_to(base)
         if path.is_file() and not CLI_TREE_SKIP & set(rel.parts):
             hashes[f"test_cli/{rel.as_posix()}"] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
+    if not hashes:
+        sys.exit(f"{side}: test_cli.py wrote no file to compare")
     return hashes
 
 
