@@ -167,7 +167,7 @@ def cmd_expand(built: BuiltMetric, ana: dict, outdir: str) -> int:
     metric = built.metric
     entry = built.entry
     center = _center(built, ana)
-    if entry.name == "two_d_family" and not built.deformed:
+    if entry.name == "two_d_family" and built.psi is None:
         # polar chart: the center is not a chart point, but the density
         # about it is known in closed form; only fitted values are reported
         order = ana.get("order", max(8, entry.params["n"] + 1))
@@ -203,7 +203,7 @@ def cmd_expand(built: BuiltMetric, ana: dict, outdir: str) -> int:
 
 
 def cmd_deform(built: BuiltMetric, ana: dict, outdir: str) -> int:
-    if not built.deformed:
+    if built.psi is None:
         raise ManifestError("deform command needs a metric.deform block")
     entry = built.entry
     metric = built.metric
@@ -238,8 +238,11 @@ def cmd_deform(built: BuiltMetric, ana: dict, outdir: str) -> int:
               for k in range(30)]
     report["kappa_probe"] = {"min": float(np.min(kappas)),
                              "max": float(np.max(kappas))}
-    if built.trivializer_base == "fubini_study" or ana.get("blowup_dims"):
-        dims = ana.get("blowup_dims", [m])
+    # a trivial-density projective space of a supported m: its own blow-up
+    own = (entry.name == "fubini_study" and m in conformal.BLOWUP_DIMS
+           and isinstance(psi, conformal.TrivializerRadialFunction))
+    dims = ana.get("blowup_dims", [m] if own else [])
+    if dims:
         variant = setting(ana, "psi_variant")
         report["blowup"] = [
             dataclasses.asdict(conformal.completeness_and_blowup(d, variant))

@@ -297,6 +297,7 @@ class TrivializerRadialFunction(RadialFunction):
         self.m = m
         self.q = 1.0 / (m - 1)
         self.name = name
+        self.t_max = t_max
         ts = np.linspace(0.0, t_max, 1601)
         self._logV = _hermite(
             ts, _cumulative_gauss(self._h_values, ts, 10), self._h_values(ts))
@@ -341,7 +342,13 @@ class TrivializerRadialFunction(RadialFunction):
         return out[0] if scalar else out
 
     def V(self, t):
-        return np.exp(self._logV(np.asarray(t, dtype=float)))
+        t = np.asarray(t, dtype=float)
+        if np.any(t > self.t_max):
+            raise ValueError(
+                f"{self.name} is tabulated for r in [0, "
+                f"{math.sqrt(self.t_max):.6g}]; asked for r = "
+                f"{math.sqrt(t[t > self.t_max].max()):.6g}")
+        return np.exp(self._logV(t))
 
     # -- the radial function ------------------------------------------------
     def series(self, t0, order: int) -> TruncatedSeries:
@@ -497,10 +504,13 @@ def deformed_radial_ricci(psi_u, theta_u_series, u: float, m: int,
     psi0 = float(ps.coeffs[0])
     psid = float(ps.coeffs[1])
     psidd = 2.0 * float(ps.coeffs[2])
-    flux = TruncatedSeries(th.coeffs[:3]) * ps.derive()   # Theta psi', order 2
+    flux = th * ps.derive()             # Theta psi'
     flux_d = float(flux.derive().coeffs[0])
     return (einstein_const * psi0 ** 2 + (m - 2) * psi0 * psidd
             + psi0 * flux_d / float(th.coeffs[0]) - (m - 1) * psid ** 2)
+
+
+BLOWUP_DIMS = (4, 6, 8)
 
 
 def completeness_and_blowup(m: int, variant: str) -> BlowupReport:
@@ -516,7 +526,7 @@ def completeness_and_blowup(m: int, variant: str) -> BlowupReport:
     variant, psi ~ (2/pi) u^(1/(m-1)) and Theta ~ u give
     c = -4(m-2)/((m-1) pi^2) and p = 2(m-2)/(m-1).
     """
-    if m not in (4, 6, 8):
+    if m not in BLOWUP_DIMS:
         raise ValueError("blow-up diagnostics support m in {4, 6, 8}")
     if variant == "density-root":
         psi_u = _DensityRootPsiU(m)

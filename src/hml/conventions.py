@@ -75,8 +75,3 @@ requested order.
 """
 
 MAX_JET_ORDER = 14
-
-# Orientation sign relating this package's shape operator L = A' A^{-1} to
-# the inward-normal second fundamental form -r^{-1} delta + Gamma^1 of
-# normal coordinates: L_here = SHAPE_OPERATOR_SIGN * L_inward.
-SHAPE_OPERATOR_SIGN = -1

@@ -21,7 +21,7 @@ import numpy as np
 
 from .curvature import CurvatureBundle, curvature, jacobi_form
 from .metric import ChartMetric
-from .series import TruncatedSeries, rational_series
+from .series import TruncationError, rational_series
 
 
 @dataclass
@@ -131,15 +131,15 @@ def verify_leading_coefficient(n: int, b, order: int | None = None
     if order is None:
         order = n + 4
     if order < n + 2:
-        raise TruncationTooLow(
+        raise TruncationError(
             f"series order {order} too low: need at least {n + 2}")
 
     # unit factor F = (1 + b r^n)^2; f = r^2 F
     F = (rational_series([1], order)
          + rational_series([0] * n + [b], order)) ** 2
     f = F.shift(2)
-    f_r = _derive_keep_order(f)
-    f_rr = _derive_keep_order(f_r)
+    f_r = f.derive()
+    f_rr = f_r.derive()
     Finv = F.reciprocal()                       # r^2 f^-1
 
     f_ok = (f[2] == 1 and f[n + 2] == 2 * b
@@ -171,14 +171,3 @@ def verify_leading_coefficient(n: int, b, order: int | None = None
         frr_series_ok=frr_ok, fr2_series_ok=fr2_ok,
         trace_coefficient=trace_coeff, trace_coefficient_ok=trace_ok,
         c_n=c_n, recovered_b=recovered, exact_pass=ok)
-
-
-class TruncationTooLow(ValueError):
-    pass
-
-
-def _derive_keep_order(s: TruncatedSeries) -> TruncatedSeries:
-    """d/dr padded back to the same truncation order with an exact zero."""
-    d = s.derive()
-    zero = s.coeffs[0] * 0
-    return TruncatedSeries(d.coeffs + [zero] * (s.order - d.order))

@@ -195,14 +195,12 @@ def _integrate_recording(metric, P, thetas, radii, steps: int):
 
 @dataclass
 class PolarDensitySample:
-    """One (center, direction, radius) shot: endpoint, frame, density data."""
+    """One (center, direction, radius) shot: endpoint and density data."""
 
     center: np.ndarray
     direction: np.ndarray
     radius: float
     endpoint: np.ndarray
-    velocity: np.ndarray
-    frame: np.ndarray              # (m, m-1), parallel-transported
     A: np.ndarray                  # (m-1, m-1) normal Jacobi matrix
     A_prime: np.ndarray
     theta: float                   # det A
@@ -215,18 +213,18 @@ def shoot(metric: ChartMetric, P, theta, r: float,
           steps: int = 2000) -> PolarDensitySample:
     """Integrate a single geodesic with its Jacobi system out to radius r."""
     theta = np.asarray(theta, dtype=float)
-    nrm = metric.norm(P, theta)
+    nrm = float(np.sqrt(theta @ metric.value(P) @ theta))
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"direction must be g-unit at P (|theta|_g = {nrm:.3g})")
     (_, state, crossed), = _integrate_recording(metric, P, theta[None, :],
                                                 [r], steps)
-    x, v, E, A, Ad = (y[0] for y in state)
+    x, v, _, A, Ad = (y[0] for y in state)
     detA = float(np.linalg.det(A))
     xi = float(np.trace(np.linalg.solve(A, Ad))) if detA > 0 else math.nan
     energy = abs(float(v @ metric.value(x) @ v) - 1.0)
     return PolarDensitySample(
         center=np.asarray(P, float), direction=theta, radius=float(r),
-        endpoint=x, velocity=v, frame=E, A=A, A_prime=Ad, theta=detA,
+        endpoint=x, A=A, A_prime=Ad, theta=detA,
         xi=xi, conjugate=detA <= 0 or bool(crossed[0]), energy_error=energy)
 
 
@@ -260,13 +258,6 @@ class DensityProfile:
     conjugate: np.ndarray              # (R, N) bool
     energy_error: float
     largest_safe_radius: float
-
-    def theta_spread(self) -> np.ndarray:
-        """Relative direction-spread of Theta at each radius."""
-        return relative_spread(self.theta)
-
-    def xi_spread(self) -> np.ndarray:
-        return relative_spread(self.xi)
 
 
 def density_profile(metric: ChartMetric, P, directions, radii,
@@ -391,7 +382,7 @@ def centrally_harmonic_test(metric: ChartMetric, P,
         sp_t = sp_x = [math.nan]
         verdict = False
     else:
-        sp_t, sp_x = profile.theta_spread(), profile.xi_spread()
+        sp_t, sp_x = map(relative_spread, (profile.theta, profile.xi))
         verdict = bool(max(sp_t.max(), sp_x.max()) <= tolerance)
     return HarmonicityReport(
         center=P.tolist(), verdict=verdict, inconclusive=inconclusive,
@@ -441,8 +432,7 @@ def radial_harmonic(radii, theta_values):
 class SphereShapeSample:
     """Second fundamental form of S_P(r) at one point, in the parallel frame.
 
-    Oriented so Tr L = +Xi (see hml.conventions); the reduced Jacobi
-    operator at the endpoint comes with its eigenvalue extremes.
+    Oriented so Tr L = +Xi (see hml.conventions).
     """
 
     center: np.ndarray
@@ -451,9 +441,6 @@ class SphereShapeSample:
     L: np.ndarray                   # (m-1, m-1) shape operator A' A^{-1}
     umbilicity_defect: float
     xi: float
-    jacobi_endpoint_eigs: np.ndarray
-    m_min: float
-    m_max: float
 
 
 def second_fundamental_form(metric: ChartMetric, P, theta, r: float,
@@ -466,13 +453,9 @@ def second_fundamental_form(metric: ChartMetric, P, theta, r: float,
     L = 0.5 * (L + L.T)
     mdim = metric.dim
     defect = float(np.linalg.norm(L - np.trace(L) / (mdim - 1) * np.eye(mdim - 1)))
-    _, _, _, R = curvature_arrays(metric, sample.endpoint)
-    Rt = reduced_jacobi(R, sample.velocity, sample.frame)
-    eigs = np.linalg.eigvalsh(0.5 * (Rt + Rt.T))
     return SphereShapeSample(
         center=sample.center, direction=sample.direction, radius=r, L=L,
-        umbilicity_defect=defect, xi=float(np.trace(L)),
-        jacobi_endpoint_eigs=eigs, m_min=float(eigs[0]), m_max=float(eigs[-1]))
+        umbilicity_defect=defect, xi=float(np.trace(L)))
 
 
 def reduced_jacobi_at(metric: ChartMetric, P, xi_dir) -> np.ndarray:

@@ -42,6 +42,8 @@ CHUNK_MAX = 30_720
 ROWS_MAX = 1 << 18
 BLOCK_MAX = 16_384
 
+N_EXTRA = 40    # terms an entire function's series keeps past a jet's order
+
 
 @lru_cache(maxsize=None)
 def _indices(nvars: int, order: int):
@@ -636,7 +638,7 @@ def _taylor_columns(coef_fn, order: int, n: int):
     return tuple(map(tuple, _taylor_table(coef_fn, order, n)[::-1].T.tolist()))
 
 
-def _entire_apply(x, coef_fn, n_extra=40):
+def _entire_apply(x, coef_fn):
     """Apply an entire function of t given its Maclaurin coefficients.
 
     coef_fn(k) -> k-th Taylor coefficient at 0.  Derivatives at the jet's
@@ -645,20 +647,20 @@ def _entire_apply(x, coef_fn, n_extra=40):
     """
     def plain(t):
         t = np.asarray(t, dtype=float)
-        return sum(coef_fn(k) * t ** k for k in range(n_extra + 15))
+        return sum(coef_fn(k) * t ** k for k in range(N_EXTRA + 15))
 
     def derivs(t0, order):
         t0 = np.asarray(t0, dtype=float)
         if t0.ndim == 0:
             # one point: the same Horner steps, each rounded alike, on floats
             t, out = float(t0), []
-            for col in _taylor_columns(coef_fn, order, order + 1 + n_extra):
+            for col in _taylor_columns(coef_fn, order, order + 1 + N_EXTRA):
                 acc = 0.0
                 for c in col:
                     acc = acc * t + c
                 out.append(acc)
             return out
-        tab = _taylor_table(coef_fn, order, order + 1 + n_extra)
+        tab = _taylor_table(coef_fn, order, order + 1 + N_EXTRA)
         tab = tab.reshape(tab.shape + (1,) * t0.ndim)
         # out[d] = sum_{k>=d} c_k k!/(k-d)! t0^(k-d), highest power first
         out = np.zeros((order + 1,) + t0.shape)

@@ -109,11 +109,6 @@ ANALYSIS_KEYS = {
 class Manifest:
     metric_spec: dict
     analysis: dict
-    path: Optional[str] = None
-
-    @property
-    def command(self) -> str:
-        return self.analysis["command"]
 
 
 def setting(analysis: dict, key: str):
@@ -141,7 +136,7 @@ def _check(d, keys: dict, where: str):
             raise _refuse(where, key, spec, d[key])
 
 
-def validate(doc: dict, path: Optional[str] = None) -> Manifest:
+def validate(doc: dict) -> Manifest:
     """Check a manifest against the key tables; the blocks are kept as written."""
     _check(doc, {"metric": _BLOCK, "analysis": _BLOCK}, "manifest")
     mspec, ana = doc["metric"], doc["analysis"]
@@ -157,7 +152,7 @@ def validate(doc: dict, path: Optional[str] = None) -> Manifest:
     if unread:
         raise ManifestError(f"analysis keys {unread} are not read by command "
                             f"{ana['command']!r}")
-    return Manifest(metric_spec=mspec, analysis=ana, path=path)
+    return Manifest(metric_spec=mspec, analysis=ana)
 
 
 def load(path: str) -> Manifest:
@@ -166,7 +161,7 @@ def load(path: str) -> Manifest:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    return validate(doc, path=path)
+    return validate(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +171,8 @@ def load(path: str) -> Manifest:
 @dataclass
 class BuiltMetric:
     entry: CatalogEntry
-    metric: ChartMetric          # possibly deformed
-    deformed: bool
+    metric: ChartMetric          # deformed by psi unless psi is None
     psi: Optional[conformal.RadialFunction] = None
-    trivializer_base: Optional[str] = None
 
 
 def _sphere_height_psi(coeffs) -> conformal.RadialFunction:
@@ -202,7 +195,7 @@ def build_metric(mspec: dict) -> BuiltMetric:
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
     if "deform" not in mspec:
-        return BuiltMetric(entry=entry, metric=entry.metric, deformed=False)
+        return BuiltMetric(entry=entry, metric=entry.metric)
     psi_spec = mspec["deform"]["psi"]
     if psi_spec["kind"] == "poly":
         if entry.name == "sphere":
@@ -228,6 +221,4 @@ def build_metric(mspec: dict) -> BuiltMetric:
         deformed = conformal.deform_metric(entry.metric, psi)
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
-    return BuiltMetric(entry=entry, metric=deformed, deformed=True, psi=psi,
-                       trivializer_base=(entry.name
-                                         if psi_spec["kind"] != "poly" else None))
+    return BuiltMetric(entry=entry, metric=deformed, psi=psi)

@@ -192,8 +192,3 @@ class ChartMetric:
             np.copyto(gd, g.T)
             out.append(gd.reshape(batch + (m, m) + (m,) * d))
         return out
-
-    def norm(self, x, v) -> float:
-        g = self.value(x)
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(v @ g @ v))

@@ -54,9 +54,6 @@ class TruncatedSeries:
     def const_value(self):
         return self.coeffs[0]
 
-    def __eq__(self, other):
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
     def __getitem__(self, k: int):
         return self.coeffs[k]
 
@@ -136,10 +133,10 @@ class TruncatedSeries:
 
     # -- calculus ---------------------------------------------------------
     def derive(self) -> "TruncatedSeries":
-        """d/dr; the result is exact to one order lower."""
-        if self.order == 0:
-            return TruncatedSeries([self._zero()])
-        return TruncatedSeries([k * self.coeffs[k] for k in range(1, self.order + 1)])
+        """d/dr at the same order; the top coefficient, which the truncation
+        does not know, is an exact zero."""
+        return _series([k * self.coeffs[k] for k in range(1, self.order + 1)]
+                       + [self._zero()])
 
     # -- shifts (factored handling of series with low-order zeros) ---------
     def shift(self, k: int) -> "TruncatedSeries":
@@ -221,8 +218,10 @@ class RadialFit:
         return self.coefficients[k]
 
 
-def fit_radial_expansion(samples, m: int, order: int,
-                         cond_max: float = 1e12) -> RadialFit:
+COND_MAX = 1e12     # the largest design condition number a fit accepts
+
+
+def fit_radial_expansion(samples, m: int, order: int) -> RadialFit:
     """Fit density samples (r, Theta(r)) at fixed direction to Eq-style H_k.
 
     The model is Theta / r^(m-1) = 1 + sum_{k=2..order} H_k r^k.  Radii
@@ -245,7 +244,7 @@ def fit_radial_expansion(samples, m: int, order: int,
         scale = rr.max() ** np.arange(2, order + 1)
         design = rr[:, None] ** np.arange(2, order + 1)[None, :] / scale[None, :]
         cond = np.linalg.cond(design)
-        if cond > cond_max:
+        if cond > COND_MAX:
             raise IllConditionedFit(cond)
         sol, res, *_ = np.linalg.lstsq(design, yy, rcond=None)
         resid = float(np.sqrt(res[0])) if res.size else float(

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hml import cli, geodesics
+from hml.conformal import TrivializerRadialFunction
 from hml.geodesics import centrally_harmonic_test, density_profile
 from hml.manifest import (ANALYSIS_KEYS, COMMANDS, METRIC_KEYS, ManifestError,
                           build_metric, validate)
@@ -38,7 +39,7 @@ GOOD_SF = {"metric": {"family": "space_form", "a": 1.0, "b": 0.25, "dim": 3},
 
 def test_validate_accepts_good():
     mf = validate(GOOD_SF)
-    assert mf.command == "curvature"
+    assert mf.analysis["command"] == "curvature"
 
 
 @pytest.mark.parametrize("mutate,why", [
@@ -72,7 +73,7 @@ def test_build_metric_deformed_sphere():
     built = build_metric({"family": "sphere", "dim": 3,
                           "deform": {"psi": {"kind": "poly",
                                              "coeffs": [1, 0.25]}}})
-    assert built.deformed
+    assert built.psi is not None
     # the sphere family interprets poly in the squared pole height:
     # at the pole (r = 0) the factor is psi(cos^2 0) = 1.25
     assert built.psi(0.0) == pytest.approx(1.25)
@@ -82,7 +83,7 @@ def test_build_metric_deformed_sphere():
 def test_build_metric_trivial_density_fs():
     built = build_metric({"family": "fubini_study", "cdim": 2,
                           "deform": {"psi": {"kind": "trivial-density"}}})
-    assert built.deformed and built.trivializer_base == "fubini_study"
+    assert isinstance(built.psi, TrivializerRadialFunction)
     assert built.psi(0.0) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -1,13 +1,14 @@
 """Radial conformal deformations: reparametrization, density law, Ricci law,
 space-form isometries, trivializing factor, blow-up diagnostics."""
 
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from hml import catalog, conformal, jets
+from hml import catalog, cli, conformal, jets
 from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
                            TrivializerRadialFunction,
                            completeness_and_blowup,
@@ -521,3 +522,39 @@ def test_blowup_trivializer_variant_consistent():
 def test_blowup_rejects_bad_dimension():
     with pytest.raises(ValueError):
         completeness_and_blowup(5, "trivializer")
+
+
+# ---------------------------------------------------------------------------
+# the deform command on trivial-density charts
+# ---------------------------------------------------------------------------
+
+def _deform(tmp_path, capsys, metric: dict) -> tuple:
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"metric": metric, "analysis": {
+        "command": "deform", "steps": 200}}))
+    code = cli.main(["--manifest", str(mpath), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r_max", [0.3, 1e-9])
+def test_deform_refuses_radius_past_trivializer_table(tmp_path, capsys, r_max):
+    # the default radii reach r = 0.75 * 1.05 = 0.7875: past the table of
+    # log V on [0, r_max^2], where the spline would extrapolate
+    code, err = _deform(tmp_path, capsys, {"family": "sphere", "dim": 3,
+                                           "deform": {"psi": {
+                                               "kind": "trivial-density",
+                                               "r_max": r_max}}})
+    assert code == 3
+    assert err == (f"error: trivializer is tabulated for r in [0, {r_max:.6g}]; "
+                   "asked for r = 0.7875\n")
+
+
+def test_deform_trivial_density_cp1_reports_no_blowup(tmp_path, capsys):
+    # the blow-up diagnostics support m in {4, 6, 8}; CP^1 has m = 2
+    code, err = _deform(tmp_path, capsys, {"family": "fubini_study", "cdim": 1,
+                                           "deform": {"psi": {
+                                               "kind": "trivial-density"}}})
+    assert code == 0, err
+    rep = json.loads((tmp_path / "o" / "deform.json").read_text())
+    assert "blowup" not in rep
+    assert rep["density_law"]["max_abs_error"] < 1e-10

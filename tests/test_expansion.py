@@ -9,11 +9,11 @@ import scipy.linalg
 
 from hml import catalog
 from hml.curvature import curvature
-from hml.expansion import (TruncationTooLow, density_coefficients, jacobi,
-                           leading_coefficient, verify_leading_coefficient)
+from hml.expansion import (density_coefficients, jacobi, leading_coefficient,
+                           verify_leading_coefficient)
 from hml.geodesics import density_profile, g_unit_directions
 from hml.metric import OrderExceededError
-from hml.series import fit_radial_expansion
+from hml.series import TruncationError, fit_radial_expansion
 
 
 # ---------------------------------------------------------------------------
@@ -214,5 +214,5 @@ def test_verify_leading_coefficient_random_rationals(n, rng):
 
 
 def test_verify_leading_coefficient_truncation_error():
-    with pytest.raises(TruncationTooLow):
+    with pytest.raises(TruncationError):
         verify_leading_coefficient(9, 1, order=8)

@@ -178,8 +178,7 @@ def test_stacked_entries_match_per_entry_formulas(name):
     """
     built = manifest.build_metric(_STACKED_CHARTS[name])
     metric, m = built.metric, built.metric.dim
-    literal = oracles.literal_components(built.entry,
-                                         built.psi if built.deformed else None)
+    literal = oracles.literal_components(built.entry, built.psi)
     rng = np.random.default_rng(len(name))
     for B in (None, 1, 16, 300, 512, 1024):
         x = rng.uniform(-0.3, 0.3, (m,) if B is None else (B, m))

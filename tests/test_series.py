@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hml.series import (IllConditionedFit, TruncatedSeries, TruncationError,
-                        fit_radial_expansion, rational_series)
+from hml.series import (COND_MAX, IllConditionedFit, TruncatedSeries,
+                        TruncationError, fit_radial_expansion, rational_series)
 
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=12)
@@ -50,6 +50,12 @@ def test_mul_reciprocal_roundtrip(s):
         s = s + 1
     one = (s * s.reciprocal()).coeffs
     assert one[0] == 1 and all(c == 0 for c in one[1:])
+
+
+def test_derive_keeps_order_with_exact_zero_top():
+    d = rational_series([5, 1, 2, 3], 3).derive()     # d/dr of 5 + r + 2r^2 + 3r^3
+    assert d.coeffs == [1, 4, 9, 0] and type(d.coeffs[-1]) is Fraction
+    assert rational_series([7], 0).derive().coeffs == [0]
 
 
 def test_truncation_mismatch_rejected():
@@ -122,8 +128,8 @@ def test_fit_ill_conditioned_reports_cond():
     radii = np.linspace(0.1, 0.1001, 40)     # nearly coincident radii
     samples = [(r, r ** 2) for r in radii]
     with pytest.raises(IllConditionedFit) as exc:
-        fit_radial_expansion(samples, 3, order=12, cond_max=1e6)
-    assert exc.value.cond > 1e6
+        fit_radial_expansion(samples, 3, order=12)
+    assert exc.value.cond > COND_MAX
 
 
 def test_fit_truncation_diagnostic_present():
