@@ -46,16 +46,13 @@ def _fmt(x) -> str:
 
 
 def _json_ready(obj):
+    """Floats to 12 significant digits; NaN and +-Infinity (not JSON) to null."""
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return float(_fmt(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     return obj
 
 
@@ -86,6 +83,19 @@ def _center(built: BuiltMetric, ana: dict) -> np.ndarray:
     return center
 
 
+def _plane_kappas(bundle, n: int):
+    """Sectional curvatures of the planes spanned by unit directions 2k and
+    2k + 1 (k < n), skipping near-parallel pairs; returns them and the planes."""
+    dirs = geodesics.unit_directions(bundle.dim, 2 * n)
+    kappas, planes = [], []
+    for u, v in zip(dirs[0::2], dirs[1::2]):
+        if abs(u @ v) > 1 - 1e-8:
+            continue
+        kappas.append(sectional_curvature(bundle, u, v))
+        planes.append((u, v))
+    return np.array(kappas), planes
+
+
 def _given(ana: dict, **keys) -> dict:
     """Keyword arguments for the analysis keys a manifest sets.
 
@@ -102,15 +112,7 @@ def cmd_curvature(built: BuiltMetric, ana: dict, outdir: str) -> int:
     metric = built.metric
     center = _center(built, ana)
     bundle = curvature(metric, center, k_max=setting(ana, "k_max"))
-    n_planes = setting(ana, "planes")
-    dirs = geodesics.unit_directions(metric.dim, 2 * n_planes)
-    kappas = []
-    for k in range(n_planes):
-        u, v = dirs[2 * k], dirs[2 * k + 1]
-        if abs(u @ v) > 1 - 1e-8:
-            continue
-        kappas.append(sectional_curvature(bundle, u, v))
-    kappas = np.array(kappas)
+    kappas, planes = _plane_kappas(bundle, setting(ana, "planes"))
     # deterministic local refinement of the extremes over the plane chart
     from scipy.optimize import minimize
 
@@ -121,26 +123,24 @@ def cmd_curvature(built: BuiltMetric, ana: dict, outdir: str) -> int:
         except ValueError:
             return math.nan
 
-    refined = [float(kappas.min()), float(kappas.max())]
-    for sign, seed_idx in ((1.0, int(np.argmin(kappas))),
-                           (-1.0, int(np.argmax(kappas)))):
-        z0 = np.concatenate([dirs[2 * seed_idx], dirs[2 * seed_idx + 1]])
-        res = minimize(lambda z: sign * kappa_of(z), z0, method="Nelder-Mead",
+    def refined(sign, k):
+        """sign times the local minimum of sign * kappa from plane k."""
+        res = minimize(lambda z: sign * kappa_of(z), np.concatenate(planes[k]),
+                       method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
                                 "maxiter": 4000})
-        val = sign * res.fun
-        if sign > 0:
-            refined[0] = min(refined[0], val)
-        else:
-            refined[1] = max(refined[1], val)
+        return sign * res.fun
+
+    kappa_min = min(float(kappas.min()), refined(1.0, int(np.argmin(kappas))))
+    kappa_max = max(float(kappas.max()), refined(-1.0, int(np.argmax(kappas))))
     report = {
         "metric": {"name": metric.name, **{k: v for k, v in metric.params.items()
                                            if isinstance(v, (int, float, str))}},
         "center": center.tolist(),
         "scalar_curvature": bundle.scalar,
         "einstein_defect": einstein_defect(bundle),
-        "kappa_min": refined[0],
-        "kappa_max": refined[1],
+        "kappa_min": kappa_min,
+        "kappa_max": kappa_max,
         "n_planes_sampled": int(len(kappas)),
     }
     _write_json(os.path.join(outdir, "curvature.json"), report)
@@ -216,8 +216,7 @@ def cmd_deform(built: BuiltMetric, ana: dict, outdir: str) -> int:
         rep = conformal.reparametrize(psi, max(radii) * 1.05)
         rc_vals = rep.rc(np.asarray(radii))
         predicted = conformal.deformed_density(
-            entry.closed_form_density, psi, m, rc_vals, max(radii) * 1.05,
-            rep=rep)
+            entry.closed_form_density, rep, m, rc_vals)
         center = np.zeros(m)
         theta = geodesics.g_unit_directions(metric, center, 1)[0]
         profile = geodesics.density_profile(
@@ -232,10 +231,7 @@ def cmd_deform(built: BuiltMetric, ana: dict, outdir: str) -> int:
         }
     # curvature summary of the deformed metric at a probe point
     probe = np.full(m, 0.1 / math.sqrt(m))
-    bundle = curvature(metric, probe, k_max=0)
-    dirs = geodesics.unit_directions(m, 60)
-    kappas = [sectional_curvature(bundle, dirs[2 * k], dirs[2 * k + 1])
-              for k in range(30)]
+    kappas, _ = _plane_kappas(curvature(metric, probe, k_max=0), 30)
     report["kappa_probe"] = {"min": float(np.min(kappas)),
                              "max": float(np.max(kappas))}
     # a trivial-density projective space of a supported m: its own blow-up
@@ -306,7 +302,3 @@ def main(argv=None) -> int:
                 OSError) as exc:    # OSError: an --out that cannot be written
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class RadialFunction:
 
     def compose_jet(self, t_jet):
         """psi(t_jet) for a MultiJet (or series) argument t_jet."""
-        s = self.series(t_jet.const_value(), t_jet.order)
+        s = self.series(t_jet.value, t_jet.order)
         return t_jet.apply_analytic(
             [c * math.factorial(k) for k, c in enumerate(s.coeffs)])
 
@@ -119,18 +119,14 @@ def _seed_series(t0, order: int) -> TruncatedSeries:
 
 
 class AnalyticRadialFunction(RadialFunction):
-    """psi defined by a formula acting on a truncated series in t."""
+    """psi defined by a formula taking a truncated series in t to one."""
 
     def __init__(self, fn: Callable, name: str = "psi"):
         self.fn = fn
         self.name = name
 
     def series(self, t0, order: int) -> TruncatedSeries:
-        seed = _seed_series(t0, order)
-        out = self.fn(seed)
-        if not isinstance(out, TruncatedSeries):
-            out = TruncatedSeries.constant(out + 0.0 * seed.coeffs[0], order)
-        return out
+        return self.fn(_seed_series(t0, order))
 
 
 class PolynomialRadialFunction(AnalyticRadialFunction):
@@ -211,7 +207,7 @@ def deform_metric(metric: ChartMetric, psi: RadialFunction) -> ChartMetric:
         Psi = psi.compose_jet(rsq(xjets))
         # the domain's psi > 0, tested on the composed jet's constant term:
         # psi(r^2), the value this formula divides by
-        if not jets.all_true(Psi.const_value() > 0):
+        if not jets.all_true(Psi.value > 0):
             raise outside_domain(name)
         w = Psi.reciprocal() ** 2
         if type(base) is MultiJet:
@@ -236,25 +232,22 @@ def radial_sq_value(metric: ChartMetric, x) -> np.ndarray:
     """r_P(x)^2 evaluated numerically through order-0 jets."""
     _require_radial_chart(metric)
     out = metric.radial_distance_sq(seed_point(np.asarray(x, dtype=float), 0))
-    return np.asarray(out.value if hasattr(out, "value") else out)
+    return np.asarray(out.value)
 
 
-def deformed_density(base_theta: Callable, psi: RadialFunction, m: int,
-                     rc_values, r_max: float,
-                     rep: Optional[Reparametrization] = None):
+def deformed_density(base_theta: Callable, rep: Reparametrization, m: int,
+                     rc_values):
     """Push a radial base density through the deformation law.
 
-    ``base_theta(r)`` is the base polar density; returns the deformed
-    density at the requested deformed radii.
+    ``base_theta(r)`` is the base polar density, ``rep`` that of psi;
+    returns the deformed density at the requested deformed radii.
     """
-    if rep is None:
-        rep = reparametrize(psi, r_max)
     rc_values = np.asarray(rc_values, dtype=float)
     if np.any(rc_values > rep.rc_grid[-1] + 1e-12):
         raise ValueError(
-            f"deformed radius beyond rc({r_max}) = {rep.rc_grid[-1]:.6g}")
+            f"deformed radius beyond rc({rep.r_max}) = {rep.rc_grid[-1]:.6g}")
     r = rep.r(rc_values)
-    return np.asarray(psi(r ** 2)) ** (1.0 - m) \
+    return np.asarray(rep.psi(r ** 2)) ** (1.0 - m) \
         * np.asarray(base_theta(r), dtype=float)
 
 
@@ -329,9 +322,6 @@ class TrivializerRadialFunction(RadialFunction):
         return TruncatedSeries(merged)
 
     def _h_values(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
         out = np.empty_like(t)
         small = t < 1e-5
         if np.any(~small):
@@ -339,7 +329,7 @@ class TrivializerRadialFunction(RadialFunction):
             out[~small] = (tt ** -self.q - 1.0) / (2.0 * t[~small])
         if np.any(small):
             out[small] = _horner(self._h_series_at0(4), t[small])
-        return out[0] if scalar else out
+        return out
 
     def V(self, t):
         t = np.asarray(t, dtype=float)
@@ -490,23 +480,24 @@ class _TrivializerPsiU:
         return (np.cos(u) ** (self.m - 1) * np.sin(u)) ** self.q / self.W(u)
 
 
-def deformed_radial_ricci(psi_u, theta_u_series, u: float, m: int,
-                          einstein_const: float) -> float:
-    """rho_{g_psi}(psi d_u, psi d_u) by the radial conformal-change law:
+def deformed_radial_ricci(psi_u, u: float) -> float:
+    """rho_{g_psi}(psi d_u, psi d_u) on the projective space of dimension
+    m = psi_u.m, where rho = (m+2) g, by the radial conformal-change law:
 
-        einstein_const psi^2 + (m-2) psi psi''
+        (m+2) psi^2 + (m-2) psi psi''
         + psi (Theta psi')'/Theta - (m-1) psi'^2,
 
     all derivatives in u; series arithmetic, no finite differences.
     """
+    m = psi_u.m
     ps = psi_u.series(u, 3)
-    th = theta_u_series(u, 3)
+    th = _fs_theta_u_series(u, m, 3)
     psi0 = float(ps.coeffs[0])
     psid = float(ps.coeffs[1])
     psidd = 2.0 * float(ps.coeffs[2])
     flux = th * ps.derive()             # Theta psi'
     flux_d = float(flux.derive().coeffs[0])
-    return (einstein_const * psi0 ** 2 + (m - 2) * psi0 * psidd
+    return ((m + 2.0) * psi0 ** 2 + (m - 2) * psi0 * psidd
             + psi0 * flux_d / float(th.coeffs[0]) - (m - 1) * psid ** 2)
 
 
@@ -535,15 +526,9 @@ def completeness_and_blowup(m: int, variant: str) -> BlowupReport:
     else:
         raise ValueError("variant must be 'density-root' or 'trivializer'")
 
-    einstein_const = m + 2.0   # rho = (m+2) g under the sec in [1,4] scaling
-
-    def theta_series(u0, order):
-        return _fs_theta_u_series(u0, m, order)
-
     u_window = (1e-4, 1e-2)
     us = np.geomspace(*u_window, 25)
-    rho = np.array([deformed_radial_ricci(psi_u, theta_series, float(u), m,
-                                          einstein_const) for u in us])
+    rho = np.array([deformed_radial_ricci(psi_u, float(u)) for u in us])
     if np.any(rho >= 0):
         raise ValueError("expected negative radial Ricci in the fit window")
     design = np.stack([np.ones_like(us), np.log(us), us], axis=1)

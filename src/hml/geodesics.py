@@ -60,12 +60,7 @@ def unit_directions(m: int, n: int) -> np.ndarray:
     alpha = np.array([phi ** -(k + 1) for k in range(m)])
     u = (0.5 + np.outer(np.arange(1, n + 1), alpha)) % 1.0
     z = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms < 1e-8):  # essentially impossible; keep determinism
-        bad = norms < 1e-8
-        z[bad] = np.eye(m)[0]
-        norms = np.linalg.norm(z, axis=1)
-    return z / norms[:, None]
+    return z / np.linalg.norm(z, axis=1)[:, None]
 
 
 def g_unit_directions(metric: ChartMetric, P, n: int) -> np.ndarray:

@@ -17,6 +17,7 @@ reuse the formulas verbatim.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -48,19 +49,10 @@ N_EXTRA = 40    # terms an entire function's series keeps past a jet's order
 @lru_cache(maxsize=None)
 def _indices(nvars: int, order: int):
     """Multi-indices of total degree <= order in graded-lex order."""
-    by_degree = [[(0,) * nvars]]
-    for _ in range(order):
-        nxt = []
-        seen = set()
-        for alpha in by_degree[-1]:
-            for k in range(nvars):
-                beta = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]
-                if beta not in seen:
-                    seen.add(beta)
-                    nxt.append(beta)
-        nxt.sort()
-        by_degree.append(nxt)
-    flat = [a for group in by_degree for a in group]
+    flat = []
+    for d in range(order + 1):      # degree d: the multisets of d variables
+        flat += sorted(tuple(c.count(k) for k in range(nvars)) for c in
+                       itertools.combinations_with_replacement(range(nvars), d))
     return tuple(flat), {a: i for i, a in enumerate(flat)}
 
 
@@ -271,9 +263,6 @@ class MultiJet:
     @property
     def order(self) -> int:
         return self.space.order
-
-    def const_value(self):
-        return self.coef[0]
 
     @property
     def batch_shape(self):
@@ -554,7 +543,7 @@ def _compose(x, plain, derivs):
     whose derivatives at x's constant term u0 are derivs(u0, order)."""
     if not hasattr(x, "apply_analytic"):
         return plain(x)
-    return x.apply_analytic(derivs(np.asarray(x.const_value()), x.order))
+    return x.apply_analytic(derivs(np.asarray(x.value), x.order))
 
 
 def _power(x, alpha, value, what):
@@ -719,7 +708,7 @@ def atan_sqrt_sq(x):
     """atan(sqrt(t))^2; series route near 0, smooth composition elsewhere."""
     if not hasattr(x, "apply_analytic"):
         return np.arctan(np.sqrt(x)) ** 2
-    t0 = np.asarray(x.const_value())
+    t0 = np.asarray(x.value)
     near = t0 < 0.5
     if np.all(near):
         return _entire_apply(x, _atan_sqrt_sq_coef)

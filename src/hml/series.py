@@ -51,7 +51,8 @@ class TruncatedSeries:
             raise ValueError("a variable needs order >= 1")
         return _series([at, 1.0] + [0.0] * (order - 1))
 
-    def const_value(self):
+    @property
+    def value(self):
         return self.coeffs[0]
 
     def __getitem__(self, k: int):

@@ -544,7 +544,7 @@ def literal_apply_analytic(x, derivs):
 def literal_entire_apply(x, coef_fn, n_extra=40):
     """Entire function of a jet: one scalar Horner loop per derivative order."""
     order = x.space.order if hasattr(x, "space") else x.order
-    t0 = np.asarray(x.const_value(), dtype=float)
+    t0 = np.asarray(x.value, dtype=float)
     n = order + 1 + n_extra
     derivs = []
     for d in range(order + 1):
@@ -610,7 +610,7 @@ class ScalarField:
         def fn(xjets):
             t = metric.radial_distance_sq(xjets)
             r = jets.sqrt(t)
-            r0 = np.asarray(r.const_value())
+            r0 = np.asarray(r.value)
             order = r.space.order if isinstance(r, MultiJet) else r.order
             return r.apply_analytic(radial_derivs(r0, order))
 

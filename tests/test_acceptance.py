@@ -238,7 +238,8 @@ def test_07_density_law_end_to_end():
     euc = catalog.euclidean(m)
     deformed = deform_metric(euc.metric, psi)
     rc = np.array([0.3, 0.7, 1.1, 1.5])
-    pred = deformed_density(lambda r: r ** (m - 1), psi, m, rc, 6.0)
+    pred = deformed_density(lambda r: r ** (m - 1), reparametrize(psi, 6.0),
+                            m, rc)
     theta = g_unit_directions(deformed, np.zeros(m), 1)[0]
     prof = density_profile(deformed, np.zeros(m), theta[None, :], rc,
                            steps=600)
@@ -253,8 +254,7 @@ def test_07_density_law_end_to_end():
     deformed_fs = deform_metric(fs.metric, tri)
     rep = reparametrize(tri, 1.2)
     rc_fs = rep.rc(np.array([0.35, 0.7, 1.0, 1.2]))
-    pred_fs = deformed_density(fs.closed_form_density, tri, 4, rc_fs, 1.25,
-                               rep=rep)
+    pred_fs = deformed_density(fs.closed_form_density, rep, 4, rc_fs)
     theta_fs = g_unit_directions(deformed_fs, np.zeros(4), 1)[0]
     prof_fs = density_profile(deformed_fs, np.zeros(4), theta_fs[None, :],
                               rc_fs, steps=600)

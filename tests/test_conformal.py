@@ -13,7 +13,7 @@ from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
                            TrivializerRadialFunction,
                            completeness_and_blowup,
                            deform_metric, deformed_density,
-                           deformed_radial_ricci, _fs_theta_u_series,
+                           deformed_radial_ricci,
                            _DensityRootPsiU, radial_sq_value, reparametrize,
                            trivial_density_factor)
 from hml.curvature import curvature, sectional_curvature
@@ -109,7 +109,7 @@ def test_deformed_sphere_harmonic_at_pole(sphere4):
 def test_deformed_density_identity(euclid3):
     psi = PolynomialRadialFunction([1.0])
     rc = np.linspace(0.1, 1.0, 7)
-    out = deformed_density(lambda r: r ** 2, psi, 3, rc, 1.2)
+    out = deformed_density(lambda r: r ** 2, reparametrize(psi, 1.2), 3, rc)
     assert np.max(np.abs(out - rc ** 2)) < 1e-12
 
 
@@ -118,7 +118,7 @@ def test_deformed_density_euclid_to_sphere_formula():
     psi = PolynomialRadialFunction([0.5, 0.5])
     rep = reparametrize(psi, 8.0)
     rc = np.array([0.4, 0.9, 1.6, 2.2])
-    out = deformed_density(lambda r: r ** (m - 1), psi, m, rc, 8.0, rep=rep)
+    out = deformed_density(lambda r: r ** (m - 1), rep, m, rc)
     assert np.max(np.abs(out - np.sin(rc) ** (m - 1))) < 1e-7
 
 
@@ -128,7 +128,8 @@ def test_deformed_density_matches_direct_shot(euclid4):
     psi = PolynomialRadialFunction([0.5, 0.5])
     ms = deform_metric(euclid4.metric, psi)
     rc = np.array([0.3, 0.7, 1.1])
-    pred = deformed_density(lambda r: r ** (m - 1), psi, m, rc, 4.0)
+    pred = deformed_density(lambda r: r ** (m - 1), reparametrize(psi, 4.0),
+                            m, rc)
     theta = g_unit_directions(ms, np.zeros(4), 1)[0]
     prof = density_profile(ms, np.zeros(4), theta[None, :], rc,
                            steps=500)
@@ -457,9 +458,7 @@ def test_radial_ricci_formula_cross_checked_against_chart(fs2):
         [1.0, 0, 0, 0])
     direct = float(X_chart @ bundle.ricci @ X_chart)
     psi_u = _DensityRootPsiU(m)
-    oned = deformed_radial_ricci(
-        psi_u, lambda u, order: _fs_theta_u_series(u, m, order), u0, m,
-        einstein_const=m + 2.0)
+    oned = deformed_radial_ricci(psi_u, u0)
     assert direct == pytest.approx(oned, rel=1e-8)
 
 

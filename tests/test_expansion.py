@@ -13,7 +13,7 @@ from hml.expansion import (density_coefficients, jacobi, leading_coefficient,
                            verify_leading_coefficient)
 from hml.geodesics import density_profile, g_unit_directions
 from hml.metric import OrderExceededError
-from hml.series import TruncationError, fit_radial_expansion
+from hml.series import fit_radial_expansion
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +211,3 @@ def test_verify_leading_coefficient_random_rationals(n, rng):
         assert rep.exact_pass
         assert rep.recovered_b == b
         assert rep.c_n == Fraction(-(n - 1), math.factorial(n + 1))
-
-
-def test_verify_leading_coefficient_truncation_error():
-    with pytest.raises(TruncationError):
-        verify_leading_coefficient(9, 1, order=8)

@@ -161,8 +161,7 @@ class _BareJet:
     """Just enough of a jet for _entire_apply: order, constant, composition."""
     order = 4
 
-    def const_value(self):
-        return np.array([0.1, 0.25])
+    value = np.array([0.1, 0.25])
 
     def apply_analytic(self, derivs):
         return derivs
@@ -171,8 +170,7 @@ class _BareJet:
 class _BarePoint(_BareJet):
     """A one-point jet: _entire_apply runs its Horner loop on floats."""
 
-    def const_value(self):
-        return np.float64(0.1)
+    value = np.float64(0.1)
 
 
 def test_entire_apply_reuses_one_table(monkeypatch):

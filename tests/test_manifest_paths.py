@@ -1,0 +1,122 @@
+"""Paths a manifest can reach that the other tests leave unrun, and strict
+JSON reports.
+
+These live apart from test_cli.py, whose written files are compared
+between checkouts.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from hml import catalog, cli
+from hml.conformal import radial_sq_value
+from hml.curvature import curvature, sectional_curvature
+from hml.geodesics import unit_directions
+
+
+def run(tmp_path, doc, capsys=None):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["--manifest", str(path), "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err if capsys else None
+
+
+def strict_load(path):
+    """json.load that refuses NaN and +-Infinity, as RFC 8259 does."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_center_of_wrong_length_exits_3(tmp_path, capsys):
+    doc = {"metric": {"family": "sphere", "dim": 3},
+           "analysis": {"command": "curvature", "center": [0.1, 0.2]}}
+    code, err = run(tmp_path, doc, capsys)
+    assert code == 3
+    assert "center must have 3 coordinates" in err
+
+
+def test_manifest_that_is_an_array_exits_3(tmp_path, capsys):
+    code, err = run(tmp_path, [{"metric": {"family": "sphere", "dim": 3}}],
+                    capsys)
+    assert code == 3
+    assert "manifest must be a JSON object" in err
+
+
+def test_trivial_density_r_max_past_injectivity_radius_exits_3(tmp_path,
+                                                               capsys):
+    doc = {"metric": {"family": "sphere", "dim": 3,
+                      "deform": {"psi": {"kind": "trivial-density",
+                                         "r_max": 3.2}}},
+           "analysis": {"command": "deform"}}
+    code, err = run(tmp_path, doc, capsys)
+    assert code == 3
+    assert "injectivity radius 3.14159" in err
+
+
+def test_poly_deform_of_polar_chart_exits_3(tmp_path, capsys):
+    doc = {"metric": {"family": "two_d_family", "n": 2, "b": 0.3,
+                      "deform": {"psi": {"kind": "poly",
+                                         "coeffs": [1.0, 0.25]}}},
+           "analysis": {"command": "deform"}}
+    code, err = run(tmp_path, doc, capsys)
+    assert code == 3
+    assert "does not expose an analytic radial distance" in err
+
+
+def test_conjugate_point_makes_check_harmonic_inconclusive(tmp_path):
+    # det A = sin(r)^2 on the unit sphere falls below DIP times its maximum
+    # before r = 3.135 < pi, inside the chart
+    doc = {"metric": {"family": "sphere", "dim": 3},
+           "analysis": {"command": "check_harmonic", "radii": [1.0, 3.135],
+                        "directions": 4, "steps": 400}}
+    code, _ = run(tmp_path, doc)
+    assert code == 2
+    rep = strict_load(tmp_path / "out" / "harmonicity.json")
+    assert rep["inconclusive"] is True
+    assert rep["largest_safe_radius"] == 1.0
+    assert rep["theta_spread_max"] is None and rep["xi_spread"] == [None]
+
+
+def test_reports_are_strict_json(tmp_path):
+    # a shot leaving the chart: an inconclusive report has no spread
+    doc = {"metric": {"family": "sphere", "dim": 3,
+                      "deform": {"psi": {"kind": "poly",
+                                         "coeffs": [1, 0.25]}}},
+           "analysis": {"command": "check_harmonic", "directions": 8,
+                        "steps": 250, "radii": [2.0, 3.4]}}
+    code, _ = run(tmp_path, doc)
+    assert code == 2
+    rep = strict_load(tmp_path / "out" / "harmonicity.json")
+    assert rep["theta_spread_max"] is None
+    assert rep["xi_spread_max"] is None
+
+
+def test_json_ready_writes_non_finite_as_null():
+    doc = {"a": [math.nan, math.inf, -math.inf, np.float64(np.nan)],
+           "b": (np.float64(0.1), 2, "s", None, True)}
+    assert cli._json_ready(doc) == {"a": [None] * 4,
+                                    "b": [0.1, 2, "s", None, True]}
+
+
+def test_radial_sq_value_of_flat_space_form():
+    # a = 2, b = 0: g = g_e / 4, so r_P^2 = |x|^2 / 4
+    x = np.array([[0.3, -0.2, 0.5], [0.0, 0.0, 0.0]])
+    got = radial_sq_value(catalog.space_form(2.0, 0.0, 3).metric, x)
+    assert got == pytest.approx(np.sum(x ** 2, axis=-1) / 4, rel=1e-15)
+
+
+def test_plane_kappas_keep_each_plane_with_its_kappa():
+    # at m = 2, planes 4493 and 8965 of 20,000 are near-parallel pairs
+    bundle = curvature(catalog.sphere(2).metric, np.array([0.1, 0.2]), k_max=0)
+    kappas, planes = cli._plane_kappas(bundle, 20_000)
+    assert len(kappas) == len(planes) == 19_998
+    dirs = unit_directions(2, 40_000)
+    # kept plane k is plane k, k + 1 or k + 2 of the sequence
+    for k, plane in ((0, 0), (4493, 4494), (8964, 8966), (19_997, 19_999)):
+        assert np.array_equal(planes[k][0], dirs[2 * plane])
+        assert np.array_equal(planes[k][1], dirs[2 * plane + 1])
+        assert kappas[k] == sectional_curvature(bundle, *planes[k])
