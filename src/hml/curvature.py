@@ -36,26 +36,29 @@ def curvature_arrays(metric: ChartMetric, x, ws: Optional[Workspace] = None):
     """
     ws = Workspace() if ws is None else ws
     g, dg, d2g = metric.derivative_arrays(x, 2, ws)
+    batch, m = g.shape[:-2], g.shape[-1]
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(
-            f"degenerate metric {metric.name} at {x}") from exc
-    batch, m = g.shape[:-2], g.shape[-1]
+        # the first point whose g has a zero pivot
+        at = next((p for p, gp in zip(np.reshape(x, (-1, m)),
+                                      g.reshape(-1, m, m))
+                   if np.linalg.det(gp) == 0), np.ravel(x))
+        raise _degenerate(metric, at) from exc
     # U takes derivative_arrays' scratch buffer, free once it returns
     # first kind: h[i, j, l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
     h = ws.array("h", batch + (m, m, m))
-    np.add(np.moveaxis(dg, -1, -3), np.swapaxes(dg, -1, -2), out=h)
+    np.add(dg.swapaxes(-1, -3).swapaxes(-1, -2), dg.swapaxes(-1, -2), out=h)
     np.subtract(h, dg, out=h)
     np.multiply(0.5, h, out=h)
     h = h.reshape(batch + (m * m, m))
     # Gamma_ij^k = g^{kl} h_ijl
-    Gamma = np.matmul(h, np.swapaxes(ginv, -1, -2),
+    Gamma = np.matmul(h, ginv.swapaxes(-1, -2),
                       out=ws.array("Gamma", batch + (m * m, m)))
     # R_ijkl = S_ijkl - S_jikl with
     # S_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk) - Gamma_jk^n h_iln,
     # assembled as U[j, k, i, l] = S_ijkl
-    U = np.matmul(Gamma, np.swapaxes(h, -1, -2),
+    U = np.matmul(Gamma, h.swapaxes(-1, -2),
                   out=ws.array("gather", batch + (m * m, m * m)))
     # The index swaps are gathers along the flat m^4 axis: elementwise ops
     # over the permuted views ran inner loops of length m.  R's buffer holds
@@ -64,13 +67,20 @@ def curvature_arrays(metric: ChartMetric, x, ws: Optional[Workspace] = None):
     d2f, Uf = d2g.reshape(-1, m ** 4), U.reshape(-1, m ** 4)
     R = ws.array("R", batch + (m,) * 4)
     Rf = R.reshape(-1, m ** 4)
-    np.take(d2f, swap, axis=1, mode="clip", out=Rf)
+    d2f.take(swap, 1, out=Rf, mode="clip")
     np.subtract(Rf, d2f, out=Rf)
     np.multiply(0.5, Rf, out=Rf)
     np.subtract(Rf, Uf, out=Uf)
-    S = np.take(Uf, to_s, axis=1, mode="clip", out=d2f).reshape(R.shape)
-    np.subtract(S, np.swapaxes(S, -4, -3), out=R)
+    S = Uf.take(to_s, 1, out=d2f, mode="clip").reshape(R.shape)
+    np.subtract(S, S.swapaxes(-4, -3), out=R)
     return g, ginv, Gamma.reshape(batch + (m, m, m)), R
+
+
+def _degenerate(metric: ChartMetric, x) -> DegenerateMetricError:
+    """The error naming the chart and the point x, on one line."""
+    return DegenerateMetricError(
+        f"degenerate metric {metric.name} at "
+        f"{np.array2string(x, max_line_width=np.inf)}")
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +105,7 @@ def jacobi_form(R, v):
 
 def reduced_jacobi(R, v, E):
     """R(E_a, v, v, E_b): the Jacobi operator along v in the frame E[..., m, n]."""
-    return np.swapaxes(E, -1, -2) @ jacobi_form(R, v) @ E
+    return E.swapaxes(-1, -2) @ jacobi_form(R, v) @ E
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +266,11 @@ def curvature(metric: ChartMetric, x, k_max: int = 0) -> CurvatureBundle:
         raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
     try:
         g, Gamma, P, DGam = _jet_partials(metric, x, k_max)
+        if not np.isfinite(g).all():        # inv does not raise on NaN
+            raise np.linalg.LinAlgError("metric is not finite")
+        ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(
-            f"degenerate metric {metric.name} at {x}") from exc
-    ginv = np.linalg.inv(g)
+        raise _degenerate(metric, x) from exc
     riemann, nabla = P[0], []
     for s in range(1, k_max + 1):       # rebinding P frees the step's input
         P = _covariant_step(P, DGam, 3 + s, k_max - s)

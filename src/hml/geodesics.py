@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,7 +116,7 @@ def _rhs_block(metric: ChartMetric, state, ws):
     # Gv[j, k] = Gamma_ij^k v^i, shared by the geodesic and the frame
     Gv = (v[..., None, :] @ Gamma.reshape(B + (m, m * m))).reshape(B + (m, m))
     dv = -(v[..., None, :] @ Gv)[..., 0, :]
-    dE = -(np.swapaxes(Gv, -1, -2) @ E)
+    dE = -(Gv.swapaxes(-1, -2) @ E)
     return (v, dv, dE, Ad, -reduced_jacobi(R, v, E) @ A)
 
 
@@ -157,24 +156,38 @@ def _integrate_recording(metric, P, thetas, radii, steps: int):
     state = _initial_state(metric, P, thetas)
     max_det = np.zeros(state[0].shape[0])
     crossed = np.zeros(state[0].shape[0], dtype=bool)
-    rhs = partial(_rhs, metric, ws=Workspace())    # one shot's RHS buffers
+    # The state travels as one flat vector y, so that an RK4 stage is two
+    # array ops over all its parts, each element computed as before
+    cuts = np.cumsum([0] + [part.size for part in state])
+    shapes = [part.shape for part in state]
+    ws = Workspace()        # one shot's RHS buffers
+
+    def parts(flat):
+        return tuple(flat[lo:hi].reshape(shape)
+                     for lo, hi, shape in zip(cuts, cuts[1:], shapes))
+
+    def rhs(flat):
+        return np.concatenate([k.ravel()
+                               for k in _rhs(metric, parts(flat), ws)])
+
+    y = np.concatenate([part.ravel() for part in state])
     r_prev = 0.0
     for r in radii:
         n = max(1, int(round(steps * (r - r_prev) / radii[-1])))
         h = (r - r_prev) / n
         for i in range(n):
             try:
-                k1 = rhs(state)
+                k1 = rhs(y)
             except DomainError as exc:
                 raise DomainExitError(r_prev + max(i - 1, 0) * h) from exc
             try:
-                k2 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k1)))
-                k3 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k2)))
-                k4 = rhs(tuple(y + h * k for y, k in zip(state, k3)))
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
             except DomainError as exc:
                 raise DomainExitError(r_prev + i * h) from exc
-            state = tuple(y + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                          for y, a, b, c, d in zip(state, k1, k2, k3, k4))
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            state = parts(y)
             det = np.linalg.det(state[3])
             crossed |= (det <= 0) | (det < DIP * max_det)
             max_det = np.maximum(max_det, det)

@@ -164,24 +164,44 @@ class JetSpace:
     # -- products of coefficient arrays --------------------------------
     # Two routes give the same bits: reduceat over the pair list, or (for
     # batches of SLOT_MIN_BATCH points and more, where it is faster) one
-    # elementwise add per slot row in reduceat's summation order.
+    # elementwise add per slot row in reduceat's summation order.  Rows of
+    # a batch are gathered by ndarray.take, which copies what indexing
+    # would with less set-up per call; indexing is the faster on one point.
     def use_slots(self, a, b) -> bool:
         return (self.slots is not None and a.ndim > 1 and a.shape == b.shape
                 and SLOT_MIN_BATCH * self.size <= a.size
                 and a.dtype == b.dtype == np.float64)
 
-    def rows(self, b, slots: bool):
-        """The right factor's coefficients gathered for ``summed``."""
-        return b[self.slots[1] if slots else self.pairs[1]]
+    def product(self, a, b, out=None):
+        """Coefficients of a * b; their batch axes broadcast.
 
-    def summed(self, a, b_rows, slots: bool, out=None):
-        """Coefficients of a * b, given rows(b, slots)."""
-        if not slots:
-            ia, _, starts = self.pairs
-            return np.add.reduceat(a[ia] * b_rows, starts, axis=0, out=out)
-        sa, _, pad, n_slots = self.slots
-        p = a[sa]
-        p *= b_rows
+        A product whose gathered rows would exceed CHUNK_MAX floats runs
+        over chunks of the leading batch axis, written into one output; a
+        chunk of one index drops that axis, so it is chunked in turn.  One
+        point, or fewer output columns than SLOT_MIN_BATCH, go to reduceat
+        without the slot test.
+        """
+        ia, ib, starts = self.pairs
+        if a.ndim == 1 == b.ndim:
+            return np.add.reduceat(a[ia] * b[ib], starts, out=out)
+        n = _out_columns(a, b)
+        if n * self.rows_per_column > CHUNK_MAX:
+            shape = (self.size,) + np.broadcast_shapes(a.shape[1:],
+                                                       b.shape[1:])
+            if out is None:
+                out = np.empty(shape, dtype=np.result_type(a, b))
+            step = CHUNK_MAX // (n // shape[1] * self.rows_per_column)
+            chunks = (range(shape[1]) if step <= 1 else
+                      (slice(k, k + step) for k in range(0, shape[1], step)))
+            for at in chunks:
+                self.product(_columns(a, at), _columns(b, at), out[:, at])
+            return out
+        if n < SLOT_MIN_BATCH or not self.use_slots(a, b):
+            return np.add.reduceat(a.take(ia, 0) * b.take(ib, 0), starts,
+                                   axis=0, out=out)
+        sa, sb, pad, n_slots = self.slots
+        p = a.take(sa, 0)
+        p *= b.take(sb, 0)
         p[pad] = -0.0
         p = p.reshape((n_slots, self.size) + a.shape[1:])
         if n_slots == 1:
@@ -190,30 +210,6 @@ class JetSpace:
         for j in range(2, n_slots):
             tail += p[j]
         return np.add(p[0], tail, out=out)
-
-    def product(self, a, b, out=None):
-        """Coefficients of a * b; their batch axes broadcast.
-
-        A product whose gathered rows would exceed CHUNK_MAX floats runs
-        over chunks of the leading batch axis, written into one output; a
-        chunk of one index drops that axis, so it is chunked in turn.
-        """
-        if a.ndim == 1 == b.ndim:
-            ia, ib, starts = self.pairs
-            return np.add.reduceat(a[ia] * b[ib], starts, out=out)
-        n = _out_columns(a, b)
-        if n * self.rows_per_column <= CHUNK_MAX:
-            slots = self.use_slots(a, b)
-            return self.summed(a, self.rows(b, slots), slots, out)
-        shape = (self.size,) + np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        if out is None:
-            out = np.empty(shape, dtype=np.result_type(a, b))
-        step = CHUNK_MAX // (n // shape[1] * self.rows_per_column)
-        chunks = (range(shape[1]) if step <= 1 else
-                  (slice(k, k + step) for k in range(0, shape[1], step)))
-        for at in chunks:
-            self.product(_columns(a, at), _columns(b, at), out[:, at])
-        return out
 
 
 def _out_columns(a, b) -> int:
@@ -280,6 +276,8 @@ class MultiJet:
     # -- stacks: batch axis 0 indexes the entries of a stacked jet ------
     def entries(self, *idx) -> "MultiJet":
         """Entries ``idx`` of a stack, one index per entry axis (ints give views)."""
+        if len(idx) == 1 and type(idx[0]) is np.ndarray:    # one gather
+            return MultiJet(self.space, self.coef.take(idx[0], 1))
         return MultiJet(self.space, self.coef[(slice(None),) + idx])
 
     def spread(self) -> "MultiJet":
@@ -364,13 +362,11 @@ class MultiJet:
               for k in range(min(len(derivs), space.order + 1))]
         du = self.coef.copy()
         du[0] = 0.0
-        # Horner in du from 0.0 + c_n; du's rows are gathered once
-        coef = np.zeros((space.size,) + self.batch_shape)
+        # Horner in du from 0.0 + c_n
+        coef = np.zeros(self.coef.shape)
         coef[0] = 0.0 + ck[-1]
-        slots = space.use_slots(coef, du)
-        du_rows = space.rows(du, slots)
         for k in range(len(ck) - 2, -1, -1):
-            coef = space.summed(coef, du_rows, slots)
+            coef = space.product(coef, du)
             coef[0] += ck[k]
         return MultiJet(space, coef)
 
@@ -399,19 +395,27 @@ def _seed_rows(nvars: int, order: int):
     return rows
 
 
-class Seeds(list):
+class Seeds:
     """Coordinate jets that are the entries of one stack, kept as ``stack``.
 
-    ``sum_sq`` keeps their ``norm_sq`` once formed, so a chart's formula and
-    its radial distance square the coordinates once.
+    The entry jets are views made when indexed (or iterated).  ``sum_sq``
+    keeps their ``norm_sq`` once formed, so a chart's formula and its radial
+    distance square the coordinates once.
     """
 
     __slots__ = ("stack", "sum_sq")
 
     def __init__(self, stack: MultiJet):
-        super().__init__(stack.entries(k) for k in range(stack.coef.shape[1]))
         self.stack = stack
         self.sum_sq = None
+
+    def __len__(self):
+        return self.stack.coef.shape[1]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return self.stack.entries(range(len(self))[k])
 
 
 def seed_point(x, order: int) -> Seeds:
@@ -419,9 +423,13 @@ def seed_point(x, order: int) -> Seeds:
     x = np.asarray(x, dtype=float)
     batch, m = x.shape[:-1], x.shape[-1]
     rows = _seed_rows(m, order)
-    coef = np.empty(rows.shape + batch)
-    coef[...] = rows.reshape(rows.shape + (1,) * len(batch))
-    coef[0] = np.moveaxis(x, -1, 0)
+    if not batch:       # one point: the rows with x in row 0
+        coef = rows.copy()
+        coef[0] = x
+    else:
+        coef = np.empty(rows.shape + batch)
+        coef[...] = rows.reshape(rows.shape + (1,) * len(batch))
+        coef[0] = np.moveaxis(x, -1, 0)
     return Seeds(MultiJet(jet_space(m, order), coef))
 
 
@@ -738,8 +746,8 @@ def norm_sq(xjets):
                 total = total + xi * xi
             return total
         xjets = stack(xjets)
-    sq = xjets * xjets
-    total = sq.entries(0)
-    for k in range(1, sq.coef.shape[1]):
-        total = total + sq.entries(k)
-    return total
+    sq = (xjets * xjets).coef
+    total = sq[:, 0].copy()
+    for k in range(1, sq.shape[1]):     # the entries' planes, added in order
+        total += sq[:, k]
+    return MultiJet(xjets.space, total)

@@ -78,17 +78,22 @@ def entry_layout(m: int):
 
 
 @lru_cache(maxsize=None)
-def _entry_extraction(m: int, order: int, d: int):
-    """Flat (coefficient, entry) positions and factorials of the order-d partials.
+def _entry_extraction(m: int, order: int):
+    """Flat (coefficient, entry) positions and factorials of all partials.
 
-    Position [(i * m + j) * m**d + p] holds d_p g_ij in a stack's
-    coefficients flattened to (size * entries, n).
+    For each order d = 0..order in turn, position cuts[d] + (i * m + j) *
+    m**d + p holds d_p g_ij in a stack's coefficients flattened to
+    (size * entries, n), with the factorials at the same places.
     """
-    flat_pos, fact = _extraction_table(m, order, d)
     index = entry_layout(m)[3].ravel()
     n_entries = m * (m + 1) // 2
-    pos = flat_pos[None, :] * n_entries + index[:, None]
-    return pos.ravel(), np.tile(fact, m * m)
+    pos, fact = [], []
+    for d in range(order + 1):
+        flat_pos, f = _extraction_table(m, order, d)
+        pos.append((flat_pos[None, :] * n_entries + index[:, None]).ravel())
+        fact.append(np.tile(f, m * m))
+    cuts = np.cumsum([0] + [p.size for p in pos]).tolist()
+    return np.concatenate(pos), np.concatenate(fact), cuts
 
 
 @dataclass(frozen=True)
@@ -169,26 +174,28 @@ class ChartMetric:
     def derivative_arrays(self, x, order: int, ws: Optional[Workspace] = None):
         """[g, dg, d2g, ...]: dg[..., i, j, p] = d_p g_ij and so on.
 
-        The arrays are written into ``ws`` (a fresh workspace by default):
-        order d under the name ``"d<d>"``, with ``"gather"`` as scratch
-        that is free again once this returns.
+        The arrays are written into ``ws`` (a fresh workspace by default)
+        under the name ``"d"``, order after order, with ``"gather"`` as
+        scratch that is free again once this returns.
         """
         ws = Workspace() if ws is None else ws
         batch, m = np.shape(x)[:-1], self.dim
         stack = self.component_jets(self._as_point(x), order)
         n = math.prod(batch)
-        coef = stack.coef.reshape(-1, n)
-        out = []
-        for d in range(order + 1):
-            pos, fact = _entry_extraction(m, order, d)
-            # mode="clip" (every index is in range) lets take write to out
-            # directly; the default mode buffers it through a temporary
-            g = np.take(coef, pos, axis=0, mode="clip",
-                        out=ws.array("gather", (pos.size, n)))
+        pos, fact, cuts = _entry_extraction(m, order)
+        flat = ws.array("d", (pos.size * n,))
+        # one gather for every order; mode="clip" (every index is in range)
+        # lets take write to out directly, the default mode buffers it
+        if n == 1:      # one point: the gather is laid out batch first
+            stack.coef.take(pos, out=flat, mode="clip")
+            flat *= fact
+        else:
+            g = stack.coef.reshape(-1, n).take(
+                pos, 0, out=ws.array("gather", (pos.size, n)), mode="clip")
             g *= fact[:, None]
             # batch first in C order: the matmuls downstream pick their
             # kernel by layout
-            gd = ws.array(f"d{d}", (n, pos.size))
-            np.copyto(gd, g.T)
-            out.append(gd.reshape(batch + (m, m) + (m,) * d))
-        return out
+            for lo, hi in zip(cuts, cuts[1:]):
+                np.copyto(flat[lo * n:hi * n].reshape(n, hi - lo), g[lo:hi].T)
+        return [flat[lo * n:hi * n].reshape(batch + (m,) * (d + 2))
+                for d, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]

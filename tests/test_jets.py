@@ -214,14 +214,16 @@ def test_product_matches_literal_reduceat(nvars, order):
     Batched jets are checked against the literal reduceat; stacks (k
     entries, then a batch) column by column against the unbatched product
     of that column, also with one factor spread over the entries.  The
-    column counts straddle the chunk cap.
+    column counts straddle the chunk cap and SLOT_MIN_BATCH, below which a
+    product goes to reduceat without the slot test.
     """
     space = jet_space(nvars, order)
     rng = np.random.default_rng(10 * nvars + order)
     pairs = len(space.pairs[0])
     cap = jets.CHUNK_MAX // space.rows_per_column
     routes = set()
-    for B in (None, 1, 16, 32, 64, 128, 256, 1024, max(cap, 2), cap + 1):
+    for B in (None, 1, 16, jets.SLOT_MIN_BATCH - 1, 32, 64, 128, 256, 1024,
+              max(cap, 2), cap + 1):
         if B is not None and B * pairs > 4_000_000:     # oracle memory
             continue
         shape = (space.size,) if B is None else (space.size, B)

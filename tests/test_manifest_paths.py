@@ -15,6 +15,7 @@ from hml import catalog, cli
 from hml.conformal import radial_sq_value
 from hml.curvature import curvature, sectional_curvature
 from hml.geodesics import unit_directions
+from hml.metric import DegenerateMetricError
 
 
 def run(tmp_path, doc, capsys=None):
@@ -65,6 +66,39 @@ def test_poly_deform_of_polar_chart_exits_3(tmp_path, capsys):
     code, err = run(tmp_path, doc, capsys)
     assert code == 3
     assert "does not expose an analytic radial distance" in err
+
+
+@pytest.mark.parametrize("far", [1e160, 1e200])
+def test_curvature_where_the_metric_overflows_exits_3(tmp_path, capsys, far):
+    # |x|^2 overflows, so g is NaN: np.linalg.inv does not raise on it
+    doc = {"metric": {"family": "fubini_study", "cdim": 2},
+           "analysis": {"command": "curvature", "center": [far, 0, 0, 0]}}
+    code, err = run(tmp_path, doc, capsys)
+    assert code == 3
+    assert err == (f"error: degenerate metric fubini_study at "
+                   f"[1.e+{math.log10(far):.0f} 0.e+000 0.e+000 0.e+000]\n")
+
+
+def test_degenerate_metric_in_a_batch_names_one_point(tmp_path, capsys):
+    # 20 steps about (3, 0, 0, 0) carry one of the 16 shots where g is
+    # singular: the message names that point alone
+    doc = {"metric": {"family": "fubini_study", "cdim": 2},
+           "analysis": {"command": "check_harmonic", "center": [3, 0, 0, 0],
+                        "steps": 20}}
+    code, err = run(tmp_path, doc, capsys)
+    assert code == 3
+    assert err.startswith("error: degenerate metric fubini_study at [")
+    assert err.count("\n") == 1 and len(err.split("[")[1].split()) == 4
+
+
+def test_degenerate_bundle_message_is_one_line_at_m8():
+    x = np.zeros(8)
+    x[0] = 1e160
+    with pytest.raises(DegenerateMetricError) as info, \
+            np.errstate(invalid="ignore", over="ignore"):
+        curvature(catalog.fubini_study(4).metric, x, k_max=0)
+    assert str(info.value) == ("degenerate metric fubini_study at "
+                               "[1.e+160" + " 0.e+000" * 7 + "]")
 
 
 def test_conjugate_point_makes_check_harmonic_inconclusive(tmp_path):

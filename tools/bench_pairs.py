@@ -18,9 +18,13 @@ metric the median, the inclusive quartiles, the pairs the change wins
 
 ``ab`` imports both checkouts' hml in one process under different names
 and times one ``_rhs`` call on the poly-deformed sphere(4) and on its base
-sphere(4) at B = 1, 512 and 1024 points (|x| = 0.4), in ROUNDS interleaved
-rounds, each side with its own Workspace.  It reports microseconds per call,
-the paired change/parent ratio and, per side, the deformed/base ratio.  It
+sphere(4) at B = 1, 512 and 1024 points (|x| = 0.4), and on FS2 at B = 1
+and 16, in ROUNDS interleaved rounds, each side with its own Workspace.  It
+reports microseconds per call, the paired change/parent ratio and, per
+side, the deformed/base ratio.  It times whole one-point shots the same way:
+``density_profile`` from the center of sphere(4) and of the deformed
+sphere(4) along one g-unit direction, SHOT_STEPS RK4 steps to the radii of
+``deform``'s default grid (SHOT_ROUNDS rounds of one shot).  It
 then times the curvature bundle layer the same way on BUNDLE_CASES:
 ``curvature`` on FS2 at k_max 0, 2 and 4 and ``density_coefficients`` at
 m = 4 and m = 6, each at one seeded point with |x| = 0.3.
@@ -75,10 +79,15 @@ import time
 from pathlib import Path
 
 ROUNDS = 15
+SHOT_ROUNDS = 7
+SHOT_STEPS = 2000
 COLD_ROUNDS = 10
 COLD_PLAN_SEED = 1
 DEFORMED_SPHERE4 = {"family": "sphere", "dim": 4,
                     "deform": {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}}
+RHS_CHARTS = {"sphere4": {"family": "sphere", "dim": 4},
+              "deformed_sphere4": DEFORMED_SPHERE4,
+              "fs2": {"family": "fubini_study", "cdim": 2}}
 
 
 def _seeds(text: str) -> list:
@@ -200,8 +209,7 @@ def rhs_case(alias: str, chart: str, B: int):
 
     geo = importlib.import_module(f"{alias}.geodesics")
     build = importlib.import_module(f"{alias}.manifest").build_metric
-    metric = build(DEFORMED_SPHERE4 if chart == "deformed_sphere4"
-                   else {"family": "sphere", "dim": 4}).metric
+    metric = build(RHS_CHARTS[chart]).metric
     rng = np.random.default_rng(B)
     x = rng.normal(size=(B, 4))
     x *= 0.4 / np.linalg.norm(x, axis=1, keepdims=True)
@@ -211,6 +219,20 @@ def rhs_case(alias: str, chart: str, B: int):
     ws = geo.Workspace()
     geo._rhs(metric, state, ws)
     return lambda: geo._rhs(metric, state, ws)
+
+
+def shot_case(alias: str, chart: str):
+    """A zero-argument call of one whole one-point shot from the center."""
+    import numpy as np
+
+    geo = importlib.import_module(f"{alias}.geodesics")
+    metric = importlib.import_module(f"{alias}.manifest").build_metric(
+        RHS_CHARTS[chart]).metric
+    center = np.zeros(metric.dim)
+    theta = geo.g_unit_directions(metric, center, 1)
+    radii = np.linspace(0.15, 0.75, 5)
+    return lambda: geo.density_profile(metric, center, theta, radii,
+                                       SHOT_STEPS)
 
 
 # name: (chart, k_max for a curvature bundle or None for
@@ -284,6 +306,18 @@ def ab(args) -> dict:
                 d / b for b, d in zip(us[side, "sphere4"],
                                       us[side, "deformed_sphere4"])), 3)
             for side in sides}
+    for B, calls in ((1, 200), (16, 100)):
+        fns = {side: rhs_case(mod.__name__, "fs2", B)
+               for side, mod in sides.items()}
+        us = interleaved(fns, calls, ROUNDS)
+        out[f"geodesics.rhs_fs2_B{B}"] = paired(us["parent"], us["change"])
+    for chart in ("sphere4", "deformed_sphere4"):
+        fns = {side: shot_case(mod.__name__, chart)
+               for side, mod in sides.items()}
+        us = interleaved(fns, 1, SHOT_ROUNDS)
+        out[f"geodesics.shot_{chart}"] = paired(us["parent"], us["change"])
+        print(f"ab shot {chart}: {out[f'geodesics.shot_{chart}']}",
+              file=sys.stderr)
     for name, (spec, k_max, calls, rounds) in BUNDLE_CASES.items():
         fns = {side: bundle_case(mod.__name__, spec, k_max)
                for side, mod in sides.items()}
