@@ -21,8 +21,6 @@ from .metric import ChartMetric, entry_layout
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
-    params: dict
     metric: ChartMetric
     constant_curvature: Optional[float] = None   # None: not a space form
     einstein: bool = False
@@ -30,6 +28,14 @@ class CatalogEntry:
     # t = r^2 -> Theta_P / r^(m-1), acting on truncated series
     reduced_density: Optional[Callable] = None
     center_in_chart: bool = True
+
+    @property
+    def name(self) -> str:
+        return self.metric.name
+
+    @property
+    def params(self) -> dict:
+        return self.metric.params
 
     @property
     def dim(self) -> int:
@@ -62,8 +68,7 @@ def euclidean(dim: int) -> CatalogEntry:
         dim=dim, components=components, name="euclidean", params={"dim": dim},
         injectivity_radius=math.inf, radial_distance_sq=norm_sq)
     return CatalogEntry(
-        name="euclidean", params={"dim": dim}, metric=metric,
-        constant_curvature=0.0, einstein=True,
+        metric=metric, constant_curvature=0.0, einstein=True,
         closed_form_density=_space_form_density(0.0, dim),
         reduced_density=lambda ts: 1.0 + 0.0 * ts)
 
@@ -108,8 +113,8 @@ def space_form(a: float, b: float, dim: int) -> CatalogEntry:
         params={"a": a, "b": b, "dim": dim}, injectivity_radius=iota,
         radial_distance_sq=rdist_sq)
     return CatalogEntry(
-        name="space_form", params={"a": a, "b": b, "dim": dim}, metric=metric,
-        constant_curvature=kappa, einstein=True, center_in_chart=a > 0,
+        metric=metric, constant_curvature=kappa, einstein=True,
+        center_in_chart=a > 0,
         closed_form_density=_space_form_density(kappa, dim) if a > 0 else None,
         reduced_density=_sinc_power(kappa, dim) if a > 0 and b > 0 else None)
 
@@ -140,8 +145,7 @@ def sphere(dim: int) -> CatalogEntry:
         params={"dim": dim}, injectivity_radius=math.pi,
         radial_distance_sq=norm_sq)
     return CatalogEntry(
-        name="sphere", params={"dim": dim}, metric=metric,
-        constant_curvature=1.0, einstein=True,
+        metric=metric, constant_curvature=1.0, einstein=True,
         closed_form_density=_space_form_density(1.0, dim),
         reduced_density=_sinc_power(1.0, dim))
 
@@ -186,9 +190,7 @@ def fubini_study(cdim: int) -> CatalogEntry:
         params={"cdim": cdim}, injectivity_radius=math.pi / 2,
         radial_distance_sq=rdist_sq)
     return CatalogEntry(
-        name="fubini_study", params={"cdim": cdim}, metric=metric,
-        constant_curvature=None, einstein=True,
-        closed_form_density=fs_density,
+        metric=metric, einstein=True, closed_form_density=fs_density,
         reduced_density=lambda ts: (jets.powf(jets.sinc_sqrt(ts), dim - 1)
                                     * jets.cos_sqrt(ts)))
 
@@ -222,8 +224,7 @@ def two_d_family(n: int, b: float) -> CatalogEntry:
         dim=2, components=components, domain=domain, name="two_d_family",
         params={"n": n, "b": b})
     return CatalogEntry(
-        name="two_d_family", params={"n": n, "b": b}, metric=metric,
-        constant_curvature=None, einstein=True,  # any surface is Einstein
+        metric=metric, einstein=True,  # any surface is Einstein
         closed_form_density=theta_density, center_in_chart=False)
 
 

@@ -91,9 +91,6 @@ class RadialFunction:
 
     name = "psi"
 
-    def series(self, t0, order: int) -> TruncatedSeries:
-        raise NotImplementedError
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return np.asarray(self.series(t, 0).coeffs[0])

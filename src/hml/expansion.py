@@ -1,4 +1,4 @@
-"""Density-expansion coefficients from curvature, and their exact oracle.
+"""Density-expansion coefficients from curvature.
 
 The volume density about P expands as
 
@@ -6,22 +6,19 @@ The volume density about P expands as
 
 with H_2..H_6 given by trace polynomials in the Jacobi operator J_0 and its
 radial covariant derivatives J_k.  The leading-term law H_n = c_n Tr J_(n-2)
-+ lower order, with c_n = -(n-1)/(n+1)!, is verified by an exact rational
-computation on the 2D polar family ds^2 = dr^2 + (r(1+b r^n))^2 dtheta^2,
-checking every intermediate expansion along the way.
++ lower order, with c_n = -(n-1)/(n+1)!, is checked by the test suite's
+exact-rational oracle (tests/oracles.py) on the 2D polar family
+ds^2 = dr^2 + (r(1+b r^n))^2 dtheta^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .curvature import CurvatureBundle, curvature, jacobi_form
 from .metric import ChartMetric
-from .series import rational_series
 
 
 @dataclass
@@ -83,79 +80,3 @@ def density_coefficients(metric: ChartMetric, P, xi,
             - t11 / 672.0 - t4 / 1008.0),
     }
     return DensityExpansion(values=values)
-
-
-def leading_coefficient(n: int) -> Fraction:
-    """c_n = -(n-1)/(n+1)! in H_n = c_n Tr J_(n-2) + lower order terms."""
-    if n < 2:
-        raise ValueError("leading coefficients start at n = 2")
-    return Fraction(-(n - 1), math.factorial(n + 1))
-
-
-@dataclass
-class LeadingCoefficientReport:
-    """Exact-series reproduction of the 2D leading-term construction."""
-
-    n: int
-    b: Fraction
-    f_series_ok: bool             # f = r^2 + 2 b r^(n+2) + O(r^(n+3))
-    finv_series_ok: bool          # r^2 f^-1 = 1 - 2 b r^n + O(r^(n+1))
-    frr_series_ok: bool           # -f_rr/2 = -1 - (n+2)(n+1) b r^n + ...
-    fr2_series_ok: bool           # f_r^2 f^-1/4 = 1 + (2(n+2)-2) b r^n + ...
-    trace_coefficient: Fraction   # r^(n-2) coefficient of Tr J0(d_r)
-    trace_coefficient_ok: bool    # equals -n(n+1) b
-    c_n: Fraction
-    recovered_b: Fraction         # c_n * (n-2)! * trace_coefficient
-    exact_pass: bool
-
-
-def verify_leading_coefficient(n: int, b) -> LeadingCoefficientReport:
-    """Reproduce the 2D family computation with exact rational series.
-
-    Builds f = (r (1 + b r^n))^2, forms Tr J_0(d_r) =
-    f^{-1} (-f_rr/2 + f_r^2 f^{-1}/4), checks the r^(n-2) coefficient is
-    -n(n+1) b, and recovers H_n(d_r) = b using c_n = -(n-1)/(n+1)!.
-    All comparisons are exact in Q, on series truncated at order n + 4.
-    """
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    b = Fraction(b)
-    order = n + 4
-
-    # unit factor F = (1 + b r^n)^2; f = r^2 F
-    F = (rational_series([1], order)
-         + rational_series([0] * n + [b], order)) ** 2
-    f = F.shift(2)
-    f_r = f.derive()
-    f_rr = f_r.derive()
-    Finv = F.reciprocal()                       # r^2 f^-1
-
-    f_ok = (f[2] == 1 and f[n + 2] == 2 * b
-            and all(f[k] == 0 for k in range(n + 2) if k != 2))
-    finv_ok = Finv[0] == 1 and Finv[n] == -2 * b
-
-    minus_half_frr = -Fraction(1, 2) * f_rr
-    frr_ok = (minus_half_frr[0] == -1
-              and minus_half_frr[n] == -Fraction((n + 2) * (n + 1)) * b)
-
-    quarter = Fraction(1, 4) * ((f_r * f_r).unshift(2) * Finv)
-    fr2_ok = quarter[0] == 1 and quarter[n] == (2 * (n + 2) - 2) * b
-
-    bracket = minus_half_frr + quarter
-    trace = (Finv * bracket).unshift(2)         # Tr J0(d_r), series in r
-    trace_coeff = trace[n - 2]
-    trace_ok = trace_coeff == -n * (n + 1) * b
-
-    c_n = leading_coefficient(n)
-    # Tr J_(n-2)(d_r) at the center is the (n-2)-th radial derivative of
-    # the function r -> Tr J0 along the geodesic, i.e. (n-2)! times the
-    # r^(n-2) series coefficient.
-    tr_jn2 = math.factorial(n - 2) * trace_coeff
-    recovered = c_n * tr_jn2
-    ok = bool(f_ok and finv_ok and frr_ok and fr2_ok and trace_ok
-              and recovered == b)
-    return LeadingCoefficientReport(
-        n=n, b=b, f_series_ok=f_ok, finv_series_ok=finv_ok,
-        frr_series_ok=frr_ok, fr2_series_ok=fr2_ok,
-        trace_coefficient=trace_coeff, trace_coefficient_ok=trace_ok,
-        c_n=c_n, recovered_b=recovered, exact_pass=ok)

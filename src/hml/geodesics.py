@@ -407,32 +407,6 @@ def centrally_harmonic_test(metric: ChartMetric, P,
 
 
 # ---------------------------------------------------------------------------
-# radial harmonic function
-# ---------------------------------------------------------------------------
-
-def radial_harmonic(radii, theta_values):
-    """The nonconstant radial harmonic function from a radial profile.
-
-    f(r) = int_{r0}^{r} Theta(s)^{-1} ds, normalized f(r0) = 0 and
-    Theta f' = 1, which makes the positive Laplacian of f vanish on
-    0 < r < iota_P.  ``theta_values`` may be (R,) or (R, N) across
-    directions; a non-radial table is refused.
-    """
-    from scipy.interpolate import CubicSpline
-
-    radii = np.asarray(radii, dtype=float)
-    theta_values = np.asarray(theta_values, dtype=float)
-    if theta_values.ndim == 2:
-        theta_values = radial_mean(theta_values)
-    if np.any(theta_values <= 0):
-        raise ValueError("density must be positive on the profile")
-    spline = CubicSpline(radii, 1.0 / theta_values)
-    F = spline.antiderivative()
-    f = F(radii) - F(radii[0])
-    return f, 1.0 / theta_values
-
-
-# ---------------------------------------------------------------------------
 # geodesic-sphere shape
 # ---------------------------------------------------------------------------
 
@@ -464,25 +438,3 @@ def second_fundamental_form(metric: ChartMetric, P, theta, r: float,
     return SphereShapeSample(
         center=sample.center, direction=sample.direction, radius=r, L=L,
         umbilicity_defect=defect, xi=float(np.trace(L)))
-
-
-def reduced_jacobi_at(metric: ChartMetric, P, xi_dir) -> np.ndarray:
-    """J0 restricted to xi-perp in a g-orthonormal frame at P."""
-    P = np.asarray(P, dtype=float)
-    g0 = metric.value(P)
-    theta = np.asarray(xi_dir, dtype=float)
-    theta = theta / math.sqrt(theta @ g0 @ theta)
-    E = parallel_frame_start(g0, theta)
-    _, _, _, R = curvature_arrays(metric, P)
-    Rt = reduced_jacobi(R, theta, E)
-    return 0.5 * (Rt + Rt.T)
-
-
-def eigen_spread(metric: ChartMetric, P, n_directions: int = 64):
-    """s_P: minimum over sampled unit xi of (max - min) eigenvalue of J0~."""
-    dirs = g_unit_directions(metric, P, n_directions)
-    spreads = []
-    for th in dirs:
-        eigs = np.linalg.eigvalsh(reduced_jacobi_at(metric, P, th))
-        spreads.append(float(eigs[-1] - eigs[0]))
-    return min(spreads), np.array(spreads)

@@ -213,10 +213,9 @@ class JetSpace:
 
 
 def _out_columns(a, b) -> int:
-    """Columns of a product's output: its operands' batch axes broadcast."""
-    if a.ndim == b.ndim:        # axis by axis: equal lengths, or one is 1
-        return math.prod(map(max, a.shape[1:], b.shape[1:]))
-    return math.prod(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    """Columns of a product's output: its operands' batch axes broadcast,
+    axis by axis (equal lengths, or one is 1; the operands' ndim match)."""
+    return math.prod(map(max, a.shape[1:], b.shape[1:]))
 
 
 def all_true(flags) -> bool:
@@ -326,14 +325,11 @@ class MultiJet:
             return MultiJet(self.space, self.coef / other)
         return self * other.reciprocal()
 
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("use powf() for non-integer exponents")
         if n < 0:
-            return self.reciprocal() ** (-n)
+            raise ValueError(f"negative exponent {n}: use reciprocal() ** {-n}")
         result = MultiJet(self.space, np.zeros(self.coef.shape))
         result.coef[0] = 1.0
         base = self
@@ -730,7 +726,7 @@ def atan_sqrt_sq(x):
 
 
 def norm_sq(xjets):
-    """Sum of squares of a sequence or stack of jets (or of numbers).
+    """Sum of squares of a sequence or stack of jets (not of numbers).
 
     Jets are squared as one stack; the squares are summed in order.  Seeds
     return the sum they keep, so a caller must not write into it.
@@ -740,11 +736,6 @@ def norm_sq(xjets):
             xjets.sum_sq = norm_sq(xjets.stack)
         return xjets.sum_sq
     if type(xjets) is not MultiJet:
-        if not isinstance(xjets[0], MultiJet):
-            total = xjets[0] * xjets[0]
-            for xi in xjets[1:]:
-                total = total + xi * xi
-            return total
         xjets = stack(xjets)
     sq = (xjets * xjets).coef
     total = sq[:, 0].copy()

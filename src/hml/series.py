@@ -1,9 +1,9 @@
 """Truncated univariate power series and radial-expansion fitting.
 
 Two coefficient modes are supported: exact ``fractions.Fraction`` (used by
-the leading-coefficient verification, where results must be exact rational
-identities) and floats (used to fit radial expansions of numerically
-sampled volume densities).
+the test suite's exact-rational oracles, such as the leading-coefficient
+verification, where results must be exact rational identities) and floats
+(used to fit radial expansions of numerically sampled volume densities).
 """
 
 from __future__ import annotations
@@ -99,14 +99,11 @@ class TruncatedSeries:
             return self * other.reciprocal()
         return TruncatedSeries([a / other for a in self.coeffs])
 
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("use jets.powf for non-integer exponents")
         if n < 0:
-            return self.reciprocal() ** (-n)
+            raise ValueError(f"negative exponent {n}: use reciprocal() ** {-n}")
         result = TruncatedSeries.constant(self.coeffs[0] * 0 + 1, self.order)
         base = self
         while n:
@@ -185,14 +182,6 @@ def _series(coeffs: list) -> TruncatedSeries:
     s = object.__new__(TruncatedSeries)
     s.coeffs = coeffs
     return s
-
-
-def rational_series(coeffs, order: int) -> TruncatedSeries:
-    """Exact-rational series padded with zeros to the requested order."""
-    cs = [Fraction(c) for c in coeffs]
-    if len(cs) > order + 1:
-        raise TruncationError("more coefficients than the truncation order allows")
-    return TruncatedSeries(cs + [Fraction(0)] * (order + 1 - len(cs)))
 
 
 # ---------------------------------------------------------------------------

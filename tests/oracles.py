@@ -16,12 +16,19 @@ function on seeded jets, the Hessian family (christoffels, hessian,
 laplacian, gradient_norm_sq) reads Gamma from curvature_arrays, and the
 Ricci conformal-change law (ricci_conformal) combines them with the base
 metric's bundle, independently of the deformed chart it is checked against.
+The last sections hold the oracles that only the test suite runs: the
+exact-rational check of the leading-term law H_n = c_n Tr J_(n-2) + lower
+order on the 2D family (rational_series, leading_coefficient,
+verify_leading_coefficient), the radial harmonic function of a radial
+density profile (radial_harmonic) and the Jacobi eigen-spread
+(reduced_jacobi_at, eigen_spread).
 """
 
 import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -29,9 +36,12 @@ import numpy as np
 from hml import jets
 from hml.catalog import space_form
 from hml.conformal import RadialFunction, _require_radial_chart
-from hml.curvature import CurvatureBundle, curvature, curvature_arrays
+from hml.curvature import (CurvatureBundle, curvature, curvature_arrays,
+                           reduced_jacobi)
+from hml.geodesics import g_unit_directions, parallel_frame_start, radial_mean
 from hml.jets import MultiJet, jet_space, seed_point
 from hml.metric import ChartMetric, DegenerateMetricError
+from hml.series import TruncatedSeries, TruncationError
 
 
 def fd1(f, x, h=1e-5):
@@ -737,3 +747,143 @@ def space_form_isometry_check(a: float, b: float, points,
     return IsometryReport(a=a, b=b, n_points=len(points),
                           max_dev_inversion=dev_inv,
                           max_dev_scaling=dev_scale, scaling_c=c)
+
+
+# ---------------------------------------------------------------------------
+# exact-rational leading-term law on the 2D family
+# ---------------------------------------------------------------------------
+
+def rational_series(coeffs, order: int) -> TruncatedSeries:
+    """Exact-rational series padded with zeros to the requested order."""
+    cs = [Fraction(c) for c in coeffs]
+    if len(cs) > order + 1:
+        raise TruncationError("more coefficients than the truncation order allows")
+    return TruncatedSeries(cs + [Fraction(0)] * (order + 1 - len(cs)))
+
+
+def leading_coefficient(n: int) -> Fraction:
+    """c_n = -(n-1)/(n+1)! in H_n = c_n Tr J_(n-2) + lower order terms."""
+    if n < 2:
+        raise ValueError("leading coefficients start at n = 2")
+    return Fraction(-(n - 1), math.factorial(n + 1))
+
+
+@dataclass
+class LeadingCoefficientReport:
+    """Exact-series reproduction of the 2D leading-term construction."""
+
+    n: int
+    b: Fraction
+    f_series_ok: bool             # f = r^2 + 2 b r^(n+2) + O(r^(n+3))
+    finv_series_ok: bool          # r^2 f^-1 = 1 - 2 b r^n + O(r^(n+1))
+    frr_series_ok: bool           # -f_rr/2 = -1 - (n+2)(n+1) b r^n + ...
+    fr2_series_ok: bool           # f_r^2 f^-1/4 = 1 + (2(n+2)-2) b r^n + ...
+    trace_coefficient: Fraction   # r^(n-2) coefficient of Tr J0(d_r)
+    trace_coefficient_ok: bool    # equals -n(n+1) b
+    c_n: Fraction
+    recovered_b: Fraction         # c_n * (n-2)! * trace_coefficient
+    exact_pass: bool
+
+
+def verify_leading_coefficient(n: int, b) -> LeadingCoefficientReport:
+    """Reproduce the 2D family computation with exact rational series.
+
+    Builds f = (r (1 + b r^n))^2, forms Tr J_0(d_r) =
+    f^{-1} (-f_rr/2 + f_r^2 f^{-1}/4), checks the r^(n-2) coefficient is
+    -n(n+1) b, and recovers H_n(d_r) = b using c_n = -(n-1)/(n+1)!.
+    All comparisons are exact in Q, on series truncated at order n + 4.
+    """
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    b = Fraction(b)
+    order = n + 4
+
+    # unit factor F = (1 + b r^n)^2; f = r^2 F
+    F = (rational_series([1], order)
+         + rational_series([0] * n + [b], order)) ** 2
+    f = F.shift(2)
+    f_r = f.derive()
+    f_rr = f_r.derive()
+    Finv = F.reciprocal()                       # r^2 f^-1
+
+    f_ok = (f[2] == 1 and f[n + 2] == 2 * b
+            and all(f[k] == 0 for k in range(n + 2) if k != 2))
+    finv_ok = Finv[0] == 1 and Finv[n] == -2 * b
+
+    minus_half_frr = -Fraction(1, 2) * f_rr
+    frr_ok = (minus_half_frr[0] == -1
+              and minus_half_frr[n] == -Fraction((n + 2) * (n + 1)) * b)
+
+    quarter = Fraction(1, 4) * ((f_r * f_r).unshift(2) * Finv)
+    fr2_ok = quarter[0] == 1 and quarter[n] == (2 * (n + 2) - 2) * b
+
+    bracket = minus_half_frr + quarter
+    trace = (Finv * bracket).unshift(2)         # Tr J0(d_r), series in r
+    trace_coeff = trace[n - 2]
+    trace_ok = trace_coeff == -n * (n + 1) * b
+
+    c_n = leading_coefficient(n)
+    # Tr J_(n-2)(d_r) at the center is the (n-2)-th radial derivative of
+    # the function r -> Tr J0 along the geodesic, i.e. (n-2)! times the
+    # r^(n-2) series coefficient.
+    tr_jn2 = math.factorial(n - 2) * trace_coeff
+    recovered = c_n * tr_jn2
+    ok = bool(f_ok and finv_ok and frr_ok and fr2_ok and trace_ok
+              and recovered == b)
+    return LeadingCoefficientReport(
+        n=n, b=b, f_series_ok=f_ok, finv_series_ok=finv_ok,
+        frr_series_ok=frr_ok, fr2_series_ok=fr2_ok,
+        trace_coefficient=trace_coeff, trace_coefficient_ok=trace_ok,
+        c_n=c_n, recovered_b=recovered, exact_pass=ok)
+
+
+# ---------------------------------------------------------------------------
+# radial harmonic function
+# ---------------------------------------------------------------------------
+
+def radial_harmonic(radii, theta_values):
+    """The nonconstant radial harmonic function from a radial profile.
+
+    f(r) = int_{r0}^{r} Theta(s)^{-1} ds, normalized f(r0) = 0 and
+    Theta f' = 1, which makes the positive Laplacian of f vanish on
+    0 < r < iota_P.  ``theta_values`` may be (R,) or (R, N) across
+    directions; a non-radial table is refused.
+    """
+    from scipy.interpolate import CubicSpline
+
+    radii = np.asarray(radii, dtype=float)
+    theta_values = np.asarray(theta_values, dtype=float)
+    if theta_values.ndim == 2:
+        theta_values = radial_mean(theta_values)
+    if np.any(theta_values <= 0):
+        raise ValueError("density must be positive on the profile")
+    spline = CubicSpline(radii, 1.0 / theta_values)
+    F = spline.antiderivative()
+    f = F(radii) - F(radii[0])
+    return f, 1.0 / theta_values
+
+
+# ---------------------------------------------------------------------------
+# Jacobi eigen-spread
+# ---------------------------------------------------------------------------
+
+def reduced_jacobi_at(metric: ChartMetric, P, xi_dir) -> np.ndarray:
+    """J0 restricted to xi-perp in a g-orthonormal frame at P."""
+    P = np.asarray(P, dtype=float)
+    g0 = metric.value(P)
+    theta = np.asarray(xi_dir, dtype=float)
+    theta = theta / math.sqrt(theta @ g0 @ theta)
+    E = parallel_frame_start(g0, theta)
+    _, _, _, R = curvature_arrays(metric, P)
+    Rt = reduced_jacobi(R, theta, E)
+    return 0.5 * (Rt + Rt.T)
+
+
+def eigen_spread(metric: ChartMetric, P, n_directions: int = 64):
+    """s_P: minimum over sampled unit xi of (max - min) eigenvalue of J0~."""
+    dirs = g_unit_directions(metric, P, n_directions)
+    spreads = []
+    for th in dirs:
+        eigs = np.linalg.eigvalsh(reduced_jacobi_at(metric, P, th))
+        spreads.append(float(eigs[-1] - eigs[0]))
+    return min(spreads), np.array(spreads)

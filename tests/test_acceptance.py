@@ -20,16 +20,16 @@ from hml.conformal import (PolynomialRadialFunction, TrivializerRadialFunction,
                            completeness_and_blowup, deform_metric,
                            deformed_density, reparametrize)
 from hml.curvature import curvature, curvature_arrays
-from hml.expansion import (density_coefficients, leading_coefficient,
-                           verify_leading_coefficient)
+from hml.expansion import density_coefficients
 from hml.geodesics import (centrally_harmonic_test, density_profile,
-                           eigen_spread, g_unit_directions, radial_harmonic,
-                           reduced_jacobi_at, second_fundamental_form, shoot)
+                           g_unit_directions, second_fundamental_form, shoot)
 from hml.manifest import _sphere_height_psi
 from hml.series import fit_radial_expansion
 
-from oracles import (christoffels, conformal_factor_field, hessian,
-                     ricci_conformal, space_form_isometry_check)
+from oracles import (christoffels, conformal_factor_field, eigen_spread,
+                     hessian, leading_coefficient, radial_harmonic,
+                     reduced_jacobi_at, ricci_conformal,
+                     space_form_isometry_check, verify_leading_coefficient)
 
 RESULTS = []
 

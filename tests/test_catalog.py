@@ -108,7 +108,8 @@ def test_sphere_chart_injectivity_bound():
 
 def test_build_interface():
     e = catalog.build("euclidean", {"dim": 3})
-    assert e.name == "euclidean"
+    assert e.name == "euclidean" and e.params == {"dim": 3}
+    assert e.params is e.metric.params
     alias = catalog.build("g_ab", {"a": 0.5, "b": 0.5, "dim": 4})
     assert alias.name == "space_form"
     with pytest.raises(ValueError, match="unknown catalog family"):

@@ -9,11 +9,12 @@ import scipy.linalg
 
 from hml import catalog
 from hml.curvature import curvature
-from hml.expansion import (density_coefficients, jacobi, leading_coefficient,
-                           verify_leading_coefficient)
+from hml.expansion import density_coefficients, jacobi
 from hml.geodesics import density_profile, g_unit_directions
 from hml.metric import OrderExceededError
 from hml.series import fit_radial_expansion
+
+from oracles import leading_coefficient, verify_leading_coefficient
 
 
 # ---------------------------------------------------------------------------

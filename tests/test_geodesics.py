@@ -10,15 +10,15 @@ from hml import catalog, jets
 from hml.curvature import curvature_arrays, reduced_jacobi
 from hml.geodesics import (ConjugatePointError, DomainExitError,
                            NonRadialProfileError, _initial_state, _rhs,
-                           centrally_harmonic_test,
-                           density_profile, eigen_spread, g_unit_directions,
-                           parallel_frame_start, radial_harmonic,
-                           reduced_jacobi_at, relative_spread,
-                           second_fundamental_form, shoot, unit_directions)
+                           centrally_harmonic_test, density_profile,
+                           g_unit_directions, parallel_frame_start,
+                           relative_spread, second_fundamental_form, shoot,
+                           unit_directions)
 from hml.metric import ChartMetric, Workspace
 
 import oracles
-from oracles import ScalarField, christoffels, laplacian
+from oracles import (ScalarField, christoffels, eigen_spread, laplacian,
+                     radial_harmonic, reduced_jacobi_at)
 
 FAST = 300      # RK4 steps
 

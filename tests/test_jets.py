@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hml import jets
+from hml import catalog, jets
 from hml.conventions import MAX_JET_ORDER
 from hml.jets import jet_space, seed_point
 from hml.series import TruncatedSeries
@@ -43,6 +43,13 @@ def test_high_order_univariate_matches_taylor():
     for d in range(0, 13, 3):
         arr = f.derivative_array(d)
         assert float(arr.reshape(-1)[0]) == pytest.approx(math.exp(0.4), rel=1e-11)
+    # log at x0: d^k log = (-1)^(k-1) (k-1)! / x0^k
+    g = jets.log(x)
+    assert float(g.value) == pytest.approx(math.log(0.4), rel=1e-15)
+    for d in range(1, 13, 3):
+        arr = g.derivative_array(d)
+        assert float(arr.reshape(-1)[0]) == pytest.approx(
+            (-1) ** (d - 1) * math.factorial(d - 1) / 0.4 ** d, rel=1e-11)
 
 
 def test_order_cap_enforced():
@@ -89,6 +96,10 @@ def test_division_and_integer_powers():
     d1 = (3 * (1 + x0) ** 2 * (1 - x0) + (1 + x0) ** 3) / (1 - x0) ** 2
     assert f.value == pytest.approx(val, rel=1e-13)
     assert f.derivative_array(1)[0] == pytest.approx(d1, rel=1e-12)
+    # by a number: each coefficient divided (by 4, exactly a scaling)
+    assert (f / 4.0).coef.tobytes() == (f * 0.25).coef.tobytes()
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        x ** -1
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.3, 2.0, 7.5])
@@ -341,6 +352,16 @@ def test_apply_analytic_matches_literal_horner(order, monkeypatch):
     monkeypatch.setattr(math, "factorial", no_factorial)
     for t, derivs, ref in refs:
         assert t.apply_analytic(derivs).coef.tobytes() == ref.coef.tobytes()
+
+
+@pytest.mark.parametrize("obj, text", [
+    (jet_space(2, 3), "JetSpace(nvars=2, order=3)"),
+    (seed_point([2.0, -1.0], 3)[0], "MultiJet(order=3, value=2.0)"),
+    (catalog.sphere(3).metric, "<ChartMetric sphere(dim=3) dim=3>"),
+    (TruncatedSeries([1.0, 0.5]), "TruncatedSeries([1.0, 0.5])"),
+], ids=["JetSpace", "MultiJet", "ChartMetric", "TruncatedSeries"])
+def test_repr_names_the_object(obj, text):
+    assert repr(obj) == text
 
 
 def test_scalar_fallbacks():

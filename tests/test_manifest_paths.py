@@ -6,7 +6,9 @@ between checkouts.
 """
 
 import json
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,3 +156,46 @@ def test_plane_kappas_keep_each_plane_with_its_kappa():
         assert np.array_equal(planes[k][0], dirs[2 * plane])
         assert np.array_equal(planes[k][1], dirs[2 * plane + 1])
         assert kappas[k] == sectional_curvature(bundle, *planes[k])
+
+
+@pytest.mark.parametrize("category", [RuntimeWarning, UserWarning])
+def test_cli_logs_runtime_warnings_and_shows_the_rest(tmp_path, monkeypatch,
+                                                      caplog, category):
+    load = cli.manifest_mod.load
+
+    def warn_and_load(path):
+        warnings.warn("probe warning", category)
+        return load(path)
+
+    shown = []
+
+    def show(message, cat, *rest, **kwargs):     # the showwarning cli finds
+        shown.append(cat)
+
+    monkeypatch.setattr(cli.manifest_mod, "load", warn_and_load)
+    doc = {"metric": {"family": "euclidean", "dim": 2},
+           "analysis": {"command": "curvature"}}
+    with warnings.catch_warnings(), caplog.at_level(logging.INFO, "hml"):
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        code, _ = run(tmp_path, doc)
+    assert code == 0
+    logged = [r for r in caplog.records if "probe warning" in r.getMessage()]
+    if category is RuntimeWarning:
+        assert (shown, len(logged)) == ([], 1)
+    else:
+        assert (shown, logged) == ([UserWarning], [])
+
+
+def test_curvature_of_a_surface_survives_degenerate_planes(tmp_path):
+    # on a surface the extreme search visits parallel u, v, where the
+    # sectional curvature is undefined: kappa_of reads those as NaN, which
+    # must not become a reported extreme
+    doc = {"metric": {"family": "sphere", "dim": 2},
+           "analysis": {"command": "curvature"}}
+    code, _ = run(tmp_path, doc)
+    assert code == 0
+    report = strict_load(tmp_path / "out" / "curvature.json")
+    assert report["scalar_curvature"] == pytest.approx(2.0, rel=1e-12)
+    assert all(isinstance(report[k], float) and math.isfinite(report[k])
+               for k in ("kappa_min", "kappa_max"))

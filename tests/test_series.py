@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hml.series import (COND_MAX, IllConditionedFit, TruncatedSeries,
-                        TruncationError, fit_radial_expansion, rational_series)
+                        TruncationError, fit_radial_expansion)
+
+from oracles import rational_series
 
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=12)
@@ -66,6 +68,13 @@ def test_truncation_mismatch_rejected():
 def test_reciprocal_zero_constant_rejected():
     with pytest.raises(ZeroDivisionError):
         rational_series([0, 1], 3).reciprocal()
+
+
+def test_division_by_a_number_and_negative_powers():
+    s = rational_series([1, 2, 3], 3)
+    assert (s / 2).coeffs == [Fraction(1, 2), 1, Fraction(3, 2), 0]
+    with pytest.raises(ValueError, match="negative exponent -2"):
+        s ** -2
 
 
 def test_shift_unshift():

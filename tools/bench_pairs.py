@@ -8,6 +8,9 @@ Usage:
     python3 tools/bench_pairs.py cold PARENT CHANGE [--out FILE]
 
 PARENT and CHANGE are two checkouts, each with its own src/ and perfbench/.
+PARENT may instead be a git revision (a SHA, a branch, HEAD~1) of the
+repository in the current directory: it is exported with ``git archive``
+into a temporary directory, which is removed on exit.
 
 ``pairs`` runs each checkout's own ``perfbench/run.py``, unchanged, on every
 workload of the change's BENCHMARK.json for its ``run_seconds``, with
@@ -47,6 +50,8 @@ under its relative path, except the fuzz tests' files (CLI_TREE_SKIP); it
 exits if either run fails or writes nothing else.  A call that raises is
 recorded by its message.
 It reports the number of equal hashes, the total, and each mismatch.
+It refuses up front a CHANGE without ``README.md``, which its
+``tests/test_cli.py`` reads.
 
 ``cold`` is the A/B of start-up cost, which only fresh processes can
 measure: an import runs once per interpreter, so a same-process A/B would
@@ -69,11 +74,13 @@ import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -100,10 +107,28 @@ def src_lines(root: Path) -> int:
                for p in sorted((root / "src" / "hml").glob("*.py")))
 
 
-def git_sha(root: Path):
-    out = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+def git_sha(root: Path, rev: str = "HEAD"):
+    out = subprocess.run(["git", "-C", str(root), "rev-parse", "--verify",
+                          "--quiet", f"{rev}^{{commit}}"],
                          capture_output=True, text=True)
     return out.stdout.strip() or None
+
+
+def parent_checkout(parent: str, tmp: str):
+    """(root, commit) of PARENT: a checkout directory, or a git revision of
+    the repository in the current directory exported into ``tmp``."""
+    if Path(parent).is_dir():
+        return Path(parent).resolve(), git_sha(Path(parent))
+    sha = git_sha(Path.cwd(), parent)
+    if sha is None:
+        sys.exit(f"PARENT {parent!r} is neither a directory nor a git "
+                 f"revision of {Path.cwd()}")
+    archive = subprocess.run(["git", "archive", "--format=tar", sha],
+                             capture_output=True, check=True).stdout
+    root = Path(tmp, "parent")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(root, filter="data")
+    return root, sha
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +164,7 @@ def compare(parent: list, change: list, lower_is_better: bool) -> dict:
 
 
 def pairs(args) -> dict:
-    roots = {"parent": Path(args.parent).resolve(),
-             "change": Path(args.change).resolve()}
+    roots = {"parent": args.parent, "change": Path(args.change).resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
@@ -180,7 +204,7 @@ def pairs(args) -> dict:
                    f"per workload, seeds {args.seeds}, parent first on odd "
                    f"pairs and change first on even pairs; the same seed on "
                    f"both sides of a pair"),
-        "parent_sha": git_sha(roots["parent"]),
+        "parent_sha": args.parent_sha,
         "environment": env,
         "src_hml_lines": {side: src_lines(root) for side, root in roots.items()},
         "speed_factors": factors,
@@ -290,7 +314,7 @@ def paired(parent: list, change: list) -> dict:
 
 
 def ab(args) -> dict:
-    sides = {"parent": load_hml(Path(args.parent).resolve(), "hml_parent"),
+    sides = {"parent": load_hml(args.parent, "hml_parent"),
              "change": load_hml(Path(args.change).resolve(), "hml_change")}
     out = {}
     for B, calls in ((1, 200), (512, 10), (1024, 10)):
@@ -556,8 +580,10 @@ def load_workloads(root: Path):
 
 
 def byte_identity(args) -> dict:
-    roots = {"parent": Path(args.parent).resolve(),
-             "change": Path(args.change).resolve()}
+    roots = {"parent": args.parent, "change": Path(args.change).resolve()}
+    if not (roots["change"] / "README.md").is_file():
+        sys.exit(f"bytes: CHANGE {roots['change']} has no README.md, which "
+                 f"its tests/test_cli.py reads")
     workloads = load_workloads(roots["change"])
     plans = [workloads.build_plan(w, seed) for w in ("cli_defaults",
                                                      "wide_sweep")
@@ -634,8 +660,7 @@ def _paired(runs: dict) -> dict:
 
 
 def cold(args) -> dict:
-    roots = {"parent": Path(args.parent).resolve(),
-             "change": Path(args.change).resolve()}
+    roots = {"parent": args.parent, "change": Path(args.change).resolve()}
     workloads = load_workloads(roots["change"])
     with tempfile.TemporaryDirectory() as tmp:
         plans = {}
@@ -694,8 +719,10 @@ def main(argv=None) -> int:
     s.add_argument("--what", default="")
     s.add_argument("--seeds", default="1001-1010")
     args = p.parse_args(argv)
-    result = {"pairs": pairs, "ab": ab, "bytes": byte_identity,
-              "cold": cold}[args.cmd](args)
+    with tempfile.TemporaryDirectory() as tmp:
+        args.parent, args.parent_sha = parent_checkout(args.parent, tmp)
+        result = {"pairs": pairs, "ab": ab, "bytes": byte_identity,
+                  "cold": cold}[args.cmd](args)
     text = json.dumps(result, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
