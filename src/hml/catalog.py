@@ -74,7 +74,7 @@ def euclidean(dim: int) -> CatalogEntry:
 
 
 def space_form(a: float, b: float, dim: int) -> CatalogEntry:
-    """Conformally flat chart g_ab = (a + b |x|^2)^(-2) g_e; kappa = 4ab."""
+    """Conformally flat chart (a + b |x|^2)^(-2) g_e; kappa = 4ab."""
     if a == 0 and b == 0:
         raise ValueError("space form requires (a, b) != (0, 0)")
 
@@ -231,7 +231,6 @@ def two_d_family(n: int, b: float) -> CatalogEntry:
 _FAMILIES = {
     "euclidean": (euclidean, ("dim",)),
     "space_form": (space_form, ("a", "b", "dim")),
-    "g_ab": (space_form, ("a", "b", "dim")),
     "sphere": (sphere, ("dim",)),
     "fubini_study": (fubini_study, ("cdim",)),
     "two_d_family": (two_d_family, ("n", "b")),
@@ -242,7 +241,7 @@ def build(name: str, params: dict) -> CatalogEntry:
     """Construct a catalog entry from a manifest-style (name, params) pair."""
     if name not in _FAMILIES:
         raise ValueError(f"unknown catalog family {name!r}; "
-                         f"known: {sorted(set(_FAMILIES) - {'g_ab'})}")
+                         f"known: {sorted(_FAMILIES)}")
     fn, keys = _FAMILIES[name]
     missing = [k for k in keys if k not in params]
     if missing:

@@ -1,11 +1,11 @@
 """Command-line front end: run analyses from JSON manifests.
 
-Usage:  hml --manifest analysis.json [--out DIR] [--tol X] [--directions N]
-            [--radii r1,r2,...]
+Usage:  hml --manifest analysis.json [--out DIR]
 
-The command itself lives in the manifest's analysis block.  Output is
-deterministic: fixed 12-significant-digit float formatting, fixed row order
-(radius, then direction index), sorted JSON keys.
+The manifest is the whole configuration: the command and every setting
+live in its analysis block.  Output is deterministic: fixed
+12-significant-digit float formatting, fixed row order (radius, then
+direction index), sorted JSON keys.
 
 Exit codes: 0 success (and harmonic verdict for check_harmonic);
 1 not harmonic; 2 inconclusive; 3 manifest/domain/runtime errors.
@@ -266,12 +266,6 @@ def main(argv=None) -> int:
         description="Centrally harmonic metric analyses from JSON manifests")
     parser.add_argument("--manifest", required=True, help="path to manifest JSON")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override analysis.tolerance")
-    parser.add_argument("--directions", type=int, default=None,
-                        help="override analysis.directions")
-    parser.add_argument("--radii", default=None,
-                        help="comma-separated radii overriding analysis.radii")
     # numpy's RuntimeWarnings (overflow, invalid value) go to the hml log
     # below WARNING, so stderr carries only the one error line
     with warnings.catch_warnings():
@@ -287,17 +281,10 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
             mf = manifest_mod.load(args.manifest)
-            ana = dict(mf.analysis)
-            if args.tol is not None:
-                ana["tolerance"] = args.tol
-            if args.directions is not None:
-                ana["directions"] = args.directions
-            if args.radii is not None:
-                ana["radii"] = [float(r) for r in args.radii.split(",") if r]
-            manifest_mod.validate({"metric": mf.metric_spec, "analysis": ana})
             built = manifest_mod.build_metric(mf.metric_spec)
             os.makedirs(args.out, exist_ok=True)
-            return _COMMANDS[ana["command"]](built, ana, args.out)
+            return _COMMANDS[mf.analysis["command"]](built, mf.analysis,
+                                                     args.out)
         except (ManifestError, DomainError, ValueError, ArithmeticError,
                 OSError) as exc:    # OSError: an --out that cannot be written
             print(f"error: {exc}", file=sys.stderr)

@@ -99,7 +99,9 @@ ANALYSIS_KEYS = {
     "k_max": _read_by(_count(0, default=0), CURVATURE),
     "order": _read_by(_count(2, default=12), EXPAND),
     "planes": _read_by(_count(1, default=400), CURVATURE),
-    "blowup_dims": _read_by(_list_of(_is_int, "integers"), DEFORM),
+    "blowup_dims": _read_by(_list_of(
+        lambda v: _is_int(v) and v in conformal.BLOWUP_DIMS,
+        f"integers in {list(conformal.BLOWUP_DIMS)}"), DEFORM),
     "psi_variant": _read_by(_one_of({"trivializer", "density-root"},
                                     default="trivializer"), DEFORM),
 }
@@ -107,6 +109,11 @@ ANALYSIS_KEYS = {
 
 @dataclass
 class Manifest:
+    """A validated manifest, its blocks as written.
+
+    perfbench's set-up reads ``.metric_spec`` and ``.analysis``.
+    """
+
     metric_spec: dict
     analysis: dict
 

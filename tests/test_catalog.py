@@ -110,8 +110,6 @@ def test_build_interface():
     e = catalog.build("euclidean", {"dim": 3})
     assert e.name == "euclidean" and e.params == {"dim": 3}
     assert e.params is e.metric.params
-    alias = catalog.build("g_ab", {"a": 0.5, "b": 0.5, "dim": 4})
-    assert alias.name == "space_form"
     with pytest.raises(ValueError, match="unknown catalog family"):
         catalog.build("nope", {})
     with pytest.raises(ValueError, match="needs parameters"):

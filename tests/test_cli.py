@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hml import cli, geodesics
-from hml.conformal import TrivializerRadialFunction
+from hml.conformal import BLOWUP_DIMS, TrivializerRadialFunction
 from hml.geodesics import centrally_harmonic_test, density_profile
 from hml.manifest import (ANALYSIS_KEYS, COMMANDS, METRIC_KEYS, ManifestError,
                           build_metric, validate)
@@ -275,19 +275,6 @@ def test_deform_requires_deform_block(tmp_path, capsys):
     assert run_cli(["--manifest", mpath, "--out", str(tmp_path)]) == 3
 
 
-def test_flag_overrides(tmp_path):
-    harmonic = {"metric": {"family": "euclidean", "dim": 3},
-                "analysis": {"command": "check_harmonic", "directions": 4,
-                             "steps": 150}}
-    mpath = write(tmp_path, "f.json", harmonic)
-    out = tmp_path / "of"
-    assert run_cli(["--manifest", mpath, "--out", str(out),
-                    "--directions", "6", "--radii", "0.2,0.5"]) == 0
-    rep = json.loads((out / "harmonicity.json").read_text())
-    assert rep["n_directions"] == 6
-    assert rep["radii"] == [0.2, 0.5]
-
-
 def test_radii_order_does_not_move_labels(tmp_path):
     # spreads are computed over sorted radii, so labels must be sorted too
     doc = {"metric": {"family": "sphere", "dim": 3,
@@ -318,17 +305,13 @@ def test_integer_tolerance_reports_as_float(tmp_path):
     assert '"tolerance": 1.0,' in (out / "harmonicity.json").read_text()
 
 
-@pytest.mark.parametrize("directions,flag", [(0, None), (-1, None),
-                                             (1, None), (2.5, None),
-                                             ("8", None), (4, "0"), (4, "1")])
-def test_bad_directions_exit_3(tmp_path, capsys, directions, flag):
+@pytest.mark.parametrize("directions", [0, -1, 1, 2.5, "8"])
+def test_bad_directions_exit_3(tmp_path, capsys, directions):
     doc = {"metric": {"family": "euclidean", "dim": 3},
            "analysis": {"command": "check_harmonic", "directions": directions,
                         "steps": 20, "radii": [0.2]}}
-    args = ["--manifest", write(tmp_path, "d.json", doc), "--out", str(tmp_path)]
-    if flag is not None:
-        args += ["--directions", flag]
-    assert run_cli(args) == 3
+    assert run_cli(["--manifest", write(tmp_path, "d.json", doc),
+                    "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "analysis.directions must be an integer >= 2" in err
@@ -394,14 +377,15 @@ def test_cli_forwards_each_key_to_its_keyword(tmp_path, monkeypatch, metric,
      "analysis.radii must be"),
     ({"command": "check_harmonic", "radii": [0.2, True]}, [],
      "analysis.radii must be"),
-    ({"command": "check_harmonic"}, ["--radii", ""], "analysis.radii must be"),
+    ({"command": "check_harmonic", "radii": [0.2, math.inf]}, [],
+     "analysis.radii must be"),
     ({"command": "check_harmonic", "tolerance": 0}, [],
      "analysis.tolerance must be a finite real > 0"),
     ({"command": "check_harmonic", "tolerance": math.inf}, [],
      "analysis.tolerance must be a finite real > 0"),
     ({"command": "check_harmonic", "tolerance": "1e-6"}, [],
      "analysis.tolerance must be a finite real > 0"),
-    ({"command": "check_harmonic"}, ["--tol=-1e-6"],
+    ({"command": "check_harmonic", "tolerance": -1e-6}, [],
      "analysis.tolerance must be a finite real > 0"),
     ({"command": "curvature", "k_max": -1}, [],
      "analysis.k_max must be an integer >= 0"),
@@ -429,11 +413,11 @@ def test_cli_forwards_each_key_to_its_keyword(tmp_path, monkeypatch, metric,
      "analysis keys ['psi_variant', 'radii'] are not read by command 'expand'"),
     ({"command": "deform", "center": [0.0, 0.0, 0.0], "order": 4}, [],
      "analysis keys ['center', 'order'] are not read by command 'deform'"),
-    ({"command": "deform", "blowup_dims": [4]}, ["--tol", "1e-6"],
+    ({"command": "deform", "blowup_dims": [4], "tolerance": 1e-6}, [],
      "analysis keys ['tolerance'] are not read by command 'deform'"),
-    ({"command": "expand"}, ["--radii", "0.2"],
+    ({"command": "expand", "radii": [0.2]}, [],
      "analysis keys ['radii'] are not read by command 'expand'"),
-    ({"command": "deform"}, ["--directions", "2"],
+    ({"command": "deform", "directions": 2}, [],
      "analysis keys ['directions'] are not read by command 'deform'"),
 ])
 def test_bad_analysis_values_exit_3(tmp_path, capsys, analysis, flags, why):
@@ -535,7 +519,7 @@ def test_bad_command_line_exit_3(capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# fuzz: one malformed key or flag always exits 3 with one line
+# fuzz: one malformed key always exits 3 with one line
 # ---------------------------------------------------------------------------
 
 _NOT_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -569,16 +553,6 @@ def _not_one_of(*choices):
     return st.one_of(_NOT_NUMBER, st.text()).filter(lambda v: v not in choices)
 
 
-def _not_parsed(parse, ok):
-    """Short texts that ``parse`` refuses or parses to a value ``ok`` refuses."""
-    def parses_ok(text):
-        try:
-            return ok(parse(text))
-        except ValueError:
-            return False
-    return st.text(max_size=4).filter(lambda t: not parses_ok(t))
-
-
 _FUZZ_BASE = {"metric": {"family": "euclidean", "dim": 3},
               "analysis": {"command": "check_harmonic", "directions": 2,
                            "steps": 2, "radii": [0.1]}}
@@ -609,46 +583,31 @@ _FUZZ_CASES = [
     (("analysis",), "order", _not_count(2)),
     (("analysis",), "planes", _not_count(1)),
     (("analysis",), "blowup_dims",
-     _not_list_of(st.sampled_from([4, 6]), st.one_of(_NOT_NUMBER, st.floats()))),
+     _not_list_of(st.sampled_from(BLOWUP_DIMS), st.one_of(
+         _NOT_NUMBER, st.floats(),
+         st.integers().filter(lambda n: n not in BLOWUP_DIMS)))),
     (("analysis",), "psi_variant", _not_one_of("trivializer", "density-root")),
-]
-_FUZZ_FLAGS = [
-    (None, "--tol", st.one_of(
-        st.floats(max_value=0.0).map(repr), st.sampled_from(["nan", "inf"]),
-        _not_parsed(float, lambda x: x > 0 and x < math.inf))),
-    (None, "--directions", st.one_of(
-        st.integers(max_value=1).map(str), st.floats().map(repr),
-        _not_parsed(int, lambda n: n >= 2))),
-    (None, "--radii", st.one_of(
-        st.lists(st.floats(max_value=0.0).map(repr), min_size=1,
-                 max_size=3).map(",".join),
-        _not_parsed(float, lambda x: x > 0 and x < math.inf)
-        .filter(lambda t: "," not in t))),
 ]
 
 
 @settings(max_examples=1000, deadline=None)
 @given(data=st.data())
 def test_fuzz_malformed_input_exits_3(tmp_path_factory, data):
-    doc, args = json.loads(json.dumps(_FUZZ_BASE)), []
-    path, key, values = data.draw(st.sampled_from(_FUZZ_CASES + _FUZZ_FLAGS),
-                                  label="which")
-    if path is None:            # a command-line flag
-        args = [f"{key}={data.draw(values, label='value')}"]
-    else:
-        if path[1:2] == ("deform",):
-            doc["metric"] = {"family": "sphere", "dim": 3, "deform": {
-                "psi": dict(_TRIVIAL if key == "r_max" else _POLY)}}
-        validate(doc)   # the base is valid, so the one bad value is the cause
-        block = doc
-        for step in path:
-            block = block[step]
-        block[key] = data.draw(values, label="value")
+    doc = json.loads(json.dumps(_FUZZ_BASE))
+    path, key, values = data.draw(st.sampled_from(_FUZZ_CASES), label="which")
+    if path[1:2] == ("deform",):
+        doc["metric"] = {"family": "sphere", "dim": 3, "deform": {
+            "psi": dict(_TRIVIAL if key == "r_max" else _POLY)}}
+    validate(doc)   # the base is valid, so the one bad value is the cause
+    block = doc
+    for step in path:
+        block = block[step]
+    block[key] = data.draw(values, label="value")
     out = tmp_path_factory.getbasetemp() / "fuzz"
     mpath = write(tmp_path_factory.getbasetemp(), "fuzz.json", doc)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = run_cli(["--manifest", mpath, "--out", str(out), *args])
+        code = run_cli(["--manifest", mpath, "--out", str(out)])
     err = err.getvalue()
     assert code == 3, err
     assert err.count("\n") == 1 and err.startswith("error: ")
@@ -664,7 +623,7 @@ _SMALL_REAL = st.floats(min_value=-1.0, max_value=1.0)
 
 @st.composite
 def _valid_metric(draw):
-    family = draw(st.sampled_from(["euclidean", "space_form", "g_ab", "sphere",
+    family = draw(st.sampled_from(["euclidean", "space_form", "sphere",
                                    "fubini_study", "two_d_family"]))
     if family == "fubini_study":
         spec = {"cdim": draw(st.integers(1, 2))}
@@ -672,7 +631,7 @@ def _valid_metric(draw):
         spec = {"n": draw(st.integers(1, 9)), "b": draw(_SMALL_REAL)}
     else:
         spec = {"dim": draw(st.integers(2, 3))}
-        if family in ("space_form", "g_ab"):
+        if family == "space_form":
             spec.update(a=draw(_SMALL_REAL), b=draw(_SMALL_REAL))
     psi = draw(st.one_of(
         st.none(),
@@ -696,7 +655,7 @@ def _small_budget(dim: int) -> dict:
         "k_max": st.integers(0, 1),
         "order": st.integers(2, 9),
         "planes": st.integers(1, 4),
-        "blowup_dims": st.lists(st.sampled_from([2, 4, 5]), min_size=1,
+        "blowup_dims": st.lists(st.sampled_from(BLOWUP_DIMS), min_size=1,
                                 max_size=1),
         "psi_variant": st.sampled_from(["trivializer", "density-root"]),
     }

@@ -37,7 +37,7 @@ from hml.manifest import build_metric
 poly = {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}
 for spec in [{"family": "euclidean", "dim": 3},
              {"family": "space_form", "a": 1.0, "b": 0.25, "dim": 3},
-             {"family": "g_ab", "a": 0.5, "b": -0.5, "dim": 4},
+             {"family": "space_form", "a": 0.5, "b": -0.5, "dim": 4},
              {"family": "sphere", "dim": 4},
              {"family": "fubini_study", "cdim": 2},
              {"family": "two_d_family", "n": 2, "b": 0.3},

@@ -20,10 +20,11 @@ from hml.geodesics import unit_directions
 from hml.metric import DegenerateMetricError
 
 
-def run(tmp_path, doc, capsys=None):
+def run(tmp_path, doc, capsys=None, flags=()):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
-    code = cli.main(["--manifest", str(path), "--out", str(tmp_path / "out")])
+    code = cli.main(["--manifest", str(path), "--out", str(tmp_path / "out"),
+                     *flags])
     return code, capsys.readouterr().err if capsys else None
 
 
@@ -199,3 +200,36 @@ def test_curvature_of_a_surface_survives_degenerate_planes(tmp_path):
     assert report["scalar_curvature"] == pytest.approx(2.0, rel=1e-12)
     assert all(isinstance(report[k], float) and math.isfinite(report[k])
                for k in ("kappa_min", "kappa_max"))
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-6"], ["--directions", "6"],
+                                  ["--radii", "0.2,0.5"]])
+def test_settings_come_only_from_the_manifest(tmp_path, capsys, flag):
+    doc = {"metric": {"family": "euclidean", "dim": 3},
+           "analysis": {"command": "check_harmonic"}}
+    code, err = run(tmp_path, doc, capsys, flag)
+    assert code == 3
+    assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_family_names_the_known_ones(tmp_path, capsys):
+    doc = {"metric": {"family": "g_ab", "a": 0.5, "b": 0.5, "dim": 4},
+           "analysis": {"command": "curvature"}}
+    code, err = run(tmp_path, doc, capsys)
+    assert code == 3
+    assert err == ("error: unknown catalog family 'g_ab'; known: "
+                   "['euclidean', 'fubini_study', 'space_form', 'sphere', "
+                   "'two_d_family']\n")
+
+
+def test_blowup_dims_refused_before_any_output(tmp_path, capsys):
+    doc = {"metric": {"family": "euclidean", "dim": 3,
+                      "deform": {"psi": {"kind": "poly",
+                                         "coeffs": [1.0, 0.2]}}},
+           "analysis": {"command": "deform", "blowup_dims": [5]}}
+    code, err = run(tmp_path, doc, capsys)
+    assert code == 3
+    assert err == ("error: analysis.blowup_dims must be a non-empty list of "
+                   "integers in [4, 6, 8], got [5]\n")
+    assert not (tmp_path / "out").exists()

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=tools python -m pytest -p linetrace -q
+    PYTHONPATH=tools python -m pytest -p linetrace -q --hypothesis-seed=1
 
 It traces with the standard library's ``sys.settrace`` (no coverage package
 needed), from the moment pytest imports this plugin: that is before any
@@ -10,8 +10,9 @@ conftest imports hml, so module-level lines count.  A line is a statement's
 first line that has bytecode; docstrings and ``global`` statements have
 none.  Only this process is traced, so code run only in subprocesses (the
 ``python -m hml`` tests) lists as unexecuted.  The terminal summary prints
-each unexecuted line as ``path:line: source``.  Tracing slows a run about
-twofold.
+each unexecuted line as ``path:line: source``.  The seed pins the fuzz
+tests' draws, so two runs on one checkout list the same lines.  Tracing
+slows a run about twofold.
 """
 
 from __future__ import annotations
