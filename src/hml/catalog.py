@@ -227,26 +227,3 @@ def two_d_family(n: int, b: float) -> CatalogEntry:
         metric=metric, einstein=True,  # any surface is Einstein
         closed_form_density=theta_density, center_in_chart=False)
 
-
-_FAMILIES = {
-    "euclidean": (euclidean, ("dim",)),
-    "space_form": (space_form, ("a", "b", "dim")),
-    "sphere": (sphere, ("dim",)),
-    "fubini_study": (fubini_study, ("cdim",)),
-    "two_d_family": (two_d_family, ("n", "b")),
-}
-
-
-def build(name: str, params: dict) -> CatalogEntry:
-    """Construct a catalog entry from a manifest-style (name, params) pair."""
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown catalog family {name!r}; "
-                         f"known: {sorted(_FAMILIES)}")
-    fn, keys = _FAMILIES[name]
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ValueError(f"family {name!r} needs parameters {missing}")
-    extra = [k for k in params if k not in keys]
-    if extra:
-        raise ValueError(f"family {name!r} got unknown parameters {extra}")
-    return fn(**{k: params[k] for k in keys})

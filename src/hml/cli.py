@@ -108,10 +108,10 @@ def _given(ana: dict, **keys) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_curvature(built: BuiltMetric, ana: dict, outdir: str) -> int:
+def cmd_curvature(built: BuiltMetric, ana: dict, center: np.ndarray,
+                  outdir: str) -> int:
     metric = built.metric
-    center = _center(built, ana)
-    bundle = curvature(metric, center, k_max=setting(ana, "k_max"))
+    bundle = curvature(metric, center, **_given(ana, k_max="k_max"))
     kappas, planes = _plane_kappas(bundle, setting(ana, "planes"))
     # deterministic local refinement of the extremes over the plane chart
     from scipy.optimize import minimize
@@ -147,9 +147,9 @@ def cmd_curvature(built: BuiltMetric, ana: dict, outdir: str) -> int:
     return EXIT_OK
 
 
-def cmd_check_harmonic(built: BuiltMetric, ana: dict, outdir: str) -> int:
+def cmd_check_harmonic(built: BuiltMetric, ana: dict, center: np.ndarray,
+                       outdir: str) -> int:
     metric = built.metric
-    center = _center(built, ana)
     report = geodesics.centrally_harmonic_test(
         metric, center, **_given(ana, radii="radii", n_directions="directions",
                                  tolerance="tolerance", steps="steps"))
@@ -163,13 +163,13 @@ def cmd_check_harmonic(built: BuiltMetric, ana: dict, outdir: str) -> int:
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
 
 
-def cmd_expand(built: BuiltMetric, ana: dict, outdir: str) -> int:
+def cmd_expand(built: BuiltMetric, ana: dict, center: np.ndarray,
+               outdir: str) -> int:
     metric = built.metric
     entry = built.entry
-    center = _center(built, ana)
-    if entry.name == "two_d_family" and built.psi is None:
-        # polar chart: the center is not a chart point, but the density
-        # about it is known in closed form; only fitted values are reported
+    if entry.name == "two_d_family":
+        # polar chart, never deformed: the density about its center (not a
+        # chart point) is closed-form; only fitted values are reported
         order = ana.get("order", max(8, entry.params["n"] + 1))
         radii = np.geomspace(0.05, 0.5, max(2 * (order - 1), 14))
         theta, analytic = entry.closed_form_density(radii), None
@@ -202,22 +202,21 @@ def cmd_expand(built: BuiltMetric, ana: dict, outdir: str) -> int:
     return EXIT_OK
 
 
-def cmd_deform(built: BuiltMetric, ana: dict, outdir: str) -> int:
-    if built.psi is None:
-        raise ManifestError("deform command needs a metric.deform block")
+def cmd_deform(built: BuiltMetric, ana: dict, center: np.ndarray,
+               outdir: str) -> int:
     entry = built.entry
     metric = built.metric
     psi = built.psi
     m = entry.dim
     report = {"metric": metric.name, "base": entry.name, "psi": psi.name}
     radii = sorted(map(float, ana.get("radii", np.linspace(0.15, 0.75, 5))))
-    # density law check: formula vs direct shooting in the deformed metric
+    # density law check: formula vs direct shooting in the deformed metric,
+    # from the origin (the center of a manifest that sets none)
     if entry.closed_form_density is not None and entry.center_in_chart:
         rep = conformal.reparametrize(psi, max(radii) * 1.05)
         rc_vals = rep.rc(np.asarray(radii))
         predicted = conformal.deformed_density(
             entry.closed_form_density, rep, m, rc_vals)
-        center = np.zeros(m)
         theta = geodesics.g_unit_directions(metric, center, 1)[0]
         profile = geodesics.density_profile(
             metric, center, theta[None, :], rc_vals,
@@ -282,9 +281,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
             mf = manifest_mod.load(args.manifest)
             built = manifest_mod.build_metric(mf.metric_spec)
+            center = _center(built, mf.analysis)
             os.makedirs(args.out, exist_ok=True)
             return _COMMANDS[mf.analysis["command"]](built, mf.analysis,
-                                                     args.out)
+                                                     center, args.out)
         except (ManifestError, DomainError, ValueError, ArithmeticError,
                 OSError) as exc:    # OSError: an --out that cannot be written
             print(f"error: {exc}", file=sys.stderr)

@@ -388,7 +388,7 @@ class BlowupReport:
     """Diagnostics of the complex-projective trivial-density deformation."""
 
     m: int
-    variant: str                 # "density-root" or "trivializer"
+    variant: str                 # a key of PSI_VARIANTS
     exponent: float              # p in rho ~ c u^-p
     coefficient: float           # c (negative)
     fit_residual: float
@@ -499,6 +499,9 @@ def deformed_radial_ricci(psi_u, u: float) -> float:
 
 
 BLOWUP_DIMS = (4, 6, 8)
+# the psi of each blow-up variant, as a function of u
+PSI_VARIANTS = {"density-root": _DensityRootPsiU,
+                "trivializer": _TrivializerPsiU}
 
 
 def completeness_and_blowup(m: int, variant: str) -> BlowupReport:
@@ -516,12 +519,9 @@ def completeness_and_blowup(m: int, variant: str) -> BlowupReport:
     """
     if m not in BLOWUP_DIMS:
         raise ValueError("blow-up diagnostics support m in {4, 6, 8}")
-    if variant == "density-root":
-        psi_u = _DensityRootPsiU(m)
-    elif variant == "trivializer":
-        psi_u = _TrivializerPsiU(m)
-    else:
-        raise ValueError("variant must be 'density-root' or 'trivializer'")
+    if variant not in PSI_VARIANTS:
+        raise ValueError(f"variant must be one of {sorted(PSI_VARIANTS)}")
+    psi_u = PSI_VARIANTS[variant](m)
 
     u_window = (1e-4, 1e-2)
     us = np.geomspace(*u_window, 25)

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from . import catalog as _catalog
-from . import conformal, jets
+from . import catalog, conformal, jets
 from .catalog import CatalogEntry
 from .metric import ChartMetric
 
@@ -23,12 +22,12 @@ class ManifestError(ValueError):
 
 
 class Key(NamedTuple):
-    """One manifest key: the check its value must pass, and its CLI default.
+    """One manifest key: its check, its CLI default, and who reads it.
 
-    ``default`` is None where the library or the metric supplies the
-    default instead (``steps``, ``directions``, ``tolerance``, ``radii``,
-    ``center``, ``blowup_dims``), so only keys a manifest sets reach it.
-    ``read_by`` names the analysis commands that read the key.
+    ``read_by`` names the families, ψ kinds or commands (the values of the
+    block's selector) that read the key; ``required`` keys must be set where
+    they are read.  ``default`` is None where the library or the metric
+    supplies the default instead, so only keys a manifest sets reach it.
     """
 
     check: Callable[[object], bool]
@@ -53,9 +52,9 @@ def _count(low: int, default=None) -> Key:
                default)
 
 
-def _one_of(choices: set, default=None, required=False) -> Key:
+def _one_of(choices, default=None) -> Key:
     return Key(lambda v: isinstance(v, str) and v in choices,
-               f"one of {sorted(choices)}", default, required)
+               f"one of {sorted(choices)}", default)
 
 
 def _list_of(item: Callable[[object], bool], items: str) -> Key:
@@ -63,32 +62,43 @@ def _list_of(item: Callable[[object], bool], items: str) -> Key:
                f"a non-empty list of {items}")
 
 
+def _read_by(key: Key, *readers: str) -> Key:
+    return key._replace(read_by=readers)
+
+
+def _needed_by(key: Key, *readers: str) -> Key:
+    return key._replace(read_by=readers, required=True)
+
+
 _OBJECT = Key(lambda v: isinstance(v, dict), "a JSON object")
 _BLOCK = _OBJECT._replace(required=True)
+_REAL = Key(_is_real, "a finite real")
 _POSITIVE = Key(lambda v: _is_real(v) and v > 0, "a finite real > 0")
 
+FAMILIES = {"euclidean": catalog.euclidean, "space_form": catalog.space_form,
+            "sphere": catalog.sphere, "fubini_study": catalog.fubini_study,
+            "two_d_family": catalog.two_d_family}
+# each family's constructor takes the keys it reads but family and deform
 METRIC_KEYS = {
-    "family": Key(lambda v: isinstance(v, str), "a string", required=True),
-    "dim": _count(2), "cdim": _count(1), "n": _count(1),
-    "a": Key(_is_real, "a finite real"), "b": Key(_is_real, "a finite real"),
-    "deform": _OBJECT,
+    "family": _needed_by(Key(lambda v: isinstance(v, str), "a string"),
+                         *FAMILIES),
+    "dim": _needed_by(_count(2), "euclidean", "space_form", "sphere"),
+    "cdim": _needed_by(_count(1), "fubini_study"),
+    "n": _needed_by(_count(2), "two_d_family"),
+    "a": _needed_by(_REAL, "space_form"),
+    "b": _needed_by(_REAL, "space_form", "two_d_family"),
+    "deform": _read_by(_OBJECT, *FAMILIES),
 }
-_PSI_KIND = _one_of({"poly", "trivial-density"}, required=True)
-_PSI_KEYS = {
-    "poly": {"kind": _PSI_KIND,
-             "coeffs": _list_of(_is_real, "finite reals")._replace(required=True)},
-    "trivial-density": {"kind": _PSI_KIND, "r_max": _POSITIVE},
+PSI_KINDS = ("poly", "trivial-density")
+PSI_KEYS = {
+    "kind": _needed_by(_one_of(PSI_KINDS), *PSI_KINDS),
+    "coeffs": _needed_by(_list_of(_is_real, "finite reals"), "poly"),
+    "r_max": _read_by(_POSITIVE, "trivial-density"),
 }
 COMMANDS = CURVATURE, CHECK_HARMONIC, EXPAND, DEFORM = (
     "curvature", "check_harmonic", "expand", "deform")
-
-
-def _read_by(key: Key, *commands: str) -> Key:
-    return key._replace(read_by=commands)
-
-
 ANALYSIS_KEYS = {
-    "command": _read_by(_one_of(set(COMMANDS), required=True), *COMMANDS),
+    "command": _needed_by(_one_of(COMMANDS), *COMMANDS),
     "center": _read_by(_list_of(_is_real, "finite reals"),
                        CURVATURE, CHECK_HARMONIC, EXPAND),
     "radii": _read_by(_list_of(lambda r: _is_real(r) and r > 0,
@@ -96,13 +106,13 @@ ANALYSIS_KEYS = {
     "directions": _read_by(_count(2), CHECK_HARMONIC),
     "tolerance": _read_by(_POSITIVE, CHECK_HARMONIC),
     "steps": _read_by(_count(1), CHECK_HARMONIC, EXPAND, DEFORM),
-    "k_max": _read_by(_count(0, default=0), CURVATURE),
+    "k_max": _read_by(_count(0), CURVATURE),
     "order": _read_by(_count(2, default=12), EXPAND),
     "planes": _read_by(_count(1, default=400), CURVATURE),
     "blowup_dims": _read_by(_list_of(
         lambda v: _is_int(v) and v in conformal.BLOWUP_DIMS,
         f"integers in {list(conformal.BLOWUP_DIMS)}"), DEFORM),
-    "psi_variant": _read_by(_one_of({"trivializer", "density-root"},
+    "psi_variant": _read_by(_one_of(conformal.PSI_VARIANTS,
                                     default="trivializer"), DEFORM),
 }
 
@@ -127,8 +137,9 @@ def _refuse(where: str, key: str, spec: Key, value) -> ManifestError:
     return ManifestError(f"{where}.{key} must be {spec.must_be}, got {value!r}")
 
 
-def _check(d, keys: dict, where: str):
-    """Refuse a non-object, unknown or missing keys, and values that fail."""
+def _check(d, keys: dict, where: str, selector: Optional[str] = None):
+    """Refuse a non-object, unknown keys, bad values, keys the selector's
+    value does not read (all are read without one), then missing keys."""
     if not isinstance(d, dict):
         raise ManifestError(f"{where} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - set(keys))
@@ -136,29 +147,45 @@ def _check(d, keys: dict, where: str):
         raise ManifestError(f"unknown keys {unknown} in {where}; "
                             f"allowed: {sorted(keys)}")
     for key, spec in keys.items():
-        if key not in d:
-            if spec.required:
-                raise ManifestError(f"{where} needs a {key!r}")
-        elif not spec.check(d[key]):
+        if key in d and not spec.check(d[key]):
             raise _refuse(where, key, spec, d[key])
+    chosen = d.get(selector)
+    read = [k for k, spec in keys.items()
+            if chosen is None or chosen in spec.read_by]
+    unread = sorted(set(d) - set(read))
+    if unread:
+        raise ManifestError(f"{where} keys {unread} are not read by "
+                            f"{selector} {chosen!r}")
+    for key in read:
+        if keys[key].required and key not in d:
+            raise ManifestError(f"{where} needs a {key!r}")
 
 
 def validate(doc: dict) -> Manifest:
-    """Check a manifest against the key tables; the blocks are kept as written."""
+    """Check a manifest against the key tables; the blocks are kept as written.
+
+    Every schema refusal is made here: besides each block's keys, an unknown
+    family, a deform command without a deform block, and what an exact
+    two_d_family expand does not read."""
     _check(doc, {"metric": _BLOCK, "analysis": _BLOCK}, "manifest")
     mspec, ana = doc["metric"], doc["analysis"]
-    _check(mspec, METRIC_KEYS, "metric")
+    family = mspec.get("family")
+    if isinstance(family, str) and family not in FAMILIES:
+        raise ManifestError(f"unknown catalog family {family!r}; "
+                            f"known: {sorted(FAMILIES)}")
+    _check(mspec, METRIC_KEYS, "metric", "family")
     if "deform" in mspec:
         _check(mspec["deform"], {"psi": _BLOCK}, "metric.deform")
-        psi = mspec["deform"]["psi"]
-        if not _PSI_KIND.check(psi.get("kind")):
-            raise _refuse("metric.deform.psi", "kind", _PSI_KIND, psi.get("kind"))
-        _check(psi, _PSI_KEYS[psi["kind"]], "metric.deform.psi")
-    _check(ana, ANALYSIS_KEYS, "analysis")
-    unread = sorted(k for k in ana if ana["command"] not in ANALYSIS_KEYS[k].read_by)
-    if unread:
-        raise ManifestError(f"analysis keys {unread} are not read by command "
-                            f"{ana['command']!r}")
+        _check(mspec["deform"]["psi"], PSI_KEYS, "metric.deform.psi", "kind")
+    _check(ana, ANALYSIS_KEYS, "analysis", "command")
+    if ana["command"] == DEFORM and "deform" not in mspec:
+        raise ManifestError("deform command needs a metric.deform block")
+    if (family, ana["command"]) == ("two_d_family", EXPAND):
+        # its density about the polar center is exact: nothing is shot
+        unread = sorted({"center", "steps"} & set(ana))
+        if unread:
+            raise ManifestError(f"analysis keys {unread} are not read by "
+                                f"command 'expand' on family 'two_d_family'")
     return Manifest(metric_spec=mspec, analysis=ana)
 
 
@@ -196,11 +223,9 @@ def _sphere_height_psi(coeffs) -> conformal.RadialFunction:
 
 
 def build_metric(mspec: dict) -> BuiltMetric:
-    params = {k: v for k, v in mspec.items() if k not in ("family", "deform")}
-    try:
-        entry = _catalog.build(mspec["family"], params)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
+    """The catalog entry of a valid metric block, deformed by its ψ."""
+    entry = FAMILIES[mspec["family"]](**{
+        k: v for k, v in mspec.items() if k not in ("family", "deform")})
     if "deform" not in mspec:
         return BuiltMetric(entry=entry, metric=entry.metric)
     psi_spec = mspec["deform"]["psi"]
@@ -224,8 +249,5 @@ def build_metric(mspec: dict) -> BuiltMetric:
                                 f"injectivity radius {iota:.6g}, got {r_max!r}")
         psi = conformal.TrivializerRadialFunction(
             entry.reduced_density, entry.dim, t_max=float(r_max) ** 2)
-    try:
-        deformed = conformal.deform_metric(entry.metric, psi)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
-    return BuiltMetric(entry=entry, metric=deformed, psi=psi)
+    return BuiltMetric(entry=entry, metric=conformal.deform_metric(
+        entry.metric, psi), psi=psi)

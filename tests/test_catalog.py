@@ -107,17 +107,13 @@ def test_sphere_chart_injectivity_bound():
 
 
 def test_build_interface():
-    e = catalog.build("euclidean", {"dim": 3})
+    e = catalog.euclidean(3)
     assert e.name == "euclidean" and e.params == {"dim": 3}
     assert e.params is e.metric.params
-    with pytest.raises(ValueError, match="unknown catalog family"):
-        catalog.build("nope", {})
-    with pytest.raises(ValueError, match="needs parameters"):
-        catalog.build("space_form", {"a": 1.0})
-    with pytest.raises(ValueError, match="unknown parameters"):
-        catalog.build("euclidean", {"dim": 3, "x": 1})
     with pytest.raises(ValueError):
-        catalog.build("space_form", {"a": 0.0, "b": 0.0, "dim": 3})
+        catalog.space_form(0.0, 0.0, 3)
+    with pytest.raises(ValueError, match="n >= 2"):
+        catalog.two_d_family(1, 0.1)
 
 
 def test_space_form_distance_function(rng):

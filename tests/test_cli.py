@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from hml import cli, geodesics
 from hml.conformal import BLOWUP_DIMS, TrivializerRadialFunction
+from hml.curvature import curvature
 from hml.geodesics import centrally_harmonic_test, density_profile
 from hml.manifest import (ANALYSIS_KEYS, COMMANDS, METRIC_KEYS, ManifestError,
                           build_metric, validate)
@@ -564,7 +565,7 @@ _FUZZ_CASES = [
     (("metric",), "family", _NOT_STRING),
     (("metric",), "dim", _not_count(2)),
     (("metric",), "cdim", _not_count(1)),
-    (("metric",), "n", _not_count(1)),
+    (("metric",), "n", _not_count(2)),
     (("metric",), "a", _NOT_REAL),
     (("metric",), "b", _NOT_REAL),
     (("metric",), "deform", _NOT_OBJECT),
@@ -622,23 +623,24 @@ _SMALL_REAL = st.floats(min_value=-1.0, max_value=1.0)
 
 
 @st.composite
-def _valid_metric(draw):
+def _valid_metric(draw, deformed: bool):
+    """A metric block; ``deformed`` ones always carry a deform block."""
     family = draw(st.sampled_from(["euclidean", "space_form", "sphere",
                                    "fubini_study", "two_d_family"]))
     if family == "fubini_study":
         spec = {"cdim": draw(st.integers(1, 2))}
     elif family == "two_d_family":
-        spec = {"n": draw(st.integers(1, 9)), "b": draw(_SMALL_REAL)}
+        spec = {"n": draw(st.integers(2, 9)), "b": draw(_SMALL_REAL)}
     else:
         spec = {"dim": draw(st.integers(2, 3))}
         if family == "space_form":
             spec.update(a=draw(_SMALL_REAL), b=draw(_SMALL_REAL))
-    psi = draw(st.one_of(
-        st.none(),
+    psis = st.one_of(
         st.lists(_SMALL_REAL, min_size=1, max_size=3).map(
             lambda c: {"kind": "poly", "coeffs": c}),
         st.one_of(st.just({}), st.floats(0.1, 2.0).map(lambda r: {"r_max": r}))
-        .map(lambda r: {"kind": "trivial-density", **r})))
+        .map(lambda r: {"kind": "trivial-density", **r}))
+    psi = draw(psis if deformed else st.one_of(st.none(), psis))
     if psi is not None:
         spec["deform"] = {"psi": psi}
     return {"family": family, **spec}
@@ -664,11 +666,15 @@ def _small_budget(dim: int) -> dict:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fuzz_valid_manifest_exits_0_to_3(tmp_path_factory, data):
-    metric = data.draw(_valid_metric(), label="metric")
     command = data.draw(st.sampled_from(COMMANDS), label="command")
+    metric = data.draw(_valid_metric(command == "deform"), label="metric")
     dim = 2 * metric["cdim"] if "cdim" in metric else metric.get("dim", 2)
+    # an expand of the polar chart reads its exact density: nothing is shot
+    exact = (metric["family"], command) == ("two_d_family", "expand")
     analysis = {"command": command}
     for key, values in _small_budget(dim).items():
+        if exact and key in ("center", "steps"):
+            continue
         if command in ANALYSIS_KEYS[key].read_by and (
                 key in ("steps", "directions", "planes")
                 or data.draw(st.booleans())):
@@ -699,7 +705,9 @@ def test_readme_schema_names_every_key_with_its_default():
     harmonic = inspect.signature(centrally_harmonic_test).parameters
     library = {"directions": harmonic["n_directions"].default,
                "tolerance": harmonic["tolerance"].default,
-               "steps": harmonic["steps"].default}
+               "steps": harmonic["steps"].default,
+               "k_max": inspect.signature(curvature).parameters[
+                   "k_max"].default}
     for key, spec in ANALYSIS_KEYS.items():
         assert key in shown, key
         default = library.get(key, spec.default)

@@ -8,13 +8,14 @@ between checkouts.
 import json
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from hml import catalog, cli
-from hml.conformal import radial_sq_value
+from hml.conformal import completeness_and_blowup, radial_sq_value
 from hml.curvature import curvature, sectional_curvature
 from hml.geodesics import unit_directions
 from hml.metric import DegenerateMetricError
@@ -41,6 +42,7 @@ def test_center_of_wrong_length_exits_3(tmp_path, capsys):
     code, err = run(tmp_path, doc, capsys)
     assert code == 3
     assert "center must have 3 coordinates" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_that_is_an_array_exits_3(tmp_path, capsys):
@@ -221,6 +223,7 @@ def test_unknown_family_names_the_known_ones(tmp_path, capsys):
     assert err == ("error: unknown catalog family 'g_ab'; known: "
                    "['euclidean', 'fubini_study', 'space_form', 'sphere', "
                    "'two_d_family']\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_blowup_dims_refused_before_any_output(tmp_path, capsys):
@@ -233,3 +236,63 @@ def test_blowup_dims_refused_before_any_output(tmp_path, capsys):
     assert err == ("error: analysis.blowup_dims must be a non-empty list of "
                    "integers in [4, 6, 8], got [5]\n")
     assert not (tmp_path / "out").exists()
+
+
+_POLY = {"kind": "poly", "coeffs": [1.0, 0.25]}
+
+
+@pytest.mark.parametrize("metric,analysis,why", [
+    ({"family": "euclidean", "dim": 3, "cdim": 2}, {"command": "curvature"},
+     "metric keys ['cdim'] are not read by family 'euclidean'"),
+    ({"family": "space_form", "a": 1.0}, {"command": "curvature"},
+     "metric needs a 'dim'"),
+    ({"family": "space_form", "a": 1.0, "dim": 3}, {"command": "curvature"},
+     "metric needs a 'b'"),
+    ({"family": "two_d_family", "n": 1, "b": 0.2}, {"command": "curvature"},
+     "metric.n must be an integer >= 2, got 1"),
+    ({"family": "euclidean", "dim": 3, "x": 1}, {"command": "curvature"},
+     "unknown keys ['x'] in metric; allowed: ['a', 'b', 'cdim', 'deform', "
+     "'dim', 'family', 'n']"),
+    ({"dim": 3}, {"command": "curvature"}, "metric needs a 'family'"),
+    ({"family": "euclidean", "dim": 3}, {"center": [0.0] * 3},
+     "analysis needs a 'command'"),
+    ({"family": "euclidean", "dim": 3}, {"command": "deform"},
+     "deform command needs a metric.deform block"),
+    ({"family": "euclidean", "dim": 3,
+      "deform": {"psi": {**_POLY, "r_max": 1.0}}}, {"command": "deform"},
+     "metric.deform.psi keys ['r_max'] are not read by kind 'poly'"),
+    ({"family": "sphere", "dim": 3,
+      "deform": {"psi": {"kind": "trivial-density", "coeffs": [1.0]}}},
+     {"command": "deform"},
+     "metric.deform.psi keys ['coeffs'] are not read by kind "
+     "'trivial-density'"),
+    ({"family": "euclidean", "dim": 3, "deform": {"psi": {"coeffs": [1.0]}}},
+     {"command": "deform"}, "metric.deform.psi needs a 'kind'"),
+    ({"family": "euclidean", "dim": 3, "deform": {"psi": {"kind": "poly"}}},
+     {"command": "deform"}, "metric.deform.psi needs a 'coeffs'"),
+    ({"family": "two_d_family", "n": 2, "b": 0.3},
+     {"command": "expand", "center": [0.3, 0.1]},
+     "analysis keys ['center'] are not read by command 'expand' on family "
+     "'two_d_family'"),
+    ({"family": "two_d_family", "n": 2, "b": 0.3},
+     {"command": "expand", "steps": 5, "center": [0.3, 0.1]},
+     "analysis keys ['center', 'steps'] are not read by command 'expand' on "
+     "family 'two_d_family'"),
+    ({"family": "euclidean", "dim": 3, "deform": {"psi": _POLY}},
+     {"command": "deform", "psi_variant": "root"},
+     "analysis.psi_variant must be one of ['density-root', 'trivializer'], "
+     "got 'root'"),
+])
+def test_schema_refusals_come_before_any_output(tmp_path, capsys, metric,
+                                                analysis, why):
+    code, err = run(tmp_path, {"metric": metric, "analysis": analysis},
+                    capsys)
+    assert code == 3
+    assert err == f"error: {why}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_blowup_variant_names_the_known_ones():
+    with pytest.raises(ValueError, match=re.escape(
+            "variant must be one of ['density-root', 'trivializer']")):
+        completeness_and_blowup(4, "root")
