@@ -206,11 +206,13 @@ def _jet_partials(metric: ChartMetric, x, k_max: int):
     a, b = np.triu_indices(m, 1)
     PR = {}
     for d in range(k_max + 1):
-        # R_jikl = -1.0 R_ijkl and R_iikl = Gamma_00^0 * 0.0, filled by index
+        # R_jikl = -1.0 R_ijkl and R_iikl = Gamma_00^0 * 0.0, filled by index;
+        # P is a fresh gather, negated in place once its upper half is written
         PR[d] = np.empty((m,) * (4 + d))
         P = _derivs(R, d)
         PR[d][a, b] = P
-        PR[d][b, a] = -1.0 * P
+        PR[d][b, a] = np.multiply(-1.0, P, out=P)
+        del P
         PR[d][range(m), range(m)] = zero.derivative_array(d)
     DGam = {d: np.ascontiguousarray(_derivs(Gam, d)[e])
             for d in range(max(k_max, 1))}

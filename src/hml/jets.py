@@ -269,7 +269,8 @@ class MultiJet:
             raise ValueError("derivative order exceeds jet order")
         flat_pos, fact = _extraction_table(self.space.nvars, self.space.order, d)
         out = self.coef[flat_pos]
-        out = out * fact.reshape((-1,) + (1,) * len(self.batch_shape))
+        np.multiply(out, fact.reshape((-1,) + (1,) * len(self.batch_shape)),
+                    out=out)
         return out.reshape((self.space.nvars,) * d + self.batch_shape)
 
     # -- stacks: batch axis 0 indexes the entries of a stacked jet ------
@@ -481,24 +482,30 @@ def entry_dot(a: MultiJet, ia: tuple, b: MultiJet, ib: tuple,
     sums = (np.full((math.prod(shape), size), -0.0) if init is None else
             np.ascontiguousarray(init.coef.reshape(size, -1).T))
     at, bt = (np.ascontiguousarray(c.coef.reshape(size, -1).T) for c in (a, b))
-    for ua, ja, ub, jb, blocks in runs:
+    for ua, ja, ub, jb, table in runs:
         ra, rb = np.take(at[ua], pa, axis=1), np.take(bt[ub], pb, axis=1)
-        for k, segments in blocks:
-            part = np.add.reduceat(ra[ja[k]] * rb[jb[k]], starts,
-                                   axis=-1).reshape(-1, size)
-            for r, e, sign in segments:     # 1.0 * p is p, -1.0 * p is -p
-                sums[e] += sign * part[r]
+        block = None
+        for k0, k1, r0, r1, e0, e1, negative in table.tolist():
+            if k0 != block:
+                block, k = k0, (k0 if k1 - k0 == 1 else slice(k0, k1))
+                part = np.add.reduceat(ra[ja[k]] * rb[jb[k]], starts,
+                                       axis=-1).reshape(-1, size)
+            # 1.0 * p is p, -1.0 * p is -p
+            sums[e0:e1] += (-1.0 if negative else 1.0) * part[r0:r1]
     return MultiJet(a.space, sums.T.reshape((size,) + shape))
 
 
 @lru_cache(maxsize=None)
 def _runs(a_shape, ca: bytes, b_shape, cb: bytes, minus, limit, step):
-    """entry_dot's output shape and runs (ua, ja, ub, jb, blocks).
+    """entry_dot's output shape and runs (ua, ja, ub, jb, table).
 
     Over a run, at most ``limit`` distinct entries ua, ub give ca = ua[ja]
-    and cb = ub[jb] (products term-major).  A block (k, segments) forms at
-    most ``step`` products k; a segment (r, e, sign) adds sign times their
-    rows r, all of one term, to the sums e.
+    and cb = ub[jb] (products term-major).  A block forms at most ``step``
+    products k0:k1; each row (k0, k1, r0, r1, e0, e1, negative) of the
+    table, a block's rows adjacent, adds (subtracts if negative) the
+    block's rows r0:r1, all of one term, to the sums e0:e1.  At m = 6 most
+    blocks hold one product, so a plan has a row per product: int32 rows
+    keep the cache under 1 MiB after an order-6 bundle.
     """
     ca, cb = (np.moveaxis(c, -1, 0).ravel() for c in np.broadcast_arrays(
         np.frombuffer(ca, int).reshape(a_shape),
@@ -510,16 +517,15 @@ def _runs(a_shape, ca: bytes, b_shape, cb: bytes, minus, limit, step):
         for c in (ca[lo:], cb[lo:]):
             new[np.unique(c, return_index=True)[1]] += 1
         hi = lo + max(1, int(np.searchsorted(np.cumsum(new), limit, "right")))
-        blocks = []
+        table = []
         for k in range(lo, hi, step):
             w = min(step, hi - k)
             cuts = [k, *range((k // n + 1) * n, k + w, n), k + w]
-            blocks.append((k - lo if w == 1 else slice(k - lo, k - lo + w),
-                           [(slice(p - k, q - k), slice(p % n, p % n + q - p),
-                             -1.0 if p // n in minus else 1.0)
-                            for p, q in zip(cuts, cuts[1:])]))
+            table += [(k - lo, k - lo + w, p - k, q - k, p % n, p % n + q - p,
+                       p // n in minus) for p, q in zip(cuts, cuts[1:])]
         runs.append(np.unique(ca[lo:hi], return_inverse=True)
-                    + np.unique(cb[lo:hi], return_inverse=True) + (blocks,))
+                    + np.unique(cb[lo:hi], return_inverse=True)
+                    + (np.array(table, dtype=np.int32),))
         lo = hi
     return shape, tuple(runs)
 

@@ -87,7 +87,10 @@ METRIC_KEYS = {
     "n": _needed_by(_count(2), "two_d_family"),
     "a": _needed_by(_REAL, "space_form"),
     "b": _needed_by(_REAL, "space_form", "two_d_family"),
-    "deform": _read_by(_OBJECT, *FAMILIES),
+    # no two_d_family deformation builds: its polar chart has no analytic
+    # radial distance for a poly psi, nor a reduced density to trivialize
+    "deform": _read_by(_OBJECT, "euclidean", "space_form", "sphere",
+                       "fubini_study"),
 }
 PSI_KINDS = ("poly", "trivial-density")
 PSI_KEYS = {

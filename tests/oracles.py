@@ -517,6 +517,52 @@ def literal_curvature(metric, x, k_max=0):
                            scalar=scalar, nabla_r=nabla)
 
 
+def literal_derivative_array(jet, d):
+    """MultiJet.derivative_array with its factorials applied out of place."""
+    flat_pos, fact = jets._extraction_table(jet.space.nvars, jet.space.order, d)
+    out = jet.coef[flat_pos]
+    out = out * fact.reshape((-1,) + (1,) * len(jet.batch_shape))
+    return out.reshape((jet.space.nvars,) * d + jet.batch_shape)
+
+
+def literal_jet_partials(metric, x, k_max):
+    """curvature._jet_partials' (PR, DGam) from out-of-place copies.
+
+    The stacks Gamma and R come from the engine's steps; their partials
+    are literal_derivative_array's, and R_jikl is written as -1.0 * P.
+    """
+    from hml.curvature import _inverse, _partials, _riemann_stack
+    from hml.metric import entry_layout
+    m = metric.dim
+    rows, cols, _, e = entry_layout(m)
+    S = metric.component_jets(x, k_max + 2)
+    Ginv = _inverse(S.entries(e), k_max + 2)
+    dS = _partials(S)
+    i, j, l = rows[:, None], cols[:, None], np.arange(m)
+    D = ((dS.entries(e[j, l], i) + dS.entries(e[i, l], j))
+         - dS.entries(e[i, j], l))
+    ij = np.arange(len(rows))[:, None, None]
+    Gam = jets.entry_dot(Ginv, (l[:, None], l), D, (ij, l)) * 0.5
+    R = _riemann_stack(S, Gam)
+    zero = Gam.entries(0, 0) * 0.0
+
+    def derivs(T, d):
+        return np.moveaxis(literal_derivative_array(T, d), range(d),
+                           range(-d, 0))
+
+    a, b = np.triu_indices(m, 1)
+    PR = {}
+    for d in range(k_max + 1):
+        PR[d] = np.empty((m,) * (4 + d))
+        P = derivs(R, d)
+        PR[d][a, b] = P
+        PR[d][b, a] = -1.0 * P
+        PR[d][range(m), range(m)] = literal_derivative_array(zero, d)
+    DGam = {d: np.ascontiguousarray(derivs(Gam, d)[e])
+            for d in range(max(k_max, 1))}
+    return PR, DGam
+
+
 def literal_jet_product(space, a, b):
     """Coefficients of a * b: one np.add.reduceat over the pairs of indices.
 

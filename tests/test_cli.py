@@ -624,9 +624,11 @@ _SMALL_REAL = st.floats(min_value=-1.0, max_value=1.0)
 
 @st.composite
 def _valid_metric(draw, deformed: bool):
-    """A metric block; ``deformed`` ones always carry a deform block."""
-    family = draw(st.sampled_from(["euclidean", "space_form", "sphere",
-                                   "fubini_study", "two_d_family"]))
+    """A metric block; ``deformed`` ones always carry a deform block, so
+    their family is one that reads it."""
+    deformable = list(METRIC_KEYS["deform"].read_by)
+    family = draw(st.sampled_from(deformable + ([] if deformed else
+                                                ["two_d_family"])))
     if family == "fubini_study":
         spec = {"cdim": draw(st.integers(1, 2))}
     elif family == "two_d_family":
@@ -640,7 +642,8 @@ def _valid_metric(draw, deformed: bool):
             lambda c: {"kind": "poly", "coeffs": c}),
         st.one_of(st.just({}), st.floats(0.1, 2.0).map(lambda r: {"r_max": r}))
         .map(lambda r: {"kind": "trivial-density", **r}))
-    psi = draw(psis if deformed else st.one_of(st.none(), psis))
+    psi = (None if family not in deformable else
+           draw(psis if deformed else st.one_of(st.none(), psis)))
     if psi is not None:
         spec["deform"] = {"psi": psi}
     return {"family": family, **spec}

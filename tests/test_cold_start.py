@@ -26,8 +26,7 @@ def scipy_loaded(script: str, *argv) -> list:
 
 
 def test_import_build_and_first_call_load_no_scipy():
-    # every catalog family and the poly-deformed sphere(4); trivial-density
-    # charts build a spline, so they load scipy.interpolate by design
+    # every catalog family, poly deformations and trivial-density charts
     loaded = scipy_loaded("""
 import numpy as np
 import hml, hml.cli
@@ -35,6 +34,7 @@ from hml.curvature import curvature_arrays
 from hml.manifest import build_metric
 
 poly = {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}
+trivial = {"psi": {"kind": "trivial-density"}}
 for spec in [{"family": "euclidean", "dim": 3},
              {"family": "space_form", "a": 1.0, "b": 0.25, "dim": 3},
              {"family": "space_form", "a": 0.5, "b": -0.5, "dim": 4},
@@ -42,7 +42,11 @@ for spec in [{"family": "euclidean", "dim": 3},
              {"family": "fubini_study", "cdim": 2},
              {"family": "two_d_family", "n": 2, "b": 0.3},
              {"family": "sphere", "dim": 4, "deform": poly},
-             {"family": "euclidean", "dim": 3, "deform": poly}]:
+             {"family": "euclidean", "dim": 3, "deform": poly},
+             {"family": "fubini_study", "cdim": 2, "deform": trivial},
+             {"family": "sphere", "dim": 4, "deform": trivial},
+             {"family": "space_form", "a": 1.0, "b": 0.25, "dim": 3,
+              "deform": trivial}]:
     metric = build_metric(spec).metric
     x = np.full(metric.dim, 0.1)
     x[0] = 0.3

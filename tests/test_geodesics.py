@@ -287,6 +287,28 @@ def test_bundle_allocation_budget():
     assert peak - start <= 8.0 * 2 ** 20
 
 
+def test_plan_cache_stays_small():
+    # entry_dot keeps one plan per call shape for the life of the process,
+    # and an order-6 bundle in 6 variables plans ~10,700 single-product
+    # blocks (4.0 MiB when each was a nested tuple of slices)
+    from hml.curvature import curvature
+    metric = catalog.fubini_study(3).metric
+    x = np.random.default_rng(3).uniform(-0.3, 0.3, 6)
+    jets._runs.cache_clear()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        curvature(metric, x, k_max=4)
+        held = tracemalloc.get_traced_memory()[0]
+        jets._runs.cache_clear()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert 0 < held < 2 ** 20
+
+
 def test_density_oracle_normal_coordinates(rng):
     # det A (parallel-frame route) vs sqrt(det g) in numerically
     # constructed normal coordinates (coordinate-variation route)

@@ -64,13 +64,16 @@ def test_trivial_density_r_max_past_injectivity_radius_exits_3(tmp_path,
 
 
 def test_poly_deform_of_polar_chart_exits_3(tmp_path, capsys):
+    # refused by the schema, before any output
     doc = {"metric": {"family": "two_d_family", "n": 2, "b": 0.3,
                       "deform": {"psi": {"kind": "poly",
                                          "coeffs": [1.0, 0.25]}}},
            "analysis": {"command": "deform"}}
     code, err = run(tmp_path, doc, capsys)
     assert code == 3
-    assert "does not expose an analytic radial distance" in err
+    assert err == ("error: metric keys ['deform'] are not read by family "
+                   "'two_d_family'\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("far", [1e160, 1e200])
@@ -282,6 +285,9 @@ _POLY = {"kind": "poly", "coeffs": [1.0, 0.25]}
      {"command": "deform", "psi_variant": "root"},
      "analysis.psi_variant must be one of ['density-root', 'trivializer'], "
      "got 'root'"),
+    ({"family": "two_d_family", "n": 2, "b": 0.3,
+      "deform": {"psi": {"kind": "trivial-density"}}}, {"command": "expand"},
+     "metric keys ['deform'] are not read by family 'two_d_family'"),
 ])
 def test_schema_refusals_come_before_any_output(tmp_path, capsys, metric,
                                                 analysis, why):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hml import catalog, jets, manifest
-from hml.curvature import (curvature, curvature_arrays, einstein_defect,
-                           sectional_curvature)
+from hml.curvature import (_jet_partials, curvature, curvature_arrays,
+                           einstein_defect, sectional_curvature)
 from hml.metric import (ChartMetric, DegenerateMetricError, DomainError,
                         OrderExceededError)
 
@@ -242,6 +242,31 @@ def test_bundle_matches_literal_curvature_k6(fs2):
     x = np.random.default_rng(66).uniform(-0.3, 0.3, 4)
     assert _bundle_bytes(curvature(fs2.metric, x, 6)) == _bundle_bytes(
         oracles.literal_curvature(fs2.metric, x, 6))
+
+
+@pytest.mark.parametrize("spec", [{"family": "fubini_study", "cdim": 2},
+                                  {"family": "sphere", "dim": 6}],
+                         ids=["fubini_study2", "sphere6"])
+def test_partial_arrays_match_out_of_place_expressions(spec):
+    """derivative_array scales its gather in place and _jet_partials negates
+    each P in place: the bits of the out-of-place expressions, signed zeros
+    included, at the center and at a seeded point."""
+    metric = manifest.build_metric(spec).metric
+    m = metric.dim
+    for x in (np.zeros(m), np.random.default_rng(m).uniform(-0.3, 0.3, m)):
+        _, _, PR, DGam = _jet_partials(metric, x, 4)
+        for got, ref in zip((PR, DGam),
+                            oracles.literal_jet_partials(metric, x, 4)):
+            assert got.keys() == ref.keys()
+            for d in ref:
+                assert got[d].flags.c_contiguous
+                assert got[d].shape == ref[d].shape
+                assert got[d].tobytes() == ref[d].tobytes()
+        S = metric.component_jets(x, 6)
+        for d in range(7):
+            got = S.derivative_array(d)
+            ref = oracles.literal_derivative_array(S, d)
+            assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes())
 
 
 def test_negative_k_max_refused(fs2):

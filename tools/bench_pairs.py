@@ -6,6 +6,7 @@ Usage:
     python3 tools/bench_pairs.py ab PARENT CHANGE [--out FILE]
     python3 tools/bench_pairs.py bytes PARENT CHANGE [--out FILE]
     python3 tools/bench_pairs.py cold PARENT CHANGE [--out FILE]
+    python3 tools/bench_pairs.py mem PARENT CHANGE [--out FILE]
 
 PARENT and CHANGE are two checkouts, each with its own src/ and perfbench/.
 PARENT may instead be a git revision (a SHA, a branch, HEAD~1) of the
@@ -65,6 +66,18 @@ median over rounds of the change/parent ratio, and for each command the
 exit codes, whether the two sides wrote the same report bytes, and the
 scipy subpackages the command loaded, read in one extra untimed run per
 side.
+
+``mem`` is the A/B of memory, which also needs fresh processes: a peak
+RSS only grows, and a warm cache hides what a first call allocates.  For
+each chart of MEM_CHARTS, in MEM_ROUNDS alternating rounds (the parent
+first in the first round), each side runs one ``density_coefficients``
+call at bundle_case's point and direction in a fresh interpreter and
+reports its peak RSS (``ru_maxrss``, as perfbench reads ``peak_rss_mb``)
+and wall time.  One more fresh interpreter per side runs the call under
+tracemalloc and reports its peak and the bytes the entry_dot plan cache
+(``jets._runs``) retains, read as what clearing it frees.  M8_CHART,
+fubini_study(4), gets one untraced run per side (m = 8: about a minute
+and 0.4 GB each).
 """
 
 from __future__ import annotations
@@ -706,10 +719,83 @@ def cold(args) -> dict:
     return result
 
 
+# ---------------------------------------------------------------------------
+# fresh-process memory A/B
+# ---------------------------------------------------------------------------
+
+MEM_ROUNDS = 3
+MEM_CHARTS = {"fubini_study2": {"family": "fubini_study", "cdim": 2},
+              "sphere4": {"family": "sphere", "dim": 4},
+              "fubini_study3": {"family": "fubini_study", "cdim": 3},
+              "sphere6": {"family": "sphere", "dim": 6}}
+M8_CHART = {"fubini_study4": {"family": "fubini_study", "cdim": 4}}
+
+# one density_coefficients call at bundle_case's point and direction;
+# argv: the chart spec as JSON, then "rss" or "traced"; prints one JSON line
+_MEM_CALL = """
+import json, resource, sys, time, tracemalloc
+import numpy as np
+from hml import jets
+from hml.expansion import density_coefficients
+from hml.manifest import build_metric
+metric = build_metric(json.loads(sys.argv[1])).metric
+rng = np.random.default_rng(metric.dim)
+x = rng.normal(size=metric.dim)
+x *= 0.3 / np.linalg.norm(x)
+xi = rng.normal(size=metric.dim)
+traced = sys.argv[2] == "traced"
+if traced:
+    tracemalloc.start()
+t = time.perf_counter()
+density_coefficients(metric, x, xi)
+out = {"wall_s": time.perf_counter() - t,
+       "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+if traced:
+    current, peak = tracemalloc.get_traced_memory()
+    jets._runs.cache_clear()
+    out = {"tracemalloc_peak_mib": peak / 2 ** 20, "plan_cache_mib":
+           (current - tracemalloc.get_traced_memory()[0]) / 2 ** 20}
+print(json.dumps(out))
+"""
+
+
+def mem_call(root: Path, spec: dict, mode: str) -> dict:
+    """The JSON line of one fresh ``_MEM_CALL`` in ``root``'s src."""
+    out = subprocess.run([sys.executable, "-c", _MEM_CALL, json.dumps(spec),
+                          mode], cwd=root, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    if out.returncode != 0:
+        raise RuntimeError(f"mem call failed in {root}:\n{out.stderr}")
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def mem(args) -> dict:
+    roots = {"parent": args.parent, "change": Path(args.change).resolve()}
+    result = {"rounds": MEM_ROUNDS, "charts": {}}
+    for name, spec in {**MEM_CHARTS, **M8_CHART}.items():
+        runs = {"parent": [], "change": []}
+        for r in range(1 if name in M8_CHART else MEM_ROUNDS):
+            for side in ("parent", "change") if r % 2 == 0 else ("change",
+                                                               "parent"):
+                runs[side].append(mem_call(roots[side], spec, "rss"))
+        entry = {side: {key: round(statistics.median(run[key] for run in t),
+                                   3) for key in ("peak_rss_mb", "wall_s")}
+                 for side, t in runs.items()}
+        for side, t in runs.items():
+            entry[side]["peak_rss_mb_runs"] = [round(run["peak_rss_mb"], 3)
+                                               for run in t]
+            if name not in M8_CHART:
+                entry[side].update({key: round(v, 3) for key, v in mem_call(
+                    roots[side], spec, "traced").items()})
+        result["charts"][name] = entry
+        print(f"mem {name}: {entry}", file=sys.stderr)
+    return result
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
-    for name in ("pairs", "ab", "bytes", "cold"):
+    for name in ("pairs", "ab", "bytes", "cold", "mem"):
         s = sub.add_parser(name)
         s.add_argument("parent")
         s.add_argument("change")
@@ -722,7 +808,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         args.parent, args.parent_sha = parent_checkout(args.parent, tmp)
         result = {"pairs": pairs, "ab": ab, "bytes": byte_identity,
-                  "cold": cold}[args.cmd](args)
+                  "cold": cold, "mem": mem}[args.cmd](args)
     text = json.dumps(result, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
