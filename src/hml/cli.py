@@ -56,20 +56,18 @@ def _json_ready(obj):
     return obj
 
 
-def _write_json(path: str, doc: dict):
-    with open(path, "w") as fh:
-        json.dump(_json_ready(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(doc: dict) -> str:
+    return json.dumps(_json_ready(doc), indent=2, sort_keys=True) + "\n"
 
 
-def _write_density_csv(path: str, profile: geodesics.DensityProfile):
-    with open(path, "w") as fh:
-        fh.write("# r, direction_index, theta, xi, umbilicity_defect\n")
-        for ir, r in enumerate(profile.radii):
-            for jd in range(profile.theta.shape[1]):
-                fh.write(f"{_fmt(r)},{jd},{_fmt(profile.theta[ir, jd])},"
-                         f"{_fmt(profile.xi[ir, jd])},"
-                         f"{_fmt(profile.umbilicity[ir, jd])}\n")
+def _density_csv(profile: geodesics.DensityProfile) -> str:
+    rows = ["# r, direction_index, theta, xi, umbilicity_defect\n"]
+    for ir, r in enumerate(profile.radii):
+        for jd in range(profile.theta.shape[1]):
+            rows.append(f"{_fmt(r)},{jd},{_fmt(profile.theta[ir, jd])},"
+                        f"{_fmt(profile.xi[ir, jd])},"
+                        f"{_fmt(profile.umbilicity[ir, jd])}\n")
+    return "".join(rows)
 
 
 def _center(built: BuiltMetric, ana: dict) -> np.ndarray:
@@ -104,12 +102,18 @@ def _given(ana: dict, **keys) -> dict:
     return {arg: ana[key] for arg, key in keys.items() if key in ana}
 
 
+def _shot(metric, center, direction, radii, ana: dict) -> np.ndarray:
+    """det A at each radius along one g-unit direction from the center."""
+    return geodesics.density_profile(
+        metric, center, direction[None, :], radii,
+        **_given(ana, steps="steps")).theta[:, 0]
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its exit code and its reports, {file name: text}
 # ---------------------------------------------------------------------------
 
-def cmd_curvature(built: BuiltMetric, ana: dict, center: np.ndarray,
-                  outdir: str) -> int:
+def cmd_curvature(built: BuiltMetric, ana: dict, center: np.ndarray):
     metric = built.metric
     bundle = curvature(metric, center, **_given(ana, k_max="k_max"))
     kappas, planes = _plane_kappas(bundle, setting(ana, "planes"))
@@ -143,28 +147,25 @@ def cmd_curvature(built: BuiltMetric, ana: dict, center: np.ndarray,
         "kappa_max": kappa_max,
         "n_planes_sampled": int(len(kappas)),
     }
-    _write_json(os.path.join(outdir, "curvature.json"), report)
-    return EXIT_OK
+    return EXIT_OK, {"curvature.json": _json_text(report)}
 
 
-def cmd_check_harmonic(built: BuiltMetric, ana: dict, center: np.ndarray,
-                       outdir: str) -> int:
+def cmd_check_harmonic(built: BuiltMetric, ana: dict, center: np.ndarray):
     metric = built.metric
     report = geodesics.centrally_harmonic_test(
         metric, center, **_given(ana, radii="radii", n_directions="directions",
                                  tolerance="tolerance", steps="steps"))
     doc = report.to_json_dict()
     doc["metric"] = metric.name
-    _write_json(os.path.join(outdir, "harmonicity.json"), doc)
+    files = {"harmonicity.json": _json_text(doc)}
     if report.profile is not None:
-        _write_density_csv(os.path.join(outdir, "density.csv"), report.profile)
+        files["density.csv"] = _density_csv(report.profile)
     if report.inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if report.verdict else EXIT_NEGATIVE
+        return EXIT_INCONCLUSIVE, files
+    return (EXIT_OK if report.verdict else EXIT_NEGATIVE), files
 
 
-def cmd_expand(built: BuiltMetric, ana: dict, center: np.ndarray,
-               outdir: str) -> int:
+def cmd_expand(built: BuiltMetric, ana: dict, center: np.ndarray):
     metric = built.metric
     entry = built.entry
     if entry.name == "two_d_family":
@@ -183,9 +184,7 @@ def cmd_expand(built: BuiltMetric, ana: dict, center: np.ndarray,
         if iota is not None and math.isfinite(iota):
             r_hi = min(r_hi, 0.25 * float(iota))
         radii = np.geomspace(r_hi / 7, r_hi, max(2 * (order - 1), 24))
-        theta = geodesics.density_profile(
-            metric, center, direction[None, :], radii,
-            **_given(ana, steps="steps")).theta[:, 0]
+        theta = _shot(metric, center, direction, radii, ana)
     fit = fit_radial_expansion(list(zip(radii, theta)), metric.dim, order)
     residuals = {"fit_residual": fit.residual, "cond": fit.cond,
                  "truncation_estimate": {f"H{k}": v for k, v in
@@ -195,15 +194,13 @@ def cmd_expand(built: BuiltMetric, ana: dict, center: np.ndarray,
             abs(analytic[k] - fit.coefficients[k])
             for k in range(2, min(order, 6) + 1))
         analytic = {f"H{k}": v for k, v in analytic.items()}
-    _write_json(os.path.join(outdir, "expansion.json"), {
+    return EXIT_OK, {"expansion.json": _json_text({
         "metric": metric.name, "order": order, "analytic": analytic,
         "fitted": {f"H{k}": v for k, v in fit.coefficients.items()},
-        "residuals": residuals})
-    return EXIT_OK
+        "residuals": residuals})}
 
 
-def cmd_deform(built: BuiltMetric, ana: dict, center: np.ndarray,
-               outdir: str) -> int:
+def cmd_deform(built: BuiltMetric, ana: dict, center: np.ndarray):
     entry = built.entry
     metric = built.metric
     psi = built.psi
@@ -217,11 +214,8 @@ def cmd_deform(built: BuiltMetric, ana: dict, center: np.ndarray,
         rc_vals = rep.rc(np.asarray(radii))
         predicted = conformal.deformed_density(
             entry.closed_form_density, rep, m, rc_vals)
-        theta = geodesics.g_unit_directions(metric, center, 1)[0]
-        profile = geodesics.density_profile(
-            metric, center, theta[None, :], rc_vals,
-            **_given(ana, steps="steps"))
-        shot = profile.theta[:, 0]
+        direction = geodesics.g_unit_directions(metric, center, 1)[0]
+        shot = _shot(metric, center, direction, rc_vals, ana)
         report["density_law"] = {
             "rc": list(map(float, rc_vals)),
             "predicted": list(map(float, predicted)),
@@ -242,8 +236,7 @@ def cmd_deform(built: BuiltMetric, ana: dict, center: np.ndarray,
         report["blowup"] = [
             dataclasses.asdict(conformal.completeness_and_blowup(d, variant))
             for d in dims]
-    _write_json(os.path.join(outdir, "deform.json"), report)
-    return EXIT_OK
+    return EXIT_OK, {"deform.json": _json_text(report)}
 
 
 _COMMANDS = {
@@ -282,9 +275,14 @@ def main(argv=None) -> int:
             mf = manifest_mod.load(args.manifest)
             built = manifest_mod.build_metric(mf.metric_spec)
             center = _center(built, mf.analysis)
+            code, files = _COMMANDS[mf.analysis["command"]](
+                built, mf.analysis, center)
+            # made only now, so that a failed command leaves no --out
             os.makedirs(args.out, exist_ok=True)
-            return _COMMANDS[mf.analysis["command"]](built, mf.analysis,
-                                                     center, args.out)
+            for name, text in files.items():
+                with open(os.path.join(args.out, name), "w") as fh:
+                    fh.write(text)
+            return code
         except (ManifestError, DomainError, ValueError, ArithmeticError,
                 OSError) as exc:    # OSError: an --out that cannot be written
             print(f"error: {exc}", file=sys.stderr)

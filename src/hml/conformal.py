@@ -147,7 +147,6 @@ class Reparametrization:
     r_max: float
     r_grid: np.ndarray
     rc_grid: np.ndarray
-    roundtrip_error: float = 0.0
 
     def __post_init__(self):
         self.rc = _hermite(self.r_grid, self.rc_grid,
@@ -172,11 +171,8 @@ def reparametrize(psi: RadialFunction, r_max: float) -> Reparametrization:
     r_grid = np.linspace(0.0, r_max, 1201)
     rc_grid = _cumulative_gauss(lambda r: 1.0 / np.asarray(psi(r ** 2)),
                                 r_grid, 8)
-    rep = Reparametrization(psi=psi, r_max=r_max, r_grid=r_grid,
-                            rc_grid=rc_grid)
-    probe = np.linspace(0.0, r_max, 137)
-    rep.roundtrip_error = float(np.max(np.abs(rep.r(rep.rc(probe)) - probe)))
-    return rep
+    return Reparametrization(psi=psi, r_max=r_max, r_grid=r_grid,
+                             rc_grid=rc_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,10 @@ def _integrate_recording(metric, P, thetas, radii, steps: int):
     inside: a failing k1 (which checks where the previous step ended) gives
     the previous step's start, a later stage its own step's start, and a
     segment end, checked before it is recorded, its last step's start.
-    ``crossed`` latches per direction, after every step, det A <= 0 (zeros
-    of odd multiplicity) and det A < DIP times its running maximum (the
-    even-multiplicity crossings a pointwise sign test cannot see)."""
+    ``crossed`` latches per direction, after every step (so for the state
+    yielded too), det A <= 0 (zeros of odd multiplicity) and det A < DIP
+    times its running maximum (the even-multiplicity crossings a pointwise
+    sign test cannot see)."""
     if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
             or steps < 1):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
@@ -233,7 +234,7 @@ def shoot(metric: ChartMetric, P, theta, r: float,
     return PolarDensitySample(
         center=np.asarray(P, float), direction=theta, radius=float(r),
         endpoint=x, A=A, A_prime=Ad, theta=detA,
-        xi=xi, conjugate=detA <= 0 or bool(crossed[0]), energy_error=energy)
+        xi=xi, conjugate=bool(crossed[0]), energy_error=energy)
 
 
 def relative_spread(table) -> np.ndarray:
@@ -294,8 +295,8 @@ def density_profile(metric: ChartMetric, P, directions, radii,
             _integrate_recording(metric, P, directions, radii, steps)):
         det = np.linalg.det(A)
         theta[ir] = det
-        conj[ir] = bad = (det <= 0) | crossed
-        good = ~bad
+        conj[ir] = crossed
+        good = ~crossed
         if np.any(good):
             shape_op = np.linalg.solve(
                 np.transpose(A[good], (0, 2, 1)),

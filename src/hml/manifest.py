@@ -243,7 +243,7 @@ def build_metric(mspec: dict) -> BuiltMetric:
             raise ManifestError(
                 f"trivial-density deformation needs a radial closed-form "
                 f"density; family {entry.name!r} does not provide one")
-        iota = entry.metric.injectivity_radius or 1.0
+        iota = entry.metric.injectivity_radius
         r_max = psi_spec.get("r_max")
         if r_max is None:
             r_max = 0.9 * iota if math.isfinite(iota) else 1.0

@@ -63,6 +63,33 @@ def test_trivial_density_r_max_past_injectivity_radius_exits_3(tmp_path,
     assert "injectivity radius 3.14159" in err
 
 
+@pytest.mark.parametrize("metric,analysis,why", [
+    # a hyperbolic space_form (b < 0) has no radial closed-form density
+    ({"family": "space_form", "a": 1.0, "b": -0.5, "dim": 3,
+      "deform": {"psi": {"kind": "trivial-density"}}}, {"command": "deform"},
+     "trivial-density deformation needs a radial closed-form density; "
+     "family 'space_form' does not provide one"),
+    ({"family": "sphere", "dim": 3},
+     {"command": "curvature", "center": [4, 0, 0]},
+     "point outside domain of sphere"),
+    ({"family": "sphere", "dim": 4}, {"command": "expand", "order": 40},
+     "radial fit is ill-conditioned (cond = "),
+    ({"family": "sphere", "dim": 3,
+      "deform": {"psi": {"kind": "trivial-density", "r_max": 1.0}}},
+     {"command": "deform", "radii": [0.5, 1.2]},
+     "trivializer is tabulated for r in [0, 1]; asked for r = 1.26"),
+])
+def test_build_and_command_errors_leave_no_output(tmp_path, capsys, metric,
+                                                  analysis, why):
+    # refused while the metric is built, or by the command itself after the
+    # manifest is read: --out is made only once a command has returned
+    code, err = run(tmp_path, {"metric": metric, "analysis": analysis},
+                    capsys)
+    assert code == 3
+    assert err.startswith(f"error: {why}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_poly_deform_of_polar_chart_exits_3(tmp_path, capsys):
     # refused by the schema, before any output
     doc = {"metric": {"family": "two_d_family", "n": 2, "b": 0.3,
