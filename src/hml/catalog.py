@@ -27,7 +27,6 @@ class CatalogEntry:
     closed_form_density: Optional[Callable] = None   # r -> Theta_P(r)
     # t = r^2 -> Theta_P / r^(m-1), acting on truncated series
     reduced_density: Optional[Callable] = None
-    center_in_chart: bool = True
 
     @property
     def name(self) -> str:
@@ -114,7 +113,6 @@ def space_form(a: float, b: float, dim: int) -> CatalogEntry:
         radial_distance_sq=rdist_sq)
     return CatalogEntry(
         metric=metric, constant_curvature=kappa, einstein=True,
-        center_in_chart=a > 0,
         closed_form_density=_space_form_density(kappa, dim) if a > 0 else None,
         reduced_density=_sinc_power(kappa, dim) if a > 0 and b > 0 else None)
 
@@ -225,5 +223,5 @@ def two_d_family(n: int, b: float) -> CatalogEntry:
         params={"n": n, "b": b})
     return CatalogEntry(
         metric=metric, einstein=True,  # any surface is Einstein
-        closed_form_density=theta_density, center_in_chart=False)
+        closed_form_density=theta_density)
 

@@ -28,8 +28,7 @@ from . import conformal, expansion, geodesics, manifest as manifest_mod
 from .curvature import curvature, einstein_defect, sectional_curvature
 from .manifest import (CHECK_HARMONIC, CURVATURE, DEFORM, EXPAND,
                        BuiltMetric, ManifestError, setting)
-from .metric import DomainError
-from .series import fit_radial_expansion
+from .series import fit_radial_expansion, radial_designs
 
 FLOAT_FMT = "%.12e"
 
@@ -71,10 +70,7 @@ def _density_csv(profile: geodesics.DensityProfile) -> str:
 
 
 def _center(built: BuiltMetric, ana: dict) -> np.ndarray:
-    center = ana.get("center")
-    if center is None:
-        center = [0.0] * built.metric.dim
-    center = np.asarray(center, dtype=float)
+    center = np.asarray(ana.get("center", [0.0] * built.metric.dim), float)
     if center.shape != (built.metric.dim,):
         raise ManifestError(
             f"center must have {built.metric.dim} coordinates")
@@ -138,8 +134,7 @@ def cmd_curvature(built: BuiltMetric, ana: dict, center: np.ndarray):
     kappa_min = min(float(kappas.min()), refined(1.0, int(np.argmin(kappas))))
     kappa_max = max(float(kappas.max()), refined(-1.0, int(np.argmax(kappas))))
     report = {
-        "metric": {"name": metric.name, **{k: v for k, v in metric.params.items()
-                                           if isinstance(v, (int, float, str))}},
+        "metric": {"name": metric.name, **metric.params},
         "center": center.tolist(),
         "scalar_curvature": bundle.scalar,
         "einstein_defect": einstein_defect(bundle),
@@ -173,17 +168,17 @@ def cmd_expand(built: BuiltMetric, ana: dict, center: np.ndarray):
         # chart point) is closed-form; only fitted values are reported
         order = ana.get("order", max(8, entry.params["n"] + 1))
         radii = np.geomspace(0.05, 0.5, max(2 * (order - 1), 14))
+        radial_designs(radii, order)
         theta, analytic = entry.closed_form_density(radii), None
     else:
         order = setting(ana, "order")
         direction = geodesics.g_unit_directions(metric, center, 1)[0]
+        iota = metric.injectivity_radius or math.inf    # None: deformed
+        r_hi = min(0.42, 0.25 * iota)
+        radii = np.geomspace(r_hi / 7, r_hi, max(2 * (order - 1), 24))
+        radial_designs(radii, order)    # refuses a bad fit before the work
         analytic = expansion.density_coefficients(
             metric, center, direction).values
-        r_hi = 0.42
-        iota = metric.injectivity_radius
-        if iota is not None and math.isfinite(iota):
-            r_hi = min(r_hi, 0.25 * float(iota))
-        radii = np.geomspace(r_hi / 7, r_hi, max(2 * (order - 1), 24))
         theta = _shot(metric, center, direction, radii, ana)
     fit = fit_radial_expansion(list(zip(radii, theta)), metric.dim, order)
     residuals = {"fit_residual": fit.residual, "cond": fit.cond,
@@ -208,20 +203,19 @@ def cmd_deform(built: BuiltMetric, ana: dict, center: np.ndarray):
     report = {"metric": metric.name, "base": entry.name, "psi": psi.name}
     radii = sorted(map(float, ana.get("radii", np.linspace(0.15, 0.75, 5))))
     # density law check: formula vs direct shooting in the deformed metric,
-    # from the origin (the center of a manifest that sets none)
-    if entry.closed_form_density is not None and entry.center_in_chart:
-        rep = conformal.reparametrize(psi, max(radii) * 1.05)
-        rc_vals = rep.rc(np.asarray(radii))
-        predicted = conformal.deformed_density(
-            entry.closed_form_density, rep, m, rc_vals)
-        direction = geodesics.g_unit_directions(metric, center, 1)[0]
-        shot = _shot(metric, center, direction, rc_vals, ana)
-        report["density_law"] = {
-            "rc": list(map(float, rc_vals)),
-            "predicted": list(map(float, predicted)),
-            "shot": list(map(float, shot)),
-            "max_abs_error": float(np.max(np.abs(predicted - shot))),
-        }
+    # from the origin, which every deformable chart contains
+    rep = conformal.reparametrize(psi, max(radii) * 1.05)
+    rc_vals = rep.rc(np.asarray(radii))
+    predicted = conformal.deformed_density(
+        entry.closed_form_density, rep, m, rc_vals)
+    direction = geodesics.g_unit_directions(metric, center, 1)[0]
+    shot = _shot(metric, center, direction, rc_vals, ana)
+    report["density_law"] = {
+        "rc": list(map(float, rc_vals)),
+        "predicted": list(map(float, predicted)),
+        "shot": list(map(float, shot)),
+        "max_abs_error": float(np.max(np.abs(predicted - shot))),
+    }
     # curvature summary of the deformed metric at a probe point
     probe = np.full(m, 0.1 / math.sqrt(m))
     kappas, _ = _plane_kappas(curvature(metric, probe, k_max=0), 30)
@@ -283,7 +277,7 @@ def main(argv=None) -> int:
                 with open(os.path.join(args.out, name), "w") as fh:
                     fh.write(text)
             return code
-        except (ManifestError, DomainError, ValueError, ArithmeticError,
-                OSError) as exc:    # OSError: an --out that cannot be written
+        except (ValueError, ArithmeticError, OSError) as exc:
+            # ManifestError and DomainError are ValueErrors; OSError: --out
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR

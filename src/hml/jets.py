@@ -230,6 +230,23 @@ def _columns(c, at):
     return c[:, 0] if isinstance(at, int) else c
 
 
+def int_power(x, n, one):
+    """x ** n for an int n >= 0 by repeated squaring, starting from the
+    constant ``one`` of x's ring (a MultiJet or a TruncatedSeries)."""
+    if not isinstance(n, int):
+        raise TypeError("use jets.powf for non-integer exponents")
+    if n < 0:
+        raise ValueError(f"negative exponent {n}: use reciprocal() ** {-n}")
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
 @lru_cache(maxsize=None)
 def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
@@ -327,20 +344,12 @@ class MultiJet:
         return self * other.reciprocal()
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("use powf() for non-integer exponents")
-        if n < 0:
-            raise ValueError(f"negative exponent {n}: use reciprocal() ** {-n}")
-        result = MultiJet(self.space, np.zeros(self.coef.shape))
-        result.coef[0] = 1.0
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        # the constant one without a call to __init__, so that a power makes
+        # as many calls into hml as the inline loop did (one-point RHS budget)
+        one = object.__new__(MultiJet)
+        one.space, one.coef = self.space, np.zeros(self.coef.shape)
+        one.coef[0] = 1.0
+        return int_power(self, n, one)
 
     def partial(self, k: int) -> "MultiJet":
         """d/dx_k as a jet in the same space (top-degree terms become zero)."""

@@ -15,6 +15,8 @@ from numbers import Rational
 
 import numpy as np
 
+from .jets import int_power
+
 
 class TruncationError(ValueError):
     """Series truncation orders are incompatible or insufficient."""
@@ -39,11 +41,6 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     # -- constructors ---------------------------------------------------
-    @staticmethod
-    def constant(value, order: int) -> "TruncatedSeries":
-        zero = value * 0
-        return _series([value] + [zero] * order)
-
     @staticmethod
     def variable(order: int, at=0.0) -> "TruncatedSeries":
         """Float-mode seed t0 + (t - t0); ``at`` may be a numpy array."""
@@ -100,19 +97,8 @@ class TruncatedSeries:
         return TruncatedSeries([a / other for a in self.coeffs])
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("use jets.powf for non-integer exponents")
-        if n < 0:
-            raise ValueError(f"negative exponent {n}: use reciprocal() ** {-n}")
-        result = TruncatedSeries.constant(self.coeffs[0] * 0 + 1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        one = self.coeffs[0] * 0 + 1        # in the coefficients' field
+        return int_power(self, n, _series([one] + [one * 0] * self.order))
 
     def reciprocal(self) -> "TruncatedSeries":
         c0 = self.coeffs[0]
@@ -211,6 +197,25 @@ class RadialFit:
 COND_MAX = 1e12     # the largest design condition number a fit accepts
 
 
+def radial_designs(radii: np.ndarray, order: int) -> list:
+    """(rows, design, column scales, cond) of each solve of an order-``order``
+    fit on sorted distinct radii: all, then the lower half if it holds enough.
+    Refuses an ill-conditioned one, so a fit is refused before it samples."""
+    designs = []
+    for rows in (slice(None), radii <= radii.max() / 2):
+        rr = radii[rows]
+        if len(rr) < 2 * (order - 1):
+            break
+        # scale columns by r_max^k to keep the Vandermonde system tame
+        scale = rr.max() ** np.arange(2, order + 1)
+        design = rr[:, None] ** np.arange(2, order + 1)[None, :] / scale[None, :]
+        cond = np.linalg.cond(design)
+        if cond > COND_MAX:
+            raise IllConditionedFit(cond)
+        designs.append((rows, design, scale, cond))
+    return designs
+
+
 def fit_radial_expansion(samples, m: int, order: int) -> RadialFit:
     """Fit density samples (r, Theta(r)) at fixed direction to Eq-style H_k.
 
@@ -229,25 +234,15 @@ def fit_radial_expansion(samples, m: int, order: int) -> RadialFit:
     if len(np.unique(radii)) != len(radii):
         raise ValueError("radii must be distinct")
 
-    def solve(rr, yy):
-        # scale columns by r_max^k to keep the Vandermonde system tame
-        scale = rr.max() ** np.arange(2, order + 1)
-        design = rr[:, None] ** np.arange(2, order + 1)[None, :] / scale[None, :]
-        cond = np.linalg.cond(design)
-        if cond > COND_MAX:
-            raise IllConditionedFit(cond)
-        sol, res, *_ = np.linalg.lstsq(design, yy, rcond=None)
-        resid = float(np.sqrt(res[0])) if res.size else float(
-            np.linalg.norm(design @ sol - yy))
-        return sol / scale, resid, cond
-
     y = theta / radii ** (m - 1) - 1.0
-    coeffs, residual, cond = solve(radii, y)
-    half = radii <= radii.max() / 2
-    trunc = {}
-    if np.count_nonzero(half) >= 2 * (order - 1):
-        coeffs_half, _, _ = solve(radii[half], y[half])
-        trunc = {k + 2: abs(coeffs[k] - coeffs_half[k]) for k in range(len(coeffs))}
+    solves = []
+    for rows, design, scale, cond in radial_designs(radii, order):
+        sol, res, *_ = np.linalg.lstsq(design, y[rows], rcond=None)
+        resid = float(np.sqrt(res[0])) if res.size else float(
+            np.linalg.norm(design @ sol - y[rows]))
+        solves.append((sol / scale, resid, cond))
+    (coeffs, residual, cond), *half = solves
+    trunc = {k + 2: abs(d) for h, *_ in half for k, d in enumerate(coeffs - h)}
     return RadialFit(
         coefficients={k + 2: float(coeffs[k]) for k in range(len(coeffs))},
         order=order, residual=residual, cond=float(cond),

@@ -310,6 +310,19 @@ def test_trivial_density_factor_from_engine_profile(sphere3):
     assert np.max(np.abs(tri(ts) - ref(ts))) < 1e-5
 
 
+def test_trivial_density_factor_of_one_column_matches_two():
+    # a (radii, theta) table of one direction gives, bit for bit, the psi of
+    # the radial table holding that column twice
+    radii = np.linspace(0.15, 1.0, 10)
+    theta = np.sin(radii) ** 2
+    one = trivial_density_factor((radii, theta), 3)
+    two = trivial_density_factor((radii, np.stack([theta, theta], axis=1)), 3)
+    ts = np.linspace(0.0, 0.9, 7)
+    assert one(ts).tobytes() == two(ts).tobytes()
+    for a, b in zip(one.series(ts, 3).coeffs, two.series(ts, 3).coeffs):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_trivial_density_factor_refuses_non_radial():
     radii = np.linspace(0.2, 1.0, 8)
     theta = np.stack([radii ** 2, radii ** 2 * 1.01], axis=1)

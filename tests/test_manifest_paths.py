@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hml import catalog, cli
+from hml import catalog, cli, expansion, geodesics, manifest
 from hml.conformal import completeness_and_blowup, radial_sq_value
 from hml.curvature import curvature, sectional_curvature
 from hml.geodesics import unit_directions
@@ -329,3 +329,63 @@ def test_unknown_blowup_variant_names_the_known_ones():
     with pytest.raises(ValueError, match=re.escape(
             "variant must be one of ['density-root', 'trivializer']")):
         completeness_and_blowup(4, "root")
+
+
+@pytest.mark.parametrize("metric", [
+    {"family": "sphere", "dim": 4},
+    {"family": "two_d_family", "n": 3, "b": 0.1},
+], ids=["shot", "closed-form"])
+def test_ill_conditioned_expand_is_refused_before_any_density(
+        tmp_path, capsys, monkeypatch, metric):
+    # the design's condition depends only on the radii and the order, so
+    # the refusal needs no density, analytic, shot or closed-form
+    def never(*args, **kwargs):
+        pytest.fail("a density was computed for a fit that is refused")
+
+    monkeypatch.setattr(expansion, "density_coefficients", never)
+    monkeypatch.setattr(geodesics, "density_profile", never)
+    monkeypatch.setattr(cli, "fit_radial_expansion", never)
+    code, err = run(tmp_path, {"metric": metric, "analysis": {
+        "command": "expand", "order": 40}}, capsys)
+    assert code == 3
+    assert err.startswith("error: radial fit is ill-conditioned (cond = ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+_NO_RADIAL_DISTANCE = (
+    "space_form does not expose an analytic radial distance; radial "
+    "deformation needs r_P (declare a normal or radially symmetric chart)")
+_NO_REDUCED_DENSITY = (
+    "trivial-density deformation needs a radial closed-form density; "
+    "family 'space_form' does not provide one")
+
+
+@pytest.mark.parametrize("metric,poly_refused,trivial_refused", [
+    ({"family": "euclidean", "dim": 3}, None, None),
+    ({"family": "sphere", "dim": 3}, None, None),
+    ({"family": "fubini_study", "cdim": 2}, None, None),
+    ({"family": "space_form", "a": 1, "b": 0.25, "dim": 3}, None, None),
+    ({"family": "space_form", "a": 1, "b": 0, "dim": 3}, None,
+     _NO_REDUCED_DENSITY),
+    ({"family": "space_form", "a": 1, "b": -0.5, "dim": 3},
+     _NO_RADIAL_DISTANCE, _NO_REDUCED_DENSITY),
+    ({"family": "space_form", "a": -1, "b": 1, "dim": 3},
+     _NO_RADIAL_DISTANCE, _NO_REDUCED_DENSITY),
+])
+def test_every_deformable_chart_has_a_density_law_about_its_origin(
+        metric, poly_refused, trivial_refused):
+    # deform checks its density law with no condition: every chart that a
+    # deform manifest builds has a closed-form density and holds the origin
+    for psi, refused in [({"kind": "poly", "coeffs": [1.0, 0.1]}, poly_refused),
+                         ({"kind": "trivial-density"}, trivial_refused)]:
+        spec = manifest.validate({
+            "metric": {**metric, "deform": {"psi": psi}},
+            "analysis": {"command": "deform"}}).metric_spec
+        if refused is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+                manifest.build_metric(spec)
+            continue
+        entry = manifest.build_metric(spec).entry
+        assert entry.closed_form_density is not None
+        assert entry.metric.contains(np.zeros(entry.dim))

@@ -13,6 +13,12 @@ none.  Only this process is traced, so code run only in subprocesses (the
 each unexecuted line as ``path:line: source``.  The seed pins the fuzz
 tests' draws, so two runs on one checkout list the same lines.  Tracing
 slows a run about twofold.
+
+The rule: every unexecuted line is the first line of a ``raise`` statement
+(a refusal of input no test sends) or is in ``__main__.py`` (run only in a
+subprocess).  Any other unexecuted line is a branch no test reaches, which
+needs a test or a deletion; the summary names each such line and the run
+exits nonzero even if every test passed.
 """
 
 from __future__ import annotations
@@ -64,6 +70,12 @@ def executable_lines(path: Path) -> set:
     return starts & _code_lines(compile(source, str(path), "exec"))
 
 
+def raise_lines(path: Path) -> set:
+    """First lines of the ``raise`` statements of a source file."""
+    return {node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise)}
+
+
 def unexecuted() -> list:
     """(path, line, source) of every executable line of SRC not run."""
     out = []
@@ -76,12 +88,32 @@ def unexecuted() -> list:
     return out
 
 
-def pytest_terminal_summary(terminalreporter):
+def breaches(missed: list) -> list:
+    """The entries of ``unexecuted()`` that the rule does not allow."""
+    raises = {path: raise_lines(path) for path, _, _ in missed}
+    return [(path, n, text) for path, n, text in missed
+            if path.name != "__main__.py" and n not in raises[path]]
+
+
+_found: dict = {}    # the session's unexecuted lines and breaches
+
+
+def pytest_sessionfinish(session):
     sys.settrace(None)
     threading.settrace(None)
-    missed = unexecuted()
+    _found["missed"] = unexecuted()
+    _found["breaches"] = breaches(_found["missed"])
+    if _found["breaches"] and session.exitstatus == 0:
+        session.exitstatus = 1
+
+
+def pytest_terminal_summary(terminalreporter):
     root = SRC.parents[1]
+    missed = _found["missed"]
     terminalreporter.write_sep("=", f"linetrace: {len(missed)} lines of "
                                     f"src/hml never executed")
     for path, n, text in missed:
         terminalreporter.write_line(f"{path.relative_to(root)}:{n}: {text}")
+    for path, n, text in _found["breaches"]:
+        terminalreporter.write_line(f"linetrace: {path.relative_to(root)}:{n} "
+                                    f"is neither a raise nor in __main__.py")
