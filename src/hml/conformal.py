@@ -21,7 +21,6 @@ import numpy as np
 from . import jets
 # not called here: perfbench/tracer.py patches hml.conformal.curvature
 from .curvature import curvature
-from .geodesics import DensityProfile, radial_mean
 from .jets import MultiJet, seed_point
 from .metric import ChartMetric, outside_domain
 from .series import TruncatedSeries
@@ -342,37 +341,6 @@ class TrivializerRadialFunction(RadialFunction):
             return TruncatedSeries([np.asarray(num.coeffs[0]) / v0])
         v = _growth_series(v0, self._h_series(t0, order - 1), order)
         return num * v.reciprocal()
-
-
-def trivial_density_factor(profile, m: int) -> RadialFunction:
-    """Conformal factor making the deformed density exactly trivial.
-
-    ``profile`` is a DensityProfile from the geodesic engine or a
-    (radii, theta_values) pair; a table over several directions must be
-    radial, and is then averaged and interpolated in t = r^2.
-    """
-    if isinstance(profile, DensityProfile):
-        profile = profile.radii, profile.theta
-    radii, theta = (np.asarray(a, dtype=float) for a in profile)
-    if theta.ndim == 2:
-        theta = radial_mean(theta)
-    ttilde = theta / radii ** (m - 1)
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(np.concatenate([[0.0], radii ** 2]),
-                               np.concatenate([[1.0], ttilde]))
-    ders = [interp.derivative(k) for k in (1, 2, 3)]
-
-    def ttilde_t(ts):
-        t0 = np.asarray(ts.coeffs[0], dtype=float)
-        # the monotone-cubic interpolant carries three honest derivatives;
-        # higher orders enter only through terms that are negligible at the
-        # small t0 where they are requested
-        derivs = [interp(t0)] + [d(t0) for d in ders[: min(ts.order, 3)]]
-        derivs += [np.zeros_like(t0)] * (ts.order + 1 - len(derivs))
-        return ts.apply_analytic(derivs)
-
-    return TrivializerRadialFunction(ttilde_t, m, t_max=float(np.max(radii) ** 2),
-                                     name="trivializer_profile")
 
 
 # ---------------------------------------------------------------------------

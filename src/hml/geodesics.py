@@ -38,10 +38,6 @@ class ConjugatePointError(ValueError):
     pass
 
 
-class NonRadialProfileError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # deterministic direction sampling
 # ---------------------------------------------------------------------------
@@ -133,7 +129,6 @@ def _initial_state(metric: ChartMetric, P, thetas):
 
 
 DIP = 1e-4      # conjugate-point latch: det A below DIP x its running max
-RADIAL_TOL = 1e-6   # the relative direction-spread a radial profile may have
 
 
 def _integrate_recording(metric, P, thetas, radii, steps: int):
@@ -241,17 +236,6 @@ def relative_spread(table) -> np.ndarray:
     """(max - min) / |mean| over the directions (axis 1) at each radius."""
     return ((table.max(axis=1) - table.min(axis=1))
             / np.abs(table.mean(axis=1)))
-
-
-def radial_mean(table) -> np.ndarray:
-    """The mean over the directions (axis 1) of a table whose relative
-    spread is within RADIAL_TOL (not NaN) at every radius."""
-    spread = relative_spread(table).max()
-    if not spread <= RADIAL_TOL:
-        raise NonRadialProfileError(
-            f"profile spread {spread:.3e} is not within {RADIAL_TOL:.1e}; "
-            "not radial")
-    return table.mean(axis=1)
 
 
 @dataclass

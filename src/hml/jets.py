@@ -9,10 +9,9 @@ axes so that one evaluation serves many base points (used heavily by the
 geodesic integrator); in a stack, batch axis 0 indexes entries instead, so
 one product serves all the metric entries of a formula step.
 
-Analytic functions (sqrt, sin, atan, ...) act on jets through truncated
-composition with the univariate Taylor expansion at the constant term; the
-same helpers also accept plain floats and numpy arrays so oracle code can
-reuse the formulas verbatim.
+Analytic functions (sqrt, sin, atan, ...) act on jets and truncated series
+through truncated composition with the univariate Taylor expansion at the
+constant term.
 """
 
 from __future__ import annotations
@@ -230,17 +229,21 @@ def _columns(c, at):
     return c[:, 0] if isinstance(at, int) else c
 
 
-def int_power(x, n, one):
-    """x ** n for an int n >= 0 by repeated squaring, starting from the
-    constant ``one`` of x's ring (a MultiJet or a TruncatedSeries)."""
+def int_power(x, n):
+    """x ** n for an int n >= 0 (x a MultiJet or a TruncatedSeries) by
+    repeated squaring, whose first factor is x itself: x ** 2 is one
+    product.  x ** 1 returns x, not a copy (no caller raises to the power
+    1), and x ** 0 is x * 0 + 1, the constant one in x's space."""
     if not isinstance(n, int):
         raise TypeError("use jets.powf for non-integer exponents")
     if n < 0:
         raise ValueError(f"negative exponent {n}: use reciprocal() ** {-n}")
-    result = one
+    if n == 0:
+        return x * 0 + 1
+    result = None
     while n:
         if n & 1:
-            result = result * x
+            result = x if result is None else result * x
         n >>= 1
         if n:
             x = x * x
@@ -343,13 +346,7 @@ class MultiJet:
             return MultiJet(self.space, self.coef / other)
         return self * other.reciprocal()
 
-    def __pow__(self, n):
-        # the constant one without a call to __init__, so that a power makes
-        # as many calls into hml as the inline loop did (one-point RHS budget)
-        one = object.__new__(MultiJet)
-        one.space, one.coef = self.space, np.zeros(self.coef.shape)
-        one.coef[0] = 1.0
-        return int_power(self, n, one)
+    __pow__ = int_power
 
     def partial(self, k: int) -> "MultiJet":
         """d/dx_k as a jet in the same space (top-degree terms become zero)."""
@@ -554,19 +551,17 @@ def multiply(a: MultiJet, b, out: MultiJet) -> MultiJet:
 
 
 # ---------------------------------------------------------------------------
-# analytic function helpers, usable on MultiJet / TruncatedSeries / ndarray
+# analytic function helpers, on a MultiJet or a TruncatedSeries
 # ---------------------------------------------------------------------------
 
-def _compose(x, plain, derivs):
-    """plain(x) on numbers; on a jet or series, x composed with the function
-    whose derivatives at x's constant term u0 are derivs(u0, order)."""
-    if not hasattr(x, "apply_analytic"):
-        return plain(x)
+def _compose(x, derivs):
+    """x composed with the function whose derivatives at x's constant term
+    u0 are derivs(u0, order)."""
     return x.apply_analytic(derivs(np.asarray(x.value), x.order))
 
 
 def _power(x, alpha, value, what):
-    """x**alpha: value(x) on numbers, the power rule on a positive jet."""
+    """x**alpha by the power rule on a positive jet; value(u0) = u0**alpha."""
     def derivs(u0, order):
         if np.any(u0 <= 0):
             raise ValueError(f"{what} requires positive constant term")
@@ -574,7 +569,7 @@ def _power(x, alpha, value, what):
         for k in range(1, order + 1):
             out.append(out[-1] * (alpha - (k - 1)) / u0)
         return out
-    return _compose(x, value, derivs)
+    return _compose(x, derivs)
 
 
 def sqrt(x):
@@ -587,11 +582,11 @@ def powf(x, alpha: float):
 
 
 def exp(x):
-    return _compose(x, np.exp, lambda u0, order: [np.exp(u0)] * (order + 1))
+    return _compose(x, lambda u0, order: [np.exp(u0)] * (order + 1))
 
 
 def log(x):
-    return _compose(x, np.log, lambda u0, order: [np.log(u0)] + [
+    return _compose(x, lambda u0, order: [np.log(u0)] + [
         (-1.0) ** (k - 1) * math.factorial(k - 1) / u0 ** k
         for k in range(1, order + 1)])
 
@@ -604,11 +599,11 @@ def _sin_cycle(u0, order, shift):
 
 
 def sin(x):
-    return _compose(x, np.sin, lambda u0, order: _sin_cycle(u0, order, 0))
+    return _compose(x, lambda u0, order: _sin_cycle(u0, order, 0))
 
 
 def cos(x):
-    return _compose(x, np.cos, lambda u0, order: _sin_cycle(u0, order, 1))
+    return _compose(x, lambda u0, order: _sin_cycle(u0, order, 1))
 
 
 def _atan_derivs(u0, order):
@@ -626,7 +621,7 @@ def _atan_derivs(u0, order):
 
 
 def atan(x):
-    return _compose(x, np.arctan, _atan_derivs)
+    return _compose(x, _atan_derivs)
 
 
 @lru_cache(maxsize=None)
@@ -653,10 +648,6 @@ def _entire_apply(x, coef_fn):
     constant term come from the term-wise differentiated series (one Horner
     loop over a cached table); all uses here have |t| bounded by ~pi^2.
     """
-    def plain(t):
-        t = np.asarray(t, dtype=float)
-        return sum(coef_fn(k) * t ** k for k in range(N_EXTRA + 15))
-
     def derivs(t0, order):
         t0 = np.asarray(t0, dtype=float)
         if t0.ndim == 0:
@@ -677,7 +668,7 @@ def _entire_apply(x, coef_fn):
             out += row
         return out
 
-    return _compose(x, plain, derivs)
+    return _compose(x, derivs)
 
 
 def _cos_sqrt_coef(k):
@@ -725,8 +716,6 @@ def t_minus_sinsq_over_t2(x):
 
 def atan_sqrt_sq(x):
     """atan(sqrt(t))^2; series route near 0, smooth composition elsewhere."""
-    if not hasattr(x, "apply_analytic"):
-        return np.arctan(np.sqrt(x)) ** 2
     t0 = np.asarray(x.value)
     near = t0 < 0.5
     if np.all(near):

@@ -96,9 +96,7 @@ class TruncatedSeries:
             return self * other.reciprocal()
         return TruncatedSeries([a / other for a in self.coeffs])
 
-    def __pow__(self, n: int):
-        one = self.coeffs[0] * 0 + 1        # in the coefficients' field
-        return int_power(self, n, _series([one] + [one * 0] * self.order))
+    __pow__ = int_power
 
     def reciprocal(self) -> "TruncatedSeries":
         c0 = self.coeffs[0]
@@ -237,9 +235,10 @@ def fit_radial_expansion(samples, m: int, order: int) -> RadialFit:
     y = theta / radii ** (m - 1) - 1.0
     solves = []
     for rows, design, scale, cond in radial_designs(radii, order):
-        sol, res, *_ = np.linalg.lstsq(design, y[rows], rcond=None)
-        resid = float(np.sqrt(res[0])) if res.size else float(
-            np.linalg.norm(design @ sol - y[rows]))
+        # rcond=0 keeps every column of an accepted design (cond <= COND_MAX);
+        # numpy's default cut drops one past a few thousand radii
+        sol, res, *_ = np.linalg.lstsq(design, y[rows], rcond=0)
+        resid = float(np.sqrt(res[0]))
         solves.append((sol / scale, resid, cond))
     (coeffs, residual, cond), *half = solves
     trunc = {k + 2: abs(d) for h, *_ in half for k, d in enumerate(coeffs - h)}

@@ -20,7 +20,7 @@ The last sections hold the oracles that only the test suite runs: the
 exact-rational check of the leading-term law H_n = c_n Tr J_(n-2) + lower
 order on the 2D family (rational_series, leading_coefficient,
 verify_leading_coefficient), the radial harmonic function of a radial
-density profile (radial_harmonic) and the Jacobi eigen-spread
+density profile (radial_mean, radial_harmonic) and the Jacobi eigen-spread
 (reduced_jacobi_at, eigen_spread).
 """
 
@@ -38,7 +38,8 @@ from hml.catalog import space_form
 from hml.conformal import RadialFunction, _require_radial_chart
 from hml.curvature import (CurvatureBundle, curvature, curvature_arrays,
                            reduced_jacobi)
-from hml.geodesics import g_unit_directions, parallel_frame_start, radial_mean
+from hml.geodesics import (g_unit_directions, parallel_frame_start,
+                           relative_spread)
 from hml.jets import MultiJet, jet_space, seed_point
 from hml.metric import ChartMetric, DegenerateMetricError
 from hml.series import TruncatedSeries, TruncationError
@@ -886,6 +887,24 @@ def verify_leading_coefficient(n: int, b) -> LeadingCoefficientReport:
 # ---------------------------------------------------------------------------
 # radial harmonic function
 # ---------------------------------------------------------------------------
+
+class NonRadialProfileError(ValueError):
+    pass
+
+
+RADIAL_TOL = 1e-6   # the relative direction-spread a radial profile may have
+
+
+def radial_mean(table) -> np.ndarray:
+    """The mean over the directions (axis 1) of a table whose relative
+    spread is within RADIAL_TOL (not NaN) at every radius."""
+    spread = relative_spread(table).max()
+    if not spread <= RADIAL_TOL:
+        raise NonRadialProfileError(
+            f"profile spread {spread:.3e} is not within {RADIAL_TOL:.1e}; "
+            "not radial")
+    return table.mean(axis=1)
+
 
 def radial_harmonic(radii, theta_values):
     """The nonconstant radial harmonic function from a radial profile.

@@ -1,11 +1,14 @@
 """Cold start: ``import hml`` loads no scipy; each command only what it calls.
 
-Each check runs in a fresh interpreter, since the test process has long
-imported scipy.
+Each load check runs in a fresh interpreter, since the test process has long
+imported scipy; the last test reads the source, where the README's list of
+lazy scipy imports must match it.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,7 @@ from pathlib import Path
 import hml
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(hml.__file__).parents[1])}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def scipy_loaded(script: str, *argv) -> list:
@@ -87,3 +91,32 @@ def test_deform_loads_neither_interpolate_nor_optimize(tmp_path):
     assert "scipy.special" in loaded
     assert not {"scipy.integrate", "scipy.interpolate",
                 "scipy.optimize"} & set(loaded)
+
+
+def _is_scipy(node) -> bool:
+    return isinstance(node, ast.ImportFrom) and (
+        node.module or "").split(".")[0] == "scipy"
+
+
+def test_readme_lists_every_lazy_scipy_import():
+    # each `from scipy... import` in src/hml sits inside a function, and the
+    # README sentence on lazy imports names what they import and nothing
+    # else but the functions that hold them
+    text = README.read_text()
+    sentence = text[text.index("Each scipy name is"):
+                    text.index("so a command pays")]
+    listed = set(re.findall(r"`(\w+)`", sentence))
+    imported, holders = set(), set()
+    for path in sorted(Path(hml.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in filter(_is_scipy, ast.walk(fn)):
+                    inside.add(id(node))
+                    imported.update(a.name for a in node.names)
+                    holders.add(fn.name)
+        for node in filter(_is_scipy, ast.walk(tree)):
+            assert id(node) in inside, f"{path.name}:{node.lineno} at top level"
+    assert imported <= listed, imported - listed
+    assert listed <= imported | holders, listed - imported - holders

@@ -14,12 +14,10 @@ from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
                            completeness_and_blowup,
                            deform_metric, deformed_density,
                            deformed_radial_ricci,
-                           _DensityRootPsiU, radial_sq_value, reparametrize,
-                           trivial_density_factor)
+                           _DensityRootPsiU, radial_sq_value, reparametrize)
 from hml.curvature import curvature, sectional_curvature
-from hml.geodesics import (DomainExitError, NonRadialProfileError,
-                           centrally_harmonic_test, density_profile,
-                           g_unit_directions, shoot)
+from hml.geodesics import (DomainExitError, centrally_harmonic_test,
+                           density_profile, g_unit_directions, shoot)
 from hml.manifest import _sphere_height_psi, build_metric
 from hml.metric import DomainError
 from hml.series import TruncatedSeries
@@ -294,48 +292,6 @@ def test_trivializer_differs_from_reduced_density_closures(sphere3):
     ttilde = (math.sin(r) / r) ** 2
     assert abs(float(tri(t)) - ttilde) > 1e-3
     assert abs(float(tri(t)) - ttilde ** 0.5) > 1e-3
-
-
-def test_trivial_density_factor_from_engine_profile(sphere3):
-    radii = np.linspace(0.15, 1.0, 10)
-    prof = density_profile(sphere3.metric, np.zeros(3),
-                           g_unit_directions(sphere3.metric, np.zeros(3), 6),
-                           radii,
-                           steps=400)
-    tri = trivial_density_factor(prof, 3)
-    # compare against the closed-form construction
-    ref = TrivializerRadialFunction(
-        lambda ts: jets.powf(jets.sinc_sqrt(ts), 2), 3, t_max=1.0)
-    ts = np.linspace(0.05, 0.9, 8)
-    assert np.max(np.abs(tri(ts) - ref(ts))) < 1e-5
-
-
-def test_trivial_density_factor_of_one_column_matches_two():
-    # a (radii, theta) table of one direction gives, bit for bit, the psi of
-    # the radial table holding that column twice
-    radii = np.linspace(0.15, 1.0, 10)
-    theta = np.sin(radii) ** 2
-    one = trivial_density_factor((radii, theta), 3)
-    two = trivial_density_factor((radii, np.stack([theta, theta], axis=1)), 3)
-    ts = np.linspace(0.0, 0.9, 7)
-    assert one(ts).tobytes() == two(ts).tobytes()
-    for a, b in zip(one.series(ts, 3).coeffs, two.series(ts, 3).coeffs):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-
-def test_trivial_density_factor_refuses_non_radial():
-    radii = np.linspace(0.2, 1.0, 8)
-    theta = np.stack([radii ** 2, radii ** 2 * 1.01], axis=1)
-    with pytest.raises(NonRadialProfileError):
-        trivial_density_factor((radii, theta), 3)
-
-
-def test_trivial_density_factor_refuses_non_radial_negative_mean():
-    """The spread divides by |mean|: a negative table cannot pass as radial."""
-    radii = np.linspace(0.2, 1.0, 8)
-    theta = -np.stack([radii ** 2, radii ** 2 * 1.01], axis=1)
-    with pytest.raises(NonRadialProfileError):
-        trivial_density_factor((radii, theta), 3)
 
 
 def test_trivializer_mixed_batch_series(sphere3):

@@ -8,17 +8,17 @@ import pytest
 
 from hml import catalog, jets
 from hml.curvature import curvature_arrays, reduced_jacobi
-from hml.geodesics import (ConjugatePointError, DomainExitError,
-                           NonRadialProfileError, _initial_state, _rhs,
-                           centrally_harmonic_test, density_profile,
+from hml.geodesics import (ConjugatePointError, DomainExitError, _initial_state,
+                           _rhs, centrally_harmonic_test, density_profile,
                            g_unit_directions, parallel_frame_start,
                            relative_spread, second_fundamental_form, shoot,
                            unit_directions)
 from hml.metric import ChartMetric, Workspace
 
 import oracles
-from oracles import (ScalarField, christoffels, eigen_spread, laplacian,
-                     radial_harmonic, reduced_jacobi_at)
+from oracles import (NonRadialProfileError, ScalarField, christoffels,
+                     eigen_spread, laplacian, radial_harmonic,
+                     reduced_jacobi_at)
 
 FAST = 300      # RK4 steps
 
@@ -481,6 +481,9 @@ def test_radial_harmonic_refuses_non_radial():
     table = np.stack([radii ** 2, radii ** 2 * 1.01], axis=1)
     with pytest.raises(NonRadialProfileError):
         radial_harmonic(radii, table)
+    # the spread divides by |mean|: a negative table cannot pass as radial
+    with pytest.raises(NonRadialProfileError):
+        radial_harmonic(radii, -table)
     # a NaN spread is refused too, not handed on to the spline
     table = np.stack([radii ** 2, radii ** 2], axis=1)
     table[7, 1] = np.nan

@@ -1,5 +1,6 @@
 """Truncated series arithmetic (exact mode) and radial-expansion fitting."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,21 @@ def test_fit_exact_polynomial_machine_precision():
     fit = fit_radial_expansion(samples, m, order=4)
     for k, c in coeffs.items():
         assert fit[k] == pytest.approx(c, abs=1e-12)
+
+
+def test_fit_keeps_every_column_on_many_radii():
+    # 50,000 radii: numpy's default rcond would treat this accepted
+    # design's smallest singular value as zero and fit at rank 10 of 11
+    m = 4
+    coeffs = {k: (-1.0) ** k / math.factorial(k) for k in range(2, 13)}
+    radii = np.geomspace(0.5, 1.0, 50_000)
+    theta = radii ** (m - 1) * (1 + sum(c * radii ** k
+                                        for k, c in coeffs.items()))
+    fit = fit_radial_expansion(zip(radii, theta), m, order=12)
+    assert 1e11 < fit.cond <= COND_MAX
+    for k, c in coeffs.items():
+        assert fit[k] == pytest.approx(c, abs=1e-5)
+    assert fit.residual < 1e-10
 
 
 def test_fit_requires_enough_radii():
