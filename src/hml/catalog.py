@@ -15,7 +15,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .jets import norm_sq
 from .metric import ChartMetric, entry_layout
 
 
@@ -60,12 +59,12 @@ def _sinc_power(kappa: float, m: int) -> Callable:
 
 
 def euclidean(dim: int) -> CatalogEntry:
-    def components(xj):
+    def components(x, t):
         return [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
 
     metric = ChartMetric(
         dim=dim, components=components, name="euclidean", params={"dim": dim},
-        injectivity_radius=math.inf, radial_distance_sq=norm_sq)
+        injectivity_radius=math.inf, radial_distance_sq=lambda x, t: t)
     return CatalogEntry(
         metric=metric, constant_curvature=0.0, einstein=True,
         closed_form_density=_space_form_density(0.0, dim),
@@ -77,10 +76,9 @@ def space_form(a: float, b: float, dim: int) -> CatalogEntry:
     if a == 0 and b == 0:
         raise ValueError("space form requires (a, b) != (0, 0)")
 
-    def components(xj):
+    def components(x, t):
         # nested: the same jet on the diagonal, so no product per entry, and
         # a deformation multiplies the constant zeros as numbers
-        t = norm_sq(xj)
         w = (a + b * t).reciprocal() ** 2
         return [[w if i == j else 0.0 for j in range(dim)] for i in range(dim)]
 
@@ -95,15 +93,14 @@ def space_form(a: float, b: float, dim: int) -> CatalogEntry:
         if b > 0:
             iota = math.pi / math.sqrt(kappa)  # chart reaches the antipode
 
-            def rdist_sq(xjets, _a=a, _b=b):
-                # (arctan(sqrt(b/a) s) / sqrt(ab))^2 with s^2 = |x|^2
-                t = norm_sq(xjets)
+            def rdist_sq(x, t, _a=a, _b=b):
+                # (arctan(sqrt(b/a) s) / sqrt(ab))^2 with s^2 = |x|^2 = t
                 return jets.atan_sqrt_sq(t * (_b / _a)) * (1.0 / (_a * _b))
         elif b == 0:
             iota = math.inf
 
-            def rdist_sq(xjets, _a=a):
-                return norm_sq(xjets) * (1.0 / _a ** 2)
+            def rdist_sq(x, t, _a=a):
+                return t * (1.0 / _a ** 2)
         else:
             iota = math.inf  # hyperbolic: boundary is at infinite distance
 
@@ -125,9 +122,7 @@ def sphere(dim: int) -> CatalogEntry:
     """
     rows, cols, diag, _ = entry_layout(dim)
 
-    def components(xj):
-        x = jets.stack(xj)
-        t = norm_sq(xj)
+    def components(x, t):
         s = jets.sin_sq_sqrt_over_t(t)            # sin^2(r)/r^2
         w = jets.t_minus_sinsq_over_t2(t)          # (1 - s)/t, analytic at 0
         g = jets.pair_products([x], rows, cols)   # x_i x_j
@@ -141,7 +136,7 @@ def sphere(dim: int) -> CatalogEntry:
     metric = ChartMetric(
         dim=dim, components=components, domain=domain, name="sphere",
         params={"dim": dim}, injectivity_radius=math.pi,
-        radial_distance_sq=norm_sq)
+        radial_distance_sq=lambda x, t: t)
     return CatalogEntry(
         metric=metric, constant_curvature=1.0, einstein=True,
         closed_form_density=_space_form_density(1.0, dim),
@@ -163,9 +158,7 @@ def fubini_study(cdim: int) -> CatalogEntry:
     # Jx in real coordinates: (Jx)_{2a} = -x_{2a+1}, (Jx)_{2a+1} = x_{2a}
     swap = np.arange(dim) ^ 1
 
-    def components(xj):
-        x = jets.stack(xj)
-        t = norm_sq(xj)
+    def components(x, t):
         inv = (1.0 + t).reciprocal()
         inv2 = inv * inv
         jx = x.entries(swap)
@@ -180,13 +173,10 @@ def fubini_study(cdim: int) -> CatalogEntry:
         r = np.asarray(r, dtype=float)
         return np.sin(r) ** (dim - 1) * np.cos(r)
 
-    def rdist_sq(xjets):
-        return jets.atan_sqrt_sq(norm_sq(xjets))
-
     metric = ChartMetric(
         dim=dim, components=components, name="fubini_study",
         params={"cdim": cdim}, injectivity_radius=math.pi / 2,
-        radial_distance_sq=rdist_sq)
+        radial_distance_sq=lambda x, t: jets.atan_sqrt_sq(t))
     return CatalogEntry(
         metric=metric, einstein=True, closed_form_density=fs_density,
         reduced_density=lambda ts: (jets.powf(jets.sinc_sqrt(ts), dim - 1)
@@ -204,8 +194,8 @@ def two_d_family(n: int, b: float) -> CatalogEntry:
     if n < 2:
         raise ValueError("family needs n >= 2")
 
-    def components(xj):
-        r = xj[0]
+    def components(x, t):
+        r = x.entries(0)
         f = (r * (1.0 + b * r ** n)) ** 2
         return [[1.0, 0.0], [0.0, f]]
 

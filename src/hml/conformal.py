@@ -193,10 +193,9 @@ def deform_metric(metric: ChartMetric, psi: RadialFunction) -> ChartMetric:
     rsq = metric.radial_distance_sq
     name = f"{metric.name}_psi"
 
-    def components(xjets):
-        # the base formula first: it leaves |x|^2 on the seeds for rsq
-        base = base_components(xjets)
-        Psi = psi.compose_jet(rsq(xjets))
+    def components(x, t):
+        base = base_components(x, t)
+        Psi = psi.compose_jet(rsq(x, t))
         # the domain's psi > 0, tested on the composed jet's constant term:
         # psi(r^2), the value this formula divides by
         if not jets.all_true(Psi.value > 0):
@@ -223,7 +222,8 @@ def deform_metric(metric: ChartMetric, psi: RadialFunction) -> ChartMetric:
 def radial_sq_value(metric: ChartMetric, x) -> np.ndarray:
     """r_P(x)^2 evaluated numerically through order-0 jets."""
     _require_radial_chart(metric)
-    out = metric.radial_distance_sq(seed_point(np.asarray(x, dtype=float), 0))
+    xs = seed_point(np.asarray(x, dtype=float), 0)
+    out = metric.radial_distance_sq(xs, jets.norm_sq(xs))
     return np.asarray(out.value)
 
 

@@ -214,8 +214,7 @@ def _jet_partials(metric: ChartMetric, x, k_max: int):
         PR[d][b, a] = np.multiply(-1.0, P, out=P)
         del P
         PR[d][range(m), range(m)] = zero.derivative_array(d)
-    DGam = {d: np.ascontiguousarray(_derivs(Gam, d)[e])
-            for d in range(max(k_max, 1))}
+    DGam = {d: np.ascontiguousarray(_derivs(Gam, d)[e]) for d in range(k_max)}
     return S.value[e], Gam.value[e], PR, DGam
 
 

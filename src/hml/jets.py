@@ -3,11 +3,12 @@
 A ``MultiJet`` is a truncated Taylor expansion in ``nvars`` variables about a
 base point, carrying every mixed partial derivative up to a total ``order``.
 Metric components, conformal factors and scalar fields are written once as
-plain Python formulas; evaluating them on seeded jets yields all derivatives
-needed by the curvature machinery.  Coefficient arrays may carry batch
-axes so that one evaluation serves many base points (used heavily by the
-geodesic integrator); in a stack, batch axis 0 indexes entries instead, so
-one product serves all the metric entries of a formula step.
+plain Python formulas; evaluating them on the seeded coordinate stack (see
+``seed_point``) yields all derivatives needed by the curvature machinery.
+Coefficient arrays may carry batch axes so that one evaluation serves many
+base points (used heavily by the geodesic integrator); in a stack, batch
+axis 0 indexes entries instead, so one product serves all the metric
+entries of a formula step.
 
 Analytic functions (sqrt, sin, atan, ...) act on jets and truncated series
 through truncated composition with the univariate Taylor expansion at the
@@ -398,31 +399,9 @@ def _seed_rows(nvars: int, order: int):
     return rows
 
 
-class Seeds:
-    """Coordinate jets that are the entries of one stack, kept as ``stack``.
-
-    The entry jets are views made when indexed (or iterated).  ``sum_sq``
-    keeps their ``norm_sq`` once formed, so a chart's formula and its radial
-    distance square the coordinates once.
-    """
-
-    __slots__ = ("stack", "sum_sq")
-
-    def __init__(self, stack: MultiJet):
-        self.stack = stack
-        self.sum_sq = None
-
-    def __len__(self):
-        return self.stack.coef.shape[1]
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self))[k]]
-        return self.stack.entries(range(len(self))[k])
-
-
-def seed_point(x, order: int) -> Seeds:
-    """Seed coordinate jets at x (shape (m,) or (..., m)), copied from cached rows."""
+def seed_point(x, order: int) -> MultiJet:
+    """The coordinate stack at x (shape (m,) or (..., m)): entry k is the
+    jet of x_k, copied from cached rows."""
     x = np.asarray(x, dtype=float)
     batch, m = x.shape[:-1], x.shape[-1]
     rows = _seed_rows(m, order)
@@ -433,17 +412,7 @@ def seed_point(x, order: int) -> Seeds:
         coef = np.empty(rows.shape + batch)
         coef[...] = rows.reshape(rows.shape + (1,) * len(batch))
         coef[0] = np.moveaxis(x, -1, 0)
-    return Seeds(MultiJet(jet_space(m, order), coef))
-
-
-def stack(xjets) -> MultiJet:
-    """The jets of a sequence as one stack: entry k is xjets[k].
-
-    Seeds give their own stack, so a formula must not write into it.
-    """
-    if type(xjets) is Seeds:
-        return xjets.stack
-    return MultiJet(xjets[0].space, np.stack([x.coef for x in xjets], axis=1))
+    return MultiJet(jet_space(m, order), coef)
 
 
 def pair_products(stacks, rows, cols) -> MultiJet:
@@ -729,20 +698,11 @@ def atan_sqrt_sq(x):
             + atan_sqrt_sq(x + w * (1.0 - t0)) * (1.0 - w))
 
 
-def norm_sq(xjets):
-    """Sum of squares of a sequence or stack of jets (not of numbers).
-
-    Jets are squared as one stack; the squares are summed in order.  Seeds
-    return the sum they keep, so a caller must not write into it.
-    """
-    if type(xjets) is Seeds:
-        if xjets.sum_sq is None:
-            xjets.sum_sq = norm_sq(xjets.stack)
-        return xjets.sum_sq
-    if type(xjets) is not MultiJet:
-        xjets = stack(xjets)
-    sq = (xjets * xjets).coef
+def norm_sq(x: MultiJet) -> MultiJet:
+    """Sum of the squares of a stack's entries, squared as one stack and
+    summed in order."""
+    sq = (x * x).coef
     total = sq[:, 0].copy()
     for k in range(1, sq.shape[1]):     # the entries' planes, added in order
         total += sq[:, k]
-    return MultiJet(xjets.space, total)
+    return MultiJet(x.space, total)

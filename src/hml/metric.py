@@ -1,8 +1,9 @@
 """Analytic metrics on coordinate charts, evaluated through jets.
 
 A ``ChartMetric`` wraps a component function written with the overloaded
-arithmetic of :mod:`hml.jets`; evaluating it on seeded jets produces the
-metric together with every partial derivative up to a requested order.
+arithmetic of :mod:`hml.jets`; evaluating it on the seeded coordinates
+produces the metric together with every partial derivative up to a
+requested order.
 Charts are immutable after construction and safe to share across threads.
 """
 
@@ -15,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .jets import MultiJet, _extraction_table, all_true, jet_space, seed_point
+from .jets import (MultiJet, _extraction_table, all_true, jet_space, norm_sq,
+                   seed_point)
 
 
 class DomainError(ValueError):
@@ -100,14 +102,16 @@ def _entry_extraction(m: int, order: int):
 class ChartMetric:
     """Analytic Riemannian metric on an open chart of R^dim.
 
-    ``components(xjets)`` maps the list of seeded coordinate jets to the
-    metric entries: a stacked jet of the upper triangle (see
-    ``entry_layout``), or a symmetric dim x dim nested structure of jets and
-    constants.  It is evaluated with whatever jet order the caller seeds,
-    so all derivatives come from one formula.  ``radial_distance_sq`` is an
-    optional analytic expression for the squared geodesic distance r_P^2
-    from the chart's distinguished center (the origin); charts that provide
-    it support radial conformal deformation.
+    ``components(x, t)`` maps the coordinate stack x (entry k the jet of
+    x_k, see ``jets.seed_point``) and t = |x|^2 to the metric entries: a
+    stacked jet of the upper triangle (see ``entry_layout``), or a
+    symmetric dim x dim nested structure of jets and constants.  It is
+    evaluated with whatever jet order the caller seeds, so all derivatives
+    come from one formula; it must not write into x or t.
+    ``radial_distance_sq(x, t)`` is an optional analytic expression for
+    the squared geodesic distance r_P^2 from the chart's distinguished
+    center (the origin); charts that provide it support radial conformal
+    deformation.
 
     ``_formula_domain``, where set, is the part of ``domain`` that
     ``component_jets`` checks before it runs the formula, which then tests
@@ -151,7 +155,8 @@ class ChartMetric:
                   else np.asarray(self._formula_domain(self._as_point(x))))
         if not all_true(inside):
             raise outside_domain(self.name)
-        comps = self.components(seed_point(x, order))
+        xs = seed_point(x, order)
+        comps = self.components(xs, norm_sq(xs))
         if type(comps) is MultiJet:
             return comps
         rows, cols, _, _ = entry_layout(self.dim)

@@ -12,10 +12,11 @@ arithmetic is the same).  literal_curvature is the jet-ring bundle path
 built on object arrays of scalar jets, filled and contracted entry by entry,
 with its own covariant step that forms one einsum per slot subset.  The
 jet-based oracles at the end are exceptions too: ScalarField evaluates a
-function on seeded jets, the Hessian family (christoffels, hessian,
-laplacian, gradient_norm_sq) reads Gamma from curvature_arrays, and the
-Ricci conformal-change law (ricci_conformal) combines them with the base
-metric's bundle, independently of the deformed chart it is checked against.
+function of the seeded coordinate stack, the Hessian family (christoffels,
+hessian, laplacian, gradient_norm_sq) reads Gamma from curvature_arrays,
+and the Ricci conformal-change law (ricci_conformal) combines them with the
+base metric's bundle, independently of the deformed chart it is checked
+against.
 The last sections hold the oracles that only the test suite runs: the
 exact-rational check of the leading-term law H_n = c_n Tr J_(n-2) + lower
 order on the 2D family (rational_series, leading_coefficient,
@@ -220,17 +221,28 @@ def coordinate_jacobi_density(metric, P, theta, radii, steps=800):
     return np.array(out)
 
 
-def literal_norm_sq(xjets):
-    """x_0^2 + ... + x_(m-1)^2, one product per coordinate, summed in order."""
-    total = xjets[0] * xjets[0]
-    for xi in xjets[1:]:
+def _coordinates(x):
+    """The entry jets of a coordinate stack, one per coordinate."""
+    return [x.entries(k) for k in range(x.coef.shape[1])]
+
+
+def literal_norm_sq(x):
+    """x_0^2 + ... + x_(m-1)^2 of a coordinate stack, one product per
+    coordinate, summed in order."""
+    xj = _coordinates(x)
+    total = xj[0] * xj[0]
+    for xi in xj[1:]:
         total = total + xi * xi
     return total
 
 
+# The literal formulas take the chart contract's (x, t) but form |x|^2
+# themselves, entry by entry, and ignore t.
+
 def _literal_sphere(dim):
-    def components(xj):
-        t = literal_norm_sq(xj)
+    def components(x, _t):
+        xj = _coordinates(x)
+        t = literal_norm_sq(x)
         s = jets.sin_sq_sqrt_over_t(t)
         w = jets.t_minus_sinsq_over_t2(t)
         comps = [[None] * dim for _ in range(dim)]
@@ -246,8 +258,9 @@ def _literal_sphere(dim):
 def _literal_fubini_study(cdim):
     dim = 2 * cdim
 
-    def components(xj):
-        t = literal_norm_sq(xj)
+    def components(x, _t):
+        xj = _coordinates(x)
+        t = literal_norm_sq(x)
         inv = (1.0 + t).reciprocal()
         inv2 = inv * inv
         jx = []
@@ -264,16 +277,16 @@ def _literal_fubini_study(cdim):
                 comps[i][j] = entry
                 comps[j][i] = entry
         return comps
-    return components, lambda xj: jets.atan_sqrt_sq(literal_norm_sq(xj))
+    return components, lambda x: jets.atan_sqrt_sq(literal_norm_sq(x))
 
 
 def _literal_space_form(a, b, dim):
-    def components(xj):
-        w = (a + b * literal_norm_sq(xj)).reciprocal() ** 2
+    def components(x, _t):
+        w = (a + b * literal_norm_sq(x)).reciprocal() ** 2
         return [[w if i == j else 0.0 for j in range(dim)] for i in range(dim)]
 
-    def rsq(xj):              # a > 0 and b >= 0: the deformable space forms
-        t = literal_norm_sq(xj)
+    def rsq(x):               # a > 0 and b >= 0: the deformable space forms
+        t = literal_norm_sq(x)
         if b > 0:
             return jets.atan_sqrt_sq(t * (b / a)) * (1.0 / (a * b))
         return t * (1.0 / a ** 2)
@@ -298,16 +311,17 @@ def literal_components(entry, psi=None):
     if psi is None:
         return components
 
-    def deformed(xj):
-        w = psi.compose_jet(rsq(xj)).reciprocal() ** 2
-        return [[w * c for c in row] for row in components(xj)]
+    def deformed(x, t):
+        w = psi.compose_jet(rsq(x)).reciprocal() ** 2
+        return [[w * c for c in row] for row in components(x, t)]
     return deformed
 
 
 def literal_derivative_arrays(components, x, order):
     """[g, dg, ...] of per-entry components: one extraction and moveaxis each."""
     batch, m = np.shape(x)[:-1], np.shape(x)[-1]
-    comps = components(seed_point(x, order))
+    xs = seed_point(x, order)
+    comps = components(xs, literal_norm_sq(xs))
     out = []
     for d in range(order + 1):
         arr = np.empty(batch + (m, m) + (m,) * d)
@@ -637,14 +651,14 @@ LITERAL_COEFS = {
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function on a chart, jet-evaluable like metric components."""
+    """Scalar function on a chart: ``fn`` maps the coordinate stack (see
+    ``jets.seed_point``) to a jet or a constant, like a metric formula."""
 
     fn: Callable
     name: str = "phi"
 
     def jet(self, x, order: int) -> MultiJet:
-        xj = seed_point(x, order)
-        out = self.fn(xj)
+        out = self.fn(seed_point(x, order))
         if not isinstance(out, MultiJet):
             space = jet_space(np.shape(x)[-1], order)
             out = MultiJet.constant(space, out, np.shape(x)[:-1])
@@ -664,8 +678,8 @@ class ScalarField:
         if metric.radial_distance_sq is None:
             raise ValueError("chart does not declare a radial distance")
 
-        def fn(xjets):
-            t = metric.radial_distance_sq(xjets)
+        def fn(x):
+            t = metric.radial_distance_sq(x, literal_norm_sq(x))
             r = jets.sqrt(t)
             r0 = np.asarray(r.value)
             order = r.space.order if isinstance(r, MultiJet) else r.order
@@ -709,7 +723,8 @@ def conformal_factor_field(metric: ChartMetric, psi: RadialFunction
     """Psi(x) = psi(r_P(x)^2) as a jet-evaluable scalar field."""
     _require_radial_chart(metric)
     return ScalarField(
-        lambda xj: psi.compose_jet(metric.radial_distance_sq(xj)),
+        lambda x: psi.compose_jet(
+            metric.radial_distance_sq(x, literal_norm_sq(x))),
         name=f"{psi.name}(r^2)")
 
 

@@ -76,8 +76,8 @@ def test_domain_exit_reports_radius():
     # chart boundary at |x| = 1; the geodesic parameter is distance,
     # which diverges, so pick an explicitly bounded domain instead
     small = ChartMetric(
-        dim=3, components=lambda xj: [[1.0 if i == j else 0.0
-                                       for j in range(3)] for i in range(3)],
+        dim=3, components=lambda x, t: [[1.0 if i == j else 0.0
+                                         for j in range(3)] for i in range(3)],
         domain=lambda x: np.sum(np.asarray(x) ** 2, axis=-1) < 0.25,
         name="ball")
     with pytest.raises(DomainExitError) as exc:
@@ -96,8 +96,8 @@ def test_domain_exit_on_a_step_end_point(radii, steps, bound, last_r):
     # in the slab x0 < nextafter(bound) only a step's end point leaves it;
     # the radius reported is the one that step started from
     slab = ChartMetric(
-        dim=3, components=lambda xj: [[1.0 if i == j else 0.0
-                                       for j in range(3)] for i in range(3)],
+        dim=3, components=lambda x, t: [[1.0 if i == j else 0.0
+                                         for j in range(3)] for i in range(3)],
         domain=lambda x: np.asarray(x)[..., 0] < np.nextafter(bound, 1.0),
         name="slab")
     with pytest.raises(DomainExitError) as exc:
@@ -429,8 +429,8 @@ def test_density_profile_refuses_misshaped_directions(fs2, directions):
 
 def test_harmonicity_inconclusive_on_domain_exit():
     ball = ChartMetric(
-        dim=3, components=lambda xj: [[1.0 if i == j else 0.0
-                                       for j in range(3)] for i in range(3)],
+        dim=3, components=lambda x, t: [[1.0 if i == j else 0.0
+                                         for j in range(3)] for i in range(3)],
         domain=lambda x: np.sum(np.asarray(x) ** 2, axis=-1) < 0.2,
         name="ball")
     rep = centrally_harmonic_test(

@@ -16,7 +16,7 @@ import oracles
 
 
 def test_polynomial_partials_exact():
-    x, y = seed_point([2.0, -1.0], 3)
+    x, y = (seed_point([2.0, -1.0], 3).entries(k) for k in (0, 1))
     f = x ** 2 * y + 3 * x - y ** 3
     assert f.value == pytest.approx(2 ** 2 * (-1) + 6 + 1)
     d = f.derivative_array(1)
@@ -28,7 +28,7 @@ def test_polynomial_partials_exact():
 
 def test_transcendental_mixed_partials():
     x0, y0 = 0.7, -0.3
-    x, y = seed_point([x0, y0], 4)
+    x, y = (seed_point([x0, y0], 4).entries(k) for k in (0, 1))
     f = jets.sin(x * y) + x ** 3 / (1 + y * y)
     d2 = f.derivative_array(2)
     expected = (np.cos(x0 * y0) - x0 * y0 * np.sin(x0 * y0)
@@ -39,7 +39,7 @@ def test_transcendental_mixed_partials():
 
 def test_high_order_univariate_matches_taylor():
     # exp at x0: all derivatives equal exp(x0)
-    (x,) = seed_point([0.4], 12)
+    x = seed_point([0.4], 12).entries(0)
     f = jets.exp(x)
     for d in range(0, 13, 3):
         arr = f.derivative_array(d)
@@ -63,16 +63,16 @@ def test_order_cap_enforced():
 def test_batch_matches_pointwise():
     pts = np.array([[0.3, 0.8], [1.2, -0.4], [0.05, 0.02]])
     xb = seed_point(pts, 3)
-    fb = jets.sqrt(1 + jets.norm_sq(xb)) * jets.cos(xb[0])
+    fb = jets.sqrt(1 + jets.norm_sq(xb)) * jets.cos(xb.entries(0))
     for i, p in enumerate(pts):
         xs = seed_point(p, 3)
-        fs = jets.sqrt(1 + jets.norm_sq(xs)) * jets.cos(xs[0])
+        fs = jets.sqrt(1 + jets.norm_sq(xs)) * jets.cos(xs.entries(0))
         assert fb.derivative_array(2)[..., i] == pytest.approx(
             fs.derivative_array(2), rel=1e-13)
 
 
 def test_reciprocal_roundtrip():
-    x, y = seed_point([1.5, 0.2], 5)
+    x, y = (seed_point([1.5, 0.2], 5).entries(k) for k in (0, 1))
     f = 1 + x * y + y ** 2
     g = f * f.reciprocal()
     assert g.value == pytest.approx(1.0, rel=1e-14)
@@ -80,7 +80,7 @@ def test_reciprocal_roundtrip():
 
 
 def test_partial_is_derivative():
-    x, y = seed_point([0.9, 1.1], 4)
+    x, y = (seed_point([0.9, 1.1], 4).entries(k) for k in (0, 1))
     f = jets.exp(x) * jets.sin(y)
     fx = f.partial(0)
     assert fx.value == pytest.approx(f.derivative_array(1)[0], rel=1e-13)
@@ -89,8 +89,18 @@ def test_partial_is_derivative():
         f.derivative_array(2)[0, 1], rel=1e-12)
 
 
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_partial_of_an_order_zero_jet_is_zero(batch):
+    # order 0 has no term to differentiate: the partial's table is empty
+    x = seed_point(np.full(batch + (2,), 0.7), 0)
+    for k in (0, 1):
+        d = (x * x).partial(k)
+        assert d.space is x.space and d.coef.shape == x.coef.shape
+        assert not d.coef.any()
+
+
 def test_division_and_integer_powers():
-    (x,) = seed_point([0.6], 6)
+    x = seed_point([0.6], 6).entries(0)
     f = (1 + x) ** 3 / (1 - x)
     x0 = 0.6
     val = (1 + x0) ** 3 / (1 - x0)
@@ -104,7 +114,7 @@ def test_division_and_integer_powers():
 
 
 def test_zeroth_power_is_the_constant_one():
-    (x,) = seed_point(np.array([[0.4], [-1.5], [2.0]]), 3)
+    x = seed_point(np.array([[0.4], [-1.5], [2.0]]), 3).entries(0)
     one = x ** 0
     assert one.space is x.space and one.coef.shape == x.coef.shape
     assert np.array_equal(one.coef, jets.MultiJet.constant(
@@ -118,7 +128,7 @@ def test_zeroth_power_is_the_constant_one():
 
 @pytest.mark.parametrize("t0", [0.0, 0.3, 2.0, 7.5])
 def test_entire_helpers_match_references(t0):
-    (t,) = seed_point([t0], 4)
+    t = seed_point([t0], 4).entries(0)
     cs = jets.cos_sqrt(t)
     ss = jets.sinc_sqrt(t)
     s2 = jets.sin_sq_sqrt_over_t(t)
@@ -135,14 +145,14 @@ def test_entire_helpers_match_references(t0):
     h = 1e-6 if t0 else 1e-8
     tp, tm = t0 + h, max(t0 - h, 0.0)
     for jet_val, helper in ((cs, jets.cos_sqrt), (s2, jets.sin_sq_sqrt_over_t)):
-        at = [helper(seed_point([t], 0)[0]).value for t in (tp, tm)]
+        at = [helper(seed_point([t], 0).entries(0)).value for t in (tp, tm)]
         fd = (at[0] - at[1]) / (tp - tm)
         assert jet_val.derivative_array(1)[0] == pytest.approx(fd, abs=2e-6)
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.2, 0.9, 16.0])
 def test_atan_sqrt_sq(t0):
-    (t,) = seed_point([t0], 3)
+    t = seed_point([t0], 3).entries(0)
     f = jets.atan_sqrt_sq(t)
     ref = math.atan(math.sqrt(t0)) ** 2 if t0 else 0.0
     assert f.value == pytest.approx(ref, abs=1e-13)
@@ -176,7 +186,7 @@ def test_entire_helpers_match_literal_horner(name, order):
              seed_point(rng.uniform(0.05, 0.3, (1, 3)), order),
              seed_point(rng.uniform(0.05, 0.3, (16, 3)), order)]
     for xj in cases:
-        t = jets.norm_sq(xj) + 0.3 * xj[0]
+        t = jets.norm_sq(xj) + 0.3 * xj.entries(0)
         got, ref = fn(t), oracles.literal_entire_apply(t, coef)
         assert got.coef.shape == ref.coef.shape
         assert np.array_equal(got.coef, ref.coef)
@@ -356,7 +366,7 @@ def test_apply_analytic_matches_literal_horner(order, monkeypatch):
               for B in (1, 16, 256)]
     refs = []
     for xj in cases:
-        t = jets.norm_sq(xj) + 0.5 * xj[1] + 0.7
+        t = jets.norm_sq(xj) + 0.5 * xj.entries(1) + 0.7
         derivs = [np.cos(t.value + k) for k in range(order + 1)]
         # a top derivative of -0.0: the Horner loop starts from 0.0 + c_n
         for ds in (derivs, derivs[:-1] + [-0.0 * t.value]):
@@ -372,7 +382,7 @@ def test_apply_analytic_matches_literal_horner(order, monkeypatch):
 
 @pytest.mark.parametrize("obj, text", [
     (jet_space(2, 3), "JetSpace(nvars=2, order=3)"),
-    (seed_point([2.0, -1.0], 3)[0], "MultiJet(order=3, value=2.0)"),
+    (seed_point([2.0, -1.0], 3).entries(0), "MultiJet(order=3, value=2.0)"),
     (catalog.sphere(3).metric, "<ChartMetric sphere(dim=3) dim=3>"),
     (TruncatedSeries([1.0, 0.5]), "TruncatedSeries([1.0, 0.5])"),
 ], ids=["JetSpace", "MultiJet", "ChartMetric", "TruncatedSeries"])
@@ -381,7 +391,7 @@ def test_repr_names_the_object(obj, text):
 
 
 def test_mul_requires_same_space():
-    (a,) = seed_point([1.0], 2)
-    (b,) = seed_point([1.0], 3)
+    a = seed_point([1.0], 2).entries(0)
+    b = seed_point([1.0], 3).entries(0)
     with pytest.raises(ValueError):
         a * b

@@ -64,7 +64,8 @@ def test_fd_oracles_every_catalog_metric(name, rng, request):
     assert np.max(np.abs(Gam - oracles.fd_christoffels(entry.metric, x))) < 1e-6
     b = curvature(entry.metric, x, k_max=0)
     assert np.max(np.abs(b.riemann - oracles.fd_riemann(entry.metric, x))) < 1e-6
-    phi = ScalarField(lambda xj: jets.sin(xj[0]) * (1.0 + xj[1]), name="probe")
+    phi = ScalarField(
+        lambda x: jets.sin(x.entries(0)) * (1.0 + x.entries(1)), name="probe")
     H = hessian(entry.metric, phi, x)
     H_fd = oracles.fd_covariant_hessian(
         entry.metric, lambda y: math.sin(y[0]) * (1.0 + y[1]), x)
@@ -342,8 +343,8 @@ def test_hessian_euclidean_norm_sq(euclid3):
 def test_hessian_radial_structure_euclidean(euclid4):
     # Psi = psi(|x|^2) at x = (r, 0, 0, 0):
     # Hess = diag(2 psi' + 4 r^2 psi'', 2 psi', 2 psi', 2 psi')
-    def psi_field(xj):
-        t = jets.norm_sq(xj)
+    def psi_field(x):
+        t = jets.norm_sq(x)
         return jets.exp(t * 0.3)
 
     phi = ScalarField(psi_field)
@@ -357,7 +358,7 @@ def test_hessian_radial_structure_euclidean(euclid4):
 
 
 def test_hessian_matches_fd_oracle(sphere3):
-    phi = ScalarField(lambda xj: xj[0], name="x1")
+    phi = ScalarField(lambda x: x.entries(0), name="x1")
     x = np.array([0.5, 0.2, -0.3])
     H = hessian(sphere3.metric, phi, x)
     H_fd = oracles.fd_covariant_hessian(
@@ -421,8 +422,9 @@ def test_einstein_defect_chart_scaling_invariance(fs2):
     c = 2.5
     base = fs2.metric
 
-    def scaled_components(xj):
-        return c * c * base.components([c * xi for xi in xj])
+    def scaled_components(x, t):
+        xc = x * c
+        return c * c * base.components(xc, jets.norm_sq(xc))
 
     scaled = ChartMetric(dim=4, components=scaled_components, name="scaled")
     x = np.array([0.1, -0.2, 0.05, 0.15])
@@ -444,7 +446,7 @@ def test_domain_enforced():
 def test_degenerate_metric_reported():
     bad = ChartMetric(
         dim=2,
-        components=lambda xj: [[xj[0] * 0 + 1.0, 0.0], [0.0, xj[0] * 0]],
+        components=lambda x, t: [[t * 0 + 1.0, 0.0], [0.0, t * 0]],
         name="degenerate")
     with pytest.raises(DegenerateMetricError):
         check_positive_definite(bad, np.array([0.3, 0.4]))
