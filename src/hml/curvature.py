@@ -18,7 +18,7 @@ import numpy as np
 
 from .jets import MultiJet, entry_dot
 from .metric import (ChartMetric, DegenerateMetricError, OrderExceededError,
-                     Workspace, entry_layout)
+                     Workspace, derivative_plan, entry_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def curvature_arrays(metric: ChartMetric, x, ws: Optional[Workspace] = None):
     so a caller that passes its own reuses their pages from call to call.
     """
     ws = Workspace() if ws is None else ws
-    g, dg, d2g = metric.derivative_arrays(x, 2, ws)
+    g = metric.derivative_arrays(x, 2, ws)[0]
     batch, m = g.shape[:-2], g.shape[-1]
     try:
         ginv = np.linalg.inv(g)
@@ -45,35 +45,45 @@ def curvature_arrays(metric: ChartMetric, x, ws: Optional[Workspace] = None):
                                       g.reshape(-1, m, m))
                    if np.linalg.det(gp) == 0), np.ravel(x))
         raise _degenerate(metric, at) from exc
-    # U takes derivative_arrays' scratch buffer, free once it returns
+    (dg, dg_jli, dg_ilj, h, hf, hT, Gamma, U, d2f, Uf, Rf, swap, to_s, S,
+     S_swapped, R, Gamma3) = ws.plan(_arrays_plan, m, batch)
     # first kind: h[i, j, l] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
-    h = ws.array("h", batch + (m, m, m))
-    np.add(dg.swapaxes(-1, -3).swapaxes(-1, -2), dg.swapaxes(-1, -2), out=h)
+    np.add(dg_jli, dg_ilj, out=h)
     np.subtract(h, dg, out=h)
     np.multiply(0.5, h, out=h)
-    h = h.reshape(batch + (m * m, m))
     # Gamma_ij^k = g^{kl} h_ijl
-    Gamma = np.matmul(h, ginv.swapaxes(-1, -2),
-                      out=ws.array("Gamma", batch + (m * m, m)))
+    np.matmul(hf, ginv.swapaxes(-1, -2), out=Gamma)
     # R_ijkl = S_ijkl - S_jikl with
     # S_ijkl = 1/2 (d_i d_k g_jl - d_i d_l g_jk) - Gamma_jk^n h_iln,
     # assembled as U[j, k, i, l] = S_ijkl
-    U = np.matmul(Gamma, h.swapaxes(-1, -2),
-                  out=ws.array("gather", batch + (m * m, m * m)))
+    np.matmul(Gamma, hT, out=U)
     # The index swaps are gathers along the flat m^4 axis: elementwise ops
     # over the permuted views ran inner loops of length m.  R's buffer holds
     # the second-derivative term until R is formed, d2g's holds S.
-    swap, to_s = _flat_perms(m)
-    d2f, Uf = d2g.reshape(-1, m ** 4), U.reshape(-1, m ** 4)
-    R = ws.array("R", batch + (m,) * 4)
-    Rf = R.reshape(-1, m ** 4)
     d2f.take(swap, 1, out=Rf, mode="clip")
     np.subtract(Rf, d2f, out=Rf)
     np.multiply(0.5, Rf, out=Rf)
     np.subtract(Rf, Uf, out=Uf)
-    S = Uf.take(to_s, 1, out=d2f, mode="clip").reshape(R.shape)
-    np.subtract(S, S.swapaxes(-4, -3), out=R)
-    return g, ginv, Gamma.reshape(batch + (m, m, m)), R
+    Uf.take(to_s, 1, out=d2f, mode="clip")
+    np.subtract(S, S_swapped, out=R)
+    return g, ginv, Gamma3, R
+
+
+def _arrays_plan(ws: Workspace, m: int, batch: tuple):
+    """curvature_arrays' buffers, views and tables (see Workspace): the
+    derivative arrays are derivative_plan's, and U takes its scratch."""
+    _, dg, d2g = ws.plan(derivative_plan, m, 2, batch)[-1]
+    h = ws.array("h", batch + (m, m, m))
+    hf = h.reshape(batch + (m * m, m))
+    Gamma = ws.array("Gamma", batch + (m * m, m))
+    U = ws.array("gather", batch + (m * m, m * m))
+    R = ws.array("R", batch + (m,) * 4)
+    d2f = d2g.reshape(-1, m ** 4)
+    S = d2f.reshape(R.shape)
+    return (dg, dg.swapaxes(-1, -3).swapaxes(-1, -2), dg.swapaxes(-1, -2),
+            h, hf, hf.swapaxes(-1, -2), Gamma, U, d2f, U.reshape(-1, m ** 4),
+            R.reshape(-1, m ** 4), *_flat_perms(m), S, S.swapaxes(-4, -3), R,
+            Gamma.reshape(batch + (m, m, m)))
 
 
 def _degenerate(metric: ChartMetric, x) -> DegenerateMetricError:

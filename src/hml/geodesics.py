@@ -96,24 +96,42 @@ def parallel_frame_start(g0: np.ndarray, theta: np.ndarray) -> np.ndarray:
 RHS_BLOCK = 512
 
 
-def _rhs(metric: ChartMetric, state, ws: Optional[Workspace] = None):
-    n = len(state[0])
-    if n <= RHS_BLOCK:
-        return _rhs_block(metric, state, ws)
-    parts = [_rhs_block(metric, tuple(y[lo:lo + RHS_BLOCK] for y in state), ws)
-             for lo in range(0, n, RHS_BLOCK)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+def _rhs(metric: ChartMetric, state, ws: Optional[Workspace] = None,
+         out=None):
+    """The RHS at ``state``, block by block, into ``out`` (by default into
+    arrays of ``ws``, a fresh workspace by default), shaped as its parts."""
+    ws = Workspace() if ws is None else ws
+    if out is None:
+        out = ws.plan(_rhs_outputs, *[y.shape for y in state])
+    if len(state[0]) <= RHS_BLOCK:
+        _rhs_block(metric, state, out, ws)
+    else:
+        for lo in range(0, len(state[0]), RHS_BLOCK):
+            hi = lo + RHS_BLOCK
+            _rhs_block(metric, [y[lo:hi] for y in state],
+                       [k[lo:hi] for k in out], ws)
+    return out
 
 
-def _rhs_block(metric: ChartMetric, state, ws):
+def _rhs_outputs(ws: Workspace, *shapes):
+    return tuple(np.empty(shape) for shape in shapes)
+
+
+def _rhs_block(metric: ChartMetric, state, out, ws: Workspace):
+    """Write (v, dv, dE, A', -J A) at one block of ``state`` into ``out``."""
     x, v, E, A, Ad = state
+    dx, dv, dE, dA, dAd = out
     _, _, Gamma, R = curvature_arrays(metric, x, ws)
     B, m = v.shape[:-1], v.shape[-1]
+    np.copyto(dx, v)
     # Gv[j, k] = Gamma_ij^k v^i, shared by the geodesic and the frame
     Gv = (v[..., None, :] @ Gamma.reshape(B + (m, m * m))).reshape(B + (m, m))
-    dv = -(v[..., None, :] @ Gv)[..., 0, :]
-    dE = -(Gv.swapaxes(-1, -2) @ E)
-    return (v, dv, dE, Ad, -reduced_jacobi(R, v, E) @ A)
+    np.matmul(v[..., None, :], Gv, out=dv[..., None, :])
+    np.negative(dv, out=dv)
+    np.matmul(Gv.swapaxes(-1, -2), E, out=dE)
+    np.negative(dE, out=dE)
+    np.copyto(dA, Ad)
+    np.matmul(-reduced_jacobi(R, v, E), A, out=dAd)
 
 
 def _initial_state(metric: ChartMetric, P, thetas):
@@ -152,45 +170,44 @@ def _integrate_recording(metric, P, thetas, radii, steps: int):
     state = _initial_state(metric, P, thetas)
     max_det = np.zeros(state[0].shape[0])
     crossed = np.zeros(state[0].shape[0], dtype=bool)
-    # The state travels as one flat vector y, so that an RK4 stage is two
-    # array ops over all its parts, each element computed as before
+    # y, a stage's trial state and k1-k4: flat vectors built once per shot
     cuts = np.cumsum([0] + [part.size for part in state])
     shapes = [part.shape for part in state]
-    ws = Workspace()        # one shot's RHS buffers
-
-    def parts(flat):
-        return tuple(flat[lo:hi].reshape(shape)
-                     for lo, hi, shape in zip(cuts, cuts[1:], shapes))
-
-    def rhs(flat):
-        return np.concatenate([k.ravel()
-                               for k in _rhs(metric, parts(flat), ws)])
-
     y = np.concatenate([part.ravel() for part in state])
+    trial, k1, k2, k3, k4 = (np.empty_like(y) for _ in range(5))
+    ws = Workspace()        # one shot's RHS buffers and plans
+    state, at_trial, *into = (
+        [flat[lo:hi].reshape(shape)
+         for lo, hi, shape in zip(cuts, cuts[1:], shapes)]
+        for flat in (y, trial, k1, k2, k3, k4))
     r_prev = 0.0
     for r in radii:
         n = max(1, int(round(steps * (r - r_prev) / radii[-1])))
         h = (r - r_prev) / n
         for i in range(n):
             try:
-                k1 = rhs(y)
+                _rhs(metric, state, ws, into[0])
             except DomainError as exc:
                 raise DomainExitError(r_prev + max(i - 1, 0) * h) from exc
-            try:
-                k2 = rhs(y + 0.5 * h * k1)
-                k3 = rhs(y + 0.5 * h * k2)
-                k4 = rhs(y + h * k3)
+            try:       # the trial states y + c k, as y + c * k formed them
+                for k, c, k_next in ((k1, 0.5 * h, into[1]),
+                                     (k2, 0.5 * h, into[2]), (k3, h, into[3])):
+                    np.add(y, np.multiply(c, k, out=trial), out=trial)
+                    _rhs(metric, at_trial, ws, k_next)
             except DomainError as exc:
                 raise DomainExitError(r_prev + i * h) from exc
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            state = parts(y)
+            # y += (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in k1
+            k1 += np.multiply(2, k2, out=k2)
+            k1 += np.multiply(2, k3, out=k3)
+            k1 += k4
+            y += np.multiply(h / 6.0, k1, out=k1)
             det = np.linalg.det(state[3])
             crossed |= (det <= 0) | (det < DIP * max_det)
-            max_det = np.maximum(max_det, det)
+            np.maximum(max_det, det, out=max_det)
         if not np.all(metric.contains(state[0])):
             raise DomainExitError(r_prev + (n - 1) * h)
         r_prev = r
-        yield r, state, crossed.copy()
+        yield r, tuple(part.copy() for part in state), crossed.copy()
 
 
 # ---------------------------------------------------------------------------

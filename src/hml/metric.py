@@ -37,32 +37,37 @@ class OrderExceededError(ValueError):
 
 
 class Workspace:
-    """Float buffers that one caller reuses across calls, one per name.
+    """Float buffers and call plans that one caller reuses across calls.
 
     ``array(name, shape)`` returns a C-contiguous view of the name's flat
     buffer, grown when a call needs more, so repeated batched evaluations
     (the RK4 stages and RHS blocks of one shot) write their large
     temporaries into the same pages instead of allocating and freeing them
-    each time.  An array from a workspace is valid until the next request
-    for the same name; callers that keep results use a fresh workspace.
+    each time; ``plan(build, *args)``, built once, holds a routine's views
+    and tables at one call shape.  An array from a workspace is valid until
+    the next call that writes it; callers that keep results use a fresh
+    workspace.
     """
 
-    __slots__ = ("_flat", "_view")
+    __slots__ = ("_flat", "_plans")
 
     def __init__(self):
         self._flat = {}
-        self._view = {}     # the last view handed out per name
+        self._plans = {}
 
     def array(self, name: str, shape: tuple) -> np.ndarray:
-        view = self._view.get(name)
-        if view is not None and view.shape == shape:
-            return view
         size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size)
-        view = self._view[name] = flat[:size].reshape(shape)
-        return view
+        return flat[:size].reshape(shape)
+
+    def plan(self, build, *args):
+        key = (build, *args)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = build(self, *args)
+        return plan
 
 
 @lru_cache(maxsize=None)
@@ -184,23 +189,31 @@ class ChartMetric:
         scratch that is free again once this returns.
         """
         ws = Workspace() if ws is None else ws
-        batch, m = np.shape(x)[:-1], self.dim
         stack = self.component_jets(self._as_point(x), order)
-        n = math.prod(batch)
-        pos, fact, cuts = _entry_extraction(m, order)
-        flat = ws.array("d", (pos.size * n,))
+        pos, fact, gather, copies, arrays = ws.plan(
+            derivative_plan, self.dim, order, np.shape(x)[:-1])
         # one gather for every order; mode="clip" (every index is in range)
         # lets take write to out directly, the default mode buffers it
-        if n == 1:      # one point: the gather is laid out batch first
-            stack.coef.take(pos, out=flat, mode="clip")
-            flat *= fact
-        else:
-            g = stack.coef.reshape(-1, n).take(
-                pos, 0, out=ws.array("gather", (pos.size, n)), mode="clip")
-            g *= fact[:, None]
-            # batch first in C order: the matmuls downstream pick their
-            # kernel by layout
-            for lo, hi in zip(cuts, cuts[1:]):
-                np.copyto(flat[lo * n:hi * n].reshape(n, hi - lo), g[lo:hi].T)
-        return [flat[lo * n:hi * n].reshape(batch + (m,) * (d + 2))
-                for d, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+        stack.coef.reshape(-1, gather.shape[1]).take(pos, 0, out=gather,
+                                                     mode="clip")
+        gather *= fact
+        for dst, src in copies:
+            np.copyto(dst, src)
+        return list(arrays)
+
+
+def derivative_plan(ws: Workspace, m: int, order: int, batch: tuple):
+    """derivative_arrays' gather table, buffers, copies and arrays."""
+    n = math.prod(batch)
+    pos, fact, cuts = _entry_extraction(m, order)
+    flat = ws.array("d", (pos.size * n,))
+    # one point gathers straight into flat, batch first; a batch gathers
+    # into scratch, copied out batch first in C order: the matmuls
+    # downstream pick their kernel by layout
+    gather = flat[:, None] if n == 1 else ws.array("gather", (pos.size, n))
+    copies = [] if n == 1 else [
+        (flat[lo * n:hi * n].reshape(n, hi - lo), gather[lo:hi].T)
+        for lo, hi in zip(cuts, cuts[1:])]
+    return pos, fact[:, None], gather, copies, [
+        flat[lo * n:hi * n].reshape(batch + (m,) * (d + 2))
+        for d, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]

@@ -5,12 +5,13 @@ derivatives come from O(h^4) central differences of plain metric values,
 and the volume-density oracle integrates the coordinate form of the
 variation equation rather than the parallel-frame form the engine uses.
 christoffel_arrays and the literal_* references are the exception: they
-use the engine's jets and keep the plain, unstaged or per-component forms
-of engine routines (the per-entry metric formulas among them), so that the
-optimized routines can be checked against them (bit for bit where the
-arithmetic is the same).  literal_curvature is the jet-ring bundle path
-built on object arrays of scalar jets, filled and contracted entry by entry,
-with its own covariant step that forms one einsum per slot subset.  The
+use the engine's jets and keep the plain, unstaged, out-of-place or
+per-component forms of engine routines (the per-entry metric formulas
+among them), so that the optimized routines can be checked against them
+(bit for bit where the arithmetic is the same).  literal_curvature is the
+jet-ring bundle path built on object arrays of scalar jets, filled and
+contracted entry by entry, with its own covariant step that forms one
+einsum per slot subset.  The
 jet-based oracles at the end are exceptions too: ScalarField evaluates a
 function of the seeded coordinate stack, the Hessian family (christoffels,
 hessian, laplacian, gradient_norm_sq) reads Gamma from curvature_arrays,
@@ -39,10 +40,12 @@ from hml.catalog import space_form
 from hml.conformal import RadialFunction, _require_radial_chart
 from hml.curvature import (CurvatureBundle, curvature, curvature_arrays,
                            reduced_jacobi)
-from hml.geodesics import (g_unit_directions, parallel_frame_start,
+from hml.geodesics import (DIP, DomainExitError, _initial_state, _rhs,
+                           g_unit_directions, parallel_frame_start,
                            relative_spread)
 from hml.jets import MultiJet, jet_space, seed_point
-from hml.metric import ChartMetric, DegenerateMetricError
+from hml.metric import (ChartMetric, DegenerateMetricError, DomainError,
+                        Workspace)
 from hml.series import TruncatedSeries, TruncationError
 
 
@@ -154,6 +157,56 @@ def literal_rhs(metric, state):
     dE = -np.einsum('...ijk,...i,...ja->...ka', Gam, v, E)
     Rt = literal_reduced_jacobi(literal_riemann(metric, x), v, E)
     return (v, dv, dE, Ad, -Rt @ A)
+
+
+def literal_integrate_recording(metric, P, thetas, radii, steps):
+    """_integrate_recording as an out-of-place RK4 loop over _rhs.
+
+    Each stage concatenates a new flat vector and each update forms new
+    arrays, so every yielded state is its own; the argument checks are
+    left to the engine.
+    """
+    radii = np.asarray(radii, dtype=float)
+    state = _initial_state(metric, P, thetas)
+    max_det = np.zeros(state[0].shape[0])
+    crossed = np.zeros(state[0].shape[0], dtype=bool)
+    cuts = np.cumsum([0] + [part.size for part in state])
+    shapes = [part.shape for part in state]
+    ws = Workspace()
+
+    def parts(flat):
+        return tuple(flat[lo:hi].reshape(shape)
+                     for lo, hi, shape in zip(cuts, cuts[1:], shapes))
+
+    def rhs(flat):
+        return np.concatenate([k.ravel()
+                               for k in _rhs(metric, parts(flat), ws)])
+
+    y = np.concatenate([part.ravel() for part in state])
+    r_prev = 0.0
+    for r in radii:
+        n = max(1, int(round(steps * (r - r_prev) / radii[-1])))
+        h = (r - r_prev) / n
+        for i in range(n):
+            try:
+                k1 = rhs(y)
+            except DomainError as exc:
+                raise DomainExitError(r_prev + max(i - 1, 0) * h) from exc
+            try:
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
+            except DomainError as exc:
+                raise DomainExitError(r_prev + i * h) from exc
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            state = parts(y)
+            det = np.linalg.det(state[3])
+            crossed |= (det <= 0) | (det < DIP * max_det)
+            max_det = np.maximum(max_det, det)
+        if not np.all(metric.contains(state[0])):
+            raise DomainExitError(r_prev + (n - 1) * h)
+        r_prev = r
+        yield r, state, crossed.copy()
 
 
 def coordinate_jacobi_density(metric, P, theta, radii, steps=800):

@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hml import catalog, jets
+from hml import catalog, jets, manifest
 from hml.curvature import curvature_arrays, reduced_jacobi
 from hml.geodesics import (ConjugatePointError, DomainExitError, _initial_state,
-                           _rhs, centrally_harmonic_test, density_profile,
-                           g_unit_directions, parallel_frame_start,
-                           relative_spread, second_fundamental_form, shoot,
-                           unit_directions)
+                           _integrate_recording, _rhs, centrally_harmonic_test,
+                           density_profile, g_unit_directions,
+                           parallel_frame_start, relative_spread,
+                           second_fundamental_form, shoot, unit_directions)
 from hml.metric import ChartMetric, Workspace
 
 import oracles
@@ -179,6 +179,52 @@ def test_batch_invariance_fixed_step(name, P, request):
             assert np.array_equal(alone.xi[:, 0], batch.xi[:, i])
 
 
+_POLY = {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}
+_SHOT_CHARTS = {
+    "fs2": {"family": "fubini_study", "cdim": 2},
+    "deformed_sphere4": {"family": "sphere", "dim": 4, "deform": _POLY},
+    "trivial_fs2": {"family": "fubini_study", "cdim": 2,
+                    "deform": {"psi": {"kind": "trivial-density"}}},
+}
+
+
+def _bytes(record):
+    r, state, crossed = record
+    return r, crossed.tobytes(), [(p.shape, p.tobytes()) for p in state]
+
+
+@pytest.mark.parametrize("B", [1, 16, 1030])
+@pytest.mark.parametrize("name", sorted(_SHOT_CHARTS))
+def test_integrator_matches_out_of_place_loop(name, B):
+    # every yielded radius, state and latch, read once the shot has ended,
+    # is bit-identical to the out-of-place RK4 loop's; 1,030 directions are
+    # two full RHS blocks and a ragged one, which gets a plan of its own
+    metric = manifest.build_metric(_SHOT_CHARTS[name]).metric
+    P = np.array([0.1, -0.05, 0.0, 0.08])
+    args = (metric, P, g_unit_directions(metric, P, B), [0.2, 0.5], 6)
+    got, want = ([_bytes(record) for record in list(integrate(*args))]
+                 for integrate in (_integrate_recording,
+                                   oracles.literal_integrate_recording))
+    assert len(got) == 2 and got == want
+
+
+def test_integrator_exit_matches_out_of_place_loop():
+    # the poly-deformed sphere(3) leaves its chart before r = 3.4: both
+    # loops yield the same record at r = 2 and raise with the same last_r
+    metric = manifest.build_metric(
+        {"family": "sphere", "dim": 3, "deform": _POLY}).metric
+    P = np.zeros(3)
+    args = (metric, P, g_unit_directions(metric, P, 8), [2.0, 3.4], 250)
+    runs = []
+    for integrate in (_integrate_recording,
+                      oracles.literal_integrate_recording):
+        records = []
+        with pytest.raises(DomainExitError) as exc:
+            records.extend(integrate(*args))
+        runs.append((exc.value.last_r, list(map(_bytes, records))))
+    assert len(runs[0][1]) == 1 and runs[0] == runs[1]
+
+
 def _live_state(metric, B, seed):
     """B directions off the center, with a generic A: every RHS term is live."""
     P = np.zeros(metric.dim)
@@ -245,8 +291,9 @@ def test_public_arrays_survive_later_calls(deformed_sphere4, shape):
 @pytest.mark.parametrize("name", ["fs2", "deformed_sphere4"])
 def test_rhs_allocation_budget(name, request):
     # a warm workspace leaves a B = 1024 RHS call only small temporaries:
-    # jets, per-block outputs and the concatenated result (the large arrays
-    # alone come to about 4 MiB when allocated per call)
+    # jets and the kernel's small products, its outputs being the
+    # workspace's too (the large arrays alone come to about 4 MiB when
+    # allocated per call)
     entry = request.getfixturevalue(name)
     metric = getattr(entry, "metric", entry)
     state = _live_state(metric, 1024, 11)

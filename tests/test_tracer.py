@@ -60,3 +60,22 @@ def test_tracer_spans_the_bundle_layer():
     assert summary["curvature.bundle"]["calls"] == 1
     assert summary["expansion.coefficients"]["calls"] == 1
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_tracer_counts_every_stage_of_a_shot():
+    # each RK4 stage still calls derivative_arrays and curvature_arrays by
+    # the names the tracer patches: N steps of one RHS block are 4N calls
+    tracer = _load_tracer()
+    geodesics = importlib.import_module("hml.geodesics")
+    metric = catalog.sphere(4).metric
+    P = np.zeros(4)
+    directions = geodesics.g_unit_directions(metric, P, 3)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        geodesics.density_profile(metric, P, directions, [0.5], 25)
+    finally:
+        t.restore()
+    assert t.counts["geodesics.rhs_evals"] == 100
+    assert t.counts["geodesics.rhs_dir_evals"] == 300
+    assert t.summary()["metric.derivative_arrays"]["calls"] == 100

@@ -25,13 +25,16 @@ and times one ``_rhs`` call on the poly-deformed sphere(4) and on its base
 sphere(4) at B = 1, 512 and 1024 points (|x| = 0.4), and on FS2 at B = 1
 and 16, in ROUNDS interleaved rounds, each side with its own Workspace.  It
 reports microseconds per call, the paired change/parent ratio and, per
-side, the deformed/base ratio.  It times whole one-point shots the same way:
+side, the deformed/base ratio.  It times whole shots the same way
+(SHOT_ROUNDS rounds of one shot), one of every shape cli_defaults runs:
 ``density_profile`` from the center of sphere(4) and of the deformed
 sphere(4) along one g-unit direction, SHOT_STEPS RK4 steps to the radii of
-``deform``'s default grid (SHOT_ROUNDS rounds of one shot).  It
-then times the curvature bundle layer the same way on BUNDLE_CASES:
-``curvature`` on FS2 at k_max 0, 2 and 4 and ``density_coefficients`` at
-m = 4 and m = 6, each at one seeded point with |x| = 0.3.
+``deform``'s default grid, and ``check_harmonic``'s shot on FS2 about its
+center, with the default directions (16), steps (800) and radii of
+``centrally_harmonic_test``.  It then times the curvature bundle layer
+the same way on BUNDLE_CASES: ``curvature`` on FS2 at k_max 0, 2 and 4
+and ``density_coefficients`` at m = 4 and m = 6, each at one seeded point
+with |x| = 0.3.
 
 ``bytes`` checks that a change keeps every value.  It imports both
 checkouts' hml in one process and hashes, on each chart of BYTES_CHARTS,
@@ -87,6 +90,7 @@ import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -96,6 +100,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROUNDS = 15
@@ -272,6 +277,25 @@ def shot_case(alias: str, chart: str):
                                        SHOT_STEPS)
 
 
+def harmonic_shot_case(alias: str):
+    """A zero-argument call of check_harmonic's whole shot on FS2: its
+    default directions, steps and radii about the center."""
+    import numpy as np
+
+    geo = importlib.import_module(f"{alias}.geodesics")
+    metric = importlib.import_module(f"{alias}.manifest").build_metric(
+        RHS_CHARTS["fs2"]).metric
+    center = np.zeros(metric.dim)
+    defaults = inspect.signature(geo.centrally_harmonic_test).parameters
+    directions = geo.g_unit_directions(metric, center,
+                                       defaults["n_directions"].default)
+    r_max = min(geo.R_MAX, 0.45 * metric.injectivity_radius)
+    radii = np.geomspace(r_max / 4.0, r_max, geo.N_RADII)
+    steps = defaults["steps"].default
+    return lambda: geo.density_profile(metric, center, directions, radii,
+                                       steps)
+
+
 # name: (chart, k_max for a curvature bundle or None for
 # density_coefficients, calls per round, rounds)
 BUNDLE_CASES = {
@@ -348,13 +372,14 @@ def ab(args) -> dict:
                for side, mod in sides.items()}
         us = interleaved(fns, calls, ROUNDS)
         out[f"geodesics.rhs_fs2_B{B}"] = paired(us["parent"], us["change"])
-    for chart in ("sphere4", "deformed_sphere4"):
-        fns = {side: shot_case(mod.__name__, chart)
-               for side, mod in sides.items()}
+    shots = {f"geodesics.shot_{chart}": partial(shot_case, chart=chart)
+             for chart in ("sphere4", "deformed_sphere4")}
+    shots["geodesics.shot_fs2_B16"] = harmonic_shot_case
+    for name, case in shots.items():
+        fns = {side: case(mod.__name__) for side, mod in sides.items()}
         us = interleaved(fns, 1, SHOT_ROUNDS)
-        out[f"geodesics.shot_{chart}"] = paired(us["parent"], us["change"])
-        print(f"ab shot {chart}: {out[f'geodesics.shot_{chart}']}",
-              file=sys.stderr)
+        out[name] = paired(us["parent"], us["change"])
+        print(f"ab {name}: {out[name]}", file=sys.stderr)
     for name, (spec, k_max, calls, rounds) in BUNDLE_CASES.items():
         fns = {side: bundle_case(mod.__name__, spec, k_max)
                for side, mod in sides.items()}
