@@ -25,7 +25,8 @@ import warnings
 import numpy as np
 
 from . import conformal, expansion, geodesics, manifest as manifest_mod
-from .curvature import curvature, einstein_defect, sectional_curvature
+from .curvature import (curvature, einstein_defect, sectional_curvature,
+                        sectional_extremes)
 from .manifest import (CHECK_HARMONIC, CURVATURE, DEFORM, EXPAND,
                        BuiltMetric, ManifestError, setting)
 from .series import fit_radial_expansion, radial_designs
@@ -90,6 +91,15 @@ def _plane_kappas(bundle, n: int):
     return np.array(kappas), planes
 
 
+def _extremes(bundle, n: int):
+    """kappa_min, kappa_max and the number of planes sampled, none at m <= 4."""
+    if bundle.dim <= 4:
+        return (*sectional_extremes(bundle), 0)
+    kappas, planes = _plane_kappas(bundle, n)
+    starts = (planes[np.argmin(kappas)], planes[np.argmax(kappas)])
+    return (*sectional_extremes(bundle, starts), len(kappas))
+
+
 def _given(ana: dict, **keys) -> dict:
     """Keyword arguments for the analysis keys a manifest sets.
 
@@ -112,27 +122,7 @@ def _shot(metric, center, direction, radii, ana: dict) -> np.ndarray:
 def cmd_curvature(built: BuiltMetric, ana: dict, center: np.ndarray):
     metric = built.metric
     bundle = curvature(metric, center, **_given(ana, k_max="k_max"))
-    kappas, planes = _plane_kappas(bundle, setting(ana, "planes"))
-    # deterministic local refinement of the extremes over the plane chart
-    from scipy.optimize import minimize
-
-    def kappa_of(z):
-        u, v = z[:metric.dim], z[metric.dim:]
-        try:
-            return sectional_curvature(bundle, u, v)
-        except ValueError:
-            return math.nan
-
-    def refined(sign, k):
-        """sign times the local minimum of sign * kappa from plane k."""
-        res = minimize(lambda z: sign * kappa_of(z), np.concatenate(planes[k]),
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12,
-                                "maxiter": 4000})
-        return sign * res.fun
-
-    kappa_min = min(float(kappas.min()), refined(1.0, int(np.argmin(kappas))))
-    kappa_max = max(float(kappas.max()), refined(-1.0, int(np.argmax(kappas))))
+    kappa_min, kappa_max, sampled = _extremes(bundle, setting(ana, "planes"))
     report = {
         "metric": {"name": metric.name, **metric.params},
         "center": center.tolist(),
@@ -140,7 +130,7 @@ def cmd_curvature(built: BuiltMetric, ana: dict, center: np.ndarray):
         "einstein_defect": einstein_defect(bundle),
         "kappa_min": kappa_min,
         "kappa_max": kappa_max,
-        "n_planes_sampled": int(len(kappas)),
+        "n_planes_sampled": sampled,
     }
     return EXIT_OK, {"curvature.json": _json_text(report)}
 
@@ -218,9 +208,8 @@ def cmd_deform(built: BuiltMetric, ana: dict, center: np.ndarray):
     }
     # curvature summary of the deformed metric at a probe point
     probe = np.full(m, 0.1 / math.sqrt(m))
-    kappas, _ = _plane_kappas(curvature(metric, probe, k_max=0), 30)
-    report["kappa_probe"] = {"min": float(np.min(kappas)),
-                             "max": float(np.max(kappas))}
+    kmin, kmax, _ = _extremes(curvature(metric, probe, k_max=0), 30)
+    report["kappa_probe"] = {"min": kmin, "max": kmax}
     # a trivial-density projective space of a supported m: its own blow-up
     own = (entry.name == "fubini_study" and m in conformal.BLOWUP_DIMS
            and isinstance(psi, conformal.TrivializerRadialFunction))

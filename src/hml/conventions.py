@@ -17,7 +17,11 @@ With this sign the sectional curvature of the plane spanned by (u, v) is
 
     kappa(u, v) = R(u, v, v, u) / (|u|^2 |v|^2 - g(u,v)^2),
 
-and the round unit sphere has kappa = +1 for every plane.
+and the round unit sphere has kappa = +1 for every plane.  In a
+g-orthonormal frame kappa = <Q s, s> on the unit simple 2-vectors s, with
+the curvature operator Q[ab, cd] = R[a, b, d, c] over np.triu_indices(m, 1).
+At m = 4, s is simple iff <s, *s> = 0, the Hodge star * pairing 01, 02, 03
+with 23, -13, 12.
 
 Component formula (Gamma[i, j, k] = Gamma_ij^k, symmetric in i, j):
 

@@ -309,6 +309,80 @@ def sectional_curvature(bundle: CurvatureBundle, u, v) -> float:
     return float(num / gram)
 
 
+# the Hodge star on Lambda^2 R^4 (see conventions)
+_STAR4 = np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[::-1]
+
+
+def sectional_extremes(bundle: CurvatureBundle, starts=()) -> tuple:
+    """(min, max) sectional curvature at the point: exact at m <= 4 (see
+    _least); at m >= 5 the K of the planes _climb reaches from ``starts``,
+    the planes (u, v) of the least and greatest K known."""
+    L = np.linalg.cholesky(bundle.g)
+    R = _in_frame(bundle.riemann, np.linalg.inv(L).T)   # g-orthonormal
+    # "+ 0.0" and "0.0 -" turn a -0.0 into 0.0
+    if bundle.dim >= 5:
+        lo, hi = (L.T @ np.transpose(plane) for plane in starts)
+        return 0.0 - _climb(-R, lo), _climb(R, hi) + 0.0
+    a, b = np.triu_indices(bundle.dim, 1)
+    Q = R[a[:, None], b[:, None], b, a]         # the curvature operator
+    if bundle.dim == 4:
+        return _least(Q) + 0.0, 0.0 - _least(-Q)
+    w = np.linalg.eigvalsh(Q) + 0.0             # every 2-vector is simple
+    return float(w[0]), float(w[-1])
+
+
+def _in_frame(R, F):
+    """The components of R in the frame of F's columns."""
+    for _ in range(4):          # each pass turns the first slot into the last
+        R = np.tensordot(R, F, (0, 0))
+    return R
+
+
+def _least(Q) -> float:
+    """The least K at m = 4: max_t lambda_min(Q + t *) (Thorpe, 1971).
+
+    It is concave and 1-Lipschitz in t and below lambda_min(Q) past
+    |t| = 2|Q|, so bisection on its slope <* x, x>, x a bottom eigenvector,
+    finds it; the best value met is returned.
+    """
+    hi = 2 * np.linalg.norm(Q, 2)
+    lo, best = -hi, -np.inf
+    for _ in range(60):             # the bracket ends below 4e-18 |Q|
+        t = (lo + hi) / 2
+        w, V = np.linalg.eigh(Q + t * _STAR4)
+        best = max(best, w[0])
+        lo, hi = (t, hi) if V[:, 0] @ _STAR4 @ V[:, 0] > 0 else (lo, t)
+    return float(best)
+
+
+def _climb(R, P) -> float:
+    """Greatest K an ascent reaches from the plane of P's two columns.
+
+    In the orthonormal frame F of the plane (u, v) and its complement, a
+    round moves to the better of two planes: u with the top eigenvector of
+    R(., u, u, .) on u-perp, and the Newton step of K on the Grassmannian.
+    It stops when neither gains, or after 1,000 rounds.
+    """
+    best, n = -np.inf, len(P) - 2
+    for _ in range(1000):
+        F = np.linalg.qr(np.column_stack([P, np.eye(n + 2)]))[0]
+        S, eye = _in_frame(R, F), np.eye(n)
+        K, C = S[0, 1, 1, 0], S[2:, 2:, 1, 0] + S[2:, 1, 2:, 0]
+        H = np.block([[S[2:, 1, 1, 2:] - K * eye, C],
+                      [C.T, S[2:, 0, 0, 2:] - K * eye]])
+        g = np.concatenate([S[2:, 1, 1, 0], S[2:, 0, 0, 1]])
+        z = np.linalg.lstsq(H, -g, rcond=None)[0].reshape(2, n).T
+        p, q = np.vstack([np.eye(2), z]).T      # u, v moved into F[:, 2:]
+        k_newton = (np.einsum("ijkl,i,j,k,l->", S, p, q, q, p)
+                    / ((p @ p) * (q @ q) - (p @ q) ** 2))
+        w, V = np.linalg.eigh(S[1:, 0, 0, 1:])
+        if max(w[-1], k_newton) <= best:
+            break
+        best, P = ((w[-1], np.c_[F[:, 1:] @ V[:, -1], F[:, 0]])
+                   if w[-1] >= k_newton else (k_newton, F @ np.c_[p, q]))
+    return float(best)
+
+
 def einstein_defect(bundle: CurvatureBundle) -> float:
     """Frobenius norm of ricci - (scal/m) g in a g-orthonormal frame."""
     m = bundle.dim

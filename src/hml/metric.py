@@ -153,12 +153,12 @@ class ChartMetric:
     def component_jets(self, x, order: int) -> MultiJet:
         """The metric entries at x as one stack (see ``entry_layout``).
 
-        Batch axis 0 of the stack indexes the entries; the batch axes of x
-        follow it.  A nested structure from ``components`` is stacked here.
+        Batch axis 0 of the stack indexes the entries; the batch axes of x,
+        none for one point (see _as_point), follow it.  A nested structure
+        from ``components`` is stacked here.
         """
-        inside = (self.contains(x) if self._formula_domain is None
-                  else np.asarray(self._formula_domain(self._as_point(x))))
-        if not all_true(inside):
+        x = self._as_point(x)
+        if not all_true(np.asarray((self._formula_domain or self.domain)(x))):
             raise outside_domain(self.name)
         xs = seed_point(x, order)
         comps = self.components(xs, norm_sq(xs))
@@ -177,7 +177,7 @@ class ChartMetric:
 
     def value(self, x) -> np.ndarray:
         """Metric matrix (batch +) (dim, dim) without derivatives."""
-        g = self.component_jets(self._as_point(x), 0).value
+        g = self.component_jets(x, 0).value
         g = np.moveaxis(g[entry_layout(self.dim)[3]], (0, 1), (-2, -1))
         return g.reshape(np.shape(x)[:-1] + (self.dim, self.dim))
 
@@ -189,7 +189,7 @@ class ChartMetric:
         scratch that is free again once this returns.
         """
         ws = Workspace() if ws is None else ws
-        stack = self.component_jets(self._as_point(x), order)
+        stack = self.component_jets(x, order)
         pos, fact, gather, copies, arrays = ws.plan(
             derivative_plan, self.dim, order, np.shape(x)[:-1])
         # one gather for every order; mode="clip" (every index is in range)

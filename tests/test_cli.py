@@ -115,8 +115,8 @@ def test_curvature_extremes_fubini_study(tmp_path):
     mpath = write(tmp_path, "fs.json", doc)
     assert run_cli(["--manifest", mpath, "--out", str(tmp_path / "ofs")]) == 0
     rep = json.loads((tmp_path / "ofs" / "curvature.json").read_text())
-    assert rep["kappa_min"] == pytest.approx(1.0, abs=1e-4)
-    assert rep["kappa_max"] == pytest.approx(4.0, abs=1e-4)
+    assert rep["kappa_min"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["kappa_max"] == pytest.approx(4.0, abs=1e-12)
     assert rep["einstein_defect"] < 1e-8
 
 

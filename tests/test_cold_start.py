@@ -93,6 +93,22 @@ def test_deform_loads_neither_interpolate_nor_optimize(tmp_path):
                 "scipy.optimize"} & set(loaded)
 
 
+def test_curvature_at_dim_4_loads_no_scipy(tmp_path):
+    # exact extremes: no plane is sampled, so not even ndtri is imported
+    loaded = cli_scipy_loaded(tmp_path, {
+        "metric": {"family": "fubini_study", "cdim": 2},
+        "analysis": {"command": "curvature", "k_max": 1}})
+    assert loaded == []
+
+
+def test_curvature_at_dim_6_loads_no_optimize(tmp_path):
+    # the ascent from the sampled planes is numpy's linear algebra
+    loaded = cli_scipy_loaded(tmp_path, {
+        "metric": {"family": "fubini_study", "cdim": 3},
+        "analysis": {"command": "curvature", "planes": 20}})
+    assert "scipy.special" in loaded and "scipy.optimize" not in loaded
+
+
 def _is_scipy(node) -> bool:
     return isinstance(node, ast.ImportFrom) and (
         node.module or "").split(".")[0] == "scipy"

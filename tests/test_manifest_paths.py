@@ -221,9 +221,9 @@ def test_cli_logs_runtime_warnings_and_shows_the_rest(tmp_path, monkeypatch,
 
 
 def test_curvature_of_a_surface_survives_degenerate_planes(tmp_path):
-    # on a surface the extreme search visits parallel u, v, where the
-    # sectional curvature is undefined: kappa_of reads those as NaN, which
-    # must not become a reported extreme
+    # a surface has one plane, where a search over (u, v) once visited
+    # parallel pairs with no sectional curvature: no such value may become
+    # a reported extreme
     doc = {"metric": {"family": "sphere", "dim": 2},
            "analysis": {"command": "curvature"}}
     code, _ = run(tmp_path, doc)
@@ -389,3 +389,51 @@ def test_every_deformable_chart_has_a_density_law_about_its_origin(
         entry = manifest.build_metric(spec).entry
         assert entry.closed_form_density is not None
         assert entry.metric.contains(np.zeros(entry.dim))
+
+
+@pytest.mark.parametrize("metric, want", [
+    ({"family": "sphere", "dim": 2}, 1.0),
+    ({"family": "space_form", "a": 1.0, "b": 0.25, "dim": 2}, 1.0),
+    ({"family": "fubini_study", "cdim": 1}, 4.0)])
+def test_curvature_of_a_surface_reports_its_curvature(tmp_path, metric, want):
+    code, _ = run(tmp_path, {"metric": metric,
+                             "analysis": {"command": "curvature"}})
+    report = strict_load(tmp_path / "out" / "curvature.json")
+    assert code == 0 and report["n_planes_sampled"] == 0
+    assert (report["kappa_min"], report["kappa_max"]) == (want, want)
+
+
+X6 = [0.1, 0.2, 0.0, 0.05, 0.1, 0.0]
+POLY = {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}
+
+
+# at dim >= 5 the extremes are at least as extreme as the Nelder-Mead
+# search's they replace, whose reports are the bounds here
+@pytest.mark.parametrize("metric, lo, hi", [
+    ({"family": "fubini_study", "cdim": 3}, 1.0, 4.0),
+    ({"family": "fubini_study", "cdim": 3, "deform": {
+        "psi": {"kind": "trivial-density"}}}, -0.5952529936255, 2.31512197796),
+    ({"family": "fubini_study", "cdim": 3, "deform": POLY},
+     1.978763901817, 5.100542826447)])
+def test_curvature_extremes_at_dim_6(tmp_path, metric, lo, hi):
+    code, _ = run(tmp_path, {"metric": metric, "analysis": {
+        "command": "curvature", "center": X6}})
+    report = strict_load(tmp_path / "out" / "curvature.json")
+    assert code == 0 and report["n_planes_sampled"] == 400
+    assert report["kappa_min"] <= lo and report["kappa_max"] >= hi
+    if "deform" not in metric:
+        assert report["kappa_min"] == pytest.approx(lo, rel=1e-12)
+        assert report["kappa_max"] == pytest.approx(hi, rel=1e-12)
+
+
+def test_extremes_of_a_deformed_sphere_agree_across_dimensions():
+    # at chart radius 0.1 the extremes of a radially deformed round sphere
+    # do not depend on the dimension: the ascent at 5 and 6 must reach the
+    # exact extremes at 3 and 4
+    got = []
+    for m in (3, 4, 5, 6):
+        metric = manifest.build_metric({"family": "sphere", "dim": m,
+                                        "deform": POLY}).metric
+        bundle = curvature(metric, np.full(m, 0.1 / math.sqrt(m)), k_max=0)
+        got.append(cli._extremes(bundle, 30)[:2])
+    assert np.allclose(got[1:], got[0], rtol=1e-12, atol=0)

@@ -7,7 +7,8 @@ import pytest
 
 from hml import catalog, jets, manifest
 from hml.curvature import (_jet_partials, curvature, curvature_arrays,
-                           einstein_defect, sectional_curvature)
+                           einstein_defect, sectional_curvature,
+                           sectional_extremes)
 from hml.metric import (ChartMetric, DegenerateMetricError, DomainError,
                         OrderExceededError)
 
@@ -400,6 +401,46 @@ def test_sectional_degenerate_plane_rejected(euclid3):
     u = np.array([1.0, 2.0, -1.0])
     with pytest.raises(ValueError):
         sectional_curvature(b, u, 3.0 * u)
+
+
+POLY = {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}
+TRIVIAL = {"psi": {"kind": "trivial-density"}}
+
+
+def sampled_kappas(bundle, n: int, seed: int) -> np.ndarray:
+    """K of n seeded random planes, each from its own g-orthonormal pair."""
+    rng = np.random.default_rng(seed)
+    E = np.linalg.inv(np.linalg.cholesky(bundle.g)).T
+    Q = np.linalg.qr(rng.normal(size=(n, bundle.dim, 2)))[0]
+    U, V = np.moveaxis(Q, -1, 0) @ E.T
+    return np.einsum("ijkl,ni,nj,nk,nl->n", bundle.riemann, U, V, V, U)
+
+
+# the extremes Nelder-Mead found on these charts, which the exact ones match
+# to 12 digits; space_form(1, -0.25, 4) has K = -1, so a sign slip fails
+@pytest.mark.parametrize("spec, x, want", [
+    ({"family": "fubini_study", "cdim": 2, "deform": TRIVIAL},
+     [0.1, 0.2, 0.0, 0.05], (-0.9778782602121, 1.922497517262)),
+    ({"family": "sphere", "dim": 4, "deform": POLY},
+     [0.2, 0.1, 0.0, 0.15], (0.3570409570357, 0.4006429793001)),
+    ({"family": "space_form", "a": 1.0, "b": -0.25, "dim": 4},
+     [0.2, 0.1, 0.0, 0.15], (-1.0, -1.0)),
+    ({"family": "sphere", "dim": 3, "deform": POLY},
+     [0.2, 0.1, 0.05], (0.3449086161415, 0.3768182410879)),
+])
+def test_sectional_extremes_bound_a_dense_plane_sample(spec, x, want):
+    bundle = curvature(manifest.build_metric(spec).metric, x, k_max=0)
+    lo, hi = sectional_extremes(bundle)
+    kappas = sampled_kappas(bundle, 20_000, seed=len(x))
+    assert lo - 1e-12 <= kappas.min() and kappas.max() <= hi + 1e-12
+    assert (lo, hi) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_fubini_study_2_extremes_are_1_and_4(fs2):
+    rng = np.random.default_rng(4)
+    for x in [np.zeros(4), *rng.uniform(-0.4, 0.4, (3, 4))]:
+        got = sectional_extremes(curvature(fs2.metric, x, k_max=0))
+        assert got == pytest.approx((1.0, 4.0), rel=1e-12)
 
 
 def test_einstein_defect_values(euclid3, fs2):

@@ -53,7 +53,8 @@ src, with the hypothesis draw pinned, and hashes every file it writes,
 under its relative path, except the fuzz tests' files (CLI_TREE_SKIP); it
 exits if either run fails or writes nothing else.  A call that raises is
 recorded by its message.
-It reports the number of equal hashes, the total, and each mismatch.
+It reports the number of equal hashes, the total, and each mismatch; a
+mismatched JSON report also lists the dotted keys whose values differ.
 It refuses up front a CHANGE without ``README.md``, which its
 ``tests/test_cli.py`` reads.
 
@@ -557,8 +558,9 @@ def shot_hashes(alias: str) -> dict:
     return hashes
 
 
-def report_hashes(alias: str, plans: list) -> dict:
-    """Hashes of every report file and the exit code of each CLI op."""
+def report_hashes(alias: str, plans: list, texts: dict) -> dict:
+    """Hashes of every report file and the exit code of each CLI op; the
+    text of each JSON report goes into ``texts`` under its key."""
     cli = importlib.import_module(f"{alias}.cli")
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -572,9 +574,27 @@ def report_hashes(alias: str, plans: list) -> dict:
                     ["--manifest", path, "--out", out]))
                 for name in sorted(os.listdir(out) if os.path.isdir(out)
                                    else []):
-                    hashes[f"{tag}/{name}"] = hashlib.sha256(
-                        Path(out, name).read_bytes()).hexdigest()
+                    hashes[f"{tag}/{name}"] = _file_hash(
+                        Path(out, name), f"{tag}/{name}", texts)
     return hashes
+
+
+def _file_hash(path: Path, key: str, texts: dict) -> str:
+    """sha256 of a file; a JSON file's text is kept in ``texts[key]``."""
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        texts[key] = data.decode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def moved_keys(a, b, at: str = "") -> list:
+    """The dotted keys whose values differ between two JSON documents."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [at]
+    missing = object()
+    return [k for key in sorted(set(a) | set(b))
+            for k in moved_keys(a.get(key, missing), b.get(key, missing),
+                                f"{at}.{key}" if at else key)]
 
 
 # The fuzz tests' files and directories: their draws follow the literals in
@@ -582,8 +602,10 @@ def report_hashes(alias: str, plans: list) -> dict:
 CLI_TREE_SKIP = {"fuzz.json", "valid.json", "valid"}
 
 
-def cli_tree_hashes(change: Path, root: Path, tmp: str, side: str) -> dict:
-    """Hashes of the files the change's test_cli.py writes with root's src.
+def cli_tree_hashes(change: Path, root: Path, tmp: str, side: str,
+                    texts: dict) -> dict:
+    """Hashes of the files the change's test_cli.py writes with root's src,
+    with the text of each JSON file in ``texts``.
 
     Exits unless the run passes and writes some file outside CLI_TREE_SKIP:
     two runs that fail alike would otherwise compare equal over less."""
@@ -601,8 +623,8 @@ def cli_tree_hashes(change: Path, root: Path, tmp: str, side: str) -> dict:
     for path in sorted(base.rglob("*")):
         rel = path.relative_to(base)
         if path.is_file() and not CLI_TREE_SKIP & set(rel.parts):
-            hashes[f"test_cli/{rel.as_posix()}"] = hashlib.sha256(
-                path.read_bytes()).hexdigest()
+            key = f"test_cli/{rel.as_posix()}"
+            hashes[key] = _file_hash(path, key, texts)
     if not hashes:
         sys.exit(f"{side}: test_cli.py wrote no file to compare")
     return hashes
@@ -626,20 +648,24 @@ def byte_identity(args) -> dict:
     plans = [workloads.build_plan(w, seed) for w in ("cli_defaults",
                                                      "wide_sweep")
              for seed in BYTES_SEEDS]
-    hashes = {}
+    hashes, texts = {}, {side: {} for side in roots}
     with tempfile.TemporaryDirectory() as tmp:
         for side, root in roots.items():
             alias = load_hml(root, f"hml_{side}").__name__
             hashes[side] = {**array_hashes(alias), **shot_hashes(alias),
-                            **report_hashes(alias, plans),
+                            **report_hashes(alias, plans, texts[side]),
                             **cli_tree_hashes(roots["change"], root, tmp,
-                                              side)}
+                                              side, texts[side])}
             print(f"{side}: {len(hashes[side])} hashes", file=sys.stderr)
     keys = sorted(set(hashes["parent"]) | set(hashes["change"]))
     mismatches = [{"key": key, **{side: hashes[side].get(key)
                                   for side in roots}}
                   for key in keys
                   if hashes["parent"].get(key) != hashes["change"].get(key)]
+    for entry in mismatches:
+        if all(entry["key"] in texts[side] for side in roots):
+            entry["moved_keys"] = moved_keys(
+                *(json.loads(texts[side][entry["key"]]) for side in roots))
     return {"equal": len(keys) - len(mismatches), "total": len(keys),
             "mismatches": mismatches}
 
