@@ -211,14 +211,10 @@ def cmd_deform(built: BuiltMetric, ana: dict, center: np.ndarray):
     kmin, kmax, _ = _extremes(curvature(metric, probe, k_max=0), 30)
     report["kappa_probe"] = {"min": kmin, "max": kmax}
     # a trivial-density projective space of a supported m: its own blow-up
-    own = (entry.name == "fubini_study" and m in conformal.BLOWUP_DIMS
-           and isinstance(psi, conformal.TrivializerRadialFunction))
-    dims = ana.get("blowup_dims", [m] if own else [])
-    if dims:
-        variant = setting(ana, "psi_variant")
-        report["blowup"] = [
-            dataclasses.asdict(conformal.completeness_and_blowup(d, variant))
-            for d in dims]
+    if (entry.name == "fubini_study" and m in conformal.BLOWUP_DIMS
+            and isinstance(psi, conformal.TrivializerRadialFunction)):
+        report["blowup"] = [dataclasses.asdict(
+            conformal.completeness_and_blowup(conformal.TrivializerPsiU(m)))]
     return EXIT_OK, {"deform.json": _json_text(report)}
 
 

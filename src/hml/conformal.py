@@ -352,7 +352,7 @@ class BlowupReport:
     """Diagnostics of the complex-projective trivial-density deformation."""
 
     m: int
-    variant: str                 # a key of PSI_VARIANTS
+    variant: str                 # the name of the psi reported on
     exponent: float              # p in rho ~ c u^-p
     coefficient: float           # c (negative)
     fit_residual: float
@@ -371,24 +371,7 @@ def _fs_theta_u_series(u0, m: int, order: int) -> TruncatedSeries:
     return jets.cos(u) ** (m - 1) * jets.sin(u)
 
 
-class _DensityRootPsiU:
-    """The (m-1)-th root of the reduced density, as a function of u."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.q = 1.0 / (m - 1)
-
-    def series(self, u0, order: int) -> TruncatedSeries:
-        u = _seed_series(u0, order)
-        r = math.pi / 2 - u
-        return jets.cos(u) / r * jets.powf(jets.sin(u), self.q)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.cos(u) / (math.pi / 2 - u) * np.sin(u) ** self.q
-
-
-class _TrivializerPsiU:
+class TrivializerPsiU:
     """The exact trivializer as a function of u, built in u-space.
 
     psi(u) = Theta(u)^q / W(u) where dW/du = -W Theta^(-q) and
@@ -396,6 +379,8 @@ class _TrivializerPsiU:
     grid geometric in u near the cut locus, where the integrand behaves
     like u^(-q).
     """
+
+    name = "trivializer"
 
     def __init__(self, m: int):
         self.m = m
@@ -463,29 +448,25 @@ def deformed_radial_ricci(psi_u, u: float) -> float:
 
 
 BLOWUP_DIMS = (4, 6, 8)
-# the psi of each blow-up variant, as a function of u
-PSI_VARIANTS = {"density-root": _DensityRootPsiU,
-                "trivializer": _TrivializerPsiU}
 
 
-def completeness_and_blowup(m: int, variant: str) -> BlowupReport:
-    """Geodesic length and Ricci blow-up of the trivial-density build.
+def completeness_and_blowup(psi_u) -> BlowupReport:
+    """Geodesic length and Ricci blow-up of a radial deformation by psi_u.
 
-    The base is the projective space of real dimension m (even, in
-    {4, 6, 8}) with sec in [1, 4]; psi is expressed as a function of
-    u = pi/2 - r near the cut locus.  Reports (i) int psi^-1 du with a
-    finiteness verdict from local exponent detection psi ~ a u^q, and
+    The base is the projective space of real dimension m = psi_u.m (even,
+    in {4, 6, 8}) with sec in [1, 4]; psi_u is psi as a function of
+    u = pi/2 - r near the cut locus: its values, ``series`` and ``name``
+    (the report's variant).  Reports (i) int psi^-1 du with a finiteness
+    verdict from local exponent detection psi ~ a u^q, and
     (ii) the log-log fit rho_{g_psi}(psi d_u, psi d_u) ~ c u^-p over the
     u-window [1e-4, 1e-2], fitted as log|rho| = log|c| - p log u + b u so
-    that the next-order factor (1 + b u) does not bias c.  For the density-root
-    variant, psi ~ (2/pi) u^(1/(m-1)) and Theta ~ u give
+    that the next-order factor (1 + b u) does not bias c.  For the (m-1)-th
+    root of the density, psi ~ (2/pi) u^(1/(m-1)) and Theta ~ u give
     c = -4(m-2)/((m-1) pi^2) and p = 2(m-2)/(m-1).
     """
+    m = psi_u.m
     if m not in BLOWUP_DIMS:
         raise ValueError("blow-up diagnostics support m in {4, 6, 8}")
-    if variant not in PSI_VARIANTS:
-        raise ValueError(f"variant must be one of {sorted(PSI_VARIANTS)}")
-    psi_u = PSI_VARIANTS[variant](m)
 
     u_window = (1e-4, 1e-2)
     us = np.geomspace(*u_window, 25)
@@ -509,7 +490,7 @@ def completeness_and_blowup(m: int, variant: str) -> BlowupReport:
                    math.pi / 2 - 1e-9, limit=400)
     head = delta ** (1 - q_est) / (a_est * (1 - q_est)) if finite else math.inf
     return BlowupReport(
-        m=m, variant=variant, exponent=exponent,
+        m=m, variant=psi_u.name, exponent=exponent,
         coefficient=float(coefficient), fit_residual=resid,
         psi_exponent=float(q_est), psi_scale=float(a_est),
         length=float(head + tail), length_finite=finite,

@@ -611,12 +611,12 @@ def _taylor_columns(coef_fn, order: int, n: int):
 
 
 def _entire_apply(x, coef_fn):
-    """Apply an entire function of t given its Maclaurin coefficients.
+    """Apply a function of t given its Maclaurin coefficients coef_fn(k).
 
-    coef_fn(k) -> k-th Taylor coefficient at 0.  Derivatives at the jet's
-    constant term come from the term-wise differentiated series (one Horner
-    loop over a cached table); all uses here have |t| bounded by ~pi^2.
-    """
+    Derivatives at the jet's constant term come from the term-wise
+    differentiated series cut after order + 1 + N_EXTRA terms (a Horner loop
+    over a cached table): the sin/cos uses are entire with |t| up to ~pi^2,
+    but atan(sqrt t)^2 has radius 1 and loses accuracy as t nears it."""
     def derivs(t0, order):
         t0 = np.asarray(t0, dtype=float)
         if t0.ndim == 0:

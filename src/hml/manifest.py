@@ -52,9 +52,9 @@ def _count(low: int, default=None) -> Key:
                default)
 
 
-def _one_of(choices, default=None) -> Key:
+def _one_of(choices) -> Key:
     return Key(lambda v: isinstance(v, str) and v in choices,
-               f"one of {sorted(choices)}", default)
+               f"one of {sorted(choices)}")
 
 
 def _list_of(item: Callable[[object], bool], items: str) -> Key:
@@ -112,11 +112,6 @@ ANALYSIS_KEYS = {
     "k_max": _read_by(_count(0), CURVATURE),
     "order": _read_by(_count(2, default=12), EXPAND),
     "planes": _read_by(_count(1, default=400), CURVATURE),
-    "blowup_dims": _read_by(_list_of(
-        lambda v: _is_int(v) and v in conformal.BLOWUP_DIMS,
-        f"integers in {list(conformal.BLOWUP_DIMS)}"), DEFORM),
-    "psi_variant": _read_by(_one_of(conformal.PSI_VARIANTS,
-                                    default="trivializer"), DEFORM),
 }
 
 

@@ -42,7 +42,7 @@ class TruncatedSeries:
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def variable(order: int, at=0.0) -> "TruncatedSeries":
+    def variable(order: int, at) -> "TruncatedSeries":
         """Float-mode seed t0 + (t - t0); ``at`` may be a numpy array."""
         if order < 1:
             raise ValueError("a variable needs order >= 1")
@@ -198,7 +198,10 @@ COND_MAX = 1e12     # the largest design condition number a fit accepts
 def radial_designs(radii: np.ndarray, order: int) -> list:
     """(rows, design, column scales, cond) of each solve of an order-``order``
     fit on sorted distinct radii: all, then the lower half if it holds enough.
-    Refuses an ill-conditioned one, so a fit is refused before it samples."""
+    Refuses too few radii or an ill-conditioned design before any sampling."""
+    if len(radii) < 2 * (order - 1):
+        raise ValueError(
+            f"need at least {2 * (order - 1)} radii for order {order}")
     designs = []
     for rows in (slice(None), radii <= radii.max() / 2):
         rr = radii[rows]
@@ -226,9 +229,6 @@ def fit_radial_expansion(samples, m: int, order: int) -> RadialFit:
     pts = sorted((float(r), float(th)) for r, th in samples)
     radii = np.array([p[0] for p in pts])
     theta = np.array([p[1] for p in pts])
-    if len(radii) < 2 * (order - 1):
-        raise ValueError(
-            f"need at least {2 * (order - 1)} radii for order {order}")
     if len(np.unique(radii)) != len(radii):
         raise ValueError("radii must be distinct")
 

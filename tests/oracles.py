@@ -22,8 +22,9 @@ The last sections hold the oracles that only the test suite runs: the
 exact-rational check of the leading-term law H_n = c_n Tr J_(n-2) + lower
 order on the 2D family (rational_series, leading_coefficient,
 verify_leading_coefficient), the radial harmonic function of a radial
-density profile (radial_mean, radial_harmonic) and the Jacobi eigen-spread
-(reduced_jacobi_at, eigen_spread).
+density profile (radial_mean, radial_harmonic), the Jacobi eigen-spread
+(reduced_jacobi_at, eigen_spread) and the blow-up fit's known-answer psi
+(DensityRootPsiU).
 """
 
 import functools
@@ -37,7 +38,7 @@ import numpy as np
 
 from hml import jets
 from hml.catalog import space_form
-from hml.conformal import RadialFunction, _require_radial_chart
+from hml.conformal import RadialFunction, _require_radial_chart, _seed_series
 from hml.curvature import (CurvatureBundle, curvature, curvature_arrays,
                            reduced_jacobi)
 from hml.geodesics import (DIP, DomainExitError, _initial_state, _rhs,
@@ -1020,3 +1021,30 @@ def eigen_spread(metric: ChartMetric, P, n_directions: int = 64):
         eigs = np.linalg.eigvalsh(reduced_jacobi_at(metric, P, th))
         spreads.append(float(eigs[-1] - eigs[0]))
     return min(spreads), np.array(spreads)
+
+
+# ---------------------------------------------------------------------------
+# the blow-up fit's known-answer psi
+# ---------------------------------------------------------------------------
+
+class DensityRootPsiU:
+    """The (m-1)-th root of the reduced density, as a function of u.
+
+    Near the cut locus psi ~ (2/pi) u^(1/(m-1)), so completeness_and_blowup
+    must find rho ~ c u^-p with c = -4(m-2)/((m-1) pi^2), p = 2(m-2)/(m-1).
+    """
+
+    name = "density-root"
+
+    def __init__(self, m: int):
+        self.m = m
+        self.q = 1.0 / (m - 1)
+
+    def series(self, u0, order: int) -> TruncatedSeries:
+        u = _seed_series(u0, order)
+        r = math.pi / 2 - u
+        return jets.cos(u) / r * jets.powf(jets.sin(u), self.q)
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.cos(u) / (math.pi / 2 - u) * np.sin(u) ** self.q

@@ -26,9 +26,9 @@ from hml.geodesics import (centrally_harmonic_test, density_profile,
 from hml.manifest import _sphere_height_psi
 from hml.series import fit_radial_expansion
 
-from oracles import (christoffels, conformal_factor_field, eigen_spread,
-                     hessian, leading_coefficient, radial_harmonic,
-                     reduced_jacobi_at, ricci_conformal,
+from oracles import (DensityRootPsiU, christoffels, conformal_factor_field,
+                     eigen_spread, hessian, leading_coefficient,
+                     radial_harmonic, reduced_jacobi_at, ricci_conformal,
                      space_form_isometry_check, verify_leading_coefficient)
 
 RESULTS = []
@@ -283,7 +283,7 @@ PINNED_BLOWUP = {4: (4 / 3, -24 / (9 * math.pi ** 2)),
 @pytest.mark.parametrize("m", [4, 6, 8])
 def test_08a_blowup_exponent_and_finiteness(m):
     t0 = time.time()
-    rep = completeness_and_blowup(m, variant="density-root")
+    rep = completeness_and_blowup(DensityRootPsiU(m))
     p_expect, _ = PINNED_BLOWUP[m]
     ok = (abs(rep.exponent - p_expect) <= 0.05 and rep.length_finite
           and time.time() - t0 < 300)
@@ -294,7 +294,7 @@ def test_08a_blowup_exponent_and_finiteness(m):
 
 @pytest.mark.parametrize("m", [4, 6, 8])
 def test_08b_blowup_coefficient(m):
-    rep = completeness_and_blowup(m, variant="density-root")
+    rep = completeness_and_blowup(DensityRootPsiU(m))
     _, c_ref = PINNED_BLOWUP[m]
     rel = abs(rep.coefficient - c_ref) / abs(c_ref)
     detail = (f"coefficient {rep.coefficient:.6f} vs closed form "

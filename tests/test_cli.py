@@ -1,12 +1,10 @@
 """Manifest validation, CLI determinism, exit codes."""
 
 import contextlib
-import inspect
 import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hml import cli, geodesics
-from hml.conformal import BLOWUP_DIMS, TrivializerRadialFunction
-from hml.curvature import curvature
-from hml.geodesics import centrally_harmonic_test, density_profile
+from hml.conformal import TrivializerRadialFunction
 from hml.manifest import (ANALYSIS_KEYS, COMMANDS, METRIC_KEYS, ManifestError,
                           build_metric, validate)
 
@@ -402,19 +398,19 @@ _BAD_ANALYSIS = [
     ({"command": []}, "analysis.command must be one of"),
     ({"command": "curvature", "center": {"a": 1}},
      "analysis.center must be a non-empty list of finite reals"),
-    ({"command": "deform", "blowup_dims": 5},
-     "analysis.blowup_dims must be a non-empty list of integers"),
+    ({"command": "deform", "radii": [0.3, 0.0]},
+     "analysis.radii must be a non-empty list of finite reals > 0"),
     ({"command": "curvature"},
      "analysis keys ['steps'] are not read by command 'curvature'"),
     ({"command": "curvature", "radii": [9.0], "directions": 2},
      "analysis keys ['directions', 'radii', 'steps'] are not read by command"),
     ({"command": "check_harmonic", "planes": 3, "k_max": 1},
      "analysis keys ['k_max', 'planes'] are not read by command"),
-    ({"command": "expand", "radii": [0.2], "psi_variant": "trivializer"},
-     "analysis keys ['psi_variant', 'radii'] are not read by command 'expand'"),
+    ({"command": "expand", "tolerance": 1e-6, "radii": [0.2]},
+     "analysis keys ['radii', 'tolerance'] are not read by command 'expand'"),
     ({"command": "deform", "center": [0.0, 0.0, 0.0], "order": 4},
      "analysis keys ['center', 'order'] are not read by command 'deform'"),
-    ({"command": "deform", "blowup_dims": [4], "tolerance": 1e-6},
+    ({"command": "deform", "tolerance": 1e-6},
      "analysis keys ['tolerance'] are not read by command 'deform'"),
     ({"command": "expand", "radii": [0.2]},
      "analysis keys ['radii'] are not read by command 'expand'"),
@@ -589,11 +585,6 @@ _FUZZ_CASES = [
     (("analysis",), "k_max", _not_count(0)),
     (("analysis",), "order", _not_count(2)),
     (("analysis",), "planes", _not_count(1)),
-    (("analysis",), "blowup_dims",
-     _not_list_of(st.sampled_from(BLOWUP_DIMS), st.one_of(
-         _NOT_NUMBER, st.floats(),
-         st.integers().filter(lambda n: n not in BLOWUP_DIMS)))),
-    (("analysis",), "psi_variant", _not_one_of("trivializer", "density-root")),
 ]
 
 
@@ -666,9 +657,6 @@ def _small_budget(dim: int) -> dict:
         "k_max": st.integers(0, 1),
         "order": st.integers(2, 9),
         "planes": st.integers(1, 4),
-        "blowup_dims": st.lists(st.sampled_from(BLOWUP_DIMS), min_size=1,
-                                max_size=1),
-        "psi_variant": st.sampled_from(["trivializer", "density-root"]),
     }
 
 
@@ -700,29 +688,3 @@ def test_fuzz_valid_manifest_exits_0_to_3(tmp_path_factory, data):
     assert "Traceback" not in err
     if code == 3:
         assert err.count("\n") == 1 and err.startswith("error: "), err
-
-
-# ---------------------------------------------------------------------------
-# README schema
-# ---------------------------------------------------------------------------
-
-def test_readme_schema_names_every_key_with_its_default():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"### Manifest schema\s+```jsonc\n(.*?)```", text,
-                      re.S).group(1)
-    shown = dict(re.findall(r'^\s*"(\w+)":\s*(.*?),?\s*(?://.*)?$', block, re.M))
-    harmonic = inspect.signature(centrally_harmonic_test).parameters
-    library = {"directions": harmonic["n_directions"].default,
-               "tolerance": harmonic["tolerance"].default,
-               "steps": harmonic["steps"].default,
-               "k_max": inspect.signature(curvature).parameters[
-                   "k_max"].default}
-    for key, spec in ANALYSIS_KEYS.items():
-        assert key in shown, key
-        default = library.get(key, spec.default)
-        if default is not None:
-            assert json.loads(shown[key]) == default, key
-    shoot_steps = inspect.signature(density_profile).parameters["steps"].default
-    assert f"{shoot_steps} for expand" in block
-    for key in METRIC_KEYS:
-        assert f'"{key}":' in block, key

@@ -10,11 +10,11 @@ import pytest
 
 from hml import catalog, cli, conformal, jets
 from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
-                           TrivializerRadialFunction,
+                           TrivializerPsiU, TrivializerRadialFunction,
                            completeness_and_blowup,
                            deform_metric, deformed_density,
                            deformed_radial_ricci,
-                           _DensityRootPsiU, radial_sq_value, reparametrize)
+                           radial_sq_value, reparametrize)
 from hml.curvature import curvature, sectional_curvature
 from hml.geodesics import (DomainExitError, centrally_harmonic_test,
                            density_profile, g_unit_directions, shoot)
@@ -22,8 +22,8 @@ from hml.manifest import _sphere_height_psi, build_metric
 from hml.metric import DomainError
 from hml.series import TruncatedSeries
 
-from oracles import (christoffels, conformal_factor_field, hessian,
-                     ricci_conformal, space_form_isometry_check)
+from oracles import (DensityRootPsiU, christoffels, conformal_factor_field,
+                     hessian, ricci_conformal, space_form_isometry_check)
 
 FAST = 300      # RK4 steps
 
@@ -427,14 +427,14 @@ def test_radial_ricci_formula_cross_checked_against_chart(fs2):
     X_chart = -(1 + s_chart ** 2) * float(psi_chart(r0 ** 2)) * np.array(
         [1.0, 0, 0, 0])
     direct = float(X_chart @ bundle.ricci @ X_chart)
-    psi_u = _DensityRootPsiU(m)
+    psi_u = DensityRootPsiU(m)
     oned = deformed_radial_ricci(psi_u, u0)
     assert direct == pytest.approx(oned, rel=1e-8)
 
 
 @pytest.mark.parametrize("m,p_expect", [(4, 4 / 3), (6, 8 / 5), (8, 12 / 7)])
 def test_blowup_exponents_and_finiteness(m, p_expect):
-    rep = completeness_and_blowup(m, variant="density-root")
+    rep = completeness_and_blowup(DensityRootPsiU(m))
     assert rep.exponent == pytest.approx(p_expect, abs=0.01)
     assert rep.length_finite
     assert rep.psi_exponent == pytest.approx(1.0 / (m - 1), abs=1e-3)
@@ -448,7 +448,7 @@ def test_blowup_density_root_coefficient_matches_true_value():
     # constant is -4(m-2)/((m-1) pi^2) and the exponent 2(m-2)/(m-1)
     # exactly; the fit's next-order term keeps both well inside these bounds
     for m in (4, 6, 8):
-        rep = completeness_and_blowup(m, variant="density-root")
+        rep = completeness_and_blowup(DensityRootPsiU(m))
         true_c = -4.0 * (m - 2) / ((m - 1) * math.pi ** 2)
         assert rep.coefficient == pytest.approx(true_c, rel=1e-3)
         assert rep.exponent == pytest.approx(2.0 * (m - 2) / (m - 1), abs=1e-3)
@@ -481,7 +481,7 @@ def test_blowup_leading_term_symbolic(m, c_pi2, p):
 
 
 def test_blowup_trivializer_variant_consistent():
-    rep = completeness_and_blowup(4, variant="trivializer")
+    rep = completeness_and_blowup(TrivializerPsiU(4))
     assert rep.exponent == pytest.approx(4 / 3, abs=0.05)
     assert rep.length_finite
     # exact trivializer scale: a = (2/pi) / V0 with V0 > 1
@@ -490,7 +490,7 @@ def test_blowup_trivializer_variant_consistent():
 
 def test_blowup_rejects_bad_dimension():
     with pytest.raises(ValueError):
-        completeness_and_blowup(5, "trivializer")
+        completeness_and_blowup(TrivializerPsiU(5))
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,18 @@ import logging
 import math
 import re
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hml import catalog, cli, expansion, geodesics, manifest
-from hml.conformal import completeness_and_blowup, radial_sq_value
+from hml.conformal import (TrivializerPsiU, completeness_and_blowup,
+                           radial_sq_value)
 from hml.curvature import curvature, sectional_curvature
 from hml.geodesics import unit_directions
 from hml.metric import DegenerateMetricError
+from hml.series import RadialFit, fit_radial_expansion
 
 
 def run(tmp_path, doc, capsys=None, flags=()):
@@ -256,15 +259,19 @@ def test_unknown_family_names_the_known_ones(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_UNKNOWN_ANALYSIS = ("unknown keys {} in analysis; allowed: ['center', "
+                     "'command', 'directions', 'k_max', 'order', 'planes', "
+                     "'radii', 'steps', 'tolerance']")
+
+
 def test_blowup_dims_refused_before_any_output(tmp_path, capsys):
-    doc = {"metric": {"family": "euclidean", "dim": 3,
-                      "deform": {"psi": {"kind": "poly",
-                                         "coeffs": [1.0, 0.2]}}},
-           "analysis": {"command": "deform", "blowup_dims": [5]}}
+    # deform reports only on the metric it built: no key asks for another
+    doc = {"metric": {"family": "fubini_study", "cdim": 2,
+                      "deform": {"psi": {"kind": "trivial-density"}}},
+           "analysis": {"command": "deform", "blowup_dims": [4]}}
     code, err = run(tmp_path, doc, capsys)
     assert code == 3
-    assert err == ("error: analysis.blowup_dims must be a non-empty list of "
-                   "integers in [4, 6, 8], got [5]\n")
+    assert err == f"error: {_UNKNOWN_ANALYSIS.format(['blowup_dims'])}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -309,9 +316,8 @@ _POLY = {"kind": "poly", "coeffs": [1.0, 0.25]}
      "analysis keys ['center', 'steps'] are not read by command 'expand' on "
      "family 'two_d_family'"),
     ({"family": "euclidean", "dim": 3, "deform": {"psi": _POLY}},
-     {"command": "deform", "psi_variant": "root"},
-     "analysis.psi_variant must be one of ['density-root', 'trivializer'], "
-     "got 'root'"),
+     {"command": "deform", "psi_variant": "trivializer"},
+     _UNKNOWN_ANALYSIS.format(["psi_variant"])),
     ({"family": "two_d_family", "n": 2, "b": 0.3,
       "deform": {"psi": {"kind": "trivial-density"}}}, {"command": "expand"},
      "metric keys ['deform'] are not read by family 'two_d_family'"),
@@ -323,12 +329,6 @@ def test_schema_refusals_come_before_any_output(tmp_path, capsys, metric,
     assert code == 3
     assert err == f"error: {why}\n"
     assert not (tmp_path / "out").exists()
-
-
-def test_unknown_blowup_variant_names_the_known_ones():
-    with pytest.raises(ValueError, match=re.escape(
-            "variant must be one of ['density-root', 'trivializer']")):
-        completeness_and_blowup(4, "root")
 
 
 @pytest.mark.parametrize("metric", [
@@ -351,6 +351,78 @@ def test_ill_conditioned_expand_is_refused_before_any_density(
     assert err.startswith("error: radial fit is ill-conditioned (cond = ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# expand's radii: a polar chart's exact density on [0.05, 0.5] at
+# max(2 (order - 1), 14) radii, order max(8, n + 1) by default; a shot on
+# [r_hi / 7, r_hi] at max(2 (order - 1), 24), r_hi = min(0.42, iota / 4)
+_SHOT = {"command": "expand", "steps": 2}
+
+
+@pytest.mark.parametrize("metric, analysis, order, radii", [
+    ({"family": "two_d_family", "n": 3, "b": 0.1}, {"command": "expand"}, 8,
+     np.geomspace(0.05, 0.5, 14)),
+    ({"family": "two_d_family", "n": 8, "b": 0.1}, {"command": "expand"}, 9,
+     np.geomspace(0.05, 0.5, 16)),
+    ({"family": "euclidean", "dim": 2}, _SHOT, 12,
+     np.geomspace(0.06, 0.42, 24)),
+    ({"family": "euclidean", "dim": 2}, {**_SHOT, "order": 14}, 14,
+     np.geomspace(0.06, 0.42, 26)),
+    ({"family": "fubini_study", "cdim": 1}, _SHOT, 12,
+     np.geomspace(math.pi / 56, math.pi / 8, 24)),
+], ids=["polar", "polar-n8", "shot", "shot-order14", "shot-short-iota"])
+def test_expand_fits_its_radius_grid(tmp_path, monkeypatch, metric, analysis,
+                                     order, radii):
+    fits = []
+
+    def spy(samples, m, order):
+        fits.append(([r for r, _ in samples], order))
+        return fit_radial_expansion(samples, m, order)
+
+    monkeypatch.setattr(cli, "fit_radial_expansion", spy)
+    code, _ = run(tmp_path, {"metric": metric, "analysis": analysis})
+    assert code == 0 and len(fits) == 1
+    assert fits[0][1] == order
+    np.testing.assert_allclose(fits[0][0], radii, rtol=1e-14, atol=0)
+
+
+# the largest of H2..H6 at either end, and larger ones past H6
+@pytest.mark.parametrize("fitted", [
+    {2: 1.0, 3: 0.5, 4: 0.5, 5: 0.5, 6: 0.5, 7: 2.0, 8: 4.0},
+    {2: 0.5, 3: 0.5, 4: 0.5, 5: 0.5, 6: 1.0, 7: 2.0, 8: 4.0},
+], ids=["H2", "H6"])
+def test_expand_compares_analytic_and_fitted_h2_to_h6(tmp_path, monkeypatch,
+                                                      fitted):
+    # euclidean's analytic H_k are zero, so the difference is the fitted
+    # value; only H2..H6 count, whatever the fit holds past them
+    monkeypatch.setattr(cli, "fit_radial_expansion", lambda *args: RadialFit(
+        coefficients=fitted, order=8, residual=0.0, cond=1.0,
+        truncation_estimate={}))
+    code, _ = run(tmp_path, {"metric": {"family": "euclidean", "dim": 2},
+                             "analysis": {**_SHOT, "order": 8}})
+    report = strict_load(tmp_path / "out" / "expansion.json")
+    assert code == 0
+    assert report["residuals"]["max_abs_difference"] == 1.0
+
+
+def test_poly_deformed_sphere_deform_writes_no_blowup(tmp_path):
+    code, _ = run(tmp_path, {"metric": {"family": "sphere", "dim": 4,
+                                        "deform": {"psi": _POLY}},
+                             "analysis": {"command": "deform", "steps": 20,
+                                          "radii": [0.3]}})
+    assert code == 0
+    assert "blowup" not in strict_load(tmp_path / "out" / "deform.json")
+
+
+def test_trivial_density_deform_reports_its_own_blowup(tmp_path):
+    code, _ = run(tmp_path, {
+        "metric": {"family": "fubini_study", "cdim": 2,
+                   "deform": {"psi": {"kind": "trivial-density"}}},
+        "analysis": {"command": "deform", "steps": 20, "radii": [0.4]}})
+    assert code == 0
+    report = strict_load(tmp_path / "out" / "deform.json")
+    own = asdict(completeness_and_blowup(TrivializerPsiU(4)))
+    assert report["blowup"] == [json.loads(cli._json_text(own))]
 
 
 _NO_RADIAL_DISTANCE = (

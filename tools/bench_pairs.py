@@ -47,16 +47,15 @@ hashes the named fields (SHOT_FIELDS) of ``shoot``,
 ``second_fundamental_form`` and ``density_profile`` on FS2 and the
 poly-deformed sphere(4), about the center and one other point.  It runs
 both sides' CLI on the change's perfbench plans for the cli_defaults and
-wide_sweep workloads at seeds 1-3 and hashes every report file and exit
-code.  It runs the change's ``tests/test_cli.py`` once against each side's
+wide_sweep workloads at seeds 1-3 and on BYTES_MANIFESTS (a trivial-density
+fubini_study(2) ``deform``, whose report holds a blow-up fit) and hashes
+every report file and exit code.  It runs the change's ``tests/test_cli.py`` once against each side's
 src, with the hypothesis draw pinned, and hashes every file it writes,
 under its relative path, except the fuzz tests' files (CLI_TREE_SKIP); it
 exits if either run fails or writes nothing else.  A call that raises is
 recorded by its message.
 It reports the number of equal hashes, the total, and each mismatch; a
 mismatched JSON report also lists the dotted keys whose values differ.
-It refuses up front a CHANGE without ``README.md``, which its
-``tests/test_cli.py`` reads.
 
 ``cold`` is the A/B of start-up cost, which only fresh processes can
 measure: an import runs once per interpreter, so a same-process A/B would
@@ -420,6 +419,11 @@ BYTES_CHARTS = {
 }
 BYTES_BATCHES = (None, 1, 16, 300, 512, 1000, 1024)   # None: one (m,) point
 BYTES_SEEDS = (1, 2, 3)
+# run through both sides' CLI next to the perfbench plans, none of which
+# writes the blow-up section of a trivial-density fubini_study's deform
+BYTES_MANIFESTS = {"deform_fubini_study2_trivial_density": {
+    "metric": BYTES_CHARTS["fubini_study2_trivial_density"],
+    "analysis": {"command": "deform"}}}
 
 
 def digest(obj) -> str:
@@ -559,23 +563,27 @@ def shot_hashes(alias: str) -> dict:
 
 
 def report_hashes(alias: str, plans: list, texts: dict) -> dict:
-    """Hashes of every report file and the exit code of each CLI op; the
-    text of each JSON report goes into ``texts`` under its key."""
+    """Hashes of every report file and the exit code of each CLI op of the
+    plans and of BYTES_MANIFESTS; the text of each JSON report goes into
+    ``texts`` under its key."""
     cli = importlib.import_module(f"{alias}.cli")
+    runs = [(f"cli/{plan['workload']}/seed{plan['seed']}/{op['name']}",
+             op["manifest"])
+            for plan in plans for op in plan["ops"] if op["kind"] == "cli"]
+    runs += [(f"cli/fixed/{name}", doc)
+             for name, doc in BYTES_MANIFESTS.items()]
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for plan in plans:
-            for op in (op for op in plan["ops"] if op["kind"] == "cli"):
-                tag = f"cli/{plan['workload']}/seed{plan['seed']}/{op['name']}"
-                path = os.path.join(tmp, "manifest.json")
-                Path(path).write_text(json.dumps(op["manifest"]))
-                out = os.path.join(tmp, tag)
-                hashes[f"{tag}/exit"] = str(cli.main(
-                    ["--manifest", path, "--out", out]))
-                for name in sorted(os.listdir(out) if os.path.isdir(out)
-                                   else []):
-                    hashes[f"{tag}/{name}"] = _file_hash(
-                        Path(out, name), f"{tag}/{name}", texts)
+        for tag, doc in runs:
+            path = os.path.join(tmp, "manifest.json")
+            Path(path).write_text(json.dumps(doc))
+            out = os.path.join(tmp, tag)
+            hashes[f"{tag}/exit"] = str(cli.main(
+                ["--manifest", path, "--out", out]))
+            for name in sorted(os.listdir(out) if os.path.isdir(out)
+                               else []):
+                hashes[f"{tag}/{name}"] = _file_hash(
+                    Path(out, name), f"{tag}/{name}", texts)
     return hashes
 
 
@@ -641,9 +649,6 @@ def load_workloads(root: Path):
 
 def byte_identity(args) -> dict:
     roots = {"parent": args.parent, "change": Path(args.change).resolve()}
-    if not (roots["change"] / "README.md").is_file():
-        sys.exit(f"bytes: CHANGE {roots['change']} has no README.md, which "
-                 f"its tests/test_cli.py reads")
     workloads = load_workloads(roots["change"])
     plans = [workloads.build_plan(w, seed) for w in ("cli_defaults",
                                                      "wide_sweep")
