@@ -34,10 +34,6 @@ class DomainExitError(DomainError):
         self.last_r = last_r
 
 
-class ConjugatePointError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # deterministic direction sampling
 # ---------------------------------------------------------------------------
@@ -139,6 +135,11 @@ def _initial_state(metric: ChartMetric, P, thetas):
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     B, m = thetas.shape
     g0 = metric.value(P)
+    norms = np.sqrt(np.einsum('bi,ij,bj->b', thetas, g0, thetas))
+    bad = ~(np.abs(norms - 1.0) <= 1e-8)       # a NaN norm is off too
+    if bad.any():
+        raise ValueError(f"directions must be g-unit at P (|theta|_g = "
+                         f"{norms[bad][0]:.3g} in row {np.argmax(bad)})")
     x = np.tile(P, (B, 1))
     E = np.stack([parallel_frame_start(g0, th) for th in thetas])
     A = np.zeros((B, m - 1, m - 1))
@@ -211,43 +212,8 @@ def _integrate_recording(metric, P, thetas, radii, steps: int):
 
 
 # ---------------------------------------------------------------------------
-# samples and profiles
+# density profiles
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PolarDensitySample:
-    """One (center, direction, radius) shot: endpoint and density data."""
-
-    center: np.ndarray
-    direction: np.ndarray
-    radius: float
-    endpoint: np.ndarray
-    A: np.ndarray                  # (m-1, m-1) normal Jacobi matrix
-    A_prime: np.ndarray
-    theta: float                   # det A
-    xi: float                      # Tr(A' A^{-1})
-    conjugate: bool
-    energy_error: float
-
-
-def shoot(metric: ChartMetric, P, theta, r: float,
-          steps: int = 2000) -> PolarDensitySample:
-    """Integrate a single geodesic with its Jacobi system out to radius r."""
-    theta = np.asarray(theta, dtype=float)
-    nrm = float(np.sqrt(theta @ metric.value(P) @ theta))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"direction must be g-unit at P (|theta|_g = {nrm:.3g})")
-    (_, state, crossed), = _integrate_recording(metric, P, theta[None, :],
-                                                [r], steps)
-    x, v, _, A, Ad = (y[0] for y in state)
-    detA = float(np.linalg.det(A))
-    xi = float(np.trace(np.linalg.solve(A, Ad))) if detA > 0 else math.nan
-    energy = abs(float(v @ metric.value(x) @ v) - 1.0)
-    return PolarDensitySample(
-        center=np.asarray(P, float), direction=theta, radius=float(r),
-        endpoint=x, A=A, A_prime=Ad, theta=detA,
-        xi=xi, conjugate=bool(crossed[0]), energy_error=energy)
-
 
 def relative_spread(table) -> np.ndarray:
     """(max - min) / |mean| over the directions (axis 1) at each radius."""
@@ -272,10 +238,11 @@ class DensityProfile:
 
 def density_profile(metric: ChartMetric, P, directions, radii,
                     steps: int = 2000) -> DensityProfile:
-    """Batch of shoot results organized for radiality analysis.
+    """Theta, Xi, umbilicity and conjugacy of geodesic spheres about P.
 
     ``directions`` is an (N, dim) array of g-unit vectors, integrated
-    together in one vectorized batch.
+    together in one vectorized batch; a direction whose g-norm is off 1 by
+    more than 1e-8 raises ValueError.
     """
     P = np.asarray(P, dtype=float)
     directions = np.asarray(directions, dtype=float)
@@ -406,37 +373,3 @@ def centrally_harmonic_test(metric: ChartMetric, P,
         largest_safe_radius=(profile.largest_safe_radius
                              if profile is not None else 0.0),
         profile=profile)
-
-
-# ---------------------------------------------------------------------------
-# geodesic-sphere shape
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SphereShapeSample:
-    """Second fundamental form of S_P(r) at one point, in the parallel frame.
-
-    Oriented so Tr L = +Xi (see hml.conventions).
-    """
-
-    center: np.ndarray
-    direction: np.ndarray
-    radius: float
-    L: np.ndarray                   # (m-1, m-1) shape operator A' A^{-1}
-    umbilicity_defect: float
-    xi: float
-
-
-def second_fundamental_form(metric: ChartMetric, P, theta, r: float,
-                            steps: int = 2000) -> SphereShapeSample:
-    sample = shoot(metric, P, theta, r, steps)
-    if sample.conjugate:
-        raise ConjugatePointError(
-            f"det A <= 0 at r = {r}: conjugate point crossed")
-    L = sample.A_prime @ np.linalg.inv(sample.A)
-    L = 0.5 * (L + L.T)
-    mdim = metric.dim
-    defect = float(np.linalg.norm(L - np.trace(L) / (mdim - 1) * np.eye(mdim - 1)))
-    return SphereShapeSample(
-        center=sample.center, direction=sample.direction, radius=r, L=L,
-        umbilicity_defect=defect, xi=float(np.trace(L)))

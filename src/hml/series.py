@@ -120,11 +120,7 @@ class TruncatedSeries:
         return _series([k * self.coeffs[k] for k in range(1, self.order + 1)]
                        + [self._zero()])
 
-    # -- shifts (factored handling of series with low-order zeros) ---------
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by r^k, keeping the truncation order."""
-        return TruncatedSeries(([self._zero()] * k + self.coeffs)[: self.order + 1])
-
+    # -- unshift (factored handling of series with low-order zeros) --------
     def unshift(self, k: int) -> "TruncatedSeries":
         """Divide by r^k; the k lowest coefficients must vanish."""
         if any(np.any(np.asarray(c) != 0) for c in self.coeffs[:k]):

@@ -8,7 +8,9 @@ christoffel_arrays and the literal_* references are the exception: they
 use the engine's jets and keep the plain, unstaged, out-of-place or
 per-component forms of engine routines (the per-entry metric formulas
 among them), so that the optimized routines can be checked against them
-(bit for bit where the arithmetic is the same).  literal_curvature is the
+(bit for bit where the arithmetic is the same); shot_end and
+shape_operator read the raw A and A' of one engine shot, which
+density_profile reduces to Theta, Xi and umbilicity.  literal_curvature is the
 jet-ring bundle path built on object arrays of scalar jets, filled and
 contracted entry by entry, with its own covariant step that forms one
 einsum per slot subset.  The
@@ -41,9 +43,9 @@ from hml.catalog import space_form
 from hml.conformal import RadialFunction, _require_radial_chart, _seed_series
 from hml.curvature import (CurvatureBundle, curvature, curvature_arrays,
                            reduced_jacobi)
-from hml.geodesics import (DIP, DomainExitError, _initial_state, _rhs,
-                           g_unit_directions, parallel_frame_start,
-                           relative_spread)
+from hml.geodesics import (DIP, DomainExitError, _initial_state,
+                           _integrate_recording, _rhs, g_unit_directions,
+                           parallel_frame_start, relative_spread)
 from hml.jets import MultiJet, jet_space, seed_point
 from hml.metric import (ChartMetric, DegenerateMetricError, DomainError,
                         Workspace)
@@ -208,6 +210,22 @@ def literal_integrate_recording(metric, P, thetas, radii, steps):
             raise DomainExitError(r_prev + (n - 1) * h)
         r_prev = r
         yield r, state, crossed.copy()
+
+
+def shot_end(metric, P, theta, r, steps):
+    """One direction's endpoint x, A and A' at radius r from the engine's
+    integrator: the raw matrices density_profile reduces to Theta and Xi."""
+    (_, (x, _, _, A, Ad), _), = _integrate_recording(
+        metric, P, np.asarray(theta, dtype=float)[None], [r], steps)
+    return x[0], A[0], Ad[0]
+
+
+def shape_operator(metric, P, theta, r, steps):
+    """The second fundamental form L = sym(A' A^-1) of S_P(r) at one point,
+    in the parallel frame and oriented so Tr L = +Xi."""
+    _, A, Ad = shot_end(metric, P, theta, r, steps)
+    L = Ad @ np.linalg.inv(A)
+    return 0.5 * (L + L.T)
 
 
 def coordinate_jacobi_density(metric, P, theta, radii, steps=800):
@@ -917,7 +935,7 @@ def verify_leading_coefficient(n: int, b) -> LeadingCoefficientReport:
     # unit factor F = (1 + b r^n)^2; f = r^2 F
     F = (rational_series([1], order)
          + rational_series([0] * n + [b], order)) ** 2
-    f = F.shift(2)
+    f = rational_series([0, 0, 1], order) * F
     f_r = f.derive()
     f_rr = f_r.derive()
     Finv = F.reciprocal()                       # r^2 f^-1

@@ -22,14 +22,15 @@ from hml.conformal import (PolynomialRadialFunction, TrivializerRadialFunction,
 from hml.curvature import curvature, curvature_arrays
 from hml.expansion import density_coefficients
 from hml.geodesics import (centrally_harmonic_test, density_profile,
-                           g_unit_directions, second_fundamental_form, shoot)
+                           g_unit_directions)
 from hml.manifest import _sphere_height_psi
 from hml.series import fit_radial_expansion
 
 from oracles import (DensityRootPsiU, christoffels, conformal_factor_field,
                      eigen_spread, hessian, leading_coefficient,
                      radial_harmonic, reduced_jacobi_at, ricci_conformal,
-                     space_form_isometry_check, verify_leading_coefficient)
+                     shape_operator, space_form_isometry_check,
+                     verify_leading_coefficient)
 
 RESULTS = []
 
@@ -322,21 +323,18 @@ def test_09_umbilicity():
     # projective plane: defect bounded away from zero, s_P = 3
     fs = catalog.fubini_study(2)
     s_p, _ = eigen_spread(fs.metric, np.zeros(4), 48)
-    min_defect = math.inf
-    for theta in g_unit_directions(fs.metric, np.zeros(4), 5):
-        for r in (0.05, 0.1, 0.2):
-            s = second_fundamental_form(fs.metric, np.zeros(4), theta, r,
-                                        steps=200)
-            min_defect = min(min_defect, s.umbilicity_defect)
+    dirs = g_unit_directions(fs.metric, np.zeros(4), 5)
+    min_defect = min(float(np.min(density_profile(
+        fs.metric, np.zeros(4), dirs, [r], steps=200).umbilicity))
+        for r in (0.05, 0.1, 0.2))
     # small-radius expansion of the shape operator
     theta = np.array([1.0, 0, 0, 0])
     Rt = reduced_jacobi_at(fs.metric, np.zeros(4), theta)
     radii = [0.02, 0.03, 0.045, 0.06]
     resid = []
     for r in radii:
-        s = second_fundamental_form(fs.metric, np.zeros(4), theta, r,
-                                    steps=200)
-        resid.append((s.L - np.eye(3) / r).ravel())
+        L = shape_operator(fs.metric, np.zeros(4), theta, r, 200)
+        resid.append((L - np.eye(3) / r).ravel())
     A = np.stack([np.asarray(radii), np.ones(4)], axis=1)
     lin = np.linalg.lstsq(A, np.stack(resid), rcond=None)[0][0].reshape(3, 3)
     sigma_rel = float(np.max(np.abs(lin - (-Rt / 3))) / np.max(np.abs(Rt / 3)))
@@ -371,14 +369,14 @@ def test_10_property_suites():
                                 + np.einsum('...iljk->...ijkl', R)))) / scale)
     # energy conservation
     fs = catalog.fubini_study(2)
-    theta = g_unit_directions(fs.metric, np.zeros(4), 1)[0]
-    energy = shoot(fs.metric, np.zeros(4), theta, 1.2,
-                   steps=500).energy_error
+    energy = density_profile(fs.metric, np.zeros(4),
+                             g_unit_directions(fs.metric, np.zeros(4), 1),
+                             [1.2], steps=500).energy_error
     # integrator order on the round sphere
     sp = catalog.sphere(3)
     exact = math.sin(0.9) ** 2
-    errs = [abs(shoot(sp.metric, np.zeros(3), [1.0, 0, 0], 0.9,
-                      steps=s).theta - exact)
+    errs = [abs(density_profile(sp.metric, np.zeros(3), [[1.0, 0, 0]], [0.9],
+                                steps=s).theta[0, 0] - exact)
             for s in (40, 80)]
     order_ratio = errs[0] / errs[1]
     # radial harmonic profiles up to affine equivalence

@@ -17,7 +17,7 @@ from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
                            radial_sq_value, reparametrize)
 from hml.curvature import curvature, sectional_curvature
 from hml.geodesics import (DomainExitError, centrally_harmonic_test,
-                           density_profile, g_unit_directions, shoot)
+                           density_profile, g_unit_directions)
 from hml.manifest import _sphere_height_psi, build_metric
 from hml.metric import DomainError
 from hml.series import TruncatedSeries
@@ -358,7 +358,8 @@ def test_deformed_domain_exit_radius(euclid3, steps, r, last_r):
     # deformed distance), and coarse RK4 stages overshoot it
     _, metric = _zero_at_two(euclid3)
     with pytest.raises(DomainExitError) as exc:
-        shoot(metric, np.zeros(3), [1.0, 0.0, 0.0], r, steps=steps)
+        density_profile(metric, np.zeros(3), [[1.0, 0.0, 0.0]], [r],
+                        steps=steps)
     assert exc.value.last_r == last_r
 
 

@@ -8,54 +8,65 @@ import pytest
 
 from hml import catalog, jets, manifest
 from hml.curvature import curvature_arrays, reduced_jacobi
-from hml.geodesics import (ConjugatePointError, DomainExitError, _initial_state,
+from hml.geodesics import (DomainExitError, _initial_state,
                            _integrate_recording, _rhs, centrally_harmonic_test,
                            density_profile, g_unit_directions,
                            parallel_frame_start, relative_spread,
-                           second_fundamental_form, shoot, unit_directions)
+                           unit_directions)
 from hml.metric import ChartMetric, Workspace
 
 import oracles
 from oracles import (NonRadialProfileError, ScalarField, christoffels,
                      eigen_spread, laplacian, radial_harmonic,
-                     reduced_jacobi_at)
+                     reduced_jacobi_at, shape_operator, shot_end)
 
 FAST = 300      # RK4 steps
 
 
+def shot(metric, P, theta, r, steps):
+    """The density profile of one direction at one radius."""
+    return density_profile(metric, P, np.asarray(theta, dtype=float)[None],
+                           [r], steps)
+
+
 # ---------------------------------------------------------------------------
-# shoot
+# single shots
 # ---------------------------------------------------------------------------
 
 def test_shoot_euclidean(euclid3):
-    s = shoot(euclid3.metric, [0.0, 0, 0], [0, 1.0, 0], 2.0, steps=50)
-    assert np.allclose(s.endpoint, [0, 2, 0], atol=1e-12)
-    assert s.theta == pytest.approx(2.0 ** 2, rel=1e-12)       # det(2 I_2)
-    assert np.allclose(s.A, 2.0 * np.eye(2), atol=1e-12)
-    assert s.xi == pytest.approx(2.0 / 2.0, rel=1e-10)         # (m-1)/r
+    x, A, _ = shot_end(euclid3.metric, [0.0, 0, 0], [0, 1.0, 0], 2.0, 50)
+    assert np.allclose(x, [0, 2, 0], atol=1e-12)
+    assert np.allclose(A, 2.0 * np.eye(2), atol=1e-12)
+    s = shot(euclid3.metric, [0.0, 0, 0], [0, 1.0, 0], 2.0, steps=50)
+    assert s.theta[0, 0] == pytest.approx(2.0 ** 2, rel=1e-12)  # det(2 I_2)
+    assert s.xi[0, 0] == pytest.approx(2.0 / 2.0, rel=1e-10)    # (m-1)/r
 
 
 def test_shoot_sphere_closed_form(sphere4):
-    s = shoot(sphere4.metric, np.zeros(4), [1.0, 0, 0, 0], 1.0,
-              steps=500)
-    assert s.theta == pytest.approx(math.sin(1.0) ** 3, abs=1e-7)
-    assert np.allclose(s.A, math.sin(1.0) * np.eye(3), atol=1e-9)
+    _, A, _ = shot_end(sphere4.metric, np.zeros(4), [1.0, 0, 0, 0], 1.0, 500)
+    assert np.linalg.det(A) == pytest.approx(math.sin(1.0) ** 3, abs=1e-7)
+    assert np.allclose(A, math.sin(1.0) * np.eye(3), atol=1e-9)
 
 
 def test_shoot_fubini_study_closed_form(fs2):
     theta = g_unit_directions(fs2.metric, np.zeros(4), 5)[3]
-    s = shoot(fs2.metric, np.zeros(4), theta, 1.0, steps=500)
-    assert s.theta == pytest.approx(math.sin(1.0) ** 3 * math.cos(1.0), abs=1e-6)
+    s = shot(fs2.metric, np.zeros(4), theta, 1.0, steps=500)
+    assert s.theta[0, 0] == pytest.approx(math.sin(1.0) ** 3 * math.cos(1.0),
+                                          abs=1e-6)
 
 
-def test_shoot_requires_unit_direction(sphere3):
-    with pytest.raises(ValueError):
-        shoot(sphere3.metric, np.zeros(3), [2.0, 0, 0], 0.5, FAST)
+def test_density_profile_refuses_non_unit_direction(sphere3):
+    # one row of g-norm 2 in a g-unit batch: integrated, it read Theta
+    # at twice the radius
+    dirs = g_unit_directions(sphere3.metric, np.zeros(3), 4)
+    dirs[2] *= 2.0
+    with pytest.raises(ValueError, match=r"\|theta\|_g = 2 in row 2"):
+        density_profile(sphere3.metric, np.zeros(3), dirs, [0.5], FAST)
 
 
 def test_energy_conservation(fs2):
     theta = g_unit_directions(fs2.metric, np.zeros(4), 1)[0]
-    s = shoot(fs2.metric, np.zeros(4), theta, 1.2, steps=600)
+    s = shot(fs2.metric, np.zeros(4), theta, 1.2, steps=600)
     assert s.energy_error < 1e-9
 
 
@@ -64,9 +75,8 @@ def test_integrator_fourth_order_convergence(sphere3):
     exact = math.sin(0.9) ** 2
     errs = []
     for steps in (40, 80, 160):
-        s = shoot(sphere3.metric, np.zeros(3), [1.0, 0, 0], 0.9,
-                  steps=steps)
-        errs.append(abs(s.theta - exact))
+        s = shot(sphere3.metric, np.zeros(3), [1.0, 0, 0], 0.9, steps)
+        errs.append(abs(s.theta[0, 0] - exact))
     assert errs[0] / errs[1] > 14
     assert errs[1] / errs[2] > 14
 
@@ -81,7 +91,7 @@ def test_domain_exit_reports_radius():
         domain=lambda x: np.sum(np.asarray(x) ** 2, axis=-1) < 0.25,
         name="ball")
     with pytest.raises(DomainExitError) as exc:
-        shoot(small, np.zeros(3), [1.0, 0, 0], 1.0, FAST)
+        shot(small, np.zeros(3), [1.0, 0, 0], 1.0, FAST)
     # the k4 stage of the step from r = 149 h reaches |x| = 0.5
     assert exc.value.last_r == 0.4966666666666667
 
@@ -110,23 +120,20 @@ def test_conjugate_point_flagged_odd_parity(sphere4):
     # from an off-pole start the antipodal conjugate point (distance pi)
     # sits inside the chart: the geodesic passes back through the pole;
     # det A = sin^3 goes negative past it
-    s = shoot(sphere4.metric, [1.0, 0, 0, 0], [-1.0, 0, 0, 0], 3.3,
-              steps=800)
-    assert s.conjugate
-    assert s.theta < 0
+    s = shot(sphere4.metric, [1.0, 0, 0, 0], [-1.0, 0, 0, 0], 3.3, 800)
+    assert s.conjugate[0, 0]
+    assert s.theta[0, 0] < 0
 
 
 def test_conjugate_point_latched_even_parity(sphere3):
     # det A = sin^2 stays positive after the crossing at pi; the dip
     # monitor must still latch the conjugate point
-    s = shoot(sphere3.metric, [1.0, 0, 0], [-1.0, 0, 0], 3.3,
-              steps=800)
-    assert s.conjugate
-    assert s.theta > 0
+    s = shot(sphere3.metric, [1.0, 0, 0], [-1.0, 0, 0], 3.3, 800)
+    assert s.conjugate[0, 0]
+    assert s.theta[0, 0] > 0
     # and a shot stopping before the crossing stays clean
-    s_ok = shoot(sphere3.metric, [1.0, 0, 0], [-1.0, 0, 0], 2.0,
-                 steps=400)
-    assert not s_ok.conjugate
+    s_ok = shot(sphere3.metric, [1.0, 0, 0], [-1.0, 0, 0], 2.0, 400)
+    assert not s_ok.conjugate[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +420,9 @@ def test_small_radius_density_asymptotics(fs2):
     # Theta = r^(m-1) (1 + O(r^2)) and Xi = (m-1)/r + O(r) near the center
     theta = g_unit_directions(fs2.metric, np.zeros(4), 1)[0]
     for r in (0.02, 0.04, 0.08):
-        s = shoot(fs2.metric, np.zeros(4), theta, r, steps=100)
-        assert abs(s.theta / s.radius ** 3 - 1.0) <= 2.0 * r ** 2
-        assert abs(s.xi - 3.0 / r) <= 4.0 * r
+        s = shot(fs2.metric, np.zeros(4), theta, r, steps=100)
+        assert abs(s.theta[0, 0] / r ** 3 - 1.0) <= 2.0 * r ** 2
+        assert abs(s.xi[0, 0] - 3.0 / r) <= 4.0 * r
 
 
 def test_not_harmonic_deformed_sphere_off_pole(deformed_sphere4):
@@ -441,8 +448,7 @@ def test_bad_steps_refused_where_integration_starts(fs2, steps):
     # against sin^3(1) cos(1) = 0.3219)
     P = np.zeros(4)
     dirs = g_unit_directions(fs2.metric, P, 2)
-    for call in (lambda: shoot(fs2.metric, P, dirs[0], 1.0, steps=steps),
-                 lambda: density_profile(fs2.metric, P, dirs, [1.0],
+    for call in (lambda: density_profile(fs2.metric, P, dirs, [1.0],
                                          steps=steps),
                  lambda: centrally_harmonic_test(fs2.metric, P, steps=steps)):
         with pytest.raises(ValueError, match="steps must be an integer >= 1"):
@@ -543,25 +549,25 @@ def test_radial_harmonic_refuses_non_radial():
 # ---------------------------------------------------------------------------
 
 def test_shape_operator_euclidean(euclid3):
-    s = second_fundamental_form(euclid3.metric, np.zeros(3), [1.0, 0, 0],
-                                0.8, steps=100)
-    assert np.max(np.abs(s.L - np.eye(2) / 0.8)) < 1e-10
-    assert s.umbilicity_defect < 1e-10
-    assert s.xi == pytest.approx(2 / 0.8, rel=1e-10)
+    L = shape_operator(euclid3.metric, np.zeros(3), [1.0, 0, 0], 0.8, 100)
+    assert np.max(np.abs(L - np.eye(2) / 0.8)) < 1e-10
+    s = shot(euclid3.metric, np.zeros(3), [1.0, 0, 0], 0.8, steps=100)
+    assert s.umbilicity[0, 0] < 1e-10
+    assert s.xi[0, 0] == pytest.approx(2 / 0.8, rel=1e-10)
 
 
 def test_shape_operator_sphere_cot(sphere3):
     r = 0.9
-    s = second_fundamental_form(sphere3.metric, np.zeros(3), [1.0, 0, 0],
-                                r, steps=400)
-    assert np.max(np.abs(s.L - np.eye(2) / math.tan(r))) < 1e-7
-    assert s.umbilicity_defect < 1e-7
+    L = shape_operator(sphere3.metric, np.zeros(3), [1.0, 0, 0], r, 400)
+    assert np.max(np.abs(L - np.eye(2) / math.tan(r))) < 1e-7
+    s = shot(sphere3.metric, np.zeros(3), [1.0, 0, 0], r, steps=400)
+    assert s.umbilicity[0, 0] < 1e-7
 
 
 def test_shape_operator_symmetric(fs2):
     theta = g_unit_directions(fs2.metric, np.zeros(4), 2)[1]
-    sample = shoot(fs2.metric, np.zeros(4), theta, 0.6, steps=400)
-    raw = sample.A_prime @ np.linalg.inv(sample.A)
+    _, A, Ad = shot_end(fs2.metric, np.zeros(4), theta, 0.6, 400)
+    raw = Ad @ np.linalg.inv(A)
     assert np.max(np.abs(raw - raw.T)) < 1e-9
 
 
@@ -572,22 +578,23 @@ def test_shape_operator_matches_normal_coordinate_formula(sphere3):
     # are related by the induced metric and a single orientation sign:
     #     -r^{-1} delta + Gamma^1 = - g_ab(xi) * L   (angular block).
     r = 0.7
-    s = second_fundamental_form(sphere3.metric, np.zeros(3), [1.0, 0, 0],
-                                r, steps=400)
+    L = shape_operator(sphere3.metric, np.zeros(3), [1.0, 0, 0], r, 400)
     x = np.array([r, 0.0, 0.0])
     Gam = christoffels(sphere3.metric, x)
     g_ang = sphere3.metric.value(x)[1:, 1:]
     L_coord_inward = -np.eye(2) / r + Gam[1:, 1:, 0]
-    predicted = -g_ang @ s.L
+    predicted = -g_ang @ L
     assert np.max(np.abs(L_coord_inward - predicted)) < 1e-6
     # the opposite orientation fails by a wide margin
     assert np.max(np.abs(L_coord_inward + predicted)) > 1e-1
 
 
-def test_shape_operator_conjugate_error(sphere3):
-    with pytest.raises(ConjugatePointError):
-        second_fundamental_form(sphere3.metric, [1.0, 0, 0], [-1.0, 0, 0],
-                                3.3, steps=400)
+def test_shape_operator_undefined_past_conjugate_point(sphere3):
+    # past the crossing A' A^-1 is no sphere's shape: Xi and the
+    # umbilicity defect read NaN, not a number
+    s = shot(sphere3.metric, [1.0, 0, 0], [-1.0, 0, 0], 3.3, 400)
+    assert s.conjugate[0, 0] and s.largest_safe_radius == 0.0
+    assert np.isnan(s.xi[0, 0]) and np.isnan(s.umbilicity[0, 0])
 
 
 def test_small_radius_shape_expansion_fubini_study(fs2):
@@ -597,9 +604,8 @@ def test_small_radius_shape_expansion_fubini_study(fs2):
     radii = [0.02, 0.03, 0.04, 0.06]
     mats = []
     for r in radii:
-        s = second_fundamental_form(fs2.metric, np.zeros(4), theta, r,
-                                    steps=200)
-        mats.append(s.L - np.eye(3) / r)
+        mats.append(shape_operator(fs2.metric, np.zeros(4), theta, r, 200)
+                    - np.eye(3) / r)
     # linear fit of the residual against r, entrywise
     A = np.stack([np.asarray(radii), np.ones(len(radii))], axis=1)
     coeffs = np.linalg.lstsq(A, np.stack([m.ravel() for m in mats]),
@@ -628,11 +634,9 @@ def test_eigen_spread_fubini_study(fs2):
 def test_positive_spread_forces_umbilicity_defect(fs2):
     # s_P > 0 implies small geodesic spheres are nowhere totally umbilic
     dirs = g_unit_directions(fs2.metric, np.zeros(4), 6)
-    for theta in dirs:
-        for r in (0.05, 0.1):
-            s = second_fundamental_form(fs2.metric, np.zeros(4), theta, r,
-                                        steps=150)
-            assert s.umbilicity_defect > 1e-3
+    for r in (0.05, 0.1):
+        s = density_profile(fs2.metric, np.zeros(4), dirs, [r], steps=150)
+        assert np.all(s.umbilicity > 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,8 @@ m = 6), ``curvature_arrays`` and ``_rhs`` (fresh and through a Workspace)
 at every batch size of BYTES_BATCHES (the first three at m = 6), and the
 curvature bundle (k_max 4, and 2 at m = 6) and ``density_coefficients`` at
 one point and at the chart's center where the chart contains it.  It
-hashes the named fields (SHOT_FIELDS) of ``shoot``,
-``second_fundamental_form`` and ``density_profile`` on FS2 and the
-poly-deformed sphere(4), about the center and one other point.  It runs
+hashes the named fields (SHOT_FIELDS) of ``density_profile`` on FS2 and
+the poly-deformed sphere(4), about the center and one other point.  It runs
 both sides' CLI on the change's perfbench plans for the cli_defaults and
 wide_sweep workloads at seeds 1-3 and on BYTES_MANIFESTS (a trivial-density
 fubini_study(2) ``deform``, whose report holds a blow-up fit) and hashes
@@ -93,6 +92,7 @@ import importlib.util
 import inspect
 import io
 import json
+import operator
 import os
 import statistics
 import subprocess
@@ -522,43 +522,30 @@ def bundle_hashes(hashes: dict, mod: dict, tag: str, metric, x):
                     metric, x, 1)[0]).values)
 
 
-# The shot API's outputs, hashed by named field: a field that goes unread
-# and is deleted drops out of the list instead of reading as a change.
+# density_profile's outputs, hashed by named field: a field that goes
+# unread and is deleted drops out of the list instead of reading as a change.
 SHOT_CHARTS = ("fubini_study2", "deformed_sphere4")
-SHOT_FIELDS = {
-    "shoot": ("center", "direction", "radius", "endpoint", "A", "A_prime",
-              "theta", "xi", "conjugate", "energy_error"),
-    "second_fundamental_form": ("center", "direction", "radius", "L",
-                                "umbilicity_defect", "xi"),
-    "density_profile": ("center", "radii", "directions", "theta", "xi",
-                        "umbilicity", "conjugate", "energy_error",
-                        "largest_safe_radius"),
-}
+SHOT_FIELDS = ("center", "radii", "directions", "theta", "xi", "umbilicity",
+               "conjugate", "energy_error", "largest_safe_radius")
 
 
 def shot_hashes(alias: str) -> dict:
-    """Hashes of SHOT_FIELDS of each shot call on SHOT_CHARTS, about the
+    """Hashes of SHOT_FIELDS of density_profile on SHOT_CHARTS, about the
     center and an off-center point, 50 RK4 steps to radius 0.6."""
     import numpy as np
 
     geo = importlib.import_module(f"{alias}.geodesics")
     build = importlib.import_module(f"{alias}.manifest").build_metric
+    read = operator.attrgetter(*SHOT_FIELDS)
     hashes = {}
     for chart in SHOT_CHARTS:
         metric = build(BYTES_CHARTS[chart]).metric
         for where, P in (("center", np.zeros(metric.dim)),
                          ("off", np.full(metric.dim, 0.1))):
             dirs = geo.g_unit_directions(metric, P, 8)
-            calls = {
-                "shoot": lambda: geo.shoot(metric, P, dirs[0], 0.6, 50),
-                "second_fundamental_form": lambda: geo.second_fundamental_form(
-                    metric, P, dirs[1], 0.6, 50),
-                "density_profile": lambda: geo.density_profile(
-                    metric, P, dirs, [0.2, 0.4, 0.6], 50),
-            }
-            for name, call in calls.items():
-                _record(hashes, f"shot/{chart}/{where}/{name}",
-                        lambda: [getattr(call(), f) for f in SHOT_FIELDS[name]])
+            _record(hashes, f"shot/{chart}/{where}/density_profile",
+                    lambda: read(geo.density_profile(
+                        metric, P, dirs, [0.2, 0.4, 0.6], 50)))
     return hashes
 
 
