@@ -22,7 +22,6 @@ from .metric import ChartMetric, entry_layout
 class CatalogEntry:
     metric: ChartMetric
     constant_curvature: Optional[float] = None   # None: not a space form
-    einstein: bool = False
     closed_form_density: Optional[Callable] = None   # r -> Theta_P(r)
     # t = r^2 -> Theta_P / r^(m-1), acting on truncated series
     reduced_density: Optional[Callable] = None
@@ -30,10 +29,6 @@ class CatalogEntry:
     @property
     def name(self) -> str:
         return self.metric.name
-
-    @property
-    def params(self) -> dict:
-        return self.metric.params
 
     @property
     def dim(self) -> int:
@@ -66,7 +61,7 @@ def euclidean(dim: int) -> CatalogEntry:
         dim=dim, components=components, name="euclidean", params={"dim": dim},
         injectivity_radius=math.inf, radial_distance_sq=lambda x, t: t)
     return CatalogEntry(
-        metric=metric, constant_curvature=0.0, einstein=True,
+        metric=metric, constant_curvature=0.0,
         closed_form_density=_space_form_density(0.0, dim),
         reduced_density=lambda ts: 1.0 + 0.0 * ts)
 
@@ -109,7 +104,7 @@ def space_form(a: float, b: float, dim: int) -> CatalogEntry:
         params={"a": a, "b": b, "dim": dim}, injectivity_radius=iota,
         radial_distance_sq=rdist_sq)
     return CatalogEntry(
-        metric=metric, constant_curvature=kappa, einstein=True,
+        metric=metric, constant_curvature=kappa,
         closed_form_density=_space_form_density(kappa, dim) if a > 0 else None,
         reduced_density=_sinc_power(kappa, dim) if a > 0 and b > 0 else None)
 
@@ -138,7 +133,7 @@ def sphere(dim: int) -> CatalogEntry:
         params={"dim": dim}, injectivity_radius=math.pi,
         radial_distance_sq=lambda x, t: t)
     return CatalogEntry(
-        metric=metric, constant_curvature=1.0, einstein=True,
+        metric=metric, constant_curvature=1.0,
         closed_form_density=_space_form_density(1.0, dim),
         reduced_density=_sinc_power(1.0, dim))
 
@@ -178,40 +173,7 @@ def fubini_study(cdim: int) -> CatalogEntry:
         params={"cdim": cdim}, injectivity_radius=math.pi / 2,
         radial_distance_sq=lambda x, t: jets.atan_sqrt_sq(t))
     return CatalogEntry(
-        metric=metric, einstein=True, closed_form_density=fs_density,
+        metric=metric, closed_form_density=fs_density,
         reduced_density=lambda ts: (jets.powf(jets.sinc_sqrt(ts), dim - 1)
                                     * jets.cos_sqrt(ts)))
-
-
-def two_d_family(n: int, b: float) -> CatalogEntry:
-    """Polar-chart surface ds^2 = dr^2 + f dtheta^2, f = (r (1 + b r^n))^2.
-
-    The chart excludes its own center r = 0, but the radial coordinate
-    lines are unit-speed geodesics from it and the volume density about
-    the center is exactly Theta(r) = r (1 + b r^n), so the density
-    expansion can be read off without shooting.
-    """
-    if n < 2:
-        raise ValueError("family needs n >= 2")
-
-    def components(x, t):
-        r = x.entries(0)
-        f = (r * (1.0 + b * r ** n)) ** 2
-        return [[1.0, 0.0], [0.0, f]]
-
-    def domain(x):
-        x = np.asarray(x)
-        r = x[..., 0]
-        return (r > 0) & (1.0 + b * r ** n > 0)
-
-    def theta_density(r):
-        r = np.asarray(r, dtype=float)
-        return r * (1.0 + b * r ** n)
-
-    metric = ChartMetric(
-        dim=2, components=components, domain=domain, name="two_d_family",
-        params={"n": n, "b": b})
-    return CatalogEntry(
-        metric=metric, einstein=True,  # any surface is Einstein
-        closed_form_density=theta_density)
 

@@ -152,35 +152,24 @@ def cmd_check_harmonic(built: BuiltMetric, ana: dict, center: np.ndarray):
 
 def cmd_expand(built: BuiltMetric, ana: dict, center: np.ndarray):
     metric = built.metric
-    entry = built.entry
-    if entry.name == "two_d_family":
-        # polar chart, never deformed: the density about its center (not a
-        # chart point) is closed-form; only fitted values are reported
-        order = ana.get("order", max(8, entry.params["n"] + 1))
-        radii = np.geomspace(0.05, 0.5, max(2 * (order - 1), 14))
-        radial_designs(radii, order)
-        theta, analytic = entry.closed_form_density(radii), None
-    else:
-        order = setting(ana, "order")
-        direction = geodesics.g_unit_directions(metric, center, 1)[0]
-        iota = metric.injectivity_radius or math.inf    # None: deformed
-        r_hi = min(0.42, 0.25 * iota)
-        radii = np.geomspace(r_hi / 7, r_hi, max(2 * (order - 1), 24))
-        radial_designs(radii, order)    # refuses a bad fit before the work
-        analytic = expansion.density_coefficients(
-            metric, center, direction).values
-        theta = _shot(metric, center, direction, radii, ana)
+    order = setting(ana, "order")
+    direction = geodesics.g_unit_directions(metric, center, 1)[0]
+    iota = metric.injectivity_radius or math.inf    # None: deformed
+    r_hi = min(0.42, 0.25 * iota)
+    radii = np.geomspace(r_hi / 7, r_hi, max(2 * (order - 1), 24))
+    radial_designs(radii, order)    # refuses a bad fit before the work
+    analytic = expansion.density_coefficients(metric, center, direction).values
+    theta = _shot(metric, center, direction, radii, ana)
     fit = fit_radial_expansion(list(zip(radii, theta)), metric.dim, order)
     residuals = {"fit_residual": fit.residual, "cond": fit.cond,
                  "truncation_estimate": {f"H{k}": v for k, v in
-                                         fit.truncation_estimate.items()}}
-    if analytic is not None:
-        residuals["max_abs_difference"] = max(
-            abs(analytic[k] - fit.coefficients[k])
-            for k in range(2, min(order, 6) + 1))
-        analytic = {f"H{k}": v for k, v in analytic.items()}
+                                         fit.truncation_estimate.items()},
+                 "max_abs_difference": max(
+                     abs(analytic[k] - fit.coefficients[k])
+                     for k in range(2, min(order, 6) + 1))}
     return EXIT_OK, {"expansion.json": _json_text({
-        "metric": metric.name, "order": order, "analytic": analytic,
+        "metric": metric.name, "order": order,
+        "analytic": {f"H{k}": v for k, v in analytic.items()},
         "fitted": {f"H{k}": v for k, v in fit.coefficients.items()},
         "residuals": residuals})}
 

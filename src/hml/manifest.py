@@ -76,21 +76,16 @@ _REAL = Key(_is_real, "a finite real")
 _POSITIVE = Key(lambda v: _is_real(v) and v > 0, "a finite real > 0")
 
 FAMILIES = {"euclidean": catalog.euclidean, "space_form": catalog.space_form,
-            "sphere": catalog.sphere, "fubini_study": catalog.fubini_study,
-            "two_d_family": catalog.two_d_family}
+            "sphere": catalog.sphere, "fubini_study": catalog.fubini_study}
 # each family's constructor takes the keys it reads but family and deform
 METRIC_KEYS = {
     "family": _needed_by(Key(lambda v: isinstance(v, str), "a string"),
                          *FAMILIES),
     "dim": _needed_by(_count(2), "euclidean", "space_form", "sphere"),
     "cdim": _needed_by(_count(1), "fubini_study"),
-    "n": _needed_by(_count(2), "two_d_family"),
     "a": _needed_by(_REAL, "space_form"),
-    "b": _needed_by(_REAL, "space_form", "two_d_family"),
-    # no two_d_family deformation builds: its polar chart has no analytic
-    # radial distance for a poly psi, nor a reduced density to trivialize
-    "deform": _read_by(_OBJECT, "euclidean", "space_form", "sphere",
-                       "fubini_study"),
+    "b": _needed_by(_REAL, "space_form"),
+    "deform": _read_by(_OBJECT, *FAMILIES),
 }
 PSI_KINDS = ("poly", "trivial-density")
 PSI_KEYS = {
@@ -163,8 +158,7 @@ def validate(doc: dict) -> Manifest:
     """Check a manifest against the key tables; the blocks are kept as written.
 
     Every schema refusal is made here: besides each block's keys, an unknown
-    family, a deform command without a deform block, and what an exact
-    two_d_family expand does not read."""
+    family and a deform command without a deform block."""
     _check(doc, {"metric": _BLOCK, "analysis": _BLOCK}, "manifest")
     mspec, ana = doc["metric"], doc["analysis"]
     family = mspec.get("family")
@@ -178,12 +172,6 @@ def validate(doc: dict) -> Manifest:
     _check(ana, ANALYSIS_KEYS, "analysis", "command")
     if ana["command"] == DEFORM and "deform" not in mspec:
         raise ManifestError("deform command needs a metric.deform block")
-    if (family, ana["command"]) == ("two_d_family", EXPAND):
-        # its density about the polar center is exact: nothing is shot
-        unread = sorted({"center", "steps"} & set(ana))
-        if unread:
-            raise ManifestError(f"analysis keys {unread} are not read by "
-                                f"command 'expand' on family 'two_d_family'")
     return Manifest(metric_spec=mspec, analysis=ana)
 
 

@@ -20,13 +20,13 @@ hessian, laplacian, gradient_norm_sq) reads Gamma from curvature_arrays,
 and the Ricci conformal-change law (ricci_conformal) combines them with the
 base metric's bundle, independently of the deformed chart it is checked
 against.
-The last sections hold the oracles that only the test suite runs: the
-exact-rational check of the leading-term law H_n = c_n Tr J_(n-2) + lower
-order on the 2D family (rational_series, leading_coefficient,
-verify_leading_coefficient), the radial harmonic function of a radial
-density profile (radial_mean, radial_harmonic), the Jacobi eigen-spread
-(reduced_jacobi_at, eigen_spread) and the blow-up fit's known-answer psi
-(DensityRootPsiU).
+The last sections hold the oracles that only the test suite runs: the 2D
+family's polar chart (polar_surface) and the exact-rational check of the
+leading-term law H_n = c_n Tr J_(n-2) + lower order on that family
+(rational_series, leading_coefficient, verify_leading_coefficient), the
+radial harmonic function of a radial density profile (radial_mean,
+radial_harmonic), the Jacobi eigen-spread (reduced_jacobi_at,
+eigen_spread) and the blow-up fit's known-answer psi (DensityRootPsiU).
 """
 
 import functools
@@ -370,8 +370,8 @@ def literal_components(entry, psi=None):
 
     The sphere, Fubini-Study and space-form formulas make one jet product
     per entry and step, written out apart from the stacked catalog ones;
-    euclidean and two_d_family are per-entry in the catalog already.  The
-    deformation multiplies every entry by psi(r_P^2)^(-2).
+    euclidean's is per-entry in the catalog already.  The deformation
+    multiplies every entry by psi(r_P^2)^(-2).
     """
     make = {"sphere": _literal_sphere, "fubini_study": _literal_fubini_study,
             "space_form": _literal_space_form}.get(entry.name)
@@ -379,7 +379,7 @@ def literal_components(entry, psi=None):
         components = entry.metric.components
         rsq = literal_norm_sq
     else:
-        components, rsq = make(**entry.params)
+        components, rsq = make(**entry.metric.params)
     if psi is None:
         return components
 
@@ -884,8 +884,28 @@ def space_form_isometry_check(a: float, b: float, points,
 
 
 # ---------------------------------------------------------------------------
-# exact-rational leading-term law on the 2D family
+# the 2D family: its polar chart and the exact-rational leading-term law
 # ---------------------------------------------------------------------------
+
+def polar_surface(n: int, b: float) -> ChartMetric:
+    """Polar chart (r, theta) of ds^2 = dr^2 + f dtheta^2, f = (r (1 + b r^n))^2.
+
+    The chart excludes its own center r = 0; the volume density about the
+    center is r (1 + b r^n).  Its formula reads one coordinate entry and an
+    integer power of it, unlike the radial catalog charts.
+    """
+    def components(x, t):
+        r = x.entries(0)
+        f = (r * (1.0 + b * r ** n)) ** 2
+        return [[1.0, 0.0], [0.0, f]]
+
+    def domain(x):
+        r = np.asarray(x)[..., 0]
+        return (r > 0) & (1.0 + b * r ** n > 0)
+
+    return ChartMetric(dim=2, components=components, domain=domain,
+                       name="polar_surface", params={"n": n, "b": b})
+
 
 def rational_series(coeffs, order: int) -> TruncatedSeries:
     """Exact-rational series padded with zeros to the requested order."""

@@ -188,18 +188,6 @@ def test_unwritable_out_exits_3(tmp_path, capsys):
         assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-def test_expand_two_d_family(tmp_path):
-    doc = {"metric": {"family": "two_d_family", "n": 7, "b": 0.1},
-           "analysis": {"command": "expand"}}
-    mpath = write(tmp_path, "e.json", doc)
-    assert run_cli(["--manifest", mpath, "--out", str(tmp_path / "oe")]) == 0
-    rep = json.loads((tmp_path / "oe" / "expansion.json").read_text())
-    assert rep["analytic"] is None
-    assert rep["fitted"]["H7"] == pytest.approx(0.1, abs=1e-8)
-    others = [v for k, v in rep["fitted"].items() if k != "H7"]
-    assert max(abs(v) for v in others) < 1e-8
-
-
 def test_expand_sphere(tmp_path):
     doc = {"metric": {"family": "sphere", "dim": 3},
            "analysis": {"command": "expand", "steps": 500}}
@@ -453,7 +441,7 @@ def test_ignored_keys_are_unknown_exit_3(tmp_path, capsys, metric, analysis):
     ({"family": "sphere", "dim": True}, "metric.dim must be an integer >= 2"),
     ({"family": "sphere", "dim": 0}, "metric.dim must be an integer >= 2"),
     ({"family": "fubini_study", "cdim": 2.0}, "metric.cdim must be an integer"),
-    ({"family": "two_d_family", "n": "7", "b": 0.1}, "metric.n must be an integer"),
+    ({"family": "fubini_study", "cdim": 0}, "metric.cdim must be an integer"),
     ({"family": "space_form", "a": "1", "b": 0.25, "dim": 3},
      "metric.a must be a finite real"),
     ({"family": "space_form", "a": 1.0, "b": None, "dim": 3},
@@ -567,7 +555,6 @@ _FUZZ_CASES = [
     (("metric",), "family", _NOT_STRING),
     (("metric",), "dim", _not_count(2)),
     (("metric",), "cdim", _not_count(1)),
-    (("metric",), "n", _not_count(2)),
     (("metric",), "a", _NOT_REAL),
     (("metric",), "b", _NOT_REAL),
     (("metric",), "deform", _NOT_OBJECT),
@@ -621,15 +608,11 @@ _SMALL_REAL = st.floats(min_value=-1.0, max_value=1.0)
 
 @st.composite
 def _valid_metric(draw, deformed: bool):
-    """A metric block; ``deformed`` ones always carry a deform block, so
-    their family is one that reads it."""
-    deformable = list(METRIC_KEYS["deform"].read_by)
-    family = draw(st.sampled_from(deformable + ([] if deformed else
-                                                ["two_d_family"])))
+    """A metric block of a family that reads ``deform`` (every family);
+    ``deformed`` ones always carry a deform block."""
+    family = draw(st.sampled_from(METRIC_KEYS["deform"].read_by))
     if family == "fubini_study":
         spec = {"cdim": draw(st.integers(1, 2))}
-    elif family == "two_d_family":
-        spec = {"n": draw(st.integers(2, 9)), "b": draw(_SMALL_REAL)}
     else:
         spec = {"dim": draw(st.integers(2, 3))}
         if family == "space_form":
@@ -639,8 +622,7 @@ def _valid_metric(draw, deformed: bool):
             lambda c: {"kind": "poly", "coeffs": c}),
         st.one_of(st.just({}), st.floats(0.1, 2.0).map(lambda r: {"r_max": r}))
         .map(lambda r: {"kind": "trivial-density", **r}))
-    psi = (None if family not in deformable else
-           draw(psis if deformed else st.one_of(st.none(), psis)))
+    psi = draw(psis if deformed else st.one_of(st.none(), psis))
     if psi is not None:
         spec["deform"] = {"psi": psi}
     return {"family": family, **spec}
@@ -665,13 +647,9 @@ def _small_budget(dim: int) -> dict:
 def test_fuzz_valid_manifest_exits_0_to_3(tmp_path_factory, data):
     command = data.draw(st.sampled_from(COMMANDS), label="command")
     metric = data.draw(_valid_metric(command == "deform"), label="metric")
-    dim = 2 * metric["cdim"] if "cdim" in metric else metric.get("dim", 2)
-    # an expand of the polar chart reads its exact density: nothing is shot
-    exact = (metric["family"], command) == ("two_d_family", "expand")
+    dim = 2 * metric["cdim"] if "cdim" in metric else metric["dim"]
     analysis = {"command": command}
     for key, values in _small_budget(dim).items():
-        if exact and key in ("center", "steps"):
-            continue
         if command in ANALYSIS_KEYS[key].read_by and (
                 key in ("steps", "directions", "planes")
                 or data.draw(st.booleans())):

@@ -87,9 +87,11 @@ def test_deform_euclidean_to_round_sphere(euclid4, rng):
 
 
 def test_deform_requires_radial_chart():
-    fam = catalog.two_d_family(3, 0.1)
-    with pytest.raises(ValueError, match="radial distance"):
-        deform_metric(fam.metric, PolynomialRadialFunction([1.0, 1.0]))
+    # the hyperbolic chart declares no radial distance
+    hyp = catalog.space_form(0.5, -0.5, 3)
+    with pytest.raises(ValueError, match="does not expose an analytic "
+                                         "radial distance"):
+        deform_metric(hyp.metric, PolynomialRadialFunction([1.0, 1.0]))
 
 
 def test_deformed_sphere_harmonic_at_pole(sphere4):

@@ -93,19 +93,6 @@ def test_build_and_command_errors_leave_no_output(tmp_path, capsys, metric,
     assert not (tmp_path / "out").exists()
 
 
-def test_poly_deform_of_polar_chart_exits_3(tmp_path, capsys):
-    # refused by the schema, before any output
-    doc = {"metric": {"family": "two_d_family", "n": 2, "b": 0.3,
-                      "deform": {"psi": {"kind": "poly",
-                                         "coeffs": [1.0, 0.25]}}},
-           "analysis": {"command": "deform"}}
-    code, err = run(tmp_path, doc, capsys)
-    assert code == 3
-    assert err == ("error: metric keys ['deform'] are not read by family "
-                   "'two_d_family'\n")
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("far", [1e160, 1e200])
 def test_curvature_where_the_metric_overflows_exits_3(tmp_path, capsys, far):
     # |x|^2 overflows, so g is NaN: np.linalg.inv does not raise on it
@@ -254,8 +241,7 @@ def test_unknown_family_names_the_known_ones(tmp_path, capsys):
     code, err = run(tmp_path, doc, capsys)
     assert code == 3
     assert err == ("error: unknown catalog family 'g_ab'; known: "
-                   "['euclidean', 'fubini_study', 'space_form', 'sphere', "
-                   "'two_d_family']\n")
+                   "['euclidean', 'fubini_study', 'space_form', 'sphere']\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -285,11 +271,12 @@ _POLY = {"kind": "poly", "coeffs": [1.0, 0.25]}
      "metric needs a 'dim'"),
     ({"family": "space_form", "a": 1.0, "dim": 3}, {"command": "curvature"},
      "metric needs a 'b'"),
-    ({"family": "two_d_family", "n": 1, "b": 0.2}, {"command": "curvature"},
-     "metric.n must be an integer >= 2, got 1"),
+    ({"family": "sphere", "dim": 3, "n": 2}, {"command": "curvature"},
+     "unknown keys ['n'] in metric; allowed: ['a', 'b', 'cdim', 'deform', "
+     "'dim', 'family']"),
     ({"family": "euclidean", "dim": 3, "x": 1}, {"command": "curvature"},
      "unknown keys ['x'] in metric; allowed: ['a', 'b', 'cdim', 'deform', "
-     "'dim', 'family', 'n']"),
+     "'dim', 'family']"),
     ({"dim": 3}, {"command": "curvature"}, "metric needs a 'family'"),
     ({"family": "euclidean", "dim": 3}, {"center": [0.0] * 3},
      "analysis needs a 'command'"),
@@ -307,20 +294,17 @@ _POLY = {"kind": "poly", "coeffs": [1.0, 0.25]}
      {"command": "deform"}, "metric.deform.psi needs a 'kind'"),
     ({"family": "euclidean", "dim": 3, "deform": {"psi": {"kind": "poly"}}},
      {"command": "deform"}, "metric.deform.psi needs a 'coeffs'"),
-    ({"family": "two_d_family", "n": 2, "b": 0.3},
-     {"command": "expand", "center": [0.3, 0.1]},
-     "analysis keys ['center'] are not read by command 'expand' on family "
-     "'two_d_family'"),
-    ({"family": "two_d_family", "n": 2, "b": 0.3},
-     {"command": "expand", "steps": 5, "center": [0.3, 0.1]},
-     "analysis keys ['center', 'steps'] are not read by command 'expand' on "
-     "family 'two_d_family'"),
+    ({"family": "sphere", "dim": 3}, {"command": "expand", "k_max": 2},
+     "analysis keys ['k_max'] are not read by command 'expand'"),
+    ({"family": "sphere", "dim": 3},
+     {"command": "check_harmonic", "order": 8, "planes": 5},
+     "analysis keys ['order', 'planes'] are not read by command "
+     "'check_harmonic'"),
     ({"family": "euclidean", "dim": 3, "deform": {"psi": _POLY}},
      {"command": "deform", "psi_variant": "trivializer"},
      _UNKNOWN_ANALYSIS.format(["psi_variant"])),
-    ({"family": "two_d_family", "n": 2, "b": 0.3,
-      "deform": {"psi": {"kind": "trivial-density"}}}, {"command": "expand"},
-     "metric keys ['deform'] are not read by family 'two_d_family'"),
+    ({"family": "fubini_study", "cdim": 2, "dim": 4}, {"command": "expand"},
+     "metric keys ['dim'] are not read by family 'fubini_study'"),
 ])
 def test_schema_refusals_come_before_any_output(tmp_path, capsys, metric,
                                                 analysis, why):
@@ -333,12 +317,13 @@ def test_schema_refusals_come_before_any_output(tmp_path, capsys, metric,
 
 @pytest.mark.parametrize("metric", [
     {"family": "sphere", "dim": 4},
-    {"family": "two_d_family", "n": 3, "b": 0.1},
-], ids=["shot", "closed-form"])
+    {"family": "sphere", "dim": 4,
+     "deform": {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}},
+], ids=["shot", "deformed"])
 def test_ill_conditioned_expand_is_refused_before_any_density(
         tmp_path, capsys, monkeypatch, metric):
     # the design's condition depends only on the radii and the order, so
-    # the refusal needs no density, analytic, shot or closed-form
+    # the refusal needs no density, analytic or shot
     def never(*args, **kwargs):
         pytest.fail("a density was computed for a fit that is refused")
 
@@ -353,24 +338,19 @@ def test_ill_conditioned_expand_is_refused_before_any_density(
     assert not (tmp_path / "out").exists()
 
 
-# expand's radii: a polar chart's exact density on [0.05, 0.5] at
-# max(2 (order - 1), 14) radii, order max(8, n + 1) by default; a shot on
-# [r_hi / 7, r_hi] at max(2 (order - 1), 24), r_hi = min(0.42, iota / 4)
+# expand's radii: a shot on [r_hi / 7, r_hi] at max(2 (order - 1), 24),
+# r_hi = min(0.42, iota / 4)
 _SHOT = {"command": "expand", "steps": 2}
 
 
 @pytest.mark.parametrize("metric, analysis, order, radii", [
-    ({"family": "two_d_family", "n": 3, "b": 0.1}, {"command": "expand"}, 8,
-     np.geomspace(0.05, 0.5, 14)),
-    ({"family": "two_d_family", "n": 8, "b": 0.1}, {"command": "expand"}, 9,
-     np.geomspace(0.05, 0.5, 16)),
     ({"family": "euclidean", "dim": 2}, _SHOT, 12,
      np.geomspace(0.06, 0.42, 24)),
     ({"family": "euclidean", "dim": 2}, {**_SHOT, "order": 14}, 14,
      np.geomspace(0.06, 0.42, 26)),
     ({"family": "fubini_study", "cdim": 1}, _SHOT, 12,
      np.geomspace(math.pi / 56, math.pi / 8, 24)),
-], ids=["polar", "polar-n8", "shot", "shot-order14", "shot-short-iota"])
+], ids=["shot", "shot-order14", "shot-short-iota"])
 def test_expand_fits_its_radius_grid(tmp_path, monkeypatch, metric, analysis,
                                      order, radii):
     fits = []

@@ -23,7 +23,7 @@ ALL_CATALOG = ["euclid3", "sphere3", "round_sf3", "hyperbolic3", "fs2"]
 def sample_points(entry, rng, n):
     """Random points safely inside the chart domain (near the center)."""
     scale = {"euclidean": 0.8, "sphere": 0.5, "space_form": 0.4,
-             "fubini_study": 0.5, "two_d_family": 0.0}[entry.name]
+             "fubini_study": 0.5}[entry.name]
     pts = rng.uniform(-scale, scale, size=(n, entry.dim))
     assert np.all(entry.metric.contains(pts))
     return pts
@@ -41,8 +41,7 @@ def test_christoffels_euclidean_zero(euclid3):
 def test_christoffels_polar_surface():
     # ds^2 = dr^2 + f dtheta^2, f = r^2:
     # Gamma_theta,theta^r = -f_r/2 = -r and Gamma_r,theta^theta = f_r/(2f) = 1/r
-    fam = catalog.two_d_family(2, 0.0)
-    Gam = christoffels(fam.metric, [1.0, 0.3])
+    Gam = christoffels(oracles.polar_surface(2, 0.0), [1.0, 0.3])
     assert Gam[1, 1, 0] == pytest.approx(-1.0, rel=1e-12)
     assert Gam[0, 1, 1] == pytest.approx(1.0, rel=1e-12)
 
@@ -162,13 +161,22 @@ _STACKED_CHARTS = {
     "sphere3": {"family": "sphere", "dim": 3},
     "sphere4": {"family": "sphere", "dim": 4},
     "fs2": {"family": "fubini_study", "cdim": 2},
-    "two_d_family": {"family": "two_d_family", "n": 3, "b": 0.4},
+    "two_d_family": None,         # the 2D family's polar chart, below
     "deformed_sphere4": _SPHERE4_POLY,
     "trivial_sphere3": {"family": "sphere", "dim": 3,
                         "deform": {"psi": {"kind": "trivial-density"}}},
     "trivial_fs2": {"family": "fubini_study", "cdim": 2,
                     "deform": {"psi": {"kind": "trivial-density"}}},
 }
+
+
+def _stacked_chart(name):
+    """The chart's metric and its per-entry components."""
+    if name == "two_d_family":
+        metric = oracles.polar_surface(3, 0.4)
+        return metric, metric.components        # per-entry already
+    built = manifest.build_metric(_STACKED_CHARTS[name])
+    return built.metric, oracles.literal_components(built.entry, built.psi)
 
 
 @pytest.mark.parametrize("name", sorted(_STACKED_CHARTS))
@@ -178,9 +186,8 @@ def test_stacked_entries_match_per_entry_formulas(name):
     derivative_arrays to order 3, unbatched and at B = 1 to 1024, and the
     jet-ring bundle at k_max = 4, which takes per-entry views of the stack.
     """
-    built = manifest.build_metric(_STACKED_CHARTS[name])
-    metric, m = built.metric, built.metric.dim
-    literal = oracles.literal_components(built.entry, built.psi)
+    metric, literal = _stacked_chart(name)
+    m = metric.dim
     rng = np.random.default_rng(len(name))
     for B in (None, 1, 16, 300, 512, 1024):
         x = rng.uniform(-0.3, 0.3, (m,) if B is None else (B, m))
@@ -206,7 +213,7 @@ def _bundle_bytes(bundle):
 @pytest.mark.parametrize("name", sorted(_STACKED_CHARTS))
 def test_bundle_matches_literal_curvature(name, k_max):
     """The stacked bundle gives the object-array path's bits, field by field."""
-    metric = manifest.build_metric(_STACKED_CHARTS[name]).metric
+    metric, _ = _stacked_chart(name)
     m = metric.dim
     x = np.random.default_rng(m + k_max).uniform(-0.3, 0.3, m)
     if name == "two_d_family":

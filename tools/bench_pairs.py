@@ -415,7 +415,6 @@ BYTES_CHARTS = {
                                      "deform": {"psi": _POLY}},
     "space_form_0.5_-0.5_4": {"family": "space_form", "a": 0.5, "b": -0.5,
                               "dim": 4},
-    "two_d_family_2_0.3": {"family": "two_d_family", "n": 2, "b": 0.3},
 }
 BYTES_BATCHES = (None, 1, 16, 300, 512, 1000, 1024)   # None: one (m,) point
 BYTES_SEEDS = (1, 2, 3)
@@ -481,8 +480,6 @@ def array_hashes(alias: str) -> dict:
             x = rng.normal(size=shape)
             x *= (rng.uniform(0.05, 0.45, size=shape[:-1] + (1,))
                   / np.linalg.norm(x, axis=-1, keepdims=True))
-            if spec["family"] == "two_d_family":    # polar chart: r > 0
-                x[..., 0] = np.abs(x[..., 0]) + 0.05
             state = (x, rng.normal(size=shape),
                      rng.normal(size=shape + (m - 1,)),
                      rng.normal(size=shape[:-1] + (m - 1, m - 1)),
