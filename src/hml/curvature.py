@@ -11,12 +11,12 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
 
-from .jets import MultiJet, entry_dot
+from .jets import ROWS_MAX, MultiJet, entry_dot
 from .metric import (ChartMetric, DegenerateMetricError, OrderExceededError,
                      Workspace, derivative_plan, entry_layout)
 
@@ -163,9 +163,10 @@ def _partials(T):
         [T.partial(p).coef for p in range(T.space.nvars)], axis=-1))
 
 
-def _derivs(T, d):
-    """Order-d partials of the stack T, derivative axes after the entry axes."""
-    return np.moveaxis(T.derivative_array(d), range(d), range(-d, 0))
+def _derivs(T, d, first=None):
+    """T.derivative_array(d, first), derivative axes after the entry axes."""
+    n = d - (first is not None)
+    return np.moveaxis(T.derivative_array(d, first), range(n), range(-n, 0))
 
 
 def _riemann_stack(S, Gam):
@@ -176,9 +177,13 @@ def _riemann_stack(S, Gam):
     ij, i, j, k, l = np.broadcast_arrays(
         np.arange(len(a))[:, None, None], a[:, None, None], b[:, None, None],
         np.arange(m)[:, None], np.arange(m))
-    dGam = _partials(Gam)                      # dGam[ij, k, p] = d_p Gamma_ij^k
-    Rup = dGam.entries(e[j, k], l, i) - dGam.entries(e[i, k], l, j)
-    del dGam                                   # only Rup's first term reads it
+    # Rup = d_i Gamma_jk^l - d_j Gamma_ik^l, from one d_p Gamma at a time
+    Rup = MultiJet(Gam.space, np.empty((Gam.space.size,) + i.shape))
+    for p in range(m):
+        dGam = Gam.partial(p).coef      # dGam[:, ij, k] = d_p Gamma_ij^k
+        at, to = i == p, j == p
+        Rup.coef[:, at] = dGam[:, e[j[at], k[at]], l[at]]
+        Rup.coef[:, to] -= dGam[:, e[i[to], k[to]], l[to]]  # d_i at p = i < j
     # Rup = (Rup + Gamma_in^l Gamma_jk^n) - Gamma_jn^l Gamma_ik^n, n in order
     n, odd = np.repeat(np.arange(m), 2), np.arange(2 * m) % 2
     p, q = (np.where(odd, y[..., None], x[..., None])
@@ -211,18 +216,21 @@ def _jet_partials(metric: ChartMetric, x, k_max: int):
          - dS.entries(e[i, j], l))             # D[ij, l], summed over l
     ij = np.arange(len(rows))[:, None, None]
     Gam = entry_dot(Ginv, (l[:, None], l), D, (ij, l)) * 0.5
+    del Ginv, dS, D
     R = _riemann_stack(S, Gam)
     zero = Gam.entries(0, 0) * 0.0
     a, b = np.triu_indices(m, 1)
     PR = {}
     for d in range(k_max + 1):
-        # R_jikl = -1.0 R_ijkl and R_iikl = Gamma_00^0 * 0.0, filled by index;
-        # P is a fresh gather, negated in place once its upper half is written
+        # R_jikl = -1.0 R_ijkl and R_iikl = Gamma_00^0 * 0.0, filled by index
+        # and first derivative p: P is negated in place after the upper half
         PR[d] = np.empty((m,) * (4 + d))
-        P = _derivs(R, d)
-        PR[d][a, b] = P
-        PR[d][b, a] = np.multiply(-1.0, P, out=P)
-        del P
+        for p in range(m) if d else [None]:
+            to = PR[d] if p is None else PR[d][:, :, :, :, p]
+            P = _derivs(R, d, p)
+            to[a, b] = P
+            to[b, a] = np.multiply(-1.0, P, out=P)
+            del P
         PR[d][range(m), range(m)] = zero.derivative_array(d)
     DGam = {d: np.ascontiguousarray(_derivs(Gam, d)[e]) for d in range(k_max)}
     return S.value[e], Gam.value[e], PR, DGam
@@ -241,6 +249,8 @@ def _covariant_step(P_prev: dict, DGam: dict, rank: int, need: int):
     dense and einsum does the work.  The einsums of the slot subsets of one
     size differ only in which output slots carry which letters, so each is
     formed once, for the first subset, and read transposed for the rest.
+    An E of over ROWS_MAX floats is formed in slabs of its leading axis
+    (each output keeps its sum's order), and P_prev[need + 1] turns in place.
     """
     P_new = {}
     for d in range(need + 1):
@@ -249,22 +259,37 @@ def _covariant_step(P_prev: dict, DGam: dict, rank: int, need: int):
         dslots = _LETTERS[rank:rank + d]
         a, c = _LETTERS[rank + d], _LETTERS[rank + d + 1]
         # reorder: P_prev[d+1][..., p1..pd, a] -> want [..., a, p1..pd]
-        total = np.moveaxis(P_prev.pop(d + 1) if d == need else P_prev[d + 1],
-                            -1, rank).copy()
+        total = (_rotated(P_prev.pop(d + 1), rank) if d == need else
+                 np.moveaxis(P_prev[d + 1], -1, rank).copy())
+        n = min(len(total), max(1, ROWS_MAX // total[0].size))  # slab rows
         # corrections: - sum_slots d^S Gamma_{a i_s}^c * d^(rest) T[i_s -> c]
         for s in range(rank):
             t_idx = base_idx[:s] + c + base_idx[s + 1:]
-            for nsub in range(d + 1):
+            for nsub, lo in product(range(d + 1), range(0, len(total), n)):
+                rows = slice(lo, lo + n)
                 E = np.einsum(f"{a}{base_idx[s]}{c}{dslots[:nsub]},"
                               f"{t_idx}{dslots[nsub:]}->{base_idx}{a}{dslots}",
-                              DGam[nsub], P_prev[d - nsub])
+                              *((DGam[nsub][:, rows], P_prev[d - nsub])
+                                if s == 0 else
+                                (DGam[nsub], P_prev[d - nsub][rows])))
                 for subset in combinations(range(d), nsub):
                     rest = [i for i in range(d) if i not in subset]
                     slots = np.argsort(list(subset) + rest) + rank + 1
-                    total -= E.transpose(*range(rank + 1), *slots)
+                    total[rows] -= E.transpose(*range(rank + 1), *slots)
                 del E
         P_new[d] = total
     return P_new
+
+
+def _rotated(P, rank: int):
+    """P, its data rewritten as np.moveaxis(P, -1, rank) (its axes have one
+    length), by transposes of at most ROWS_MAX floats; none at the identity."""
+    blocks = P.reshape(P.shape[-1] ** rank, -1, P.shape[-1])    # views
+    n = max(1, ROWS_MAX // blocks[0].size)
+    for lo in range(0, len(blocks) if blocks.shape[1] > 1 else 0, n):
+        block = blocks[lo:lo + n]
+        block[...] = block.swapaxes(1, 2).reshape(block.shape)
+    return P
 
 
 def curvature(metric: ChartMetric, x, k_max: int = 0) -> CurvatureBundle:

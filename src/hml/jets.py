@@ -284,11 +284,16 @@ class MultiJet:
     def batch_shape(self):
         return self.coef.shape[1:]
 
-    def derivative_array(self, d: int):
-        """All order-d partials as an array of shape (nvars,)*d + batch."""
+    def derivative_array(self, d: int, first: int = None):
+        """All order-d partials as an array of shape (nvars,)*d + batch; with
+        ``first`` = p only d_p d_p2 ... d_pd, shape (nvars,)*(d-1) + batch."""
         if d > self.space.order:
             raise ValueError("derivative order exceeds jet order")
         flat_pos, fact = _extraction_table(self.space.nvars, self.space.order, d)
+        if first is not None:
+            n = len(fact) // self.space.nvars
+            flat_pos, fact = flat_pos[first * n:][:n], fact[first * n:][:n]
+            d -= 1
         out = self.coef[flat_pos]
         np.multiply(out, fact.reshape((-1,) + (1,) * len(self.batch_shape)),
                     out=out)

@@ -341,6 +341,28 @@ def test_bundle_allocation_budget():
     assert peak - start <= 8.0 * 2 ** 20
 
 
+def test_bundle_k4_peak_budget():
+    # the last read of each step's input turns it in place, and einsum
+    # outputs of over 2 MiB come in slabs, so no two m^8 arrays (12.8 MiB
+    # each here) coexist: the peak was 31.3 MiB when they did
+    from hml.curvature import curvature
+    metric = catalog.fubini_study(3).metric
+    x = np.random.default_rng(3).uniform(-0.3, 0.3, 6)
+    curvature(metric, x, k_max=4)               # builds the cached tables
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        curvature(metric, x, k_max=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - start <= 24.0 * 2 ** 20
+
+
 def test_plan_cache_stays_small():
     # entry_dot keeps one plan per call shape for the life of the process,
     # and an order-6 bundle in 6 variables plans ~10,700 single-product

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hml import catalog, jets, manifest
-from hml.curvature import (_jet_partials, curvature, curvature_arrays,
-                           einstein_defect, sectional_curvature,
-                           sectional_extremes)
+from hml.curvature import (_jet_partials, _rotated, curvature,
+                           curvature_arrays, einstein_defect,
+                           sectional_curvature, sectional_extremes)
 from hml.metric import (ChartMetric, DegenerateMetricError, DomainError,
                         OrderExceededError)
 
@@ -243,6 +243,29 @@ def test_bundle_matches_literal_curvature_dim6_k4():
     x = np.random.default_rng(64).uniform(-0.3, 0.3, 6)
     assert _bundle_bytes(curvature(metric, x, 4)) == _bundle_bytes(
         oracles.literal_curvature(metric, x, 4))
+
+
+def test_bundle_matches_literal_curvature_dim5_k4():
+    """m = 5: the covariant steps form their larger einsums in slabs of
+    3 and 2 rows of the leading axis, and the sums keep their bits."""
+    metric = catalog.space_form(1.0, 0.25, 5).metric
+    x = np.random.default_rng(54).uniform(-0.3, 0.3, 5)
+    assert _bundle_bytes(curvature(metric, x, 4)) == _bundle_bytes(
+        oracles.literal_curvature(metric, x, 4))
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_rotation_in_place_matches_moveaxis(m):
+    """_rotated gives np.moveaxis(P, -1, rank).copy()'s bytes in P's own
+    memory, C-contiguous, at every (rank, need) of a k_max = 4 bundle."""
+    rng = np.random.default_rng(m)
+    for s in range(1, 5):
+        rank, need = 3 + s, 4 - s
+        P = rng.standard_normal((m,) * (rank + need + 1))
+        ref = np.moveaxis(P, -1, rank).copy()
+        got = _rotated(P, rank)
+        assert got.flags.c_contiguous and np.shares_memory(got, P)
+        assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes())
 
 
 def test_bundle_matches_literal_curvature_k6(fs2):

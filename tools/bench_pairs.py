@@ -77,9 +77,12 @@ call at bundle_case's point and direction in a fresh interpreter and
 reports its peak RSS (``ru_maxrss``, as perfbench reads ``peak_rss_mb``)
 and wall time.  One more fresh interpreter per side runs the call under
 tracemalloc and reports its peak and the bytes the entry_dot plan cache
-(``jets._runs``) retains, read as what clearing it frees.  M8_CHART,
-fubini_study(4), gets one untraced run per side (m = 8: about a minute
-and 0.4 GB each).
+(``jets._runs``) retains, read as what clearing it frees.  That run also
+reports the peak of each phase of the curvature bundle (``riemann_stack``,
+``pr_fill``: the rest of ``_jet_partials``, and each ``covariant_step``)
+and names the phase that sets the call's peak (``other`` if none does).
+M8_CHART, fubini_study(4), gets one untraced run per side (m = 8: 30-60 s
+and 0.3-0.4 GB each).
 """
 
 from __future__ import annotations
@@ -775,7 +778,7 @@ M8_CHART = {"fubini_study4": {"family": "fubini_study", "cdim": 4}}
 _MEM_CALL = """
 import json, resource, sys, time, tracemalloc
 import numpy as np
-from hml import jets
+from hml import curvature, jets
 from hml.expansion import density_coefficients
 from hml.manifest import build_metric
 metric = build_metric(json.loads(sys.argv[1])).metric
@@ -784,17 +787,48 @@ x = rng.normal(size=metric.dim)
 x *= 0.3 / np.linalg.norm(x)
 xi = rng.normal(size=metric.dim)
 traced = sys.argv[2] == "traced"
+phases, top = {}, [0]
+
+
+def mark(name=None):
+    # ends a span of the call: its peak enters the call's, and name's list
+    peak = tracemalloc.get_traced_memory()[1]
+    top[0] = max(top[0], peak)
+    if name:
+        phases.setdefault(name, []).append(peak)
+    tracemalloc.reset_peak()
+
+
+def spanned(fn, name):
+    def run(*args):
+        mark()
+        out = fn(*args)
+        mark(name)
+        return out
+    return run
+
+
 if traced:
+    # _jet_partials' span after _riemann_stack's is the PR fill (and DGam)
+    for fn, name in (("_riemann_stack", "riemann_stack"),
+                     ("_jet_partials", "pr_fill"),
+                     ("_covariant_step", "covariant_step")):
+        setattr(curvature, fn, spanned(getattr(curvature, fn), name))
     tracemalloc.start()
 t = time.perf_counter()
 density_coefficients(metric, x, xi)
 out = {"wall_s": time.perf_counter() - t,
        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 if traced:
-    current, peak = tracemalloc.get_traced_memory()
+    mark()
+    current = tracemalloc.get_traced_memory()[0]
     jets._runs.cache_clear()
-    out = {"tracemalloc_peak_mib": peak / 2 ** 20, "plan_cache_mib":
-           (current - tracemalloc.get_traced_memory()[0]) / 2 ** 20}
+    out = {"tracemalloc_peak_mib": top[0] / 2 ** 20, "plan_cache_mib":
+           (current - tracemalloc.get_traced_memory()[0]) / 2 ** 20,
+           "phase_peaks_mib": {k: [round(p / 2 ** 20, 3) for p in v]
+                               for k, v in phases.items()},
+           "peak_phase": next((k for k, v in phases.items()
+                               if max(v) == top[0]), "other")}
 print(json.dumps(out))
 """
 
@@ -825,7 +859,8 @@ def mem(args) -> dict:
             entry[side]["peak_rss_mb_runs"] = [round(run["peak_rss_mb"], 3)
                                                for run in t]
             if name not in M8_CHART:
-                entry[side].update({key: round(v, 3) for key, v in mem_call(
+                entry[side].update({key: round(v, 3) if isinstance(
+                    v, float) else v for key, v in mem_call(
                     roots[side], spec, "traced").items()})
         result["charts"][name] = entry
         print(f"mem {name}: {entry}", file=sys.stderr)
