@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
+from .conventions import MAX_JET_ORDER
 # not called here: perfbench/tracer.py patches hml.conformal.curvature
 from .curvature import curvature
 from .jets import MultiJet, seed_point
@@ -148,9 +149,9 @@ class Reparametrization:
     rc_grid: np.ndarray
 
     def __post_init__(self):
-        self.rc = _hermite(self.r_grid, self.rc_grid,
-                           1.0 / self.psi(self.r_grid ** 2))
-        self.r = _hermite(self.rc_grid, self.r_grid, self.psi(self.r_grid ** 2))
+        psi = self.psi(self.r_grid ** 2)
+        self.rc = _hermite(self.r_grid, self.rc_grid, 1.0 / psi)
+        self.r = _hermite(self.rc_grid, self.r_grid, psi)
 
 
 def reparametrize(psi: RadialFunction, r_max: float) -> Reparametrization:
@@ -274,15 +275,19 @@ class TrivializerRadialFunction(RadialFunction):
     radial coordinate rather than the deformed one.
     """
 
-    def __init__(self, ttilde_t: Callable, m: int, t_max: float,
-                 name: str = "trivializer"):
+    name = "trivializer"
+
+    def __init__(self, ttilde_t: Callable, m: int, t_max: float):
         if m < 2:
             raise ValueError("the trivializing factor needs dimension >= 2")
         self.ttilde_t = ttilde_t
         self.m = m
         self.q = 1.0 / (m - 1)
-        self.name = name
         self.t_max = t_max
+        # h's Maclaurin coefficients: all an order-MAX_JET_ORDER series reads
+        top = jets.powf(self._ttilde_series(0.0, MAX_JET_ORDER + 4), -self.q)
+        self._h_at0 = [0.5 * np.asarray(c)
+                       for c in (top - 1.0).unshift(1).coeffs[:-1]]
         ts = np.linspace(0.0, t_max, 1601)
         self._logV = _hermite(
             ts, _cumulative_gauss(self._h_values, ts, 10), self._h_values(ts))
@@ -291,37 +296,28 @@ class TrivializerRadialFunction(RadialFunction):
     def _ttilde_series(self, t0, order: int) -> TruncatedSeries:
         return self.ttilde_t(_seed_series(t0, order))
 
-    def _h_series_at0(self, order: int):
-        """Maclaurin coefficients of h(t) = (Ttilde^-q - 1)/(2t)."""
-        tt = self._ttilde_series(0.0, order + 1)
-        top = jets.powf(tt, -self.q) - 1.0
-        return [0.5 * np.asarray(c) for c in top.unshift(1).coeffs[: order + 1]]
-
-    def _h_series(self, t0, order: int) -> TruncatedSeries:
-        t0 = np.asarray(t0, dtype=float)
+    def _h_series(self, tt, t0, order: int) -> TruncatedSeries:
+        """h = (Ttilde^-q - 1)/(2t) about t0 to ``order`` from Ttilde's series
+        tt there, or from h's Maclaurin series where t0 < 1e-4."""
         small = t0 < 1e-4
-        if not np.any(small):
-            tt = self._ttilde_series(t0, order)
-            top = jets.powf(tt, -self.q) - 1.0
-            return top / (2.0 * _seed_series(t0, order))
-        near = TruncatedSeries(_recenter_poly(
-            self._h_series_at0(order + 4), np.where(small, t0, 0.0))[: order + 1])
-        if np.all(small):
-            return near
-        far = self._h_series(np.where(small, 1.0, t0), order)
-        merged = [np.where(small, np.asarray(n) + 0.0 * t0, np.asarray(f))
-                  for n, f in zip(near.coeffs, far.coeffs)]
-        return TruncatedSeries(merged)
+        if not small.all():
+            top = jets.powf(TruncatedSeries(tt.coeffs[: order + 1]), -self.q)
+            far = (top - 1.0) / (2.0 * _seed_series(np.where(small, 1.0, t0),
+                                                    order))
+            if not small.any():
+                return far
+        near = _recenter_poly(self._h_at0[: order + 5], np.where(small, t0, 0.0))
+        if small.all():
+            return TruncatedSeries(near[: order + 1])
+        return TruncatedSeries([np.where(small, np.asarray(n) + 0.0 * t0, f)
+                                for n, f in zip(near, far.coeffs)])
 
     def _h_values(self, t):
-        out = np.empty_like(t)
+        """h on an array of t; its Maclaurin quartic where t < 1e-5."""
         small = t < 1e-5
-        if np.any(~small):
-            tt = np.asarray(self._ttilde_series(t[~small], 0).coeffs[0])
-            out[~small] = (tt ** -self.q - 1.0) / (2.0 * t[~small])
-        if np.any(small):
-            out[small] = _horner(self._h_series_at0(4), t[small])
-        return out
+        tt = np.asarray(self._ttilde_series(t, 0).coeffs[0])
+        far = (tt ** -self.q - 1.0) / (2.0 * np.where(small, 1.0, t))
+        return np.where(small, _horner(self._h_at0[:5], t), far)
 
     def V(self, t):
         t = np.asarray(t, dtype=float)
@@ -334,12 +330,16 @@ class TrivializerRadialFunction(RadialFunction):
 
     # -- the radial function ------------------------------------------------
     def series(self, t0, order: int) -> TruncatedSeries:
+        if order > MAX_JET_ORDER:
+            raise ValueError(
+                f"order {order} exceeds MAX_JET_ORDER = {MAX_JET_ORDER}")
         t0 = np.asarray(t0, dtype=float)
-        num = jets.powf(self._ttilde_series(t0, order), self.q)
+        tt = self._ttilde_series(t0, order)
+        num = jets.powf(tt, self.q)
         v0 = self.V(t0) * np.ones_like(t0)
         if order == 0:
             return TruncatedSeries([np.asarray(num.coeffs[0]) / v0])
-        v = _growth_series(v0, self._h_series(t0, order - 1), order)
+        v = _growth_series(v0, self._h_series(tt, t0, order - 1), order)
         return num * v.reciprocal()
 
 
@@ -417,7 +417,7 @@ class TrivializerPsiU:
     def series(self, u0, order: int) -> TruncatedSeries:
         theta = _fs_theta_u_series(u0, self.m, order)
         num = jets.powf(theta, self.q)
-        rate = jets.powf(_fs_theta_u_series(u0, self.m, max(order - 1, 0)),
+        rate = jets.powf(TruncatedSeries(theta.coeffs[: max(order, 1)]),
                          -self.q) * (-1.0)
         return num * _growth_series(float(self.W(u0)), rate, order).reciprocal()
 

@@ -15,6 +15,7 @@ from hml.conformal import (AnalyticRadialFunction, PolynomialRadialFunction,
                            deform_metric, deformed_density,
                            deformed_radial_ricci,
                            radial_sq_value, reparametrize)
+from hml.conventions import MAX_JET_ORDER
 from hml.curvature import curvature, sectional_curvature
 from hml.geodesics import (DomainExitError, centrally_harmonic_test,
                            density_profile, g_unit_directions)
@@ -296,19 +297,107 @@ def test_trivializer_differs_from_reduced_density_closures(sphere3):
     assert abs(float(tri(t)) - ttilde ** 0.5) > 1e-3
 
 
-def test_trivializer_mixed_batch_series(sphere3):
-    # batched series evaluation straddling the near-zero branch agrees
-    # with the per-point scalar path
-    m = 3
+def test_trivializer_mixed_batch_series():
+    # batched series evaluation on both sides of the near-zero branch
+    # (t0 < 1e-4), t0 = 0 among them, has the per-point path's bits
+    batches = [np.array([1e-6, 0.3, 1e-5, 0.9]),
+               np.array([0.0, 9.99e-5, 1e-4, 1.01e-4, 0.5]),
+               np.array([0.0, 1e-5]), np.array([0.2, 1.5])]
+    for entry in (catalog.sphere(3), catalog.fubini_study(2)):
+        tri = TrivializerRadialFunction(entry.reduced_density, entry.dim,
+                                        t_max=2.0)
+        for t0 in batches:
+            for order in range(7):
+                batch = tri.series(t0, order)
+                for i, t in enumerate(t0):
+                    single = tri.series(float(t), order)
+                    for b, c in zip(batch.coeffs, single.coeffs):
+                        assert np.asarray(b)[i].tobytes() == \
+                            np.asarray(c, dtype=float).tobytes()
+
+
+# the catalog's reduced densities, and the points and orders at which a
+# series of order n - 1 must be the order-n series cut short, bit for bit
+_TRUNCATED = [catalog.fubini_study(2), catalog.fubini_study(3),
+              catalog.fubini_study(4), catalog.sphere(3), catalog.sphere(4),
+              catalog.space_form(1.0, 0.25, 3), catalog.euclidean(4)]
+_TRUNCATED_AT = [0.0, 1e-6, 1e-5, 9.99e-5, 1e-4, 0.003, 0.05, 0.2, 0.45,
+                 0.6, 1.0, 2.0, 4.0, 8.0, np.array([1e-6, 0.3, 1e-5, 0.9])]
+
+
+def _same_head(short: list, full: list, as_bytes=True) -> bool:
+    """The coefficients short are full's first ones, byte for byte (or,
+    with as_bytes false, as numbers: -0.0 == 0.0)."""
+    for a, b in zip(short, full):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if not (a.tobytes() == b.tobytes() if as_bytes
+                else np.array_equal(a, b)):
+            return False
+    return True
+
+
+def test_series_truncation_keeps_every_bit():
+    # TrivializerRadialFunction reads h's series off Ttilde's series of one
+    # order more, and TrivializerPsiU its rate off theta's (series products
+    # build coefficient k from those <= k).  h's Maclaurin list rests on
+    # the same for powf at t0 = 0.  On a batch, powf of the constant
+    # euclidean density differs in the sign of one zero coefficient (order
+    # 1 of n = 2, at -q), so there powf compares as numbers
+    for entry in _TRUNCATED:
+        m = entry.dim
+        tri = TrivializerRadialFunction(entry.reduced_density, m, t_max=0.5)
+        for t0 in _TRUNCATED_AT:
+            for n in range(1, 9):
+                short = tri._ttilde_series(t0, n - 1)
+                full = tri._ttilde_series(t0, n)
+                assert _same_head(short.coeffs, full.coeffs), \
+                    (entry.metric.name, t0, n)
+                if np.all(np.asarray(full.coeffs[0]) > 0):
+                    for alpha in (tri.q, -tri.q):
+                        assert _same_head(jets.powf(short, alpha).coeffs,
+                                          jets.powf(full, alpha).coeffs,
+                                          as_bytes=np.ndim(t0) == 0)
+    theta = conformal._fs_theta_u_series
+    for m in (4, 6, 8):
+        for u0 in _TRUNCATED_AT:
+            for n in range(1, 9):
+                assert _same_head(theta(u0, m, n - 1).coeffs,
+                                  theta(u0, m, n).coeffs)
+
+
+def _h_maclaurin(tri, order: int) -> list:
+    """h = (Ttilde^-q - 1)/(2t) to ``order`` about 0, from Ttilde's series
+    of one order more."""
+    top = jets.powf(tri._ttilde_series(0.0, order + 1), -tri.q) - 1.0
+    return [0.5 * np.asarray(c) for c in top.unshift(1).coeffs[: order + 1]]
+
+
+def test_trivializer_maclaurin_list_is_every_shorter_order():
+    # the psi keeps h's Maclaurin series once, to the jet cap: every order
+    # a series call reads, recomputed alone, is its head; and h's series
+    # near the centre is that series to order + 4, recentred
+    for entry in _TRUNCATED:
+        tri = TrivializerRadialFunction(entry.reduced_density, entry.dim,
+                                        t_max=0.5)
+        assert len(tri._h_at0) == MAX_JET_ORDER + 4
+        for order in range(len(tri._h_at0)):
+            assert _same_head(_h_maclaurin(tri, order), tri._h_at0)
+        for t0 in (0.0, 1e-6, 5e-5, 9.99e-5):
+            for order in range(7):
+                h = tri._h_series(tri._ttilde_series(t0, order),
+                                  np.asarray(t0), order)
+                near = conformal._recenter_poly(
+                    _h_maclaurin(tri, order + 4), t0)[: order + 1]
+                assert _same_head(h.coeffs, near)
+
+
+def test_trivializer_refuses_orders_beyond_the_jet_cap():
     tri = TrivializerRadialFunction(
-        lambda ts: jets.powf(jets.sinc_sqrt(ts), m - 1), m, t_max=2.0)
-    t0 = np.array([1e-6, 0.3, 1e-5, 0.9])
-    batch = tri.series(t0, 2)
-    for i, t in enumerate(t0):
-        single = tri.series(float(t), 2)
-        for k in range(3):
-            assert np.asarray(batch.coeffs[k])[i] == pytest.approx(
-                float(np.asarray(single.coeffs[k])), rel=1e-10, abs=1e-14)
+        lambda ts: jets.powf(jets.sinc_sqrt(ts), 2), 3, t_max=2.0)
+    for t0 in (0.0, 0.3):
+        assert len(tri.series(t0, MAX_JET_ORDER).coeffs) == MAX_JET_ORDER + 1
+        with pytest.raises(ValueError, match="MAX_JET_ORDER"):
+            tri.series(t0, MAX_JET_ORDER + 1)
 
 
 def test_radial_function_derivatives_vs_fd():

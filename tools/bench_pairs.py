@@ -22,19 +22,20 @@ metric the median, the inclusive quartiles, the pairs the change wins
 
 ``ab`` imports both checkouts' hml in one process under different names
 and times one ``_rhs`` call on the poly-deformed sphere(4) and on its base
-sphere(4) at B = 1, 512 and 1024 points (|x| = 0.4), and on FS2 at B = 1
-and 16, in ROUNDS interleaved rounds, each side with its own Workspace.  It
-reports microseconds per call, the paired change/parent ratio and, per
-side, the deformed/base ratio.  It times whole shots the same way
-(SHOT_ROUNDS rounds of one shot), one of every shape cli_defaults runs:
-``density_profile`` from the center of sphere(4) and of the deformed
-sphere(4) along one g-unit direction, SHOT_STEPS RK4 steps to the radii of
-``deform``'s default grid, and ``check_harmonic``'s shot on FS2 about its
-center, with the default directions (16), steps (800) and radii of
-``centrally_harmonic_test``.  It then times the curvature bundle layer
-the same way on BUNDLE_CASES: ``curvature`` on FS2 at k_max 0, 2 and 4
-and ``density_coefficients`` at m = 4 and m = 6, each at one seeded point
-with |x| = 0.3.
+sphere(4) at B = 1, 512 and 1024 points (|x| = 0.4), and on FS2 and the
+trivial-density FS2 at B = 1 and 16, in ROUNDS interleaved rounds, each
+side with its own Workspace.  It reports microseconds per call, the paired
+change/parent ratio and, per side, the deformed/base ratio.  It times whole
+shots the same way (SHOT_ROUNDS rounds of one shot), one of every shape
+cli_defaults runs: ``density_profile`` from the center of sphere(4) and of
+the deformed sphere(4) along one g-unit direction, SHOT_STEPS RK4 steps to
+the radii of ``deform``'s default grid, and ``check_harmonic``'s shot on
+FS2 about its center, with the default directions (16), steps (800) and
+radii of ``centrally_harmonic_test``; and the one-direction shot on the
+trivial-density FS2, which no perfbench workload runs.  It then times the
+curvature bundle layer the same way on BUNDLE_CASES: ``curvature`` on FS2
+at k_max 0, 2 and 4 and ``density_coefficients`` at m = 4 and m = 6, each
+at one seeded point with |x| = 0.3.
 
 ``bytes`` checks that a change keeps every value.  It imports both
 checkouts' hml in one process and hashes, on each chart of BYTES_CHARTS,
@@ -115,7 +116,9 @@ DEFORMED_SPHERE4 = {"family": "sphere", "dim": 4,
                     "deform": {"psi": {"kind": "poly", "coeffs": [1.0, 0.25]}}}
 RHS_CHARTS = {"sphere4": {"family": "sphere", "dim": 4},
               "deformed_sphere4": DEFORMED_SPHERE4,
-              "fs2": {"family": "fubini_study", "cdim": 2}}
+              "fs2": {"family": "fubini_study", "cdim": 2},
+              "trivial_fs2": {"family": "fubini_study", "cdim": 2, "deform": {
+                  "psi": {"kind": "trivial-density"}}}}
 
 
 def _seeds(text: str) -> list:
@@ -371,12 +374,14 @@ def ab(args) -> dict:
                                       us[side, "deformed_sphere4"])), 3)
             for side in sides}
     for B, calls in ((1, 200), (16, 100)):
-        fns = {side: rhs_case(mod.__name__, "fs2", B)
-               for side, mod in sides.items()}
-        us = interleaved(fns, calls, ROUNDS)
-        out[f"geodesics.rhs_fs2_B{B}"] = paired(us["parent"], us["change"])
+        for chart in ("fs2", "trivial_fs2"):
+            fns = {side: rhs_case(mod.__name__, chart, B)
+                   for side, mod in sides.items()}
+            us = interleaved(fns, calls, ROUNDS)
+            out[f"geodesics.rhs_{chart}_B{B}"] = paired(us["parent"],
+                                                        us["change"])
     shots = {f"geodesics.shot_{chart}": partial(shot_case, chart=chart)
-             for chart in ("sphere4", "deformed_sphere4")}
+             for chart in ("sphere4", "deformed_sphere4", "trivial_fs2")}
     shots["geodesics.shot_fs2_B16"] = harmonic_shot_case
     for name, case in shots.items():
         fns = {side: case(mod.__name__) for side, mod in sides.items()}
