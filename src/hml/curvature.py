@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jets import ROWS_MAX, MultiJet, entry_dot
+from .jets import ROWS_MAX, MultiJet, entry_dot, jet_space
 from .metric import (ChartMetric, DegenerateMetricError, OrderExceededError,
                      Workspace, derivative_plan, entry_layout)
 
@@ -145,16 +145,21 @@ class CurvatureBundle:
 
 
 def _inverse(G, order):
-    """Inverse of an (m, m) stack by Newton iteration from its value's inverse."""
-    m = G.coef.shape[1]
-    k = np.arange(m)
+    """(m, m) stack inverse by Newton; ``order`` sets only the step count."""
+    k = np.arange(G.coef.shape[1])
     i, j = k[:, None, None], k[:, None]
-    X = MultiJet.constant(G.space, np.linalg.inv(G.value), (m, m))
+    X = MultiJet.constant(G.space, np.linalg.inv(G.value), G.value.shape)
     for _ in range(max(1, int(np.ceil(np.log2(order + 1))) + 1)):
         GX = entry_dot(G, (i, k), X, (k, j))
-        GX.coef[0, range(m), range(m)] -= 2.0
+        GX.coef[0, k, k] -= 2.0
         X = -entry_dot(X, (i, k), GX, (k, j))
     return X
+
+
+def _truncated(T, order: int):
+    """T to total degree ``order``: a prefix, since _indices is graded."""
+    space = jet_space(T.space.nvars, order)
+    return MultiJet(space, T.coef[:space.size])
 
 
 def _partials(T):
@@ -169,30 +174,36 @@ def _derivs(T, d, first=None):
     return np.moveaxis(T.derivative_array(d, first), range(n), range(-n, 0))
 
 
-def _riemann_stack(S, Gam):
-    """R[ij, k, l] = R_ijkl for i < j, ij indexing np.triu_indices(m, 1)."""
-    m = S.space.nvars
+@lru_cache(maxsize=None)
+def _riemann_tables(m: int):
+    """_riemann_stack's index tables: R up's gathers per p, entry_dot's."""
     e = entry_layout(m)[3]
     a, b = np.triu_indices(m, 1)
-    ij, i, j, k, l = np.broadcast_arrays(
-        np.arange(len(a))[:, None, None], a[:, None, None], b[:, None, None],
-        np.arange(m)[:, None], np.arange(m))
+    i, j, k, l = np.broadcast_arrays(a[:, None, None], b[:, None, None],
+                                     np.arange(m)[:, None], np.arange(m))
+    first = [[(np.flatnonzero(x == p), (e[y, k] * m + l)[x == p])
+              for x, y in ((i, j), (j, i))] for p in range(m)]
+    n = np.repeat(np.arange(m), 2)      # n of the terms 2n (+), 2n + 1 (-)
+    p, q = np.stack([i, j] * m, -1), np.stack([j, i] * m, -1)
+    return (first, (e[p, n], l[..., None]), (e[q, k[..., None]], n), (e[l],),
+            (np.arange(len(a))[:, None, None, None], k[..., None], n[::2]))
+
+
+def _riemann_stack(S, Gam):
+    """R[ij, k, l] = R_ijkl (i < j, triu_indices order) to Gam.order - 1."""
+    S, G = _truncated(S, Gam.order - 1), _truncated(Gam, Gam.order - 1)
+    m, size = S.space.nvars, S.space.size
+    first, ga, gb, sa, rb = _riemann_tables(m)
     # Rup = d_i Gamma_jk^l - d_j Gamma_ik^l, from one d_p Gamma at a time
-    Rup = MultiJet(Gam.space, np.empty((Gam.space.size,) + i.shape))
-    for p in range(m):
-        dGam = Gam.partial(p).coef      # dGam[:, ij, k] = d_p Gamma_ij^k
-        at, to = i == p, j == p
-        Rup.coef[:, at] = dGam[:, e[j[at], k[at]], l[at]]
-        Rup.coef[:, to] -= dGam[:, e[i[to], k[to]], l[to]]  # d_i at p = i < j
+    Rup = MultiJet(S.space, np.empty((size, m * (m - 1) // 2, m, m)))
+    up = Rup.coef.reshape(size, -1)
+    for p, ((at, src), (to, sub)) in enumerate(first):
+        dGam = Gam.partial(p).coef[:size].reshape(size, -1)
+        up[:, at] = dGam[:, src]                # d_p Gamma, (ij, k) flat
+        up[:, to] -= dGam[:, sub]               # d_i at p = i < j
     # Rup = (Rup + Gamma_in^l Gamma_jk^n) - Gamma_jn^l Gamma_ik^n, n in order
-    n, odd = np.repeat(np.arange(m), 2), np.arange(2 * m) % 2
-    p, q = (np.where(odd, y[..., None], x[..., None])
-            for x, y in ((i, j), (j, i)))
-    Rup = entry_dot(Gam, (e[p, n], l[..., None]), Gam, (e[q, k[..., None]], n),
-                    init=Rup, minus=range(1, 2 * m, 2))
-    n = np.arange(m)
-    return entry_dot(S, (e[l[..., None], n],), Rup,
-                     (ij[..., None], k[..., None], n))
+    Rup = entry_dot(G, ga, G, gb, init=Rup, minus=range(1, 2 * m, 2))
+    return entry_dot(S, sa, Rup, rb)
 
 
 def _jet_partials(metric: ChartMetric, x, k_max: int):
@@ -202,15 +213,17 @@ def _jet_partials(metric: ChartMetric, x, k_max: int):
     ``entry_layout`` indexes the metric: G and G^-1 over (i, j), Gamma over
     (i <= j, k), R up and down over (i < j, k, l), and dG, dGamma along one
     more axis p.  Each entry keeps the term order of the per-entry formulas.
+    Each stage runs at the order it is read at, which keeps every bit: the
+    metric jet S at k_max + 2, G^-1, dS and Gamma at k_max + 1, R at k_max.
     The partials of R (to order k_max) and of Gamma (to k_max - 1) come as
     C-contiguous arrays: the einsums of _covariant_step round by layout.
     """
     m = metric.dim
     rows, cols, _, e = entry_layout(m)
     S = metric.component_jets(x, k_max + 2)
-    Ginv = _inverse(S.entries(e), k_max + 2)
+    Ginv = _inverse(_truncated(S, k_max + 1).entries(e), k_max + 2)
     # Gamma[ij, k] = Gamma_ij^k for i <= j, ij the entry of g_ij in S
-    dS = _partials(S)                          # dS[e[i, j], p] = d_p g_ij
+    dS = _truncated(_partials(S), k_max + 1)   # dS[e[i, j], p] = d_p g_ij
     i, j, l = rows[:, None], cols[:, None], np.arange(m)
     D = ((dS.entries(e[j, l], i) + dS.entries(e[i, l], j))
          - dS.entries(e[i, j], l))             # D[ij, l], summed over l
@@ -250,7 +263,9 @@ def _covariant_step(P_prev: dict, DGam: dict, rank: int, need: int):
     size differ only in which output slots carry which letters, so each is
     formed once, for the first subset, and read transposed for the rest.
     An E of over ROWS_MAX floats is formed in slabs of its leading axis
-    (each output keeps its sum's order), and P_prev[need + 1] turns in place.
+    (each output keeps its sum's order) of one row at least, which may pass
+    ROWS_MAX: m^7 floats at rank + d = 7, 2.1 MiB at m = 6 and 16 MiB at
+    m = 8.  P_prev[need + 1] turns in place.
     """
     P_new = {}
     for d in range(need + 1):

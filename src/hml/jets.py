@@ -483,9 +483,9 @@ def _runs(a_shape, ca: bytes, b_shape, cb: bytes, minus, limit, step):
     and cb = ub[jb] (products term-major).  A block forms at most ``step``
     products k0:k1; each row (k0, k1, r0, r1, e0, e1, negative) of the
     table, a block's rows adjacent, adds (subtracts if negative) the
-    block's rows r0:r1, all of one term, to the sums e0:e1.  At m = 6 most
-    blocks hold one product, so a plan has a row per product: int32 rows
-    keep the cache under 1 MiB after an order-6 bundle.
+    block's rows r0:r1, all of one term, to the sums e0:e1.  At order 6 in
+    6 variables each block holds one product, so a plan has a row per
+    product: int32 rows keep the cache small.
     """
     ca, cb = (np.moveaxis(c, -1, 0).ravel() for c in np.broadcast_arrays(
         np.frombuffer(ca, int).reshape(a_shape),

@@ -364,9 +364,11 @@ def test_bundle_k4_peak_budget():
 
 
 def test_plan_cache_stays_small():
-    # entry_dot keeps one plan per call shape for the life of the process,
-    # and an order-6 bundle in 6 variables plans ~10,700 single-product
-    # blocks (4.0 MiB when each was a nested tuple of slices)
+    # entry_dot keeps one plan per call shape for the life of the process:
+    # a k_max = 4 bundle in 6 variables runs its products at orders 5 and 4
+    # and plans 1,570 blocks, almost all of 2 or 9 products (10,692
+    # one-product blocks, 849 KiB, when every stage ran at order 6; 4.0 MiB
+    # when each block was a nested tuple of slices)
     from hml.curvature import curvature
     metric = catalog.fubini_study(3).metric
     x = np.random.default_rng(3).uniform(-0.3, 0.3, 6)
@@ -382,7 +384,7 @@ def test_plan_cache_stays_small():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert 0 < held < 2 ** 20
+    assert 0 < held < 2 ** 19
 
 
 def test_density_oracle_normal_coordinates(rng):

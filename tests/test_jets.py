@@ -9,6 +9,7 @@ import pytest
 
 from hml import catalog, jets
 from hml.conventions import MAX_JET_ORDER
+from hml.curvature import _inverse, _partials, _truncated
 from hml.jets import jet_space, seed_point
 from hml.series import TruncatedSeries
 
@@ -357,6 +358,50 @@ def test_entry_dot_matches_stacked_products(nvars, order, rows_max,
             got = jets.entry_dot(a, ia, b, ib, init=start, minus=minus)
             assert got.coef.shape == want.coef.shape
             assert got.coef.tobytes() == np.ascontiguousarray(want.coef).tobytes()
+
+
+@pytest.mark.parametrize("nvars, order", [(4, 5), (6, 4)])
+def test_jet_truncation_keeps_every_bit(nvars, order):
+    """Computing on stacks truncated to n = order - 1 and order - 2 gives
+    the bytes of computing at ``order`` and truncating to n: the pairs of a
+    product's coefficient of degree <= n are the same, in the same order.
+    A partial's top coefficients read degree n + 1, so partials agree below
+    n; _inverse keeps the Newton step count of ``order`` on both sides."""
+    space = jet_space(nvars, order)
+    rng = np.random.default_rng(nvars * order)
+
+    def draw(*shape):
+        arr = rng.standard_normal((space.size,) + shape)
+        arr[rng.random(arr.shape) < 0.1] = -0.0
+        return jets.MultiJet(space, arr)
+
+    a, b, c, init, G = draw(3, 4), draw(4, 3), draw(3, 4), draw(3, 3), draw(3, 3)
+    G.coef[0] = 3.0 * np.eye(3) + 0.1 * G.coef[0]   # an invertible value
+    i, t, j = np.arange(3)[:, None, None], np.arange(4), np.arange(3)[:, None]
+
+    def results(a, b, c, init, G):
+        # name: (result, orders below n at which it is exact)
+        return {
+            "product": (a * c, 0),
+            "product_one_entry": (jets.MultiJet(a.space, a.space.product(
+                a.coef[:, 1, 2], c.coef[:, 0, 3])), 0),
+            "entry_dot": (jets.entry_dot(a, (i, t), b, (t, j)), 0),
+            "entry_dot_init_minus": (jets.entry_dot(
+                a, (i, t), b, (t, j), init=init, minus=(1, 3)), 0),
+            "partial": (_partials(a), 1),
+            "inverse": (_inverse(G, order), 0),
+        }
+
+    full = results(a, b, c, init, G)
+    for n in (order - 1, order - 2):
+        low = [_truncated(x, n) for x in (a, b, c, init, G)]
+        assert low[0].space is jet_space(nvars, n)
+        assert space.index_list[:low[0].space.size] == low[0].space.index_list
+        for name, (got, drop) in results(*low).items():
+            want = _truncated(full[name][0], n - drop)
+            got = _truncated(got, n - drop)
+            assert got.coef.shape == want.coef.shape, name
+            assert got.coef.tobytes() == want.coef.tobytes(), name
 
 
 @pytest.mark.parametrize("order", range(5))

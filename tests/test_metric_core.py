@@ -7,7 +7,7 @@ import pytest
 
 from hml import catalog, jets, manifest
 from hml.curvature import (_jet_partials, _rotated, curvature,
-                           curvature_arrays, einstein_defect,
+                           curvature_arrays, einstein_defect, entry_dot,
                            sectional_curvature, sectional_extremes)
 from hml.metric import (ChartMetric, DegenerateMetricError, DomainError,
                         OrderExceededError)
@@ -299,6 +299,27 @@ def test_partial_arrays_match_out_of_place_expressions(spec):
             got = S.derivative_array(d)
             ref = oracles.literal_derivative_array(S, d)
             assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes())
+
+
+@pytest.mark.parametrize("k_max", [0, 2, 4])
+def test_bundle_stages_run_at_the_order_they_are_read(fs2, k_max,
+                                                      monkeypatch):
+    """G^-1 and Gamma are formed at order k_max + 1, R up and R at k_max:
+    a stage run wider keeps every bit, so only the orders can show it."""
+    calls = []
+
+    def spy(a, ia, b, ib, init=None, minus=()):
+        calls.append((a.order, b.order)
+                     + (() if init is None else (init.order,)))
+        return entry_dot(a, ia, b, ib, init=init, minus=minus)
+
+    monkeypatch.setattr("hml.curvature.entry_dot", spy)
+    x = np.random.default_rng(k_max).uniform(-0.3, 0.3, 4)
+    curvature(fs2.metric, x, k_max)
+    *newton, gamma, rup, r = calls
+    assert len(newton) >= 2 and len(newton) % 2 == 0    # two per step
+    assert set(newton) == {gamma} == {(k_max + 1, k_max + 1)}
+    assert (rup, r) == ((k_max, k_max, k_max), (k_max, k_max))
 
 
 def test_negative_k_max_refused(fs2):
