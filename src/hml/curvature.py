@@ -149,7 +149,7 @@ def _inverse(G, order):
     k = np.arange(G.coef.shape[1])
     i, j = k[:, None, None], k[:, None]
     X = MultiJet.constant(G.space, np.linalg.inv(G.value), G.value.shape)
-    for _ in range(max(1, int(np.ceil(np.log2(order + 1))) + 1)):
+    for _ in range(int(np.ceil(np.log2(order + 1))) + 1):
         GX = entry_dot(G, (i, k), X, (k, j))
         GX.coef[0, k, k] -= 2.0
         X = -entry_dot(X, (i, k), GX, (k, j))
@@ -252,30 +252,29 @@ def _jet_partials(metric: ChartMetric, x, k_max: int):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _covariant_step(P_prev: dict, DGam: dict, rank: int, need: int):
-    """One covariant derivative of a rank-``rank`` tensor.
+def _covariant_step(P_prev: dict, DGam: dict):
+    """One covariant derivative of a tensor T, consuming its partial arrays.
 
-    P_prev[d] are partial arrays of T (shape (m,)*rank + (m,)*d); returns
-    partial arrays of grad T (rank + 1, new covariant slot appended last)
-    for d = 0..need, and drops P_prev[need + 1] after its one read.  The
-    Leibniz expansion runs over explicit derivative slots, so arrays stay
-    dense and einsum does the work.  The einsums of the slot subsets of one
-    size differ only in which output slots carry which letters, so each is
-    formed once, for the first subset, and read transposed for the rest.
-    An E of over ROWS_MAX floats is formed in slabs of its leading axis
-    (each output keeps its sum's order) of one row at least, which may pass
-    ROWS_MAX: m^7 floats at rank + d = 7, 2.1 MiB at m = 6 and 16 MiB at
-    m = 8.  P_prev[need + 1] turns in place.
+    P_prev[d], of shape (m,)*(rank + d) for d = 0..need + 1, are partial
+    arrays of T and fix rank and need; returns those of grad T (rank + 1,
+    new covariant slot last) for d = 0..need.  It consumes P_prev highest
+    order first: order d reads P_prev[0..d], then turns P_prev[d + 1] in
+    place into its total.  The Leibniz expansion runs in dense einsums over
+    explicit derivative slots.  The einsums of the slot subsets of one size
+    differ only in which output slots carry which letters, so each is formed
+    once and read transposed for the other subsets.  An E of over ROWS_MAX
+    floats is formed in slabs of its leading axis (each output keeps its
+    sum's order) of one row at least, which may pass ROWS_MAX: m^7 floats at
+    rank + d = 7, 2.1 MiB at m = 6 and 16 MiB at m = 8.
     """
+    rank, need = P_prev[0].ndim, len(P_prev) - 2
     P_new = {}
-    for d in range(need + 1):
+    for d in range(need, -1, -1):
         # d^d of (grad T)[..., a] = P_prev[d+1] with 'a' as one derivative slot
         base_idx = _LETTERS[:rank]
         dslots = _LETTERS[rank:rank + d]
         a, c = _LETTERS[rank + d], _LETTERS[rank + d + 1]
-        # reorder: P_prev[d+1][..., p1..pd, a] -> want [..., a, p1..pd]
-        total = (_rotated(P_prev.pop(d + 1), rank) if d == need else
-                 np.moveaxis(P_prev[d + 1], -1, rank).copy())
+        total = _rotated(P_prev.pop(d + 1), rank)   # [..., a, p1..pd]
         n = min(len(total), max(1, ROWS_MAX // total[0].size))  # slab rows
         # corrections: - sum_slots d^S Gamma_{a i_s}^c * d^(rest) T[i_s -> c]
         for s in range(rank):
@@ -298,10 +297,10 @@ def _covariant_step(P_prev: dict, DGam: dict, rank: int, need: int):
 
 def _rotated(P, rank: int):
     """P, its data rewritten as np.moveaxis(P, -1, rank) (its axes have one
-    length), by transposes of at most ROWS_MAX floats; none at the identity."""
+    length), by transposes of at most ROWS_MAX floats."""
     blocks = P.reshape(P.shape[-1] ** rank, -1, P.shape[-1])    # views
     n = max(1, ROWS_MAX // blocks[0].size)
-    for lo in range(0, len(blocks) if blocks.shape[1] > 1 else 0, n):
+    for lo in range(0, len(blocks), n):
         block = blocks[lo:lo + n]
         block[...] = block.swapaxes(1, 2).reshape(block.shape)
     return P
@@ -324,7 +323,7 @@ def curvature(metric: ChartMetric, x, k_max: int = 0) -> CurvatureBundle:
         raise _degenerate(metric, x) from exc
     riemann, nabla = P[0], []
     for s in range(1, k_max + 1):       # rebinding P frees the step's input
-        P = _covariant_step(P, DGam, 3 + s, k_max - s)
+        P = _covariant_step(P, DGam)
         nabla.append(P[0])
     ricci = np.einsum('il,ijkl->jk', ginv, riemann)
     scalar = float(np.einsum('jk,jk->', ginv, ricci))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hml import catalog, jets, manifest
-from hml.curvature import (_jet_partials, _rotated, curvature,
-                           curvature_arrays, einstein_defect, entry_dot,
-                           sectional_curvature, sectional_extremes)
+from hml.curvature import (_covariant_step, _jet_partials, _rotated,
+                           curvature, curvature_arrays, einstein_defect,
+                           entry_dot, sectional_curvature, sectional_extremes)
 from hml.metric import (ChartMetric, DegenerateMetricError, DomainError,
                         OrderExceededError)
 
@@ -257,15 +257,33 @@ def test_bundle_matches_literal_curvature_dim5_k4():
 @pytest.mark.parametrize("m", [4, 6])
 def test_rotation_in_place_matches_moveaxis(m):
     """_rotated gives np.moveaxis(P, -1, rank).copy()'s bytes in P's own
-    memory, C-contiguous, at every (rank, need) of a k_max = 4 bundle."""
+    memory, C-contiguous, at every (rank, d) of a k_max = 4 bundle: at
+    d = 0 the rotation is the identity and P keeps its bytes."""
     rng = np.random.default_rng(m)
     for s in range(1, 5):
-        rank, need = 3 + s, 4 - s
-        P = rng.standard_normal((m,) * (rank + need + 1))
-        ref = np.moveaxis(P, -1, rank).copy()
-        got = _rotated(P, rank)
-        assert got.flags.c_contiguous and np.shares_memory(got, P)
-        assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes())
+        rank = 3 + s
+        for d in range(5 - s):
+            P = rng.standard_normal((m,) * (rank + d + 1))
+            ref = np.moveaxis(P, -1, rank).copy()
+            kept = P.tobytes()
+            got = _rotated(P, rank)
+            assert got.flags.c_contiguous and np.shares_memory(got, P)
+            assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes())
+            if d == 0:
+                assert got.tobytes() == kept
+
+
+def test_covariant_step_consumes_its_input(fs2):
+    """A step leaves its input only P_prev[0] and forms each P_new[d] in the
+    memory of P_prev[d + 1]: no order copies its total."""
+    x = np.random.default_rng(4).uniform(-0.3, 0.3, 4)
+    _, _, PR, DGam = _jet_partials(fs2.metric, x, 4)
+    inputs = dict(PR)
+    P_new = _covariant_step(PR, DGam)
+    assert list(PR) == [0] and sorted(P_new) == [0, 1, 2, 3]
+    for d, P in P_new.items():
+        assert P.shape == (4,) * (5 + d)
+        assert np.shares_memory(P, inputs[d + 1])
 
 
 def test_bundle_matches_literal_curvature_k6(fs2):

@@ -26,7 +26,7 @@ sphere(4) at B = 1, 512 and 1024 points (|x| = 0.4), and on FS2 and the
 trivial-density FS2 at B = 1 and 16, in ROUNDS interleaved rounds, each
 side with its own Workspace.  It reports microseconds per call, the paired
 change/parent ratio and, per side, the deformed/base ratio.  It times whole
-shots the same way (SHOT_ROUNDS rounds of one shot), one of every shape
+shots the same way (ROUNDS rounds of one shot), one of every shape
 cli_defaults runs: ``density_profile`` from the center of sphere(4) and of
 the deformed sphere(4) along one g-unit direction, SHOT_STEPS RK4 steps to
 the radii of ``deform``'s default grid, and ``check_harmonic``'s shot on
@@ -108,7 +108,6 @@ from functools import partial
 from pathlib import Path
 
 ROUNDS = 15
-SHOT_ROUNDS = 7
 SHOT_STEPS = 2000
 COLD_ROUNDS = 10
 COLD_PLAN_SEED = 1
@@ -385,7 +384,7 @@ def ab(args) -> dict:
     shots["geodesics.shot_fs2_B16"] = harmonic_shot_case
     for name, case in shots.items():
         fns = {side: case(mod.__name__) for side, mod in sides.items()}
-        us = interleaved(fns, 1, SHOT_ROUNDS)
+        us = interleaved(fns, 1, ROUNDS)
         out[name] = paired(us["parent"], us["change"])
         print(f"ab {name}: {out[name]}", file=sys.stderr)
     for name, (spec, k_max, calls, rounds) in BUNDLE_CASES.items():
