@@ -353,9 +353,9 @@ class BlowupReport:
 
     m: int
     variant: str                 # the name of the psi reported on
-    exponent: float              # p in rho ~ c u^-p
-    coefficient: float           # c (negative)
-    fit_residual: float
+    exponent: float              # p in rho ~ c u^-p, fitted
+    coefficient: float           # c (negative), fitted
+    fit_residual: float          # max |log|rho| - fit| over the samples
     psi_exponent: float          # q in psi ~ a u^q near the cut locus
     psi_scale: float             # a
     length: float                # int_0^(pi/2) psi^-1 du
@@ -396,6 +396,11 @@ class TrivializerPsiU:
         order_idx = np.argsort(u_knots)
         self._logV = _hermite(
             u_knots[order_idx], logv[order_idx], self._omega(u_knots)[order_idx])
+        # psi^-1 = -dW/du and W(pi/2) = 0, so int_0^(pi/2) psi^-1 du = W(0);
+        # Theta ~ u gives W ~ L (1 - u^(1-q)/(1-q)) below the last knot
+        u0 = u_knots[-1]
+        self.length = float(self.W(u0)) / (1 - u0 ** (1 - self.q) / (1 - self.q))
+        self.scale = 1.0 / self.length      # psi ~ u^q / L
 
     def _omega(self, u):
         """d/du log(W/(pi/2 - u)) = (1 - Ttilde(r)^-q)/r, r = pi/2 - u."""
@@ -420,10 +425,6 @@ class TrivializerPsiU:
         rate = jets.powf(TruncatedSeries(theta.coeffs[: max(order, 1)]),
                          -self.q) * (-1.0)
         return num * _growth_series(float(self.W(u0)), rate, order).reciprocal()
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        return (np.cos(u) ** (self.m - 1) * np.sin(u)) ** self.q / self.W(u)
 
 
 def deformed_radial_ricci(psi_u, u: float) -> float:
@@ -455,14 +456,14 @@ def completeness_and_blowup(psi_u) -> BlowupReport:
 
     The base is the projective space of real dimension m = psi_u.m (even,
     in {4, 6, 8}) with sec in [1, 4]; psi_u is psi as a function of
-    u = pi/2 - r near the cut locus: its values, ``series`` and ``name``
-    (the report's variant).  Reports (i) int psi^-1 du with a finiteness
-    verdict from local exponent detection psi ~ a u^q, and
-    (ii) the log-log fit rho_{g_psi}(psi d_u, psi d_u) ~ c u^-p over the
-    u-window [1e-4, 1e-2], fitted as log|rho| = log|c| - p log u + b u so
-    that the next-order factor (1 + b u) does not bias c.  For the (m-1)-th
-    root of the density, psi ~ (2/pi) u^(1/(m-1)) and Theta ~ u give
-    c = -4(m-2)/((m-1) pi^2) and p = 2(m-2)/(m-1).
+    u = pi/2 - r.  It provides ``m``, ``name`` (the report's variant),
+    ``series``, and three numbers its construction fixes, which the report
+    copies: ``q`` and ``scale`` of psi ~ scale u^q at the cut locus, and
+    ``length`` = int_0^(pi/2) psi^-1 du.  The report fits
+    rho_{g_psi}(psi d_u, psi d_u) ~ c u^-p over the u-window [1e-4, 1e-2]
+    as log|rho| = log|c| - p log u + b1 u + b2 u^(1-q), so that neither
+    next-order factor of psi biases c.  For any psi ~ a u^q with
+    Theta ~ u, p = 2(1 - q) and c = -(m-2) q a^2.
     """
     m = psi_u.m
     if m not in BLOWUP_DIMS:
@@ -473,26 +474,13 @@ def completeness_and_blowup(psi_u) -> BlowupReport:
     rho = np.array([deformed_radial_ricci(psi_u, float(u)) for u in us])
     if np.any(rho >= 0):
         raise ValueError("expected negative radial Ricci in the fit window")
-    design = np.stack([np.ones_like(us), np.log(us), us], axis=1)
+    design = np.stack([np.ones_like(us), np.log(us), us,
+                       us ** (1 - psi_u.q)], axis=1)
     sol, *_ = np.linalg.lstsq(design, np.log(-rho), rcond=None)
-    coefficient = -math.exp(sol[0])
-    exponent = -float(sol[1])
     resid = float(np.max(np.abs(design @ sol - np.log(-rho))))
-
-    u1, u2 = 1e-7, 1e-6
-    p1, p2 = float(psi_u(u1)), float(psi_u(u2))
-    q_est = math.log(p2 / p1) / math.log(u2 / u1)
-    a_est = p1 / u1 ** q_est
-    finite = q_est < 1.0
-    delta = 1e-4
-    from scipy.integrate import quad
-    tail, _ = quad(lambda u: 1.0 / float(psi_u(np.asarray(u))), delta,
-                   math.pi / 2 - 1e-9, limit=400)
-    head = delta ** (1 - q_est) / (a_est * (1 - q_est)) if finite else math.inf
     return BlowupReport(
-        m=m, variant=psi_u.name, exponent=exponent,
-        coefficient=float(coefficient), fit_residual=resid,
-        psi_exponent=float(q_est), psi_scale=float(a_est),
-        length=float(head + tail), length_finite=finite,
-        u_window=u_window,
+        m=m, variant=psi_u.name, exponent=-float(sol[1]),
+        coefficient=-math.exp(sol[0]), fit_residual=resid,
+        psi_exponent=psi_u.q, psi_scale=psi_u.scale, length=psi_u.length,
+        length_finite=math.isfinite(psi_u.length), u_window=u_window,
         samples=[{"u": float(u), "ricci": float(r)} for u, r in zip(us, rho)])

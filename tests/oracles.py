@@ -1070,19 +1070,24 @@ class DensityRootPsiU:
 
     Near the cut locus psi ~ (2/pi) u^(1/(m-1)), so completeness_and_blowup
     must find rho ~ c u^-p with c = -4(m-2)/((m-1) pi^2), p = 2(m-2)/(m-1).
+    ``length`` = int_0^(pi/2) psi^-1 du is mpmath's quadrature of
+    r / (sin r cos^q r) over r = pi/2 - u.
     """
 
     name = "density-root"
+    scale = 2.0 / math.pi
 
     def __init__(self, m: int):
+        import mpmath
         self.m = m
         self.q = 1.0 / (m - 1)
+        with mpmath.workdps(20):
+            q = mpmath.mpf(1) / (m - 1)
+            self.length = float(mpmath.quad(
+                lambda r: r / (mpmath.sin(r) * mpmath.cos(r) ** q),
+                [0, mpmath.pi / 2]))
 
     def series(self, u0, order: int) -> TruncatedSeries:
         u = _seed_series(u0, order)
         r = math.pi / 2 - u
         return jets.cos(u) / r * jets.powf(jets.sin(u), self.q)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.cos(u) / (math.pi / 2 - u) * np.sin(u) ** self.q

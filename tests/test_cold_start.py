@@ -90,6 +90,16 @@ def test_deform_loads_neither_interpolate_nor_optimize(tmp_path):
                 "scipy.optimize"} & set(loaded)
 
 
+def test_trivial_density_deform_loads_no_integrate(tmp_path):
+    # the blow-up report copies the length its construction fixes, with no
+    # quadrature behind it
+    loaded = cli_scipy_loaded(tmp_path, {
+        "metric": {"family": "fubini_study", "cdim": 2, "deform": {
+            "psi": {"kind": "trivial-density"}}},
+        "analysis": {"command": "deform", "steps": 20, "radii": [0.4]}})
+    assert "scipy.integrate" not in loaded
+
+
 def test_curvature_at_dim_4_loads_no_scipy(tmp_path):
     # exact extremes: no plane is sampled, so not even ndtri is imported
     loaded = cli_scipy_loaded(tmp_path, {

@@ -526,11 +526,13 @@ def test_radial_ricci_formula_cross_checked_against_chart(fs2):
 
 @pytest.mark.parametrize("m,p_expect", [(4, 4 / 3), (6, 8 / 5), (8, 12 / 7)])
 def test_blowup_exponents_and_finiteness(m, p_expect):
-    rep = completeness_and_blowup(DensityRootPsiU(m))
+    psi_u = DensityRootPsiU(m)
+    rep = completeness_and_blowup(psi_u)
     assert rep.exponent == pytest.approx(p_expect, abs=0.01)
     assert rep.length_finite
-    assert rep.psi_exponent == pytest.approx(1.0 / (m - 1), abs=1e-3)
-    assert rep.psi_scale == pytest.approx(2.0 / math.pi, rel=1e-3)
+    assert rep.psi_exponent == psi_u.q == 1.0 / (m - 1)
+    assert rep.psi_scale == psi_u.scale == 2.0 / math.pi
+    assert rep.length == psi_u.length
     assert rep.coefficient < 0
     assert 0 < rep.length < 10
 
@@ -572,12 +574,37 @@ def test_blowup_leading_term_symbolic(m, c_pi2, p):
     assert c != -a2 * q * (q + m - 2)
 
 
+@pytest.mark.parametrize("psi_class", [TrivializerPsiU, DensityRootPsiU])
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_blowup_fit_matches_identities(psi_class, m):
+    # rho ~ c u^-p with p = 2(1 - q) and c = -(m-2) q a^2 for psi ~ a u^q;
+    # the fit's u^(1-q) column absorbs the trivializer's next-order term
+    psi_u = psi_class(m)
+    rep = completeness_and_blowup(psi_u)
+    assert rep.exponent == pytest.approx(2.0 * (m - 2) / (m - 1), abs=1e-3)
+    assert rep.coefficient == pytest.approx(
+        -(m - 2) * psi_u.q * psi_u.scale ** 2, rel=1e-3)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_blowup_length_matches_mpmath(m):
+    # W(0) = int_0^(pi/2) psi^-1 du = L, where in r = pi/2 - u the ODE
+    # dW/dr = W Theta^-q with W ~ r at the center integrates to
+    # L = (pi/2) exp(int_0^(pi/2) (Theta(s)^-q - 1/s) ds)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        q = mpmath.mpf(1) / (m - 1)
+        L = mpmath.pi / 2 * mpmath.exp(mpmath.quad(
+            lambda s: (mpmath.sin(s) ** (m - 1) * mpmath.cos(s)) ** -q - 1 / s,
+            [0, mpmath.pi / 2]))
+    assert TrivializerPsiU(m).length == pytest.approx(float(L), rel=1e-9)
+
+
 def test_blowup_trivializer_variant_consistent():
     rep = completeness_and_blowup(TrivializerPsiU(4))
-    assert rep.exponent == pytest.approx(4 / 3, abs=0.05)
+    assert rep.exponent == pytest.approx(4 / 3, abs=1e-3)
     assert rep.length_finite
-    # exact trivializer scale: a = (2/pi) / V0 with V0 > 1
-    assert 0 < rep.psi_scale < 2.0 / math.pi
+    assert rep.psi_scale == 1 / rep.length
 
 
 def test_blowup_rejects_bad_dimension():

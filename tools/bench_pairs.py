@@ -55,7 +55,8 @@ under its relative path, except the fuzz tests' files (CLI_TREE_SKIP); it
 exits if either run fails or writes nothing else.  A call that raises is
 recorded by its message.
 It reports the number of equal hashes, the total, and each mismatch; a
-mismatched JSON report also lists the dotted keys whose values differ.
+mismatched JSON report also lists the dotted keys whose values differ,
+with ``[i]`` for an item of a list whose length did not change.
 
 ``cold`` is the A/B of start-up cost, which only fresh processes can
 measure: an import runs once per interpreter, so a same-process A/B would
@@ -64,11 +65,11 @@ rounds (the parent first in the first round) it starts, for each
 checkout, one ``perfbench/probe.py`` per workload on the change's plan
 for seed COLD_PLAN_SEED (wall time to its ``ready`` line, as run.py
 times ``setup_s``) and one ``python -m hml`` per cli_defaults manifest
-(wall time to exit).  It reports per side the median and the runs, the
-median over rounds of the change/parent ratio, and for each command the
-exit codes, whether the two sides wrote the same report bytes, and the
-scipy subpackages the command loaded, read in one extra untimed run per
-side.
+and per BYTES_MANIFESTS entry (wall time to exit).  It reports per side
+the median and the runs, the median over rounds of the change/parent
+ratio, and for each command the exit codes, whether the two sides wrote
+the same report bytes, and the scipy subpackages the command loaded, read
+in one extra untimed run per side.
 
 ``mem`` is the A/B of memory, which also needs fresh processes: a peak
 RSS only grows, and a warm cache hides what a first call allocates.  For
@@ -587,7 +588,11 @@ def _file_hash(path: Path, key: str, texts: dict) -> str:
 
 
 def moved_keys(a, b, at: str = "") -> list:
-    """The dotted keys whose values differ between two JSON documents."""
+    """The dotted keys whose values differ between two JSON documents; a
+    list of unchanged length is followed into its items, as ``key[i]``."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [k for i, (x, y) in enumerate(zip(a, b))
+                for k in moved_keys(x, y, f"{at}[{i}]")]
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return [] if a == b else [at]
     missing = object()
@@ -731,6 +736,9 @@ def cold(args) -> dict:
             if name == "cli_defaults":
                 commands = {op["name"]: op["manifest_path"]
                             for op in plan["ops"]}
+        for name, doc in BYTES_MANIFESTS.items():
+            commands[name] = os.path.join(tmp, f"{name}.json")
+            Path(commands[name]).write_text(json.dumps(doc))
         probes = {name: {"parent": [], "change": []} for name in plans}
         clis = {name: {"parent": [], "change": []} for name in commands}
         exits = {name: {"parent": set(), "change": set()} for name in commands}
